@@ -32,8 +32,8 @@ from .stats import (
     poisson_weights,
 )
 from .decoy import (
+    ConstraintSystem,
     SinglePhotonBounds,
-    YieldConstraintSystem,
     single_photon_bounds,
 )
 from .keyrate import (
@@ -108,8 +108,8 @@ __all__ = [
     "poisson_tail",
     "poisson_weights",
     # decoy
+    "ConstraintSystem",
     "SinglePhotonBounds",
-    "YieldConstraintSystem",
     "single_photon_bounds",
     # keyrate
     "KeyBudget",

@@ -14,8 +14,10 @@ configured cutoff (the neglected mass is absorbed into the lower-side slack
 and extracts from them:
 
 * the minimal single-photon yield ``y1`` compatible with the observations,
-* a tight upper bound on the single-photon error rate ``b1`` (via bisection
-  over the substituted error variables e_n = y_n * b_n), and
+* a tight upper bound on the single-photon error rate ``b1``: the ratio
+  e1/y1 over the substituted error variables e_n = y_n * b_n, maximized by
+  one linear program after the Charnes-Cooper change of variables
+  (Charnes & Cooper, Naval Res. Logist. Q. 9, 1962), and
 * the conservative worst-case ``b1`` that charges every observed error in a
   basis to the single-photon bits.
 
@@ -35,8 +37,7 @@ from .core import BASES, ConfidenceConfig, DecoyScheme, SessionTally
 from .stats import binomial_interval, poisson_tail, poisson_weights
 
 __all__ = [
-    "YieldConstraintSystem",
-    "ErrorConstraintSystem",
+    "ConstraintSystem",
     "YieldSolution",
     "ErrorBoundResult",
     "SinglePhotonBounds",
@@ -49,17 +50,32 @@ __all__ = [
     "single_photon_bounds",
 ]
 
+# Outward rounding added to the b1 LP optimum before clamping to [0, 1].
+# The simplex value carries floating-point error, so the bound is raised by
+# the 1e-9 conservative margin of the bisection this LP replaced, until an
+# exact certificate of the LP optimum takes its place.
+_B1_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
-class YieldConstraintSystem:
-    """Truncated linear constraints on the photon-number yields y_n."""
+class ConstraintSystem:
+    """Truncated two-sided level constraints on sum_n w_jn * x_n.
+
+    With ``basis`` None the variables are the photon-number yields y_n.
+    With a basis set they are the error yields ``e_n = y_n * b_n``: the
+    joint rate of an n-photon pulse being detected *and* sifted into that
+    basis with the wrong bit value, normalized like a yield (per sent
+    pulse, per matched-basis detection scale), so the two kinds of system
+    share the y_n variables.
+    """
 
     mus: tuple[float, ...]
-    lows: tuple[float, ...]      # per-level lower bounds on the detection rate
+    lows: tuple[float, ...]      # per-level lower bounds on the rate
     highs: tuple[float, ...]     # per-level upper bounds
     weights: tuple[tuple[float, ...], ...]  # w_jn, shape (levels, cutoff+1)
     tails: tuple[float, ...]     # per-level truncated Poisson mass
     cutoff: int
+    basis: str | None = None
 
     def __post_init__(self) -> None:
         if len(self.mus) < 1:
@@ -69,25 +85,6 @@ class YieldConstraintSystem:
         for lo, hi in zip(self.lows, self.highs):
             if lo > hi:
                 raise ValueError("lower bound exceeds upper bound")
-
-
-@dataclass(frozen=True)
-class ErrorConstraintSystem:
-    """Same shape as the yield system, but bounding sum_n w_jn * e_n.
-
-    ``e_n = y_n * b_n`` is the joint rate of an n-photon pulse being
-    detected *and* sifted into this basis with the wrong bit value,
-    normalized like a yield (per sent pulse, per matched-basis detection
-    scale), so the two systems share the y_n variables.
-    """
-
-    basis: str
-    mus: tuple[float, ...]
-    lows: tuple[float, ...]
-    highs: tuple[float, ...]
-    weights: tuple[tuple[float, ...], ...]
-    tails: tuple[float, ...]
-    cutoff: int
 
 
 @dataclass(frozen=True)
@@ -103,32 +100,46 @@ class ErrorBoundResult:
     value: float  # upper bound on b1, in [0, 1]
 
 
-def yield_bounds(
-    tally: SessionTally, scheme: DecoyScheme, config: ConfidenceConfig
-) -> YieldConstraintSystem:
-    """Exact-binomial detection-rate intervals for every intensity level.
-
-    The per-level rate is detections (both measurement bases) over pulses
-    sent; levels with zero sent pulses are rejected.
-    """
+def _level_system(tally, scheme, config, basis=None) -> ConstraintSystem:
+    """Per-level intervals, Poisson weights and tails for either system kind."""
+    cutoff = config.photon_cutoff
     lows, highs, weights, tails = [], [], [], []
     for j, lv in enumerate(tally.levels):
         if lv.sent <= 0:
             raise ValueError(f"level {j} has no sent pulses; cannot bound its yield")
         lo, hi = binomial_interval(lv.detected_total(), lv.sent, config.epsilon)
+        if basis is not None:
+            sifted = lv.sifted[basis]
+            if sifted > 0:
+                r_lo, r_hi = binomial_interval(lv.errors[basis], sifted, config.epsilon)
+            else:
+                r_lo, r_hi = 0.0, 1.0  # no data: error fraction unconstrained
+            lo, hi = r_lo * lo, r_hi * hi
         lows.append(lo)
         highs.append(hi)
         mu = scheme.mus[j]
-        weights.append(tuple(poisson_weights(mu, config.photon_cutoff)))
-        tails.append(poisson_tail(mu, config.photon_cutoff))
-    return YieldConstraintSystem(
+        weights.append(tuple(poisson_weights(mu, cutoff)))
+        tails.append(poisson_tail(mu, cutoff))
+    return ConstraintSystem(
         mus=scheme.mus,
         lows=tuple(lows),
         highs=tuple(highs),
         weights=tuple(weights),
         tails=tuple(tails),
-        cutoff=config.photon_cutoff,
+        cutoff=cutoff,
+        basis=basis,
     )
+
+
+def yield_bounds(
+    tally: SessionTally, scheme: DecoyScheme, config: ConfidenceConfig
+) -> ConstraintSystem:
+    """Exact-binomial detection-rate intervals for every intensity level.
+
+    The per-level rate is detections (both measurement bases) over pulses
+    sent; levels with zero sent pulses are rejected.
+    """
+    return _level_system(tally, scheme, config)
 
 
 def error_bounds(
@@ -136,7 +147,7 @@ def error_bounds(
     scheme: DecoyScheme,
     config: ConfidenceConfig,
     basis: str,
-) -> ErrorConstraintSystem:
+) -> ConstraintSystem:
     """Per-level bounds on the error-weighted yield in one basis.
 
     The observable splits into two independently bounded factors: the
@@ -147,33 +158,10 @@ def error_bounds(
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
-    lows, highs, weights, tails = [], [], [], []
-    for j, lv in enumerate(tally.levels):
-        if lv.sent <= 0:
-            raise ValueError(f"level {j} has no sent pulses")
-        y_lo, y_hi = binomial_interval(lv.detected_total(), lv.sent, config.epsilon)
-        sifted = lv.sifted[basis]
-        if sifted > 0:
-            r_lo, r_hi = binomial_interval(lv.errors[basis], sifted, config.epsilon)
-        else:
-            r_lo, r_hi = 0.0, 1.0  # no data: error fraction unconstrained
-        lows.append(r_lo * y_lo)
-        highs.append(r_hi * y_hi)
-        mu = scheme.mus[j]
-        weights.append(tuple(poisson_weights(mu, config.photon_cutoff)))
-        tails.append(poisson_tail(mu, config.photon_cutoff))
-    return ErrorConstraintSystem(
-        basis=basis,
-        mus=scheme.mus,
-        lows=tuple(lows),
-        highs=tuple(highs),
-        weights=tuple(weights),
-        tails=tuple(tails),
-        cutoff=config.photon_cutoff,
-    )
+    return _level_system(tally, scheme, config, basis)
 
 
-def _yield_rows(system) -> tuple[np.ndarray, np.ndarray]:
+def _yield_rows(system: ConstraintSystem) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided level constraints as stacked <= rows (A, b)."""
     w = np.asarray(system.weights, dtype=float)
     hi = np.asarray(system.highs, dtype=float)
@@ -183,7 +171,7 @@ def _yield_rows(system) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def solve_y1_lower(system: YieldConstraintSystem) -> YieldSolution:
+def solve_y1_lower(system: ConstraintSystem) -> YieldSolution:
     """Minimize the single-photon yield over the truncated constraint polytope.
 
     Returns an infeasible result when no yield vector in [0, 1]^(cutoff+1)
@@ -201,61 +189,44 @@ def solve_y1_lower(system: YieldConstraintSystem) -> YieldSolution:
     return YieldSolution(feasible=True, y1_lower=y1, yields=tuple(float(v) for v in res.x))
 
 
-def _joint_lp(ysys, esys, y1_floor, t, pin_vacuum):
-    """min t*y1 - e1 over the joint (y, e) polytope.  Returns LPResult."""
+def _joint_rows(ysys, esys, pin_vacuum) -> tuple[np.ndarray, np.ndarray]:
+    """The joint (y, e) polytope as stacked <= rows over [y | e]."""
     dim = ysys.cutoff + 1
     ay, by = _yield_rows(ysys)
     ae, be = _yield_rows(esys)
-    n_vars = 2 * dim
-    rows = []
-    rhs = []
-    # yield rows act on the first block, error rows on the second
-    zeros = np.zeros_like(ay)
-    rows.append(np.hstack([ay, zeros]))
-    rhs.append(by)
-    rows.append(np.hstack([np.zeros_like(ae), ae]))
-    rhs.append(be)
-    # e_n - y_n <= 0
-    link = np.hstack([-np.eye(dim), np.eye(dim)])
-    rows.append(link)
-    rhs.append(np.zeros(dim))
-    # y1 >= y1_floor
-    floor_row = np.zeros((1, n_vars))
-    floor_row[0, 1] = -1.0
-    rows.append(floor_row)
-    rhs.append(np.array([-y1_floor]))
+    eye = np.eye(dim)
+    blocks = [
+        (np.hstack([ay, np.zeros_like(ay)]), by),  # yield levels act on y
+        (np.hstack([np.zeros_like(ae), ae]), be),  # error levels act on e
+        (np.hstack([-eye, eye]), np.zeros(dim)),  # e_n <= y_n
+        (np.hstack([eye, np.zeros((dim, dim))]), np.ones(dim)),  # y_n <= 1
+    ]
     if pin_vacuum:
         # Zero-photon clicks are uncorrelated with the sender's bit, so
         # exactly half of them land as errors: e_0 = y_0 / 2, written as a
         # pair of opposed inequalities.
-        pin = np.zeros((2, n_vars))
+        pin = np.zeros((2, 2 * dim))
         pin[0, 0], pin[0, dim] = -0.5, 1.0
         pin[1, 0], pin[1, dim] = 0.5, -1.0
-        rows.append(pin)
-        rhs.append(np.zeros(2))
-
-    a = np.vstack(rows)
-    b = np.concatenate(rhs)
-    c = np.zeros(n_vars)
-    c[1] = t
-    c[dim + 1] = -1.0
-    hi = np.concatenate([np.ones(dim), np.full(dim, np.inf)])
-    return solve_lp(c, a, b, lo=np.zeros(n_vars), hi=hi)
+        blocks.append((pin, np.zeros(2)))
+    return np.vstack([a for a, _ in blocks]), np.concatenate([b for _, b in blocks])
 
 
 def b1_tight(
-    ysys: YieldConstraintSystem,
-    esys: ErrorConstraintSystem,
+    ysys: ConstraintSystem,
+    esys: ConstraintSystem,
     y1_lower: float,
-    tolerance: float = 1e-9,
     pin_vacuum: bool = True,
 ) -> ErrorBoundResult:
     """Largest single-photon error fraction consistent with the joint system.
 
-    Bisects on t in [0, 1]: t is achievable iff some point of the joint
-    polytope (with y1 held at or above its certified floor) has
-    e1 - t*y1 >= 0.  The returned value is the high end of the final
-    bracket, so it is conservative to within ``tolerance``.
+    Maximizes e1/y1 over the joint (y, e) polytope with y1 held at or
+    above its certified floor.  The Charnes-Cooper substitution u = y/y1,
+    v = e/y1, s = 1/y1 turns every row ``A [y|e] <= b`` into the
+    homogeneous ``A [u|v] - b s <= 0`` and the ratio into plain v1, so
+    one LP gives the bound.  u1 = 1 is imposed through the variable
+    bounds, and the floor y1 >= y1_lower becomes s <= 1/y1_lower.  The
+    optimum is rounded up by ``_B1_MARGIN`` and clamped to [0, 1].
 
     With ``pin_vacuum`` the zero-photon error rate is fixed at one half
     (see :class:`~decoyqkd.core.ConfidenceConfig`); this is what lets the
@@ -264,28 +235,28 @@ def b1_tight(
     """
     if ysys.cutoff != esys.cutoff or ysys.mus != esys.mus:
         raise ValueError("yield and error systems describe different schemes")
+    a, b = _joint_rows(ysys, esys, pin_vacuum)
+    n_vars = a.shape[1]
     if y1_lower <= 0.0:
         # Ratio e1/y1 is unconstrained when y1 may vanish.
-        first = _joint_lp(ysys, esys, 0.0, 0.0, pin_vacuum)
-        return ErrorBoundResult(feasible=first.ok, value=1.0)
+        res = solve_lp(np.zeros(n_vars), a, b)
+        return ErrorBoundResult(feasible=res.ok, value=1.0)
 
-    first = _joint_lp(ysys, esys, y1_lower, 0.0, pin_vacuum)
-    if not first.ok:
+    dim = ysys.cutoff + 1
+    c = np.zeros(n_vars + 1)
+    c[dim + 1] = -1.0  # maximize v1
+    lo = np.zeros(n_vars + 1)
+    hi = np.full(n_vars + 1, np.inf)
+    # Pinning u1 by bounds rather than by two opposed rows matters: the
+    # row pair can leave the simplex at a rank-deficient final basis that
+    # it reports as optimal below the true maximum.
+    lo[1] = hi[1] = 1.0
+    hi[-1] = 1.0 / y1_lower
+    res = solve_lp(c, np.hstack([a, -b[:, None]]), np.zeros(len(b)), lo=lo, hi=hi)
+    if not res.ok:
         return ErrorBoundResult(feasible=False, value=1.0)
-
-    # Accepting "achievable" on a hair of numerical noise only loosens the
-    # bound (conservative); rejecting on noise would tighten it unsoundly,
-    # so the threshold sits slightly on the positive side, scaled to y1.
-    slack = 1e-11 * y1_lower
-    lo, hi = 0.0, 1.0
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        res = _joint_lp(ysys, esys, y1_lower, mid, pin_vacuum)
-        if res.ok and res.objective <= slack:
-            lo = mid  # achievable: some point has e1 >= mid * y1
-        else:
-            hi = mid
-    return ErrorBoundResult(feasible=True, value=hi)
+    value = min(1.0, max(0.0, float(res.x[dim + 1]) + _B1_MARGIN))
+    return ErrorBoundResult(feasible=True, value=value)
 
 
 def single_photon_sifted_weight(
@@ -362,17 +333,12 @@ class SinglePhotonBounds:
     b1_tight_by_basis: dict[str, float]
     bounds_consumed: int  # number of one-sided epsilon-bounds used
 
-    @property
-    def epsilon_budget(self) -> int:
-        return self.bounds_consumed
-
 
 def single_photon_bounds(
     tally: SessionTally,
     scheme: DecoyScheme,
     config: ConfidenceConfig,
     key_levels: tuple[int, ...] | None = None,
-    bisection_tolerance: float = 1e-9,
 ) -> SinglePhotonBounds:
     """Run the complete decoy analysis: y1 floor plus both b1 variants per basis.
 
@@ -402,8 +368,7 @@ def single_photon_bounds(
         if ysol.feasible:
             esys = error_bounds(tally, scheme, config, basis)
             tb = b1_tight(
-                ysys, esys, ysol.y1_lower, bisection_tolerance,
-                pin_vacuum=config.pin_vacuum_errors,
+                ysys, esys, ysol.y1_lower, pin_vacuum=config.pin_vacuum_errors
             )
             tight[basis] = min(tb.value, wc.value) if tb.feasible else wc.value
         else:

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from .core import (
     ChannelModel,
@@ -445,6 +444,8 @@ def calibrate_to_reference(
         reproduces the targets — inspect the diagnostics to see how far
         off the best fit landed.
     """
+    from scipy import optimize  # deferred: slow to import, and only calibration uses it
+
     scheme = scheme if scheme is not None else reference_scheme()
     base = model if model is not None else reference_model()
     config = config if config is not None else ConfidenceConfig()

@@ -104,14 +104,14 @@ def binomial_interval(k: float, n: float, epsilon: float) -> tuple[float, float]
 
 
 def _check_count_args(k: float, n: float, epsilon: float) -> None:
+    if not (math.isfinite(k) and math.isfinite(n)):
+        raise ValueError("k and n must be finite")
     if not n > 0:
         raise ValueError("n must be > 0")
     if k < 0 or k > n:
         raise ValueError(f"count k={k} must lie in [0, n={n}]")
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 0.5)")
-    if math.isnan(k) or math.isnan(n):
-        raise ValueError("k and n must be finite")
 
 
 def binary_entropy(p: float) -> float:

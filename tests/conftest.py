@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from decoyqkd import calibrate_to_reference
-from decoyqkd.decoy import ErrorConstraintSystem, YieldConstraintSystem
+from decoyqkd.decoy import ConstraintSystem
 from decoyqkd.stats import poisson_tail, poisson_weights
 
 
@@ -56,11 +56,11 @@ def random_constraint_systems(rng, cutoff):
         ehi.append(eq * (1.0 + de))
         weights.append(tuple(poisson_weights(mu, cutoff)))
         tails.append(poisson_tail(mu, cutoff))
-    ysys = YieldConstraintSystem(
+    ysys = ConstraintSystem(
         mus=mus, lows=tuple(ylo), highs=tuple(yhi),
         weights=tuple(weights), tails=tuple(tails), cutoff=cutoff,
     )
-    esys = ErrorConstraintSystem(
+    esys = ConstraintSystem(
         basis="X", mus=mus, lows=tuple(elo), highs=tuple(ehi),
         weights=tuple(weights), tails=tuple(tails), cutoff=cutoff,
     )

@@ -16,9 +16,9 @@ from conftest import (
     random_constraint_systems,
 )
 from decoyqkd.core import ConfidenceConfig
+from decoyqkd.keyrate import compose_session
 from decoyqkd.decoy import (
-    ErrorConstraintSystem,
-    YieldConstraintSystem,
+    ConstraintSystem,
     b1_tight,
     b1_worst_case,
     error_bounds,
@@ -35,22 +35,37 @@ def _toy_system(cutoff=4, lows=(0.0, 0.0, 0.0), highs=(1.0, 1.0, 1.0)):
     mus = (0.001, 0.1, 0.5)
     weights = tuple(tuple(poisson_weights(m, cutoff)) for m in mus)
     tails = tuple(poisson_tail(m, cutoff) for m in mus)
-    return YieldConstraintSystem(
+    return ConstraintSystem(
         mus=mus, lows=lows, highs=highs, weights=weights, tails=tails, cutoff=cutoff
     )
+
+
+def _contradictory_pair():
+    """A yield system with no feasible point, and an error system beside it."""
+    ysys = _toy_system(lows=(0.9, 0.0, 0.0), highs=(0.95, 1.0, 0.01))
+    esys = ConstraintSystem(
+        basis="X",
+        mus=ysys.mus,
+        lows=(0.0, 0.0, 0.0),
+        highs=(0.5, 0.5, 0.5),
+        weights=ysys.weights,
+        tails=ysys.tails,
+        cutoff=ysys.cutoff,
+    )
+    return ysys, esys
 
 
 class TestConstraintSystemValidation:
     def test_needs_at_least_one_level(self):
         with pytest.raises(ValueError):
-            YieldConstraintSystem(
+            ConstraintSystem(
                 mus=(), lows=(), highs=(), weights=(), tails=(), cutoff=2
             )
 
     def test_lengths_must_agree(self):
         good = _toy_system()
         with pytest.raises(ValueError):
-            YieldConstraintSystem(
+            ConstraintSystem(
                 mus=good.mus,
                 lows=good.lows[:2],
                 highs=good.highs,
@@ -65,7 +80,7 @@ class TestConstraintSystemValidation:
 
     def test_error_system_carries_basis(self):
         base = _toy_system()
-        esys = ErrorConstraintSystem(
+        esys = ConstraintSystem(
             basis="Z",
             mus=base.mus,
             lows=base.lows,
@@ -244,7 +259,7 @@ class TestTightErrorBound:
             esys = error_bounds(calibration.tally, calibration.scheme, cfg, basis)
             res = b1_tight(ysys, esys, sol.y1_lower)
             assert res.feasible
-            assert res.value == pytest.approx(0.037647342309355736, rel=1e-9)
+            assert res.value == pytest.approx(0.03764734305124105, rel=1e-9)
 
     def test_matches_fractional_program(self, calibration):
         cfg = ConfidenceConfig()
@@ -269,20 +284,54 @@ class TestTightErrorBound:
             checked += 1
         assert checked >= 6
 
-    def test_infeasible_floor_gives_vacuous_bound(self):
-        ysys = _toy_system(lows=(0.9, 0.0, 0.0), highs=(0.95, 1.0, 0.01))
-        esys = ErrorConstraintSystem(
-            basis="X",
-            mus=ysys.mus,
-            lows=(0.0, 0.0, 0.0),
-            highs=(0.5, 0.5, 0.5),
-            weights=ysys.weights,
-            tails=ysys.tails,
-            cutoff=ysys.cutoff,
+    def test_never_below_fractional_program_on_random_systems(self):
+        # One-sided: an upper bound may sit above the oracle, never below.
+        rng = np.random.default_rng(321)
+        checked = 0
+        for cutoff in (3, 4):
+            for _ in range(150):
+                ysys, esys = random_constraint_systems(rng, cutoff)
+                sol = solve_y1_lower(ysys)
+                if not sol.feasible or sol.y1_lower <= 0.0:
+                    continue
+                res = b1_tight(ysys, esys, sol.y1_lower)
+                reference = _charnes_cooper_b1(ysys, esys, sol.y1_lower)
+                assert res.feasible
+                assert res.value >= reference * (1.0 - 1e-6)
+                checked += 1
+        assert checked >= 200
+
+    def test_one_lp_per_bound(self, calibration, monkeypatch):
+        calls = []
+
+        def counting_solve_lp(*args, **kwargs):
+            calls.append(args)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr("decoyqkd.decoy.solve_lp", counting_solve_lp)
+        cfg = ConfidenceConfig()
+        ysys = yield_bounds(calibration.tally, calibration.scheme, cfg)
+        esys = error_bounds(calibration.tally, calibration.scheme, cfg, "X")
+        cases = (
+            (ysys, esys, 6.5e-6),  # positive floor
+            (ysys, esys, 0.0),  # vanishing floor
+            (*_contradictory_pair(), 0.1),  # infeasible joint system
         )
-        res = b1_tight(ysys, esys, 0.0)
-        assert not res.feasible
-        assert res.value == 1.0
+        for args in cases:
+            calls.clear()
+            b1_tight(*args)
+            assert len(calls) == 1
+
+        calls.clear()
+        compose_session(calibration.tally, calibration.scheme, cfg)
+        assert len(calls) == 3  # the y1 floor, then one b1 LP per basis
+
+    def test_infeasible_floor_gives_vacuous_bound(self):
+        ysys, esys = _contradictory_pair()
+        for floor in (0.0, 0.1):
+            res = b1_tight(ysys, esys, floor)
+            assert not res.feasible
+            assert res.value == 1.0
 
     def test_grows_as_confidence_tightens(self, calibration):
         values = []

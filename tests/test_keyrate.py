@@ -205,7 +205,7 @@ class TestComposeSession:
         assert bounds.y1_lower == pytest.approx(6.5525371213977716e-06, rel=1e-9)
         for basis in ("X", "Z"):
             assert bounds.b1_tight_by_basis[basis] == pytest.approx(
-                0.037647342309355736, rel=1e-9
+                0.03764734305124105, rel=1e-9
             )
             assert bounds.b1_worst_by_basis[basis] == pytest.approx(
                 0.04853227272123375, rel=1e-9
@@ -256,7 +256,7 @@ class TestComposeSession:
         expected = privacy_amplification_factor(n1_pooled, b1_pool, 1e-3)
         for budget in tight.values():
             assert budget.f_pa == expected
-        assert expected == pytest.approx(1.090856044019817, rel=1e-12)
+        assert expected == pytest.approx(1.090856027666286, rel=1e-12)
         for budget in analysis.budgets_worst.values():
             assert budget.f_pa == pytest.approx(1.0779019861569297, rel=1e-12)
 

@@ -155,6 +155,10 @@ def test_input_validation():
         binomial_lower(2, 10, 0.0)
     with pytest.raises(ValueError):
         binomial_upper(2, 10, 0.5)
+    with pytest.raises(ValueError):
+        binomial_lower(3, float("inf"), 1e-7)
+    with pytest.raises(ValueError):
+        binomial_upper(float("nan"), 10, 0.05)
 
 
 class TestBinaryEntropy:
