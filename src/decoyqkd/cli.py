@@ -29,10 +29,17 @@ offending flag or file), and 2 when the inputs were valid but the
 session yields no key (infeasible bounds, zero key total, failed
 reconciliation, or a calibration that did not converge).
 
+Every flag is declared once, in ``_FLAGS``, with its type, default and
+help; each subcommand in ``_COMMANDS`` lists the flags it takes.  The
+defaults are the library's (``decoyqkd.core``, ``decoyqkd.sim``).
+
 Each subcommand accepts ``--config FILE``, a JSON object of default
 values keyed by flag name (hyphens as underscores); explicit flags
-override config fields.  Relative paths that do not exist are retried
-under ``$DECOYQKD_CONFIG_DIR`` if that variable is set.
+override config fields.  Config values are type-checked against the
+flag they stand for (JSON integers count as numbers, booleans never
+do, ``null`` only where the flag has no default, and list lengths and
+choices as on the command line).  Relative paths that do not exist are
+retried under ``$DECOYQKD_CONFIG_DIR`` if that variable is set.
 """
 
 from __future__ import annotations
@@ -43,17 +50,24 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .core import (
+    DEFAULT_EXTINCTION_DB,
+    DEFAULT_F_DS,
+    DEFAULT_F_EC,
+    DEFAULT_PA_EPSILON,
+    DEFAULT_POINTS_PER_STAGE,
+    DEFAULT_STAGES,
     ChannelModel,
     ConfidenceConfig,
     DecoyScheme,
     SessionTally,
     ValidationError,
+    check_json_type,
     dumps,
 )
 from .extract import measure_f_ds, peres_extract, privacy_amplify
@@ -61,6 +75,7 @@ from .keyrate import compose_session
 from .opt import curve_csv, optimize_scheme, range_curve
 from .recon import cascade_reconcile, measure_f_ec
 from .sim import (
+    REFERENCE_DURATION_H,
     REFERENCE_DUTY_CYCLE,
     REFERENCE_SIFT_RATIO,
     REFERENCE_ZERO_FRACTION,
@@ -84,6 +99,112 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
         raise _UsageError(f"{self.prog}: {message}")
+
+
+# ---------------------------------------------------------------------------
+# flag table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Flag:
+    """One flag: its name, metavar and help, and the type and default of
+    its value.  A ``bool`` flag is a switch that flips its default."""
+
+    flag: str
+    metavar: str | None
+    help: str
+    type: type = str
+    default: object = None
+    nargs: int | None = None
+    choices: tuple[str, ...] | None = None
+
+
+#: Every flag of every command, keyed by its settings (and config) name.
+_FLAGS = {
+    "config": _Flag("--config", "FILE", "JSON object of default values (explicit flags win)"),
+    # inputs and outputs
+    "tally": _Flag("--tally", "FILE", "session tally JSON ('-' reads stdin); required"),
+    "scheme": _Flag("--scheme", "FILE", "decoy scheme JSON (default: demonstration scheme)"),
+    "model": _Flag("--model", "FILE", "channel model JSON (default: demonstration link)"),
+    "keys": _Flag("--keys", "PREFIX", "prefix of the four raw key files from simulate; required"),
+    "keys_out": _Flag("--keys-out", "PREFIX", "write PREFIX.{alice,bob}.{X,Z}.bits raw key files"),
+    "key_out": _Flag("--key-out", "FILE", "also write the final key as raw bytes"),
+    "out_model": _Flag("--out-model", "FILE", "write the fitted channel model JSON"),
+    "out_tally": _Flag("--out-tally", "FILE", "write the reconstructed tally JSON"),
+    "seed": _Flag("--seed", "N", "RNG seed; required", int),
+    # link and session size
+    "distance_km": _Flag("--distance-km", "KM", "override the model's fiber length", float),
+    "detector_efficiency": _Flag("--detector-efficiency", "E",
+                                 "what-if override of the model's detector efficiency", float),
+    "duration_h": _Flag("--duration-h", "H",
+                        "acquisition time, converted to pulses via the duty cycle "
+                        f"(default {REFERENCE_DURATION_H} unless --pulses is given; "
+                        "simulate needs one of the two)", float),
+    "pulses": _Flag("--pulses", "N", "pulse count (alternative to --duration-h)", int),
+    "duty_cycle": _Flag("--duty-cycle", "F", "clock-slot occupancy for --duration-h",
+                        float, REFERENCE_DUTY_CYCLE),
+    "zero_bias": _Flag("--zero-bias", "Z", "P(bit = 0) of the prepared key bits", float, 0.5),
+    # statistics and efficiencies
+    "confidence": _Flag("--confidence", "EPS", "per-bound failure probability",
+                        float, ConfidenceConfig.epsilon),
+    "photon_cutoff": _Flag("--photon-cutoff", "N", "photon-number truncation of the yield system",
+                           int, ConfidenceConfig.photon_cutoff),
+    "vacuum_pinning": _Flag("--no-vacuum-pinning", None,
+                            "drop the vacuum-level error-pinning constraints",
+                            bool, ConfidenceConfig.pin_vacuum_errors),
+    "f_ec": _Flag("--f-ec", "F", "reconciliation inefficiency", float, DEFAULT_F_EC),
+    "f_ds": _Flag("--f-ds", "F", "deskewing inefficiency", float, DEFAULT_F_DS),
+    "pa_epsilon": _Flag("--pa-epsilon", "EPS", "typical-set coverage confidence",
+                        float, DEFAULT_PA_EPSILON),
+    "sift_ratio": _Flag("--sift-ratio", "R", "sifted/detected ratio", float, REFERENCE_SIFT_RATIO),
+    "zero_fraction": _Flag("--zero-fraction", "Z", "key-bit zero fraction",
+                           float, REFERENCE_ZERO_FRACTION),
+    # distillation
+    "depth": _Flag("--depth", "D", "deskewing iteration depth", int, 12),
+    "variant": _Flag("--variant", None, "which error-bound variant sizes the final key",
+                     str, "worst", choices=("tight", "worst")),
+    "qber_estimate": _Flag("--qber-estimate", "Q",
+                           "override the error-rate estimate fed to reconciliation", float),
+    # scheme search and sweeps
+    "extinction_db": _Flag("--extinction-db", "DB", "vacuum-level extinction below the signal",
+                           float, DEFAULT_EXTINCTION_DB),
+    "stages": _Flag("--stages", "N", "refinement stages", int, DEFAULT_STAGES),
+    "points_per_stage": _Flag("--points-per-stage", "N", "grid points per coordinate scan",
+                              int, DEFAULT_POINTS_PER_STAGE),
+    "trace": _Flag("--trace", None, "include the full evaluation trace in the report",
+                   bool, False),
+    "distances": _Flag("--distances", "SPEC", "MIN:MAX:STEP in km, or a comma list",
+                       str, "100:170:2"),
+    "optimize": _Flag("--optimize", None, "re-optimize the scheme at every distance",
+                      bool, False),
+    # published session totals
+    "detections": _Flag("--detections", "N", "per-level detection totals, ascending intensity",
+                        int, nargs=3),
+    "sifted": _Flag("--sifted", "N", "total sifted bits", int),
+    "targets": _Flag("--targets", "N", "tight and worst-case key totals to land on",
+                     int, nargs=2),
+}
+
+
+def _config_value(key: str, value):
+    """A ``--config`` value read with the type of the flag it stands for."""
+    row = _FLAGS[key]
+    what = f"{_FLAGS['config'].flag}: {key}"
+    if value is None and row.default is None:
+        return None
+    if row.nargs is not None:
+        if not isinstance(value, list) or len(value) != row.nargs:
+            raise ValidationError(
+                f"{what}: expected a list of {row.nargs} values, got {value!r}"
+            )
+        return [check_json_type(v, row.type, what) for v in value]
+    value = check_json_type(value, row.type, what)
+    if row.choices is not None and value not in row.choices:
+        raise ValidationError(
+            f"{what}: expected one of {list(row.choices)}, got {value!r}"
+        )
+    return value
 
 
 def _note(msg: str) -> None:
@@ -126,91 +247,90 @@ def _load_doc(path: str, flag: str) -> tuple[dict, dict]:
     return doc, {"path": shown, "sha256": hashlib.sha256(raw).hexdigest()}
 
 
-def _settings(args: argparse.Namespace, defaults: dict) -> tuple[dict, dict | None]:
-    """Merge defaults < config file < explicit flags."""
-    merged = dict(defaults)
+def _settings(args: argparse.Namespace) -> tuple[dict, dict | None]:
+    """Merge the table defaults < config file < explicit flags."""
+    settings = {key: _FLAGS[key].default for key in _COMMANDS[args.command].flags}
     passed = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("handler", "command", "defaults")
+        k: v for k, v in vars(args).items() if k not in ("handler", "command")
     }
     cfg_ref = None
     cfg_path = passed.pop("config", None)
     if cfg_path is not None:
-        doc, cfg_ref = _load_doc(cfg_path, "--config")
-        unknown = sorted(set(doc) - set(defaults))
+        doc, cfg_ref = _load_doc(cfg_path, _FLAGS["config"].flag)
+        unknown = sorted(set(doc) - set(settings))
         if unknown:
             raise ValidationError(
-                f"--config: unknown fields {unknown}; "
-                f"expected among {sorted(defaults)}"
+                f"{_FLAGS['config'].flag}: unknown fields {unknown}; "
+                f"expected among {sorted(settings)}"
             )
-        merged.update(doc)
-    merged.update(passed)
-    return merged, cfg_ref
+        settings.update((key, _config_value(key, value)) for key, value in doc.items())
+    settings.update(passed)
+    return settings, cfg_ref
 
 
-def _require(settings: dict, key: str, command: str):
-    value = settings.get(key)
+def _require(settings: dict, key: str):
+    value = settings[key]
     if value is None:
-        flag = "--" + key.replace("_", "-")
-        raise ValidationError(f"{flag} is required")
+        raise ValidationError(f"{_FLAGS[key].flag} is required")
     return value
 
 
 def _load_scheme(settings: dict) -> tuple[DecoyScheme, dict]:
-    path = settings.get("scheme")
+    path = settings["scheme"]
     if path is None:
         return reference_scheme(), {"builtin": "reference"}
-    doc, ref = _load_doc(path, "--scheme")
+    doc, ref = _load_doc(path, _FLAGS["scheme"].flag)
     return DecoyScheme.from_json(doc), ref
 
 
 def _load_model(settings: dict) -> tuple[ChannelModel, dict]:
-    path = settings.get("model")
+    path = settings["model"]
     if path is None:
         model, ref = reference_model(), {"builtin": "reference"}
     else:
-        doc, ref = _load_doc(path, "--model")
+        doc, ref = _load_doc(path, _FLAGS["model"].flag)
         model = ChannelModel.from_json(doc)
-    distance = settings.get("distance_km")
+    distance = settings["distance_km"]
     if distance is not None:
-        model = model.with_length(float(distance))
+        model = model.with_length(distance)
     efficiency = settings.get("detector_efficiency")
     if efficiency is not None:
-        model = replace(model, detector_efficiency=float(efficiency))
+        model = replace(model, detector_efficiency=efficiency)
     return model, ref
 
 
-def _load_tally(settings: dict, command: str) -> tuple[SessionTally, dict]:
-    path = _require(settings, "tally", command)
-    doc, ref = _load_doc(path, "--tally")
+def _load_tally(settings: dict) -> tuple[SessionTally, dict]:
+    path = _require(settings, "tally")
+    doc, ref = _load_doc(path, _FLAGS["tally"].flag)
     return SessionTally.from_json(doc), ref
 
 
 def _confidence(settings: dict) -> ConfidenceConfig:
     return ConfidenceConfig(
-        epsilon=float(settings["confidence"]),
-        photon_cutoff=int(settings["photon_cutoff"]),
-        pin_vacuum_errors=bool(settings["vacuum_pinning"]),
+        epsilon=settings["confidence"],
+        photon_cutoff=settings["photon_cutoff"],
+        pin_vacuum_errors=settings["vacuum_pinning"],
     )
 
 
-def _resolve_pulses(settings: dict, model: ChannelModel, command: str) -> int:
-    pulses = settings.get("pulses")
-    duration = settings.get("duration_h")
+def _resolve_pulses(settings: dict, model: ChannelModel, *, required: bool = False) -> int:
+    """Pulse count from --pulses or --duration-h (the reference duration if
+    neither is given and not ``required``)."""
+    pulses = settings["pulses"]
+    duration = settings["duration_h"]
     if pulses is not None and duration is not None:
         raise ValidationError("give --pulses or --duration-h, not both")
     if pulses is not None:
-        pulses = int(pulses)
         if pulses <= 0:
             raise ValidationError("--pulses must be > 0")
         return pulses
     if duration is None:
-        raise ValidationError("one of --pulses or --duration-h is required")
-    duration = float(duration)
+        if required:
+            raise ValidationError("one of --pulses or --duration-h is required")
+        duration = REFERENCE_DURATION_H
     if duration <= 0:
         raise ValidationError("--duration-h must be > 0")
-    duty = float(settings["duty_cycle"])
+    duty = settings["duty_cycle"]
     if not 0.0 < duty <= 1.0:
         raise ValidationError("--duty-cycle must lie in (0, 1]")
     return int(round(duration * 3600.0 * model.clock_rate_hz * duty))
@@ -263,32 +383,19 @@ def _read_bits(path: Path, flag: str) -> tuple[np.ndarray, str]:
 # simulate
 # ---------------------------------------------------------------------------
 
-_SIMULATE_DEFAULTS = {
-    "scheme": None,
-    "model": None,
-    "distance_km": None,
-    "duration_h": None,
-    "pulses": None,
-    "duty_cycle": REFERENCE_DUTY_CYCLE,
-    "zero_bias": 0.5,
-    "seed": None,
-    "keys_out": None,
-}
-
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    settings, _ = _settings(args, _SIMULATE_DEFAULTS)
-    seed = int(_require(settings, "seed", "simulate"))
+    settings, _ = _settings(args)
+    seed = _require(settings, "seed")
     scheme, scheme_ref = _load_scheme(settings)
     model, model_ref = _load_model(settings)
-    pulses = _resolve_pulses(settings, model, "simulate")
-    zero_bias = float(settings["zero_bias"])
+    pulses = _resolve_pulses(settings, model, required=True)
 
     tally, keys = simulate_session(
-        model, scheme, pulses, seed, zero_bias=zero_bias
+        model, scheme, pulses, seed, zero_bias=settings["zero_bias"]
     )
 
-    prefix = settings.get("keys_out")
+    prefix = settings["keys_out"]
     if prefix is not None:
         for (side, basis), path in _key_paths(prefix).items():
             source = keys.alice if side == "alice" else keys.bob
@@ -309,32 +416,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-_ANALYZE_DEFAULTS = {
-    "tally": None,
-    "scheme": None,
-    "confidence": 1e-7,
-    "photon_cutoff": 10,
-    "vacuum_pinning": True,
-    "f_ec": 1.07,
-    "f_ds": 1.05,
-    "pa_epsilon": 1e-3,
-}
-
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    settings, cfg_ref = _settings(args, _ANALYZE_DEFAULTS)
-    tally, tally_ref = _load_tally(settings, "analyze")
+    settings, cfg_ref = _settings(args)
+    tally, tally_ref = _load_tally(settings)
     scheme, scheme_ref = _load_scheme(settings)
     config = _confidence(settings)
 
-    analysis = compose_session(
-        tally,
-        scheme,
-        config,
-        f_ec=float(settings["f_ec"]),
-        f_ds=float(settings["f_ds"]),
-        pa_epsilon=float(settings["pa_epsilon"]),
-    )
+    budget = {key: settings[key] for key in ("f_ec", "f_ds", "pa_epsilon")}
+    analysis = compose_session(tally, scheme, config, **budget)
 
     report = {
         "kind": "analysis_report",
@@ -343,9 +433,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "confidence": config.epsilon,
             "photon_cutoff": config.photon_cutoff,
             "vacuum_pinning": config.pin_vacuum_errors,
-            "f_ec": float(settings["f_ec"]),
-            "f_ds": float(settings["f_ds"]),
-            "pa_epsilon": float(settings["pa_epsilon"]),
+            **budget,
         },
         "analysis": analysis.to_json(),
     }
@@ -368,39 +456,23 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 # distill
 # ---------------------------------------------------------------------------
 
-_DISTILL_DEFAULTS = {
-    "tally": None,
-    "keys": None,
-    "scheme": None,
-    "confidence": 1e-7,
-    "photon_cutoff": 10,
-    "vacuum_pinning": True,
-    "pa_epsilon": 1e-3,
-    "depth": 12,
-    "seed": None,
-    "variant": "worst",
-    "qber_estimate": None,
-    "key_out": None,
-}
-
 
 def _cmd_distill(args: argparse.Namespace) -> int:
-    settings, cfg_ref = _settings(args, _DISTILL_DEFAULTS)
-    tally, tally_ref = _load_tally(settings, "distill")
+    settings, cfg_ref = _settings(args)
+    tally, tally_ref = _load_tally(settings)
     scheme, scheme_ref = _load_scheme(settings)
     config = _confidence(settings)
-    seed = int(_require(settings, "seed", "distill"))
-    prefix = str(_require(settings, "keys", "distill"))
-    depth = int(settings["depth"])
-    variant = str(settings["variant"])
-    if variant not in ("tight", "worst"):
-        raise ValidationError("--variant must be 'tight' or 'worst'")
+    seed = _require(settings, "seed")
+    keys_flag = _FLAGS["keys"].flag
+    prefix = _require(settings, "keys")
+    depth = settings["depth"]
+    variant = settings["variant"]
 
     paths = _key_paths(prefix)
     bits: dict[tuple[str, str], np.ndarray] = {}
     digests: dict[str, str] = {}
     for key, path in paths.items():
-        bits[key], digests[path.name] = _read_bits(path, "--keys")
+        bits[key], digests[path.name] = _read_bits(path, keys_flag)
 
     signal = scheme.signal_index
     per_basis: dict[str, dict] = {}
@@ -411,19 +483,20 @@ def _cmd_distill(args: argparse.Namespace) -> int:
         alice, bob = bits[("alice", basis)], bits[("bob", basis)]
         if alice.size != bob.size:
             raise ValidationError(
-                f"--keys: alice/bob length mismatch in basis {basis}"
+                f"{keys_flag}: alice/bob length mismatch in basis {basis}"
             )
         expected = tally.levels[signal].sifted[basis]
         if alice.size != expected:
             raise ValidationError(
-                f"--keys: basis {basis} holds {alice.size} bits but the tally "
+                f"{keys_flag}: basis {basis} holds {alice.size} bits but the tally "
                 f"records {expected} sifted signal bits"
             )
         q_obs = (
             tally.levels[signal].errors[basis] / expected if expected else 0.0
         )
-        q_est = settings.get("qber_estimate")
-        q_est = float(q_est) if q_est is not None else max(q_obs, 0.5 / alice.size)
+        q_est = settings["qber_estimate"]
+        if q_est is None:
+            q_est = max(q_obs, 0.5 / alice.size)
         rec = cascade_reconcile(alice, bob, q_est, rng_seed=4 * seed + i)
         residual = residual or rec.residual_error_detected
         f_ec_measured[basis] = measure_f_ec(rec)
@@ -454,11 +527,25 @@ def _cmd_distill(args: argparse.Namespace) -> int:
             "output_length": int(des.output_bits.size),
             "f_ds_measured": f_ds_measured[basis],
         }
+    report = {
+        "kind": "distill_report",
+        "inputs": {
+            "tally": tally_ref,
+            "scheme": scheme_ref,
+            "config": cfg_ref,
+            "key_files_sha256": digests,
+        },
+        "parameters": {
+            key: settings[key]
+            for key in ("seed", "depth", "variant", "confidence", "pa_epsilon")
+        },
+        "bases": per_basis,
+        "analysis": None,
+        "final_key_bits": 0,
+        "final_key_hex": "",
+    }
     if any(not math.isfinite(f) for f in f_ds_measured.values()):
-        _emit(_distill_report(
-            cfg_ref, tally_ref, scheme_ref, digests, settings, seed, variant,
-            per_basis, analysis=None, final_hex="", final_bits=0,
-        ))
+        _emit(report)
         _note("distill: deskew produced no output bits")
         return 2
 
@@ -470,7 +557,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
         config,
         f_ec=f_ec_used,
         f_ds=f_ds_used,
-        pa_epsilon=float(settings["pa_epsilon"]),
+        pa_epsilon=settings["pa_epsilon"],
     )
     budgets = (
         analysis.budgets_tight if variant == "tight" else analysis.budgets_worst
@@ -497,14 +584,14 @@ def _cmd_distill(args: argparse.Namespace) -> int:
 
     final_bits = np.concatenate(final_chunks)
     final_bytes = np.packbits(final_bits).tobytes() if final_bits.size else b""
-    report = _distill_report(
-        cfg_ref, tally_ref, scheme_ref, digests, settings, seed, variant,
-        per_basis, analysis=analysis, final_hex=final_bytes.hex(),
-        final_bits=int(final_bits.size),
+    report.update(
+        analysis=analysis.to_json(),
+        final_key_bits=int(final_bits.size),
+        final_key_hex=final_bytes.hex(),
     )
     _emit(report)
 
-    key_out = settings.get("key_out")
+    key_out = settings["key_out"]
     if key_out is not None:
         Path(key_out).write_bytes(final_bytes)
         _note(f"final key bytes written to {key_out}")
@@ -528,80 +615,28 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     return 0
 
 
-def _distill_report(
-    cfg_ref, tally_ref, scheme_ref, digests, settings, seed, variant,
-    per_basis, *, analysis, final_hex, final_bits,
-) -> dict:
-    return {
-        "kind": "distill_report",
-        "inputs": {
-            "tally": tally_ref,
-            "scheme": scheme_ref,
-            "config": cfg_ref,
-            "key_files_sha256": digests,
-        },
-        "parameters": {
-            "seed": seed,
-            "depth": int(settings["depth"]),
-            "variant": variant,
-            "confidence": float(settings["confidence"]),
-            "pa_epsilon": float(settings["pa_epsilon"]),
-        },
-        "bases": per_basis,
-        "analysis": None if analysis is None else analysis.to_json(),
-        "final_key_bits": final_bits,
-        "final_key_hex": final_hex,
-    }
-
-
 # ---------------------------------------------------------------------------
 # optimize
 # ---------------------------------------------------------------------------
 
-_OPTIMIZE_DEFAULTS = {
-    "model": None,
-    "distance_km": None,
-    "duration_h": None,
-    "pulses": None,
-    "duty_cycle": REFERENCE_DUTY_CYCLE,
-    "scheme": None,
-    "extinction_db": 23.5,
-    "stages": 3,
-    "points_per_stage": 7,
-    "confidence": 1e-7,
-    "photon_cutoff": 10,
-    "vacuum_pinning": True,
-    "f_ec": 1.07,
-    "f_ds": 1.05,
-    "sift_ratio": REFERENCE_SIFT_RATIO,
-    "zero_fraction": REFERENCE_ZERO_FRACTION,
-    "trace": False,
-}
-
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    settings, cfg_ref = _settings(args, _OPTIMIZE_DEFAULTS)
+    settings, cfg_ref = _settings(args)
     model, model_ref = _load_model(settings)
-    scheme = None
-    scheme_ref = {"builtin": "reference"}
-    if settings.get("scheme") is not None:
-        scheme, scheme_ref = _load_scheme(settings)
-    if settings.get("pulses") is None and settings.get("duration_h") is None:
-        settings["duration_h"] = 5.6
-    pulses = _resolve_pulses(settings, model, "optimize")
+    scheme, scheme_ref = _load_scheme(settings)
+    pulses = _resolve_pulses(settings, model)
+    knobs = {
+        key: settings[key]
+        for key in ("extinction_db", "stages", "points_per_stage",
+                    "f_ec", "f_ds", "sift_ratio", "zero_fraction")
+    }
 
     result = optimize_scheme(
         model,
         pulses,
-        extinction_db=float(settings["extinction_db"]),
-        stages=int(settings["stages"]),
-        points_per_stage=int(settings["points_per_stage"]),
         initial_scheme=scheme,
         config=_confidence(settings),
-        f_ec=float(settings["f_ec"]),
-        f_ds=float(settings["f_ds"]),
-        sift_ratio=float(settings["sift_ratio"]),
-        zero_fraction=float(settings["zero_fraction"]),
+        **knobs,
     )
 
     report = {
@@ -609,14 +644,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         "inputs": {"model": model_ref, "initial_scheme": scheme_ref, "config": cfg_ref},
         "parameters": {
             "pulses": pulses,
-            "extinction_db": float(settings["extinction_db"]),
-            "stages": int(settings["stages"]),
-            "points_per_stage": int(settings["points_per_stage"]),
-            "f_ec": float(settings["f_ec"]),
-            "f_ds": float(settings["f_ds"]),
-            "sift_ratio": float(settings["sift_ratio"]),
-            "zero_fraction": float(settings["zero_fraction"]),
-            "confidence": float(settings["confidence"]),
+            "confidence": settings["confidence"],
+            **knobs,
         },
         "scheme": result.scheme.to_json(),
         "n_secret_tight": result.n_secret_tight,
@@ -645,26 +674,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 # curve
 # ---------------------------------------------------------------------------
 
-_CURVE_DEFAULTS = {
-    "model": None,
-    "scheme": None,
-    "distances": "100:170:2",
-    "duration_h": None,
-    "pulses": None,
-    "duty_cycle": REFERENCE_DUTY_CYCLE,
-    "optimize": False,
-    "extinction_db": 23.5,
-    "stages": 3,
-    "confidence": 1e-7,
-    "photon_cutoff": 10,
-    "vacuum_pinning": True,
-    "f_ec": 1.07,
-    "f_ds": 1.05,
-    "sift_ratio": REFERENCE_SIFT_RATIO,
-    "zero_fraction": REFERENCE_ZERO_FRACTION,
-    "detector_efficiency": None,
-}
-
 _CURVE_EPILOG = """\
 CSV columns (one row per grid distance):
   distance_km      fiber length of the row
@@ -681,29 +690,25 @@ resolution; the two range endpoints are printed to stderr.
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    settings, _ = _settings(args, _CURVE_DEFAULTS)
-    model, _model_ref = _load_model(settings)
-    scheme = None
-    if settings.get("scheme") is not None:
-        scheme, _ = _load_scheme(settings)
-    if settings.get("pulses") is None and settings.get("duration_h") is None:
-        settings["duration_h"] = 5.6
-    pulses = _resolve_pulses(settings, model, "curve")
-    distances = _parse_distances(str(settings["distances"]))
+    settings, _ = _settings(args)
+    model, _ = _load_model(settings)
+    scheme, _ = _load_scheme(settings)
+    pulses = _resolve_pulses(settings, model)
+    distances = _parse_distances(settings["distances"])
 
     curve = range_curve(
         model,
         pulses,
         distances,
-        optimize=bool(settings["optimize"]),
+        optimize=settings["optimize"],
         scheme=scheme,
-        extinction_db=float(settings["extinction_db"]),
-        stages=int(settings["stages"]),
+        extinction_db=settings["extinction_db"],
+        stages=settings["stages"],
         config=_confidence(settings),
-        f_ec=float(settings["f_ec"]),
-        f_ds=float(settings["f_ds"]),
-        sift_ratio=float(settings["sift_ratio"]),
-        zero_fraction=float(settings["zero_fraction"]),
+        f_ec=settings["f_ec"],
+        f_ds=settings["f_ds"],
+        sift_ratio=settings["sift_ratio"],
+        zero_fraction=settings["zero_fraction"],
     )
 
     sys.stdout.write(curve_csv(curve))
@@ -725,39 +730,23 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 # calibrate
 # ---------------------------------------------------------------------------
 
-_CALIBRATE_DEFAULTS = {
-    "duration_h": 5.6,
-    "detections": None,
-    "sifted": None,
-    "targets": None,
-    "zero_fraction": REFERENCE_ZERO_FRACTION,
-    "f_ec": 1.07,
-    "f_ds": 1.05,
-    "confidence": 1e-7,
-    "photon_cutoff": 10,
-    "vacuum_pinning": True,
-    "out_model": None,
-    "out_tally": None,
-}
-
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    settings, cfg_ref = _settings(args, _CALIBRATE_DEFAULTS)
-    kwargs = {}
-    if settings.get("detections") is not None:
-        kwargs["detections"] = tuple(int(v) for v in settings["detections"])
-    if settings.get("sifted") is not None:
-        kwargs["sifted_total"] = int(settings["sifted"])
-    if settings.get("targets") is not None:
-        kwargs["key_targets"] = tuple(int(v) for v in settings["targets"])
+    settings, cfg_ref = _settings(args)
+    # Session totals left unset fall back to the library's reference session.
+    totals = {
+        param: settings[key]
+        for key, param in (("duration_h", "duration_h"), ("detections", "detections"),
+                           ("sifted", "sifted_total"), ("targets", "key_targets"))
+        if settings[key] is not None
+    }
 
     result = calibrate_to_reference(
-        duration_h=float(settings["duration_h"]),
-        zero_fraction=float(settings["zero_fraction"]),
-        f_ec=float(settings["f_ec"]),
-        f_ds=float(settings["f_ds"]),
+        zero_fraction=settings["zero_fraction"],
+        f_ec=settings["f_ec"],
+        f_ds=settings["f_ds"],
         config=_confidence(settings),
-        **kwargs,
+        **totals,
     )
 
     report = {"kind": "calibration_report", "inputs": {"config": cfg_ref}}
@@ -765,7 +754,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     _emit(report)
 
     for key, obj in (("out_model", result.model), ("out_tally", result.tally)):
-        path = settings.get(key)
+        path = settings[key]
         if path is not None:
             Path(path).write_text(dumps(obj) + "\n")
             _note(f"{key.replace('_', ' ')} written to {path}")
@@ -788,8 +777,65 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table and parser
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: its handler, its help and the flags it takes.
+
+    ``help_for`` replaces the help of a flag that means something else
+    here; its type and default stay the table's.
+    """
+
+    handler: object
+    help: str
+    flags: tuple[str, ...]
+    help_for: dict[str, str] = field(default_factory=dict)
+    epilog: str | None = None
+
+
+_SESSION = ("model", "distance_km", "duration_h", "pulses", "duty_cycle")
+_STATISTICS = ("confidence", "photon_cutoff", "vacuum_pinning")
+
+_COMMANDS = {
+    "simulate": _Command(
+        _cmd_simulate, "Monte-Carlo sample one session",
+        (*_SESSION, "scheme", "seed", "zero_bias", "keys_out"),
+    ),
+    "analyze": _Command(
+        _cmd_analyze, "Decoy bounds and key budget for a tally",
+        ("tally", "scheme", *_STATISTICS, "f_ec", "f_ds", "pa_epsilon"),
+    ),
+    "distill": _Command(
+        _cmd_distill, "Reconcile, deskew, and hash raw keys into the final key",
+        ("tally", "scheme", *_STATISTICS, "keys", "seed", "depth", "variant",
+         "qber_estimate", "pa_epsilon", "key_out"),
+        help_for={"seed": "seed for the reconciliation shuffles and hash; required"},
+    ),
+    "optimize": _Command(
+        _cmd_optimize, "Search the best intensity scheme",
+        (*_SESSION, *_STATISTICS, "scheme", "extinction_db", "stages", "points_per_stage",
+         "f_ec", "f_ds", "sift_ratio", "zero_fraction", "trace"),
+        help_for={"scheme": "initial scheme JSON (default: demonstration scheme)"},
+    ),
+    "curve": _Command(
+        _cmd_curve, "Key total versus distance as CSV",
+        (*_SESSION, *_STATISTICS, "scheme", "distances", "optimize", "extinction_db",
+         "stages", "f_ec", "f_ds", "sift_ratio", "zero_fraction", "detector_efficiency"),
+        help_for={
+            "scheme": "fixed scheme JSON, or the first-point seed with --optimize",
+            "stages": "refinement stages per optimized point",
+        },
+        epilog=_CURVE_EPILOG,
+    ),
+    "calibrate": _Command(
+        _cmd_calibrate, "Recover link parameters from published session totals",
+        ("duration_h", "detections", "sifted", "targets", "zero_fraction", "f_ec", "f_ds",
+         *_STATISTICS, "out_model", "out_tally"),
+    ),
+}
 
 
 def _build_parser() -> _Parser:
@@ -806,157 +852,27 @@ def _build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def add(name: str, handler, help_text: str, **kwargs) -> argparse.ArgumentParser:
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(
-            name, help=help_text, description=help_text,
-            argument_default=argparse.SUPPRESS, **kwargs,
-        )
-        p.set_defaults(handler=handler)
-        p.add_argument(
-            "--config", metavar="FILE",
-            help="JSON object of default values (explicit flags win)",
-        )
-        return p
-
-    def common_tally(p):
-        p.add_argument("--tally", metavar="FILE",
-                       help="session tally JSON ('-' reads stdin); required")
-        p.add_argument("--scheme", metavar="FILE",
-                       help="decoy scheme JSON (default: demonstration scheme)")
-
-    def common_confidence(p):
-        p.add_argument("--confidence", type=float, metavar="EPS",
-                       help="per-bound failure probability (default 1e-7)")
-        p.add_argument("--photon-cutoff", type=int, metavar="N",
-                       help="photon-number truncation of the yield system (default 10)")
-        p.add_argument("--no-vacuum-pinning", dest="vacuum_pinning",
-                       action="store_false",
-                       help="drop the vacuum-level error-pinning constraints")
-
-    def common_session(p):
-        p.add_argument("--model", metavar="FILE",
-                       help="channel model JSON (default: demonstration link)")
-        p.add_argument("--distance-km", type=float, metavar="KM",
-                       help="override the model's fiber length")
-        p.add_argument("--duration-h", type=float, metavar="H",
-                       help="acquisition time; converted to pulses via the duty cycle")
-        p.add_argument("--pulses", type=int, metavar="N",
-                       help="pulse count (alternative to --duration-h)")
-        p.add_argument("--duty-cycle", type=float, metavar="F",
-                       help=f"clock-slot occupancy for --duration-h "
-                            f"(default {REFERENCE_DUTY_CYCLE:.6f})")
-
-    p = add("simulate", _cmd_simulate, "Monte-Carlo sample one session")
-    common_session(p)
-    p.add_argument("--scheme", metavar="FILE",
-                   help="decoy scheme JSON (default: demonstration scheme)")
-    p.add_argument("--seed", type=int, metavar="N", help="RNG seed; required")
-    p.add_argument("--zero-bias", type=float, metavar="Z",
-                   help="P(bit = 0) of the prepared key bits (default 0.5)")
-    p.add_argument("--keys-out", metavar="PREFIX",
-                   help="write PREFIX.{alice,bob}.{X,Z}.bits raw key files")
-
-    p = add("analyze", _cmd_analyze, "Decoy bounds and key budget for a tally")
-    common_tally(p)
-    common_confidence(p)
-    p.add_argument("--f-ec", type=float, metavar="F",
-                   help="reconciliation inefficiency (default 1.07)")
-    p.add_argument("--f-ds", type=float, metavar="F",
-                   help="deskewing inefficiency (default 1.05)")
-    p.add_argument("--pa-epsilon", type=float, metavar="EPS",
-                   help="typical-set coverage confidence (default 1e-3)")
-
-    p = add("distill", _cmd_distill,
-            "Reconcile, deskew, and hash raw keys into the final key")
-    common_tally(p)
-    common_confidence(p)
-    p.add_argument("--keys", metavar="PREFIX",
-                   help="prefix of the four raw key files from simulate; required")
-    p.add_argument("--seed", type=int, metavar="N",
-                   help="seed for the reconciliation shuffles and hash; required")
-    p.add_argument("--depth", type=int, metavar="D",
-                   help="deskewing iteration depth (default 12)")
-    p.add_argument("--variant", choices=("tight", "worst"),
-                   help="which error-bound variant sizes the final key "
-                        "(default worst)")
-    p.add_argument("--qber-estimate", type=float, metavar="Q",
-                   help="override the error-rate estimate fed to reconciliation")
-    p.add_argument("--pa-epsilon", type=float, metavar="EPS",
-                   help="typical-set coverage confidence (default 1e-3)")
-    p.add_argument("--key-out", metavar="FILE",
-                   help="also write the final key as raw bytes")
-
-    p = add("optimize", _cmd_optimize, "Search the best intensity scheme")
-    common_session(p)
-    common_confidence(p)
-    p.add_argument("--scheme", metavar="FILE",
-                   help="initial scheme JSON (default: demonstration scheme)")
-    p.add_argument("--extinction-db", type=float, metavar="DB",
-                   help="vacuum-level extinction below the signal (default 23.5)")
-    p.add_argument("--stages", type=int, metavar="N",
-                   help="refinement stages (default 3)")
-    p.add_argument("--points-per-stage", type=int, metavar="N",
-                   help="grid points per coordinate scan (default 7)")
-    p.add_argument("--f-ec", type=float, metavar="F",
-                   help="reconciliation inefficiency (default 1.07)")
-    p.add_argument("--f-ds", type=float, metavar="F",
-                   help="deskewing inefficiency (default 1.05)")
-    p.add_argument("--sift-ratio", type=float, metavar="R",
-                   help=f"sifted/detected ratio (default {REFERENCE_SIFT_RATIO:.5f})")
-    p.add_argument("--zero-fraction", type=float, metavar="Z",
-                   help=f"key-bit zero fraction (default {REFERENCE_ZERO_FRACTION})")
-    p.add_argument("--trace", action="store_true",
-                   help="include the full evaluation trace in the report")
-
-    p = add("curve", _cmd_curve, "Key total versus distance as CSV",
+            name, help=command.help, description=command.help,
+            argument_default=argparse.SUPPRESS, epilog=command.epilog,
             formatter_class=argparse.RawDescriptionHelpFormatter,
-            epilog=_CURVE_EPILOG)
-    common_session(p)
-    common_confidence(p)
-    p.add_argument("--scheme", metavar="FILE",
-                   help="fixed scheme JSON, or the first-point seed with --optimize")
-    p.add_argument("--distances", metavar="SPEC",
-                   help="MIN:MAX:STEP in km, or a comma list (default 100:170:2)")
-    p.add_argument("--optimize", action="store_true",
-                   help="re-optimize the scheme at every distance")
-    p.add_argument("--extinction-db", type=float, metavar="DB",
-                   help="vacuum-level extinction below the signal (default 23.5)")
-    p.add_argument("--stages", type=int, metavar="N",
-                   help="refinement stages per optimized point (default 3)")
-    p.add_argument("--f-ec", type=float, metavar="F",
-                   help="reconciliation inefficiency (default 1.07)")
-    p.add_argument("--f-ds", type=float, metavar="F",
-                   help="deskewing inefficiency (default 1.05)")
-    p.add_argument("--sift-ratio", type=float, metavar="R",
-                   help=f"sifted/detected ratio (default {REFERENCE_SIFT_RATIO:.5f})")
-    p.add_argument("--zero-fraction", type=float, metavar="Z",
-                   help=f"key-bit zero fraction (default {REFERENCE_ZERO_FRACTION})")
-    p.add_argument("--detector-efficiency", type=float, metavar="E",
-                   help="what-if override of the model's detector efficiency")
-
-    p = add("calibrate", _cmd_calibrate,
-            "Recover link parameters from published session totals")
-    p.add_argument("--duration-h", type=float, metavar="H",
-                   help="acquisition time of the totals (default 5.6)")
-    p.add_argument("--detections", type=int, nargs=3, metavar="N",
-                   help="per-level detection totals, ascending intensity")
-    p.add_argument("--sifted", type=int, metavar="N",
-                   help="total sifted bits")
-    p.add_argument("--targets", type=int, nargs=2, metavar="N",
-                   help="tight and worst-case key totals to land on")
-    p.add_argument("--zero-fraction", type=float, metavar="Z",
-                   help=f"key-bit zero fraction (default {REFERENCE_ZERO_FRACTION})")
-    p.add_argument("--f-ec", type=float, metavar="F",
-                   help="assumed reconciliation inefficiency (default 1.07)")
-    p.add_argument("--f-ds", type=float, metavar="F",
-                   help="assumed deskewing inefficiency (default 1.05)")
-    common_confidence(p)
-    p.add_argument("--out-model", metavar="FILE",
-                   help="write the fitted channel model JSON")
-    p.add_argument("--out-tally", metavar="FILE",
-                   help="write the reconstructed tally JSON")
-
+        )
+        p.set_defaults(handler=command.handler)
+        for key in ("config", *command.flags):
+            row = _FLAGS[key]
+            text = command.help_for.get(key, row.help)
+            if row.type is bool:
+                action = "store_false" if row.default else "store_true"
+                p.add_argument(row.flag, dest=key, action=action, help=text)
+                continue
+            if row.default is not None:
+                shown = format(row.default, ".6g") if row.type is float else row.default
+                text = f"{text} (default {shown})"
+            p.add_argument(
+                row.flag, dest=key, type=row.type, nargs=row.nargs,
+                choices=row.choices, metavar=row.metavar, help=text,
+            )
     return parser
 
 

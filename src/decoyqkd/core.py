@@ -5,7 +5,9 @@ Everything in here is an immutable record with eager validation: a
 ``SessionTally`` of per-level / per-basis counts accumulated during an
 acquisition run, a ``ChannelModel`` with the optical-link parameters, and a
 ``ConfidenceConfig`` holding the statistical knobs (per-bound failure
-probability and photon-number cutoff).
+probability and photon-number cutoff).  Beside it sit the defaults of the
+other analysis knobs (``DEFAULT_*``), which the library signatures and the
+command line both read.
 
 All types serialize to plain-dict JSON documents tagged with
 ``format_version`` so that tallies and schemes can be exchanged between the
@@ -15,7 +17,7 @@ simulator, the analyzer and external tooling.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "BASES",
@@ -26,6 +28,13 @@ __all__ = [
     "LevelCounts",
     "ChannelModel",
     "ConfidenceConfig",
+    "DEFAULT_F_EC",
+    "DEFAULT_F_DS",
+    "DEFAULT_PA_EPSILON",
+    "DEFAULT_EXTINCTION_DB",
+    "DEFAULT_STAGES",
+    "DEFAULT_POINTS_PER_STAGE",
+    "check_json_type",
     "conjugate_basis",
     "validate_tally",
 ]
@@ -59,6 +68,22 @@ def _check_version(doc: dict, kind: str) -> None:
         raise ValidationError(
             f"{kind}: unsupported format_version {version!r} (expected {FORMAT_VERSION!r})"
         )
+
+
+_JSON_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def check_json_type(value, kind: type, what: str):
+    """Return a JSON ``value`` as ``kind`` (bool, int, float or str).
+
+    Bools are never numbers, and a JSON integer is a valid float (it is
+    returned as one).  Anything else raises ``ValidationError`` naming
+    ``what``.
+    """
+    allowed = (int, float) if kind is float else kind
+    if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
+        raise ValidationError(f"{what}: expected {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +476,29 @@ class ConfidenceConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ConfidenceConfig":
+        """Read a config; absent fields keep the dataclass defaults."""
         _check_version(doc, "confidence_config")
-        return cls(
-            epsilon=float(doc.get("epsilon", 1e-7)),
-            photon_cutoff=int(doc.get("photon_cutoff", 10)),
-            pin_vacuum_errors=bool(doc.get("pin_vacuum_errors", True)),
-        )
+        return cls(**{
+            f.name: check_json_type(
+                doc[f.name], type(f.default), f"confidence_config: {f.name}"
+            )
+            for f in fields(cls)
+            if f.name in doc
+        })
+
+
+#: Reconciliation inefficiency f_EC assumed before a session is reconciled.
+DEFAULT_F_EC = 1.07
+#: Deskewing inefficiency f_DS assumed before a session is deskewed.
+DEFAULT_F_DS = 1.05
+#: Typical-set coverage confidence of privacy amplification.
+DEFAULT_PA_EPSILON = 1e-3
+#: Extinction of the vacuum-like level below the signal, in dB.
+DEFAULT_EXTINCTION_DB = 23.5
+#: Refinement stages of the scheme search.
+DEFAULT_STAGES = 3
+#: Grid points per coordinate scan of the scheme search.
+DEFAULT_POINTS_PER_STAGE = 7
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import BASES, ConfidenceConfig, DecoyScheme, SessionTally, conjugate_basis
+from .core import (
+    BASES,
+    DEFAULT_F_DS,
+    DEFAULT_F_EC,
+    DEFAULT_PA_EPSILON,
+    ConfidenceConfig,
+    DecoyScheme,
+    SessionTally,
+    conjugate_basis,
+)
 from .decoy import SinglePhotonBounds, single_photon_bounds
 from .stats import binary_entropy
 
@@ -199,9 +208,9 @@ def compose_session(
     scheme: DecoyScheme,
     config: ConfidenceConfig = ConfidenceConfig(),
     *,
-    f_ec: float = 1.1,
-    f_ds: float = 1.05,
-    pa_epsilon: float = 1e-3,
+    f_ec: float = DEFAULT_F_EC,
+    f_ds: float = DEFAULT_F_DS,
+    pa_epsilon: float = DEFAULT_PA_EPSILON,
     key_levels: tuple[int, ...] | None = None,
     bounds: SinglePhotonBounds | None = None,
 ) -> SessionAnalysis:

@@ -23,13 +23,23 @@ import math
 from dataclasses import dataclass
 
 from .core import (
+    DEFAULT_EXTINCTION_DB,
+    DEFAULT_F_DS,
+    DEFAULT_F_EC,
+    DEFAULT_POINTS_PER_STAGE,
+    DEFAULT_STAGES,
     ChannelModel,
     ConfidenceConfig,
     DecoyScheme,
     ValidationError,
 )
 from .keyrate import SessionAnalysis, compose_session
-from .sim import expected_tally, reference_scheme
+from .sim import (
+    REFERENCE_SIFT_RATIO,
+    REFERENCE_ZERO_FRACTION,
+    expected_tally,
+    reference_scheme,
+)
 
 __all__ = [
     "OptimizationResult",
@@ -48,10 +58,10 @@ def evaluate_scheme(
     pulses: int,
     *,
     config: ConfidenceConfig | None = None,
-    f_ec: float = 1.07,
-    f_ds: float = 1.05,
-    sift_ratio: float = 0.5,
-    zero_fraction: float = 0.5,
+    f_ec: float = DEFAULT_F_EC,
+    f_ds: float = DEFAULT_F_DS,
+    sift_ratio: float = REFERENCE_SIFT_RATIO,
+    zero_fraction: float = REFERENCE_ZERO_FRACTION,
 ) -> SessionAnalysis:
     """Analysis of the expected (deterministic) session for one scheme."""
     config = config if config is not None else ConfidenceConfig()
@@ -97,15 +107,15 @@ def optimize_scheme(
     model: ChannelModel,
     pulses: int,
     *,
-    extinction_db: float = 23.5,
-    stages: int = 3,
-    points_per_stage: int = 7,
+    extinction_db: float = DEFAULT_EXTINCTION_DB,
+    stages: int = DEFAULT_STAGES,
+    points_per_stage: int = DEFAULT_POINTS_PER_STAGE,
     initial_scheme: DecoyScheme | None = None,
     config: ConfidenceConfig | None = None,
-    f_ec: float = 1.07,
-    f_ds: float = 1.05,
-    sift_ratio: float = 0.5,
-    zero_fraction: float = 0.5,
+    f_ec: float = DEFAULT_F_EC,
+    f_ds: float = DEFAULT_F_DS,
+    sift_ratio: float = REFERENCE_SIFT_RATIO,
+    zero_fraction: float = REFERENCE_ZERO_FRACTION,
 ) -> OptimizationResult:
     """Search for the scheme maximizing the tight-variant key total.
 
@@ -283,13 +293,13 @@ def range_curve(
     *,
     optimize: bool = False,
     scheme: DecoyScheme | None = None,
-    extinction_db: float = 23.5,
-    stages: int = 3,
+    extinction_db: float = DEFAULT_EXTINCTION_DB,
+    stages: int = DEFAULT_STAGES,
     config: ConfidenceConfig | None = None,
-    f_ec: float = 1.07,
-    f_ds: float = 1.05,
-    sift_ratio: float = 0.5,
-    zero_fraction: float = 0.5,
+    f_ec: float = DEFAULT_F_EC,
+    f_ds: float = DEFAULT_F_DS,
+    sift_ratio: float = REFERENCE_SIFT_RATIO,
+    zero_fraction: float = REFERENCE_ZERO_FRACTION,
 ) -> RangeCurve:
     """Evaluate the key total along a distance grid.
 

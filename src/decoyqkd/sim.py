@@ -35,6 +35,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    DEFAULT_F_DS,
+    DEFAULT_F_EC,
     ChannelModel,
     ConfidenceConfig,
     DecoyScheme,
@@ -414,8 +416,8 @@ def calibrate_to_reference(
     model: ChannelModel | None = None,
     duration_h: float = REFERENCE_DURATION_H,
     zero_fraction: float = REFERENCE_ZERO_FRACTION,
-    f_ec: float = 1.07,
-    f_ds: float = 1.05,
+    f_ec: float = DEFAULT_F_EC,
+    f_ds: float = DEFAULT_F_DS,
     config: ConfidenceConfig | None = None,
     e_int_bounds: tuple[float, float] = (5e-4, 0.02),
 ) -> CalibrationResult:

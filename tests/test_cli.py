@@ -8,6 +8,8 @@ Monte-Carlo session (25 km, 2e7 pulses) is shared by the pipeline tests.
 
 from __future__ import annotations
 
+import argparse
+import ast
 import hashlib
 import io
 import json
@@ -22,10 +24,16 @@ from pathlib import Path
 import pytest
 
 import decoyqkd
+from decoyqkd import cli
 from decoyqkd.cli import main
+from decoyqkd.core import ConfidenceConfig
+from decoyqkd.keyrate import compose_session
+from decoyqkd.opt import optimize_scheme
+from decoyqkd.sim import reference_model, reference_scheme, simulate_session
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
+COMMANDS = ("simulate", "analyze", "distill", "optimize", "curve", "calibrate")
 SIM_ARGS = ["simulate", "--distance-km", "25", "--pulses", "20000000", "--seed", "11"]
 CURVE_HEADER = (
     "distance_km,n_secret_tight,n_secret_worst,y1_lower,b1_tight,b1_worst,"
@@ -47,6 +55,13 @@ def run_cli(argv, stdin_bytes=None):
     finally:
         sys.stdin = old_stdin
     return rc, out.getvalue(), err.getvalue()
+
+
+def subparser(command):
+    """The argparse parser of one subcommand."""
+    parser = cli._build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[command]
 
 
 def declared_scripts(pyproject_text):
@@ -327,6 +342,75 @@ class TestConfigFile:
         assert json.loads(out)["parameters"]["f_ec"] == 1.25
 
 
+    @pytest.mark.parametrize("command, field, value", [
+        ("analyze", "vacuum_pinning", "false"),
+        ("analyze", "vacuum_pinning", 0),
+        ("analyze", "photon_cutoff", 10.7),
+        ("analyze", "photon_cutoff", True),
+        ("optimize", "stages", 2.9),
+        ("simulate", "seed", 3.7),
+        ("optimize", "trace", "no"),
+        ("analyze", "confidence", "1e-7"),
+        ("analyze", "f_ec", None),
+        ("analyze", "f_ec", [1.07]),
+        ("analyze", "f_ec", "abc"),
+        ("analyze", "f_ec", True),
+        ("analyze", "tally", 5),
+        ("calibrate", "detections", [341, 5729]),
+        ("calibrate", "detections", 341),
+        ("calibrate", "targets", [6127, 3990.5]),
+        ("distill", "variant", "bogus"),
+        ("curve", "distances", 100),
+    ])
+    def test_mistyped_value_rejected(self, tmp_path, command, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        rc, out, err = run_cli([command, "--config", str(cfg)])
+        assert rc == 1
+        assert out == ""
+        assert f"decoyqkd {command}: error: --config: {field}: expected" in err
+
+    def test_config_values_read_like_flags(self, workspace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"vacuum_pinning": false, "f_ec": 1, "photon_cutoff": 8, "scheme": null}')
+        rc, out, _ = run_cli(
+            ["analyze", "--tally", str(workspace / "tally.json"), "--config", str(cfg)]
+        )
+        assert rc == 0
+        assert '"f_ec": 1.0,' in out
+        params = json.loads(out)["parameters"]
+        assert params["vacuum_pinning"] is False
+        assert params["photon_cutoff"] == 8
+        assert json.loads(out)["inputs"]["scheme"] == {"builtin": "reference"}
+
+
+class TestLibraryMatchesCli:
+    def test_readme_snippet_matches_analyze(self, workspace):
+        tally, _ = simulate_session(
+            reference_model(25.0), reference_scheme(), 20_000_000, seed=11
+        )
+        analysis = compose_session(tally, reference_scheme(), ConfidenceConfig())
+        rc, out, _ = run_cli(["analyze", "--tally", str(workspace / "tally.json")])
+        assert rc == 0
+        report = json.loads(out)["analysis"]
+        assert (analysis.total_tight, analysis.total_worst) == (1207, 1207)
+        assert (report["total_tight"], report["total_worst"]) == (1207, 1207)
+
+    def test_optimize_scheme_matches_optimize(self):
+        result = optimize_scheme(
+            reference_model(120.0), 23836243437, stages=1, points_per_stage=3
+        )
+        rc, out, _ = run_cli(
+            ["optimize", "--distance-km", "120", "--pulses", "23836243437",
+             "--stages", "1", "--points-per-stage", "3"]
+        )
+        assert rc == 0
+        report = json.loads(out)
+        assert (result.n_secret_tight, result.n_secret_worst) == (19062, 18760)
+        assert (report["n_secret_tight"], report["n_secret_worst"]) == (19062, 18760)
+        assert report["scheme"] == result.scheme.to_json()
+
+
 class TestOptimize:
     def test_trace_report(self):
         rc, out, err = run_cli(
@@ -408,6 +492,36 @@ class TestUsage:
         assert rc == 1
         assert "error: decoyqkd" in err
         assert "--wat" in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help(self, command, tmp_path):
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        options = [a for a in subparser(command)._actions if a.dest != "help"]
+        assert len(options) > 1
+        for action in options:
+            for flag in action.option_strings:
+                assert flag in out.getvalue()
+
+        # The fields --config accepts are the dests the parser declares.
+        probe = tmp_path / "probe.json"
+        probe.write_text('{"no_such_field": 0}')
+        rc, _, err = run_cli([command, "--config", str(probe)])
+        assert rc == 1
+        accepted = ast.literal_eval(re.search(r"expected among (\[.*\])", err).group(1))
+        assert accepted == sorted(a.dest for a in options if a.dest != "config")
+
+    def test_help_shows_library_defaults(self):
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit):
+            main(["analyze", "--help"])
+        text = " ".join(out.getvalue().split())
+        assert "reconciliation inefficiency (default 1.07)" in text
+        assert "deskewing inefficiency (default 1.05)" in text
+        assert "typical-set coverage confidence (default 0.001)" in text
+        assert "photon-number truncation of the yield system (default 10)" in text
 
     def test_help_entry_point(self):
         target = declared_scripts(PYPROJECT.read_text())["decoyqkd"]

@@ -249,6 +249,25 @@ class TestConfidenceConfig:
         with pytest.raises(ValueError):
             ConfidenceConfig(photon_cutoff=0)
 
+    def test_from_json_defaults_are_the_field_defaults(self):
+        assert ConfidenceConfig.from_json({"format_version": "1"}) == ConfidenceConfig()
+        c = ConfidenceConfig(epsilon=1e-9, photon_cutoff=6, pin_vacuum_errors=False)
+        assert ConfidenceConfig.from_json(c.to_json()) == c
+
+    @pytest.mark.parametrize("field, value", [
+        ("pin_vacuum_errors", "false"),
+        ("pin_vacuum_errors", 0),
+        ("photon_cutoff", True),
+        ("photon_cutoff", 10.7),
+        ("photon_cutoff", "10"),
+        ("epsilon", "1e-7"),
+        ("epsilon", True),
+        ("epsilon", None),
+    ])
+    def test_from_json_rejects_mistyped_fields(self, field, value):
+        with pytest.raises(ValidationError, match=f"confidence_config: {field}"):
+            ConfidenceConfig.from_json({"format_version": "1", field: value})
+
 
 def test_dumps_is_sorted_and_stable():
     doc = {"b": 1, "a": {"d": 2, "c": 3}}
