@@ -38,7 +38,8 @@ values keyed by flag name (hyphens as underscores); explicit flags
 override config fields.  Config values are type-checked against the
 flag they stand for (JSON integers count as numbers, booleans never
 do, ``null`` only where the flag has no default, and list lengths and
-choices as on the command line).  Relative paths that do not exist are
+choices as on the command line).  Numbers, in flags and config alike,
+must be finite.  Relative paths that do not exist are
 retried under ``$DECOYQKD_CONFIG_DIR`` if that variable is set.
 """
 
@@ -56,12 +57,14 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    DEFAULT_DESKEW_DEPTH,
     DEFAULT_EXTINCTION_DB,
     DEFAULT_F_DS,
     DEFAULT_F_EC,
     DEFAULT_PA_EPSILON,
     DEFAULT_POINTS_PER_STAGE,
     DEFAULT_STAGES,
+    DEFAULT_ZERO_BIAS,
     ChannelModel,
     ConfidenceConfig,
     DecoyScheme,
@@ -144,7 +147,8 @@ _FLAGS = {
     "pulses": _Flag("--pulses", "N", "pulse count (alternative to --duration-h)", int),
     "duty_cycle": _Flag("--duty-cycle", "F", "clock-slot occupancy for --duration-h",
                         float, REFERENCE_DUTY_CYCLE),
-    "zero_bias": _Flag("--zero-bias", "Z", "P(bit = 0) of the prepared key bits", float, 0.5),
+    "zero_bias": _Flag("--zero-bias", "Z", "P(bit = 0) of the prepared key bits",
+                       float, DEFAULT_ZERO_BIAS),
     # statistics and efficiencies
     "confidence": _Flag("--confidence", "EPS", "per-bound failure probability",
                         float, ConfidenceConfig.epsilon),
@@ -161,7 +165,7 @@ _FLAGS = {
     "zero_fraction": _Flag("--zero-fraction", "Z", "key-bit zero fraction",
                            float, REFERENCE_ZERO_FRACTION),
     # distillation
-    "depth": _Flag("--depth", "D", "deskewing iteration depth", int, 12),
+    "depth": _Flag("--depth", "D", "deskewing iteration depth", int, DEFAULT_DESKEW_DEPTH),
     "variant": _Flag("--variant", None, "which error-bound variant sizes the final key",
                      str, "worst", choices=("tight", "worst")),
     "qber_estimate": _Flag("--qber-estimate", "Q",
@@ -185,6 +189,17 @@ _FLAGS = {
     "targets": _Flag("--targets", "N", "tight and worst-case key totals to land on",
                      int, nargs=2),
 }
+
+
+def _finite_float(text: str) -> float:
+    """The argparse type of a ``float`` flag: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _config_value(key: str, value):
@@ -342,12 +357,12 @@ def _parse_distances(spec: str) -> list[float]:
         if ":" in spec:
             lo_s, hi_s, step_s = spec.split(":")
             lo, hi, step = float(lo_s), float(hi_s), float(step_s)
-            if step <= 0 or hi < lo:
+            if step <= 0 or hi < lo or not all(map(math.isfinite, (lo, hi, step))):
                 raise ValueError
             n = int(math.floor((hi - lo) / step + 1e-9)) + 1
             return [lo + i * step for i in range(n)]
         values = [float(tok) for tok in spec.split(",") if tok.strip()]
-        if not values:
+        if not values or not all(map(math.isfinite, values)):
             raise ValueError
         return values
     except ValueError:
@@ -870,8 +885,8 @@ def _build_parser() -> _Parser:
                 shown = format(row.default, ".6g") if row.type is float else row.default
                 text = f"{text} (default {shown})"
             p.add_argument(
-                row.flag, dest=key, type=row.type, nargs=row.nargs,
-                choices=row.choices, metavar=row.metavar, help=text,
+                row.flag, dest=key, type=_finite_float if row.type is float else row.type,
+                nargs=row.nargs, choices=row.choices, metavar=row.metavar, help=text,
             )
     return parser
 

@@ -17,6 +17,7 @@ simulator, the analyzer and external tooling.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 __all__ = [
@@ -34,6 +35,8 @@ __all__ = [
     "DEFAULT_EXTINCTION_DB",
     "DEFAULT_STAGES",
     "DEFAULT_POINTS_PER_STAGE",
+    "DEFAULT_DESKEW_DEPTH",
+    "DEFAULT_ZERO_BIAS",
     "check_json_type",
     "conjugate_basis",
     "validate_tally",
@@ -76,14 +79,23 @@ _JSON_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
 def check_json_type(value, kind: type, what: str):
     """Return a JSON ``value`` as ``kind`` (bool, int, float or str).
 
-    Bools are never numbers, and a JSON integer is a valid float (it is
-    returned as one).  Anything else raises ``ValidationError`` naming
-    ``what``.
+    Bools are never numbers, a JSON integer is a valid float (it is
+    returned as one), and a float must be finite (JSON readers accept
+    ``NaN`` and ``Infinity``).  Anything else raises ``ValidationError``
+    naming ``what``.
     """
     allowed = (int, float) if kind is float else kind
     if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
         raise ValidationError(f"{what}: expected {_JSON_TYPE_NAMES[kind]}, got {value!r}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"{what}: expected a finite number, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +511,10 @@ DEFAULT_EXTINCTION_DB = 23.5
 DEFAULT_STAGES = 3
 #: Grid points per coordinate scan of the scheme search.
 DEFAULT_POINTS_PER_STAGE = 7
+#: Recursion depth of the Peres deskewing extractor.
+DEFAULT_DESKEW_DEPTH = 12
+#: Probability that a prepared key bit is 0 in a simulated session.
+DEFAULT_ZERO_BIAS = 0.5
 
 
 # ---------------------------------------------------------------------------

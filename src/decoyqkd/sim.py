@@ -37,6 +37,7 @@ import numpy as np
 from .core import (
     DEFAULT_F_DS,
     DEFAULT_F_EC,
+    DEFAULT_ZERO_BIAS,
     ChannelModel,
     ConfidenceConfig,
     DecoyScheme,
@@ -281,7 +282,7 @@ def simulate_session(
     pulses: int,
     seed: int,
     *,
-    zero_bias: float = 0.5,
+    zero_bias: float = DEFAULT_ZERO_BIAS,
     key_levels: tuple[int, ...] | None = None,
 ) -> tuple[SessionTally, RawKeys]:
     """Sample one session of ``pulses`` clock slots.

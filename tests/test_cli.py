@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import ast
 import hashlib
+import inspect
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -26,7 +28,8 @@ import pytest
 import decoyqkd
 from decoyqkd import cli
 from decoyqkd.cli import main
-from decoyqkd.core import ConfidenceConfig
+from decoyqkd.core import DEFAULT_DESKEW_DEPTH, DEFAULT_ZERO_BIAS, ConfidenceConfig
+from decoyqkd.extract import peres_extract
 from decoyqkd.keyrate import compose_session
 from decoyqkd.opt import optimize_scheme
 from decoyqkd.sim import reference_model, reference_scheme, simulate_session
@@ -35,6 +38,13 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 COMMANDS = ("simulate", "analyze", "distill", "optimize", "curve", "calibrate")
 SIM_ARGS = ["simulate", "--distance-km", "25", "--pulses", "20000000", "--seed", "11"]
+#: (command, settings name, flag) of every float flag.
+FLOAT_FLAGS = [
+    (name, key, cli._FLAGS[key].flag)
+    for name, command in cli._COMMANDS.items()
+    for key in command.flags
+    if cli._FLAGS[key].type is float
+]
 CURVE_HEADER = (
     "distance_km,n_secret_tight,n_secret_worst,y1_lower,b1_tight,b1_worst,"
     "mu0,mu1,mu2,p0,p1,p2"
@@ -55,6 +65,21 @@ def run_cli(argv, stdin_bytes=None):
     finally:
         sys.stdin = old_stdin
     return rc, out.getvalue(), err.getvalue()
+
+
+def help_text(command):
+    """``decoyqkd COMMAND --help`` with its whitespace collapsed."""
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit):
+        main([command, "--help"])
+    return " ".join(out.getvalue().split())
+
+
+def package_env():
+    """The environment of a child interpreter that imports this decoyqkd."""
+    package_root = str(Path(decoyqkd.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
 
 
 def subparser(command):
@@ -370,6 +395,16 @@ class TestConfigFile:
         assert out == ""
         assert f"decoyqkd {command}: error: --config: {field}: expected" in err
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        for command, key, _ in FLOAT_FLAGS:
+            cfg.write_text(json.dumps({key: value}))
+            rc, out, err = run_cli([command, "--config", str(cfg)])
+            assert rc == 1, (command, key)
+            assert out == ""
+            assert f"decoyqkd {command}: error: --config: {key}: expected a finite number" in err
+
     def test_config_values_read_like_flags(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"vacuum_pinning": false, "f_ec": 1, "photon_cutoff": 8, "scheme": null}')
@@ -457,6 +492,13 @@ class TestCurve:
         assert int(last[1]) == 0
         assert "range 146.0 km (tight) / 140.0 km (worst-case)" in err
 
+    @pytest.mark.parametrize("spec", ["100,nan", "inf", "100:inf:2", "nan:170:2", "100:170:inf"])
+    def test_non_finite_distances_rejected(self, spec):
+        rc, out, err = run_cli(["curve", f"--distances={spec}"])
+        assert rc == 1
+        assert out == ""
+        assert f"--distances: expected MIN:MAX:STEP or a comma list, got {spec!r}" in err
+
     def test_zero_everywhere_exits_two(self):
         rc, out, err = run_cli(
             ["curve", "--distances", "168,170", "--pulses", "1000000"]
@@ -513,15 +555,25 @@ class TestUsage:
         accepted = ast.literal_eval(re.search(r"expected among (\[.*\])", err).group(1))
         assert accepted == sorted(a.dest for a in options if a.dest != "config")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_rejected(self, value):
+        for command, _, flag in FLOAT_FLAGS:
+            rc, out, err = run_cli([command, f"{flag}={value}"])
+            assert rc == 1, (command, flag)
+            assert out == ""
+            assert f"argument {flag}: expected a finite number, got {value!r}" in err
+
     def test_help_shows_library_defaults(self):
-        out = io.StringIO()
-        with redirect_stdout(out), pytest.raises(SystemExit):
-            main(["analyze", "--help"])
-        text = " ".join(out.getvalue().split())
+        text = help_text("analyze")
         assert "reconciliation inefficiency (default 1.07)" in text
         assert "deskewing inefficiency (default 1.05)" in text
         assert "typical-set coverage confidence (default 0.001)" in text
         assert "photon-number truncation of the yield system (default 10)" in text
+        assert inspect.signature(peres_extract).parameters["depth"].default == DEFAULT_DESKEW_DEPTH
+        assert "deskewing iteration depth (default 12)" in help_text("distill")
+        zero_bias = inspect.signature(simulate_session).parameters["zero_bias"].default
+        assert zero_bias == DEFAULT_ZERO_BIAS
+        assert "P(bit = 0) of the prepared key bits (default 0.5)" in help_text("simulate")
 
     def test_help_entry_point(self):
         target = declared_scripts(PYPROJECT.read_text())["decoyqkd"]
@@ -536,10 +588,15 @@ class TestUsage:
             module, attr = target.split(":")
             code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
             argv = [sys.executable, "-c", code, "--help"]
-            package_root = str(Path(decoyqkd.__file__).resolve().parents[1])
-            inherited = os.environ.get("PYTHONPATH")
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-                filter(None, [package_root, inherited])))
+            env = package_env()
         proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
+
+    def test_python_m_entry_point(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "decoyqkd", "--help"],
+            capture_output=True, text=True, timeout=60, env=package_env(),
+        )
+        assert proc.returncode == 0
+        assert "distill" in proc.stdout

@@ -263,6 +263,8 @@ class TestConfidenceConfig:
         ("epsilon", "1e-7"),
         ("epsilon", True),
         ("epsilon", None),
+        ("epsilon", float("nan")),
+        ("epsilon", float("inf")),
     ])
     def test_from_json_rejects_mistyped_fields(self, field, value):
         with pytest.raises(ValidationError, match=f"confidence_config: {field}"):

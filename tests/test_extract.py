@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -103,6 +104,55 @@ class TestMeasureFDs:
 
 
 class TestPrivacyAmplify:
+    # SHA-256 of np.packbits(privacy_amplify(key, m, seed)) for keys drawn
+    # from default_rng(key_seed), frozen from the row-by-row big-integer
+    # product that the FFT convolution replaced.
+    FROZEN_DIGESTS = [
+        (100_000, 50_000, 101, 202,
+         "c1d155e1fb9dd450f884fa28957deaa6b4a0aa60fdbb87574e72696c9f7de2eb"),
+        (77_777, 77_777, 303, 404,
+         "ba99bfcbe69a893aa523a7d122cdd1057fc16ec589870c07182249deffe1d63a"),
+        (77_777, 1, 303, 404,
+         "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"),
+    ]
+
+    @pytest.mark.parametrize("n, m, key_seed, seed, digest", FROZEN_DIGESTS)
+    def test_frozen_digests(self, n, m, key_seed, seed, digest):
+        key = np.random.default_rng(key_seed).integers(0, 2, n, dtype=np.uint8)
+        out = privacy_amplify(key, m, seed=seed)
+        assert out.shape == (m,)
+        assert hashlib.sha256(np.packbits(out).tobytes()).hexdigest() == digest
+
+    def test_million_bit_key_follows_the_toeplitz_rule(self):
+        n, m, seed = 1_000_000, 500_000, 2718
+        key = np.random.default_rng(31).integers(0, 2, n, dtype=np.uint8)
+        out = privacy_amplify(key, m, seed=seed)
+        s = np.random.default_rng(seed).integers(0, 2, n + m - 1, dtype=np.uint8)
+        j = np.arange(n)
+        key64 = key.astype(np.int64)
+        rows = np.random.default_rng(5).choice(m, 14, replace=False)
+        for i in sorted({0, m - 1, *rows.tolist()}):
+            assert int(np.dot(s[i + n - 1 - j].astype(np.int64), key64)) & 1 == out[i]
+        # Column j of T holds s[n-1-j : n-1-j+m], so the XOR of all output
+        # rows is key . (column parities), each a difference of prefix XORs.
+        prefix = np.concatenate([[0], np.bitwise_xor.accumulate(s)])
+        column_parity = prefix[n - 1 - j + m] ^ prefix[n - 1 - j]
+        assert int(np.dot(column_parity.astype(np.int64), key64)) & 1 == int(out.sum()) & 1
+
+    def test_rounding_error_fails_closed(self, monkeypatch):
+        n, m = 4096, 1024
+        key = np.random.default_rng(12).integers(0, 2, n, dtype=np.uint8)
+        irfft = np.fft.irfft
+
+        def perturbed(*args, **kwargs):
+            out = irfft(*args, **kwargs)
+            out[n - 1 + 100] += 0.4
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", perturbed)
+        with pytest.raises(ValidationError, match="rounding"):
+            privacy_amplify(key, m, seed=3)
+
     def test_matches_explicit_toeplitz_matrix(self):
         # the hash is T.key over GF(2) with T read off one seeded diagonal
         # band; rebuild the matrix longhand and compare
