@@ -57,6 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    BASES,
     DEFAULT_DESKEW_DEPTH,
     DEFAULT_EXTINCTION_DB,
     DEFAULT_F_DS,
@@ -91,8 +92,6 @@ from .sim import (
 __all__ = ["main", "CONFIG_DIR_ENV"]
 
 CONFIG_DIR_ENV = "DECOYQKD_CONFIG_DIR"
-
-_BASES = ("X", "Z")
 
 
 class _UsageError(Exception):
@@ -317,7 +316,13 @@ def _load_model(settings: dict) -> tuple[ChannelModel, dict]:
 def _load_tally(settings: dict) -> tuple[SessionTally, dict]:
     path = _require(settings, "tally")
     doc, ref = _load_doc(path, _FLAGS["tally"].flag)
-    return SessionTally.from_json(doc), ref
+    tally = SessionTally.from_json(doc)
+    if tally.reconstructed:
+        _note(
+            f"note: tally {ref['path']} was reconstructed (bare totals split 50/50 "
+            "or zeros assumed unbiased), so its per-basis counts are estimates"
+        )
+    return tally, ref
 
 
 def _confidence(settings: dict) -> ConfidenceConfig:
@@ -375,7 +380,7 @@ def _key_paths(prefix: str) -> dict[tuple[str, str], Path]:
     return {
         (side, basis): Path(f"{prefix}.{side}.{basis}.bits")
         for side in ("alice", "bob")
-        for basis in _BASES
+        for basis in BASES
     }
 
 
@@ -387,7 +392,7 @@ def _read_bits(path: Path, flag: str) -> tuple[np.ndarray, str]:
     if not path.exists():
         raise ValidationError(f"{flag}: key file not found: {path}")
     raw = path.read_bytes()
-    text = raw.decode("ascii", errors="strict").strip()
+    text = raw.decode("ascii", errors="replace").strip()
     if text and set(text) - {"0", "1"}:
         raise ValidationError(f"{flag}: {path} holds non-binary characters")
     bits = np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
@@ -420,7 +425,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _note(
         f"simulate: seed {seed}, {pulses} pulses, "
         f"detections {[lv.detected_total() for lv in tally.levels]}, "
-        f"sifted {[tally.sifted_total(b) for b in _BASES]} (X, Z)"
+        f"sifted {[tally.sifted_total(b) for b in BASES]} (X, Z)"
     )
     _note(f"inputs: scheme {scheme_ref}, model {model_ref}")
     print(dumps(tally))
@@ -494,7 +499,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     reconciled: dict[str, np.ndarray] = {}
     f_ec_measured: dict[str, float] = {}
     residual = False
-    for i, basis in enumerate(_BASES):
+    for i, basis in enumerate(BASES):
         alice, bob = bits[("alice", basis)], bits[("bob", basis)]
         if alice.size != bob.size:
             raise ValidationError(
@@ -530,7 +535,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     # factor below 1 is a finite-sample fluctuation, not a real discount).
     f_ds_measured: dict[str, float] = {}
     deskewed: dict[str, np.ndarray] = {}
-    for basis in _BASES:
+    for basis in BASES:
         des = peres_extract(reconciled[basis], depth=depth)
         z = tally.zero_fraction(basis)
         f_ds_measured[basis] = (
@@ -579,7 +584,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     )
 
     final_chunks = []
-    for i, basis in enumerate(_BASES):
+    for i, basis in enumerate(BASES):
         n_secret = budgets[basis].n_secret
         available = int(deskewed[basis].size)
         target = min(n_secret, available)
@@ -613,9 +618,9 @@ def _cmd_distill(args: argparse.Namespace) -> int:
 
     _note(
         "distill: f_ec "
-        + ", ".join(f"{b} {f_ec_measured[b]:.4f}" for b in _BASES)
+        + ", ".join(f"{b} {f_ec_measured[b]:.4f}" for b in BASES)
         + "; f_ds "
-        + ", ".join(f"{b} {f_ds_measured[b]:.4f}" for b in _BASES)
+        + ", ".join(f"{b} {f_ds_measured[b]:.4f}" for b in BASES)
     )
     if residual:
         _note("distill: residual mismatch survived reconciliation; session aborted")

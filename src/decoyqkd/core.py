@@ -11,14 +11,16 @@ command line both read.
 
 All types serialize to plain-dict JSON documents tagged with
 ``format_version`` so that tallies and schemes can be exchanged between the
-simulator, the analyzer and external tooling.
+simulator, the analyzer and external tooling.  Every reader takes each
+value through :func:`check_json_type` and rejects keys it does not know.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 __all__ = [
     "BASES",
@@ -63,16 +65,6 @@ def conjugate_basis(basis: str) -> str:
     raise ValidationError(f"unknown basis {basis!r}; expected 'X' or 'Z'")
 
 
-def _check_version(doc: dict, kind: str) -> None:
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{kind}: expected a JSON object, got {type(doc).__name__}")
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValidationError(
-            f"{kind}: unsupported format_version {version!r} (expected {FORMAT_VERSION!r})"
-        )
-
-
 _JSON_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
@@ -96,6 +88,56 @@ def check_json_type(value, kind: type, what: str):
     if not math.isfinite(value):
         raise ValidationError(f"{what}: expected a finite number, got {value!r}")
     return value
+
+
+def _object(value, what: str, keys, required=None) -> None:
+    """Check that ``value`` is a JSON object whose keys are among ``keys`` and
+    include every key of ``required`` (by default, all of ``keys``)."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what}: expected a JSON object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ValidationError(f"{what}: unknown fields {unknown}")
+    for key in keys if required is None else required:
+        if key not in value:
+            raise ValidationError(f"{what}: missing field {key!r}")
+
+
+def _document(doc, kind: str, keys, required) -> None:
+    """Check the header of a ``kind`` document and its keys (see ``_object``)."""
+    _object(doc, kind, (*keys, "format_version", "kind"), required)
+    version = doc.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ValidationError(
+            f"{kind}: unsupported format_version {version!r} (expected {FORMAT_VERSION!r})"
+        )
+    if doc.get("kind", kind) != kind:
+        raise ValidationError(f"{kind}: kind is {doc['kind']!r}, expected {kind!r}")
+
+
+def _read_fields(cls, doc, kind: str):
+    """Build the flat record ``cls`` from a ``kind`` document.
+
+    Every field is read with ``check_json_type`` at its annotated type; a
+    field without a default is required.
+    """
+    specs = fields(cls)
+    _document(
+        doc, kind, [f.name for f in specs], [f.name for f in specs if f.default is MISSING]
+    )
+    types = typing.get_type_hints(cls)
+    return cls(**{
+        f.name: check_json_type(doc[f.name], types[f.name], f"{kind}: {f.name}")
+        for f in specs
+        if f.name in doc
+    })
+
+
+def _levels(doc: dict, kind: str) -> list:
+    levels = doc["levels"]
+    if not isinstance(levels, list) or not levels:
+        raise ValidationError(f"{kind}: 'levels' must be a non-empty list")
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +174,14 @@ class DecoyScheme:
             raise ValidationError("a decoy scheme needs at least two intensity levels")
         if len(mus) != len(probs):
             raise ValidationError("mus and send_probs must have equal length")
-        if any(m < 0 for m in mus):
+        if not all(m >= 0 for m in mus):
             raise ValidationError("mean photon numbers must be >= 0")
         for lo, hi in zip(mus, mus[1:]):
             if not lo < hi:
                 raise ValidationError("mean photon numbers must be strictly increasing")
-        if any(p <= 0 for p in probs):
+        if not all(p > 0 for p in probs):
             raise ValidationError("send probabilities must be > 0")
-        if abs(sum(probs) - 1.0) > _PROB_SUM_TOL:
+        if not abs(sum(probs) - 1.0) <= _PROB_SUM_TOL:
             raise ValidationError(
                 f"send probabilities sum to {sum(probs)!r}, expected 1 within {_PROB_SUM_TOL}"
             )
@@ -168,16 +210,15 @@ class DecoyScheme:
 
     @classmethod
     def from_json(cls, doc: dict) -> "DecoyScheme":
-        _check_version(doc, "decoy_scheme")
-        levels = doc.get("levels")
-        if not isinstance(levels, list) or not levels:
-            raise ValidationError("decoy_scheme: 'levels' must be a non-empty list")
-        try:
-            mus = tuple(float(lv["mu"]) for lv in levels)
-            probs = tuple(float(lv["send_prob"]) for lv in levels)
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"decoy_scheme: malformed level entry ({exc})") from exc
-        return cls(mus=mus, send_probs=probs)
+        kind = "decoy_scheme"
+        _document(doc, kind, ("levels",), required=("levels",))
+        mus, probs = [], []
+        for j, raw in enumerate(_levels(doc, kind)):
+            what = f"{kind}: levels[{j}]"
+            _object(raw, what, ("mu", "send_prob"))
+            mus.append(check_json_type(raw["mu"], float, f"{what}.mu"))
+            probs.append(check_json_type(raw["send_prob"], float, f"{what}.send_prob"))
+        return cls(mus=tuple(mus), send_probs=tuple(probs))
 
 
 # ---------------------------------------------------------------------------
@@ -185,33 +226,24 @@ class DecoyScheme:
 # ---------------------------------------------------------------------------
 
 
-def _split_half(total: int) -> dict[str, int]:
-    # Deterministic 50/50 split used when a document only gives per-level totals.
-    half = total // 2
-    return {"X": total - half, "Z": half}
+def _count(value, what: str) -> int:
+    count = check_json_type(value, int, what)
+    if count < 0:
+        raise ValidationError(f"{what}: counts must be >= 0, got {count}")
+    return count
 
 
-def _as_basis_counts(value, what: str) -> tuple[dict[str, int], bool]:
-    """Normalize a JSON count field to a per-basis dict.
+def _basis_counts(value, what: str) -> tuple[dict[str, int], bool]:
+    """Read a per-basis count object, or a bare total split 50/50.
 
     Returns (counts, reconstructed) where ``reconstructed`` is True when the
-    input was a bare total that had to be split 50/50.
+    input was a bare total.
     """
-    if isinstance(value, bool):
-        raise ValidationError(f"{what}: expected a count, got a boolean")
-    if isinstance(value, int):
-        if value < 0:
-            raise ValidationError(f"{what}: counts must be >= 0")
-        return _split_half(value), True
     if isinstance(value, dict):
-        try:
-            counts = {b: int(value[b]) for b in BASES}
-        except KeyError as exc:
-            raise ValidationError(f"{what}: missing basis key {exc}") from exc
-        if any(c < 0 for c in counts.values()):
-            raise ValidationError(f"{what}: counts must be >= 0")
-        return counts, False
-    raise ValidationError(f"{what}: expected an integer or a per-basis object")
+        _object(value, what, BASES)
+        return {b: _count(value[b], f"{what}.{b}") for b in BASES}, False
+    total = _count(value, what)
+    return {"X": total - total // 2, "Z": total // 2}, True
 
 
 @dataclass(frozen=True)
@@ -278,12 +310,6 @@ class SessionTally:
     def sifted_total(self, basis: str) -> int:
         return sum(lv.sifted[basis] for lv in self.levels)
 
-    def errors_total(self, basis: str) -> int:
-        return sum(lv.errors[basis] for lv in self.levels)
-
-    def detected_all(self) -> int:
-        return sum(lv.detected_total() for lv in self.levels)
-
     def sifted_all(self) -> int:
         return sum(self.sifted_total(b) for b in BASES)
 
@@ -293,52 +319,37 @@ class SessionTally:
         return self.zeros[basis] / n if n else 0.5
 
     def to_json(self) -> dict:
+        doc = asdict(self)
         return {
             "format_version": FORMAT_VERSION,
             "kind": "session_tally",
-            "levels": [
-                {
-                    "sent": lv.sent,
-                    "detected": dict(lv.detected),
-                    "sifted": dict(lv.sifted),
-                    "errors": dict(lv.errors),
-                }
-                for lv in self.levels
-            ],
-            "zeros": dict(self.zeros),
-            "reconstructed": self.reconstructed,
+            **doc,
+            "levels": list(doc["levels"]),
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "SessionTally":
-        _check_version(doc, "session_tally")
-        raw_levels = doc.get("levels")
-        if not isinstance(raw_levels, list) or not raw_levels:
-            raise ValidationError("session_tally: 'levels' must be a non-empty list")
-        reconstructed = bool(doc.get("reconstructed", False))
+        kind = "session_tally"
+        _document(doc, kind, ("levels", "zeros", "reconstructed"), required=("levels",))
+        reconstructed = check_json_type(
+            doc.get("reconstructed", False), bool, f"{kind}: reconstructed"
+        )
         levels = []
-        for j, raw in enumerate(raw_levels):
-            if not isinstance(raw, dict) or "sent" not in raw:
-                raise ValidationError(f"session_tally: level {j} needs a 'sent' count")
-            sent = int(raw["sent"])
+        for j, raw in enumerate(_levels(doc, kind)):
+            what = f"{kind}: levels[{j}]"
+            _object(raw, what, ("sent", "detected", "sifted", "errors"))
             counts = {}
             for name in ("detected", "sifted", "errors"):
-                value, was_split = _as_basis_counts(
-                    raw.get(name, 0), f"session_tally level {j} '{name}'"
-                )
-                counts[name] = value
+                counts[name], was_split = _basis_counts(raw[name], f"{what}.{name}")
                 reconstructed = reconstructed or was_split
-            levels.append(LevelCounts(sent=sent, **counts))
-        zeros_raw = doc.get("zeros")
-        if zeros_raw is None:
-            # No bit-bias information: assume an unbiased source.
-            zeros = {
-                b: sum(lv.sifted[b] for lv in levels) // 2 for b in BASES
-            }
-            reconstructed = True
-        else:
-            zeros, was_split = _as_basis_counts(zeros_raw, "session_tally 'zeros'")
+            levels.append(LevelCounts(sent=_count(raw["sent"], f"{what}.sent"), **counts))
+        if "zeros" in doc:
+            zeros, was_split = _basis_counts(doc["zeros"], f"{kind}: zeros")
             reconstructed = reconstructed or was_split
+        else:
+            # No bit-bias information: assume an unbiased source.
+            zeros = {b: sum(lv.sifted[b] for lv in levels) // 2 for b in BASES}
+            reconstructed = True
         return cls(levels=tuple(levels), zeros=zeros, reconstructed=reconstructed)
 
 
@@ -383,66 +394,31 @@ class ChannelModel:
     background_rate_hz: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.fiber_length_km < 0:
+        if not self.fiber_length_km >= 0:
             raise ValidationError("fiber_length_km must be >= 0")
-        if self.attenuation_db_per_km < 0:
+        if not self.attenuation_db_per_km >= 0:
             raise ValidationError("attenuation_db_per_km must be >= 0")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ValidationError("detector_efficiency must lie in (0, 1]")
-        if self.dark_count_rate_hz < 0 or self.background_rate_hz < 0:
+        if not (self.dark_count_rate_hz >= 0 and self.background_rate_hz >= 0):
             raise ValidationError("count rates must be >= 0")
-        if self.timing_window_s <= 0 or self.clock_rate_hz <= 0:
+        if not (self.timing_window_s > 0 and self.clock_rate_hz > 0):
             raise ValidationError("timing_window_s and clock_rate_hz must be > 0")
-        if self.timing_window_s * self.clock_rate_hz > 1.0 + 1e-9:
+        if not self.timing_window_s * self.clock_rate_hz <= 1.0 + 1e-9:
             raise ValidationError("timing window cannot exceed the clock period")
         if not 0.0 <= self.intrinsic_error_rate <= 0.5:
             raise ValidationError("intrinsic_error_rate must lie in [0, 0.5]")
 
     def with_length(self, fiber_length_km: float) -> "ChannelModel":
         """Copy of this model at a different fiber length."""
-        return ChannelModel(
-            fiber_length_km=fiber_length_km,
-            attenuation_db_per_km=self.attenuation_db_per_km,
-            detector_efficiency=self.detector_efficiency,
-            dark_count_rate_hz=self.dark_count_rate_hz,
-            timing_window_s=self.timing_window_s,
-            clock_rate_hz=self.clock_rate_hz,
-            intrinsic_error_rate=self.intrinsic_error_rate,
-            background_rate_hz=self.background_rate_hz,
-        )
+        return replace(self, fiber_length_km=fiber_length_km)
 
     def to_json(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "channel_model",
-            "fiber_length_km": self.fiber_length_km,
-            "attenuation_db_per_km": self.attenuation_db_per_km,
-            "detector_efficiency": self.detector_efficiency,
-            "dark_count_rate_hz": self.dark_count_rate_hz,
-            "timing_window_s": self.timing_window_s,
-            "clock_rate_hz": self.clock_rate_hz,
-            "intrinsic_error_rate": self.intrinsic_error_rate,
-            "background_rate_hz": self.background_rate_hz,
-        }
+        return {"format_version": FORMAT_VERSION, "kind": "channel_model", **asdict(self)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "ChannelModel":
-        _check_version(doc, "channel_model")
-        kwargs = {}
-        for name in (
-            "fiber_length_km",
-            "attenuation_db_per_km",
-            "detector_efficiency",
-            "dark_count_rate_hz",
-            "timing_window_s",
-            "clock_rate_hz",
-            "intrinsic_error_rate",
-        ):
-            if name not in doc:
-                raise ValidationError(f"channel_model: missing field {name!r}")
-            kwargs[name] = float(doc[name])
-        kwargs["background_rate_hz"] = float(doc.get("background_rate_hz", 0.0))
-        return cls(**kwargs)
+        return _read_fields(cls, doc, "channel_model")
 
 
 # ---------------------------------------------------------------------------
@@ -474,29 +450,16 @@ class ConfidenceConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 0.5:
             raise ValidationError("epsilon must lie in (0, 0.5)")
-        if self.photon_cutoff < 1:
+        if not self.photon_cutoff >= 1:
             raise ValidationError("photon_cutoff must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "confidence_config",
-            "epsilon": self.epsilon,
-            "photon_cutoff": self.photon_cutoff,
-            "pin_vacuum_errors": self.pin_vacuum_errors,
-        }
+        return {"format_version": FORMAT_VERSION, "kind": "confidence_config", **asdict(self)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "ConfidenceConfig":
         """Read a config; absent fields keep the dataclass defaults."""
-        _check_version(doc, "confidence_config")
-        return cls(**{
-            f.name: check_json_type(
-                doc[f.name], type(f.default), f"confidence_config: {f.name}"
-            )
-            for f in fields(cls)
-            if f.name in doc
-        })
+        return _read_fields(cls, doc, "confidence_config")
 
 
 #: Reconciliation inefficiency f_EC assumed before a session is reconciled.

@@ -18,7 +18,7 @@ bound from the decoy analysis is converted by :func:`compose_session`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import special
@@ -159,22 +159,7 @@ class KeyBudget:
     n_secret: int
 
     def to_json(self) -> dict:
-        return {
-            "basis": self.basis,
-            "variant": self.variant,
-            "n_sifted": self.n_sifted,
-            "n1_lower": self.n1_lower,
-            "y1_eff": self.y1_eff,
-            "y1_lower_raw": self.y1_lower_raw,
-            "mu": self.mu,
-            "b1_upper": self.b1_upper,
-            "bit_error_rate": self.bit_error_rate,
-            "zero_fraction": self.zero_fraction,
-            "f_ec": self.f_ec,
-            "f_pa": self.f_pa,
-            "f_ds": self.f_ds,
-            "n_secret": self.n_secret,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -130,9 +130,6 @@ class _ParityOracle:
         wide = np.concatenate(([0], np.cumsum(alice_permuted, dtype=np.int64) & 1))
         self._prefix[p] = wide.astype(np.uint8)
 
-    def known(self, p: int, lo: int, hi: int) -> bool:
-        return (p, lo, hi) in self._cache
-
     def parity(self, p: int, lo: int, hi: int) -> int:
         """Parity of interval [lo, hi) of pass ``p``, transmitting if needed."""
         key = (p, lo, hi)

@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    BASES,
     DEFAULT_F_DS,
     DEFAULT_F_EC,
     DEFAULT_ZERO_BIAS,
@@ -250,7 +251,7 @@ def expected_tally(
         )
     zeros = {
         b: int(round(zero_fraction * sum(lv.sifted[b] for lv in levels)))
-        for b in ("X", "Z")
+        for b in BASES
     }
     return SessionTally(levels=tuple(levels), zeros=zeros, reconstructed=True)
 
@@ -326,9 +327,9 @@ def simulate_session(
         det_total = int(rng.binomial(sent[j], stats.yields[j]))
         det_x = int(rng.binomial(det_total, 0.5))
         detected = {"X": det_x, "Z": det_total - det_x}
-        sifted = {b: int(rng.binomial(detected[b], 0.5)) for b in ("X", "Z")}
+        sifted = {b: int(rng.binomial(detected[b], 0.5)) for b in BASES}
         errors = {}
-        for b in ("X", "Z"):
+        for b in BASES:
             n = sifted[b]
             if j in key_levels:
                 bits = (rng.random(n) >= zero_bias).astype(np.uint8)
@@ -346,8 +347,8 @@ def simulate_session(
 
     tally = SessionTally(levels=tuple(levels), zeros=zeros)
     keys = RawKeys(
-        alice={b: np.concatenate(alice_chunks[b]) if alice_chunks[b] else np.zeros(0, np.uint8) for b in ("X", "Z")},
-        bob={b: np.concatenate(bob_chunks[b]) if bob_chunks[b] else np.zeros(0, np.uint8) for b in ("X", "Z")},
+        alice={b: np.concatenate(alice_chunks[b]) if alice_chunks[b] else np.zeros(0, np.uint8) for b in BASES},
+        bob={b: np.concatenate(bob_chunks[b]) if bob_chunks[b] else np.zeros(0, np.uint8) for b in BASES},
         key_levels=key_levels,
     )
     return tally, keys

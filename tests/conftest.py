@@ -17,6 +17,40 @@ from decoyqkd.decoy import ConstraintSystem
 from decoyqkd.stats import poisson_tail, poisson_weights
 
 
+#: Malformed documents every reader rejects, by name: (kind of the valid
+#: document, the edit that breaks it, the text that must name the field).
+MALFORMED_DOCUMENTS = {
+    "misspelled errors": (
+        "session_tally",
+        lambda d: d["levels"][0].update(errrors=d["levels"][0].pop("errors")),
+        "session_tally: levels[0]: unknown fields ['errrors']",
+    ),
+    "zeroes for zeros": (
+        "session_tally",
+        lambda d: d.update(zeroes=d.pop("zeros")),
+        "session_tally: unknown fields ['zeroes']",
+    ),
+    "null zeros.X": (
+        "session_tally", lambda d: d["zeros"].update(X=None), "session_tally: zeros.X"
+    ),
+    "null model field": (
+        "channel_model",
+        lambda d: d.update(attenuation_db_per_km=None),
+        "channel_model: attenuation_db_per_km",
+    ),
+    "float sent": (
+        "session_tally",
+        lambda d: d["levels"][0].update(sent=d["levels"][0]["sent"] + 0.5),
+        "session_tally: levels[0].sent",
+    ),
+    "reconstructed no": (
+        "session_tally",
+        lambda d: d.update(reconstructed="no"),
+        "session_tally: reconstructed",
+    ),
+}
+
+
 @pytest.fixture(scope="session")
 def calibration():
     """The fitted demonstration-link operating point (computed once)."""

@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import decoyqkd
+from conftest import MALFORMED_DOCUMENTS
 from decoyqkd import cli
 from decoyqkd.cli import main
 from decoyqkd.core import DEFAULT_DESKEW_DEPTH, DEFAULT_ZERO_BIAS, ConfidenceConfig
@@ -201,6 +202,38 @@ class TestAnalyze:
         assert rc == 1
         assert "is not valid JSON" in err
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+    def test_malformed_document_exits_one(self, workspace, tmp_path, case):
+        kind, edit, field = MALFORMED_DOCUMENTS[case]
+        if kind == "session_tally":
+            doc = json.loads((workspace / "tally.json").read_text())
+            argv = ["analyze", "--tally"]
+        else:
+            doc = reference_model().to_json()
+            argv = ["simulate", "--pulses", "1000", "--seed", "1", "--model"]
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc, out, err = run_cli(argv + [str(bad)])
+        assert (rc, out) == (1, "")
+        assert field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["analyze", "distill"])
+    def test_reconstructed_tally_noted(self, workspace, tmp_path, command):
+        argv = [command]
+        if command == "distill":
+            argv += ["--keys", str(workspace / "run"), "--seed", "5"]
+        doc = json.loads((workspace / "tally.json").read_text())
+        del doc["zeros"]
+        unbiased = tmp_path / "unbiased.json"
+        unbiased.write_text(json.dumps(doc))
+        _, _, err = run_cli(argv + ["--tally", str(workspace / "tally.json")])
+        assert "reconstructed" not in err
+        rc, _, err = run_cli(argv + ["--tally", str(unbiased)])
+        assert rc == 0
+        assert f"note: tally {unbiased} was reconstructed" in err
+
 
 class TestDistill:
     def test_full_pipeline(self, workspace):
@@ -306,6 +339,20 @@ class TestDistill:
         )
         assert rc == 1
         assert "holds non-binary characters" in err
+
+    def test_non_ascii_key_file(self, workspace, tmp_path):
+        for side in ("alice", "bob"):
+            for basis in ("X", "Z"):
+                name = f"run.{side}.{basis}.bits"
+                (tmp_path / name).write_text((workspace / name).read_text())
+        bad = tmp_path / "run.alice.X.bits"
+        bad.write_bytes(b"01\xff10\n")
+        rc, out, err = run_cli(
+            ["distill", "--tally", str(workspace / "tally.json"),
+             "--keys", str(tmp_path / "run"), "--seed", "1"]
+        )
+        assert rc == 1
+        assert f"--keys: {bad} holds non-binary characters" in err
 
     def test_missing_key_file(self, workspace, tmp_path):
         rc, out, err = run_cli(

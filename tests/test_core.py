@@ -1,9 +1,16 @@
 """Validation and serialization behavior of the core value objects."""
 
 import json
+import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import MALFORMED_DOCUMENTS
 
 from decoyqkd import (
     ChannelModel,
@@ -59,6 +66,8 @@ class TestDecoyScheme:
     def test_mus_nonnegative(self):
         with pytest.raises(ValueError):
             DecoyScheme(mus=(-0.1, 0.5), send_probs=(0.5, 0.5))
+        with pytest.raises(ValueError):
+            DecoyScheme(mus=(math.nan, 0.5), send_probs=(0.5, 0.5))
         # an exactly-vacuum lowest level is legal
         DecoyScheme(mus=(0.0, 0.5), send_probs=(0.5, 0.5))
 
@@ -67,6 +76,8 @@ class TestDecoyScheme:
             DecoyScheme(mus=(0.1, 0.5), send_probs=(0.0, 1.0))
         with pytest.raises(ValueError):
             DecoyScheme(mus=(0.1, 0.5), send_probs=(0.3, 0.3))
+        with pytest.raises(ValueError):
+            DecoyScheme(mus=(0.1, 0.5), send_probs=(math.nan, 0.5))
 
     def test_json_round_trip(self):
         s = DecoyScheme(mus=(0.01, 0.2, 0.6), send_probs=(0.15, 0.25, 0.6))
@@ -184,6 +195,16 @@ class TestChannelModel:
         m = reference_model().with_length(42.0)
         assert m.fiber_length_km == 42.0
         assert m.detector_efficiency == reference_model().detector_efficiency
+        with pytest.raises(ValidationError, match="fiber_length_km"):
+            reference_model().with_length(math.nan)
+
+    @pytest.mark.parametrize("field", [
+        "attenuation_db_per_km", "detector_efficiency", "dark_count_rate_hz",
+        "timing_window_s", "clock_rate_hz", "intrinsic_error_rate", "background_rate_hz",
+    ])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValidationError):
+            replace(reference_model(), **{field: math.nan})
 
     def test_efficiency_range(self):
         with pytest.raises(ValueError):
@@ -244,10 +265,14 @@ class TestConfidenceConfig:
             ConfidenceConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             ConfidenceConfig(epsilon=1.0)
+        with pytest.raises(ValueError):
+            ConfidenceConfig(epsilon=math.nan)
 
     def test_cutoff_minimum(self):
         with pytest.raises(ValueError):
             ConfidenceConfig(photon_cutoff=0)
+        with pytest.raises(ValueError):
+            ConfidenceConfig(photon_cutoff=math.nan)
 
     def test_from_json_defaults_are_the_field_defaults(self):
         assert ConfidenceConfig.from_json({"format_version": "1"}) == ConfidenceConfig()
@@ -281,3 +306,167 @@ def test_dumps_is_sorted_and_stable():
 def test_dumps_uses_to_json():
     s = reference_scheme()
     assert json.loads(dumps(s)) == s.to_json()
+
+
+# ---------------------------------------------------------------------------
+# The JSON contract shared by every reader
+# ---------------------------------------------------------------------------
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def schemes(draw):
+    n = draw(st.integers(2, 4))
+    mus = sorted(draw(st.lists(finite(0, 2), min_size=n, max_size=n, unique=True)))
+    weights = draw(st.lists(finite(0.01, 1), min_size=n, max_size=n))
+    return DecoyScheme(mus=tuple(mus), send_probs=tuple(w / sum(weights) for w in weights))
+
+
+@st.composite
+def models(draw):
+    clock = draw(finite(1e3, 1e10))
+    return ChannelModel(
+        fiber_length_km=draw(finite(0, 300)),
+        attenuation_db_per_km=draw(finite(0, 1)),
+        detector_efficiency=draw(finite(1e-6, 1)),
+        dark_count_rate_hz=draw(finite(0, 1e6)),
+        timing_window_s=draw(finite(1e-12, 1)) / clock,
+        clock_rate_hz=clock,
+        intrinsic_error_rate=draw(finite(0, 0.5)),
+        background_rate_hz=draw(finite(0, 1e6)),
+    )
+
+
+@st.composite
+def level_counts(draw):
+    counts = st.integers(0, 10**12)
+    chains = {}
+    for b in ("X", "Z"):
+        errors = draw(counts)
+        sifted = errors + draw(counts)
+        chains[b] = (errors, sifted, sifted + draw(counts))
+    return LevelCounts(
+        sent=chains["X"][2] + chains["Z"][2] + draw(counts),
+        errors={b: c[0] for b, c in chains.items()},
+        sifted={b: c[1] for b, c in chains.items()},
+        detected={b: c[2] for b, c in chains.items()},
+    )
+
+
+@st.composite
+def tallies(draw):
+    levels = tuple(draw(st.lists(level_counts(), min_size=1, max_size=3)))
+    zeros = {b: draw(st.integers(0, sum(lv.sifted[b] for lv in levels))) for b in ("X", "Z")}
+    return SessionTally(levels=levels, zeros=zeros, reconstructed=draw(st.booleans()))
+
+
+VALUES = st.one_of(
+    schemes(),
+    models(),
+    tallies(),
+    st.builds(
+        ConfidenceConfig,
+        epsilon=finite(1e-300, 0.49),
+        photon_cutoff=st.integers(1, 40),
+        pin_vacuum_errors=st.booleans(),
+    ),
+)
+#: Any JSON value; keys and strings are drawn from names the readers know.
+NAMES = st.sampled_from(["", "1", "X", "Z", "mu", "sent", "zeros", "levels", "epsilon"])
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3),
+    max_leaves=8,
+)
+#: Values of the wrong JSON type for a leaf of each type.
+MISTYPED = {
+    bool: ["no", None, 0, math.nan],
+    int: ["12", True, None, 12.0, math.nan],
+    float: ["0.5", True, None, math.nan],
+}
+
+
+def nodes(doc, path=()):
+    """Every (path, value) of a document below its header, parents first."""
+    yield path, doc
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            if key not in ("format_version", "kind"):
+                yield from nodes(value, (*path, key))
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def field_name(kind, path):
+    """How a reader names the field at ``path`` of a ``kind`` document."""
+    name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+    return f"{kind}: {name.lstrip('.')}" if name else kind
+
+
+@given(VALUES)
+def test_json_round_trip_property(value):
+    assert type(value).from_json(value.to_json()) == value
+    assert type(value).from_json(json.loads(dumps(value))) == value
+
+
+@given(VALUES, st.data())
+def test_mistyped_leaf_rejected_naming_it(value, data):
+    doc = value.to_json()
+    leaves = [(p, v) for p, v in nodes(doc) if not isinstance(v, (dict, list))]
+    path, leaf = data.draw(st.sampled_from(leaves))
+    at(doc, path[:-1])[path[-1]] = data.draw(st.sampled_from(MISTYPED[type(leaf)]))
+    with pytest.raises(ValidationError, match=re.escape(field_name(doc["kind"], path))):
+        type(value).from_json(doc)
+
+
+@given(VALUES, st.data())
+def test_unknown_key_rejected_naming_it(value, data):
+    doc = value.to_json()
+    objects = [p for p, v in nodes(doc) if isinstance(v, dict)]
+    path = data.draw(st.sampled_from(objects))
+    at(doc, path)["bogus"] = 1
+    message = f"{field_name(doc['kind'], path)}: unknown fields ['bogus']"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        type(value).from_json(doc)
+
+
+@given(VALUES, st.data())
+def test_readers_raise_only_validation_errors(value, data):
+    doc = value.to_json()
+    path = data.draw(st.sampled_from([p for p, _ in nodes(doc)]))
+    replacement = data.draw(JSON)
+    if path:
+        at(doc, path[:-1])[path[-1]] = replacement
+    else:
+        doc = replacement
+    try:
+        type(value).from_json(doc)
+    except ValidationError:
+        pass
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_document_rejected(case):
+    kind, edit, field = MALFORMED_DOCUMENTS[case]
+    value = {
+        "session_tally": SessionTally(levels=(make_level(),), zeros={"X": 10, "Z": 10}),
+        "channel_model": reference_model(),
+    }[kind]
+    doc = value.to_json()
+    edit(doc)
+    with pytest.raises(ValidationError, match=re.escape(field)):
+        type(value).from_json(doc)
+
+
+def test_document_of_another_kind_rejected():
+    doc = ConfidenceConfig().to_json()
+    doc["kind"] = "channel_model"
+    with pytest.raises(ValidationError, match="kind is 'channel_model'"):
+        ConfidenceConfig.from_json(doc)
