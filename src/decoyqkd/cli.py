@@ -254,7 +254,7 @@ def _load_doc(path: str, flag: str) -> tuple[dict, dict]:
         shown = str(resolved)
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
         raise ValidationError(f"{flag}: {shown} is not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{flag}: {shown} must hold a JSON object")

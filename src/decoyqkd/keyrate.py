@@ -45,9 +45,20 @@ __all__ = [
 ]
 
 
-def _clamp_error(rate: float) -> float:
-    """Error rates above 1/2 carry no more extractable-information penalty."""
+def _clamp_error(rate: float, name: str) -> float:
+    """Error rates above 1/2 carry no more extractable-information penalty.
+
+    A NaN rate is rejected: clamping it would read it as 0, the least
+    conservative rate there is.
+    """
+    if math.isnan(rate):
+        raise ValueError(f"{name} must not be NaN")
     return min(0.5, max(0.0, rate))
+
+
+# Relative weight, 2**-60, below which the terms left out of the
+# typical-set window are covered by the geometric tail bound alone.
+_WINDOW_LOG_PRECISION = 60.0 * math.log(2.0)
 
 
 def privacy_amplification_factor(n1: int, b1: float, epsilon: float) -> float:
@@ -63,15 +74,28 @@ def privacy_amplification_factor(n1: int, b1: float, epsilon: float) -> float:
     i.e. the finite-size premium over the Shannon limit.  Tends to 1 from
     above as n1 grows; equals 1 exactly when b1 = 0.
 
+    The sum is evaluated over a window of the w largest-k terms only.  For
+    k <= t, C(n1, k-1) / C(n1, k) = k / (n1-k+1) <= r = t / (n1-t+1), so the
+    terms shrink at least geometrically below t.  When 0 < r < 1 the window
+    width is w = min(t+1, ceil(60 ln 2 / -ln r)), which puts every dropped
+    term below 2**-60 times C(n1, t); otherwise w = t+1 and nothing is
+    dropped.  The dropped terms are replaced by their geometric bound
+    C(n1, t) * r**w / (1-r), so the factor can only rise.  The cost is
+    O(w) log-binomials after an O(log n1) bisection for t, instead of
+    O(t); for large n1, r is about b1 / (1-b1), so w is 11 at b1 = 0.016,
+    79 at b1 = 0.37, and grows without bound only as b1 -> 1/2.
+
     ``n1`` may be passed as a float (bounds are real-valued); it is floored,
     which can only increase the factor and is therefore conservative.
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 0.5)")
+    if not math.isfinite(n1):
+        raise ValueError(f"n1 must be finite (got {n1})")
     n1 = int(math.floor(n1))
     if n1 < 1:
         raise ValueError("n1 must be >= 1")
-    b1 = _clamp_error(b1)
+    b1 = _clamp_error(b1, "b1")
     if b1 == 0.0:
         return 1.0
     h = binary_entropy(b1)
@@ -92,14 +116,21 @@ def privacy_amplification_factor(n1: int, b1: float, epsilon: float) -> float:
             lo = mid
     t = hi
 
-    ks = np.arange(0, t + 1, dtype=float)
+    r = t / (n1 - t + 1)
+    w = t + 1
+    if 0.0 < r < 1.0:
+        w = min(w, math.ceil(_WINDOW_LOG_PRECISION / -math.log(r)))
+    ks = np.arange(t - w + 1, t + 1, dtype=float)
     log_binom = (
         special.gammaln(n1 + 1.0)
         - special.gammaln(ks + 1.0)
         - special.gammaln(n1 - ks + 1.0)
     )
     peak = float(np.max(log_binom))
-    log_sum = peak + math.log(float(np.sum(np.exp(log_binom - peak))))
+    total = float(np.sum(np.exp(log_binom - peak)))
+    if w <= t:  # terms k < t - w + 1 were dropped; r < 1 here
+        total += math.exp(float(log_binom[-1]) - peak) * r**w / (1.0 - r)
+    log_sum = peak + math.log(total)
     numerator = log_sum / math.log(2.0)
     return max(1.0, numerator / (n1 * h))
 
@@ -126,14 +157,16 @@ def secret_length(
     if n_sifted < 0:
         raise ValueError("n_sifted must be >= 0")
     for name, f in (("f_ec", f_ec), ("f_pa", f_pa), ("f_ds", f_ds)):
-        if f < 1.0:
+        if not f >= 1.0:
             raise ValueError(f"{name} must be >= 1 (got {f})")
+    b1_upper = _clamp_error(b1_upper, "b1_upper")
+    bit_error_rate = _clamp_error(bit_error_rate, "bit_error_rate")
     if n_sifted == 0:
         return 0
     single_photon_term = (
-        y1_eff * mu * math.exp(-mu) * (1.0 - f_pa * binary_entropy(_clamp_error(b1_upper)))
+        y1_eff * mu * math.exp(-mu) * (1.0 - f_pa * binary_entropy(b1_upper))
     )
-    ec_term = f_ec * binary_entropy(_clamp_error(bit_error_rate))
+    ec_term = f_ec * binary_entropy(bit_error_rate)
     deskew_term = 1.0 - binary_entropy(zero_fraction) / f_ds
     bracket = single_photon_term - ec_term - deskew_term
     return max(0, math.floor(n_sifted * bracket))
@@ -240,7 +273,7 @@ def compose_session(
     def budgets(variant: str, b1_by_basis: dict[str, float]) -> tuple[dict, int]:
         # One pooled typical-set factor; flip bound is the worse conjugate bound.
         if bounds.feasible and n1_pooled >= 1.0:
-            b1_pool = max(_clamp_error(b1_by_basis[b]) for b in BASES)
+            b1_pool = max(_clamp_error(b1_by_basis[b], "b1") for b in BASES)
             f_pa = privacy_amplification_factor(n1_pooled, b1_pool, pa_epsilon)
         else:
             f_pa = 1.0

@@ -602,6 +602,21 @@ class TestUsage:
         accepted = ast.literal_eval(re.search(r"expected among (\[.*\])", err).group(1))
         assert accepted == sorted(a.dest for a in options if a.dest != "config")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["analyze"], "--tally"),
+        (["analyze", "--tally", "{tally}"], "--scheme"),
+        (["simulate", "--pulses", "1000", "--seed", "1"], "--model"),
+        (["analyze", "--tally", "{tally}"], "--config"),
+    ])
+    def test_non_utf8_document(self, workspace, tmp_path, argv, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff{}")
+        argv = [arg.format(tally=workspace / "tally.json") for arg in argv]
+        rc, out, err = run_cli(argv + [flag, str(bad)])
+        assert (rc, out) == (1, "")
+        assert f"error: {flag}: {bad} is not valid JSON (" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_flag_rejected(self, value):
         for command, _, flag in FLOAT_FLAGS:

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from decoyqkd.core import ConfidenceConfig
 from decoyqkd.keyrate import (
@@ -24,6 +25,43 @@ def _reference_formula(n, y1, mu, b1, ber, z, f_ec, f_pa, f_ds):
         - (1.0 - binary_entropy(z) / f_ds)
     )
     return max(0, math.floor(n * bracket))
+
+
+def _full_sum_factor(n1, b1, epsilon):
+    """The typical-set factor summed over every k <= t, for cross-checking.
+
+    Returns ``(factor, t, r)`` with r = t / (n1-t+1) the ratio bound that
+    decides the summation window of :func:`privacy_amplification_factor`.
+    """
+    n1 = int(math.floor(n1))
+    b1 = min(0.5, max(0.0, b1))
+    if b1 == 0.0:
+        return 1.0, 0, 0.0
+    lo, hi = -1, n1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid >= n1 or special.betainc(mid + 1.0, n1 - mid, b1) <= epsilon:
+            hi = mid
+        else:
+            lo = mid
+    t = hi
+    ks = np.arange(0, t + 1, dtype=float)
+    log_binom = (
+        special.gammaln(n1 + 1.0)
+        - special.gammaln(ks + 1.0)
+        - special.gammaln(n1 - ks + 1.0)
+    )
+    peak = float(np.max(log_binom))
+    log_sum = peak + math.log(float(np.sum(np.exp(log_binom - peak))))
+    factor = max(1.0, log_sum / math.log(2.0) / (n1 * binary_entropy(b1)))
+    return factor, t, t / (n1 - t + 1)
+
+
+def _window(t, r):
+    """Summation window width for ratio bound r (t + 1 means no window)."""
+    if 0.0 < r < 1.0:
+        return min(t + 1, math.ceil(60 * math.log(2) / -math.log(r)))
+    return t + 1
 
 
 class TestSecretLength:
@@ -79,10 +117,20 @@ class TestSecretLength:
 
     @pytest.mark.parametrize("position", [6, 7, 8])
     def test_rejects_subunity_efficiency_factors(self, position):
-        args = [10000, 0.9, 0.48, 0.04, 0.018, 0.494, 1.07, 1.09, 1.05]
-        args[position] = 0.99
-        with pytest.raises(ValueError):
-            secret_length(*args)
+        name = ("f_ec", "f_pa", "f_ds")[position - 6]
+        for value in (0.99, math.nan):
+            args = [10000, 0.9, 0.48, 0.04, 0.018, 0.494, 1.07, 1.09, 1.05]
+            args[position] = value
+            with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                secret_length(*args)
+
+    @pytest.mark.parametrize("position, name", [(3, "b1_upper"), (4, "bit_error_rate")])
+    def test_rejects_nan_rates(self, position, name):
+        for n_sifted in (100000, 0):
+            args = [n_sifted, 0.5, 0.6, 0.05, 0.02, 0.5, 1.07, 1.1, 1.05]
+            args[position] = math.nan
+            with pytest.raises(ValueError, match=f"{name} must not be NaN"):
+                secret_length(*args)
 
     def test_monotone_in_every_budget_term(self):
         # Non-increasing in error rate, flip bound, and all three overhead
@@ -127,6 +175,10 @@ class TestPrivacyAmplificationFactor:
         (1e8, 0.03, 1e-7, 1.0022874485986588),
         (1e8, 0.03, 1e-3, 1.0013593638718405),
         (1e8, 0.03, 0.02, 1.0009031924647358),
+        # design-scale points, where the window leaves out most of the terms
+        (1_310_625, 0.016, 1e-3, 1.0169493844671613),
+        (1_310_625, 0.37, 1e-3, 1.001040136745115),
+        (1_747, 0.37, 1e-3, 1.0223796623712265),
     ]
 
     @pytest.mark.parametrize("n1, b1, eps, expected", FROZEN)
@@ -134,6 +186,43 @@ class TestPrivacyAmplificationFactor:
         assert privacy_amplification_factor(n1, b1, eps) == pytest.approx(
             expected, rel=1e-12
         )
+
+    def _check_against_full_sum(self, n1, b1, eps):
+        expected, t, r = _full_sum_factor(n1, b1, eps)
+        got = privacy_amplification_factor(n1, b1, eps)
+        assert got >= expected, (n1, b1, eps)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0), (n1, b1, eps)
+        return t, r
+
+    def test_matches_full_sum_on_random_inputs(self):
+        rng = np.random.default_rng(2718)
+        windowed = 0
+        for _ in range(120):
+            n1 = float(10.0 ** rng.uniform(0, 7))
+            b1 = float(rng.uniform(0.0, 0.5))
+            eps = float(10.0 ** rng.uniform(-9, math.log10(0.4)))
+            t, r = self._check_against_full_sum(n1, b1, eps)
+            windowed += _window(t, r) <= t
+        assert windowed >= 60  # most draws drop terms below the window
+
+    @pytest.mark.parametrize("n1, b1, eps, branch", [
+        (5000, 0.0, 1e-7, "b1 = 0"),
+        (1000, 1e-8, 1e-3, "t = 0"),
+        (100, 0.05, 1e-7, "window capped at t + 1"),
+        (200, 0.49, 1e-3, "r >= 1"),
+        (1_310_625, 0.016, 1e-3, "terms dropped"),
+        (1e7, 0.49, 1e-9, "terms dropped"),
+    ])
+    def test_matches_full_sum_on_each_branch(self, n1, b1, eps, branch):
+        t, r = self._check_against_full_sum(n1, b1, eps)
+        w = _window(t, r)
+        assert {
+            "b1 = 0": b1 == 0.0,
+            "t = 0": b1 > 0.0 and t == 0,
+            "window capped at t + 1": 0.0 < r < 1.0 and w == t + 1,
+            "r >= 1": r >= 1.0,
+            "terms dropped": w <= t,
+        }[branch]
 
     def test_never_below_one(self):
         rng = np.random.default_rng(808)
@@ -164,6 +253,13 @@ class TestPrivacyAmplificationFactor:
             privacy_amplification_factor(100, 0.03, 0.0)
         with pytest.raises(ValueError):
             privacy_amplification_factor(100, 0.03, 0.5)
+        with pytest.raises(ValueError, match="epsilon"):
+            privacy_amplification_factor(100, 0.03, math.nan)
+        with pytest.raises(ValueError, match="b1 must not be NaN"):
+            privacy_amplification_factor(1e5, math.nan, 1e-3)
+        for n1 in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="n1 must be finite"):
+                privacy_amplification_factor(n1, 0.03, 1e-3)
 
     def test_asymptotic_convergence_at_relaxed_epsilon(self):
         # 1e8 single-photon detections: within 1e-3 of unity.
