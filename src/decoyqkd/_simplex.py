@@ -11,7 +11,7 @@ Problems are stated as
 
     minimize c.x  subject to  a_ub @ x <= b_ub,  lo <= x <= hi
 
-with ``lo``/``hi`` entries allowed to be 0/None.  Lower bounds are shifted
+with ``lo`` defaulting to 0 and ``hi`` to +inf.  Lower bounds are shifted
 out and finite upper bounds become rows, which keeps the core routine to the
 plain ``Ax <= b, x >= 0`` form.
 """
@@ -52,23 +52,16 @@ def solve_lp(c, a_ub, b_ub, lo=None, hi=None) -> LPResult:
     a_ub : array-like, shape (m, n)
     b_ub : array-like, shape (m,)
     lo, hi : array-like or None
-        Per-variable bounds.  ``lo`` defaults to 0; ``hi`` entries may be
-        None/inf for unbounded-above variables.
+        Per-variable bounds.  ``lo`` defaults to 0 and ``hi`` to +inf;
+        ``hi`` entries may be inf for unbounded-above variables.
     """
     c = np.asarray(c, dtype=float).copy()
     a = np.asarray(a_ub, dtype=float).reshape(len(b_ub), len(c)).copy()
     b = np.asarray(b_ub, dtype=float).copy()
     n = len(c)
 
-    lo_arr = np.zeros(n) if lo is None else np.asarray(
-        [0.0 if v is None else float(v) for v in lo], dtype=float
-    )
-    if hi is None:
-        hi_arr = np.full(n, np.inf)
-    else:
-        hi_arr = np.asarray(
-            [np.inf if v is None else float(v) for v in hi], dtype=float
-        )
+    lo_arr = np.zeros(n) if lo is None else np.asarray(lo, dtype=float)
+    hi_arr = np.full(n, np.inf) if hi is None else np.asarray(hi, dtype=float)
     if np.any(hi_arr < lo_arr - 1e-15):
         return LPResult("infeasible", None, None)
 

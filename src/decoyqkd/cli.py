@@ -73,6 +73,7 @@ from .core import (
     ValidationError,
     check_json_type,
     dumps,
+    validate_tally,
 )
 from .extract import measure_f_ds, peres_extract, privacy_amplify
 from .keyrate import compose_session
@@ -481,6 +482,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     settings, cfg_ref = _settings(args)
     tally, tally_ref = _load_tally(settings)
     scheme, scheme_ref = _load_scheme(settings)
+    validate_tally(tally, scheme)  # before the signal level is indexed
     config = _confidence(settings)
     seed = _require(settings, "seed")
     keys_flag = _FLAGS["keys"].flag

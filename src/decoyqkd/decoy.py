@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._simplex import solve_lp
-from .core import BASES, ConfidenceConfig, DecoyScheme, SessionTally
+from .core import BASES, ConfidenceConfig, DecoyScheme, SessionTally, validate_tally
 from .stats import binomial_interval, poisson_tail, poisson_weights
 
 __all__ = [
@@ -225,8 +225,9 @@ def b1_tight(
     v = e/y1, s = 1/y1 turns every row ``A [y|e] <= b`` into the
     homogeneous ``A [u|v] - b s <= 0`` and the ratio into plain v1, so
     one LP gives the bound.  u1 = 1 is imposed through the variable
-    bounds, and the floor y1 >= y1_lower becomes s <= 1/y1_lower.  The
-    optimum is rounded up by ``_B1_MARGIN`` and clamped to [0, 1].
+    bounds, and the floor y1 >= y1_lower becomes s <= 1/y1_lower, so the
+    floor must be positive.  The optimum is rounded up by ``_B1_MARGIN``
+    and clamped to [0, 1].
 
     With ``pin_vacuum`` the zero-photon error rate is fixed at one half
     (see :class:`~decoyqkd.core.ConfidenceConfig`); this is what lets the
@@ -235,13 +236,11 @@ def b1_tight(
     """
     if ysys.cutoff != esys.cutoff or ysys.mus != esys.mus:
         raise ValueError("yield and error systems describe different schemes")
+    if not y1_lower > 0.0:
+        # The ratio e1/y1 is unconstrained when y1 may vanish.
+        raise ValueError(f"y1_lower must be > 0 (got {y1_lower})")
     a, b = _joint_rows(ysys, esys, pin_vacuum)
     n_vars = a.shape[1]
-    if y1_lower <= 0.0:
-        # Ratio e1/y1 is unconstrained when y1 may vanish.
-        res = solve_lp(np.zeros(n_vars), a, b)
-        return ErrorBoundResult(feasible=res.ok, value=1.0)
-
     dim = ysys.cutoff + 1
     c = np.zeros(n_vars + 1)
     c[dim + 1] = -1.0  # maximize v1
@@ -296,22 +295,18 @@ def b1_worst_case(
     scheme: DecoyScheme,
     y1_lower: float,
     basis: str,
-    levels: tuple[int, ...] | None = None,
 ) -> ErrorBoundResult:
     """Upper-bound b1 by charging every observed error to single photons.
 
     value = (observed errors in ``basis``) / N1_lower, clamped to [0, 1],
-    by default over every intensity level: all errors seen in the basis
-    are assumed to sit on the certified single-photon sifted population
+    over every intensity level: all errors seen in the basis are assumed
+    to sit on the certified single-photon sifted population
     N1_lower = y1_lower * W.  When that population is zero the bound
     collapses to 1 (feasible but vacuous), which downstream forces a
     zero-length key.
     """
-    if levels is None:
-        levels = tuple(range(scheme.n_levels))
-    weight = single_photon_sifted_weight(tally, scheme, basis, levels)
-    n1 = y1_lower * weight
-    errors = sum(tally.levels[j].errors[basis] for j in levels)
+    n1 = y1_lower * single_photon_sifted_weight(tally, scheme, basis)
+    errors = sum(lv.errors[basis] for lv in tally.levels)
     if n1 <= 0.0:
         return ErrorBoundResult(feasible=False, value=1.0)
     return ErrorBoundResult(feasible=True, value=min(1.0, errors / n1))
@@ -338,19 +333,22 @@ def single_photon_bounds(
     tally: SessionTally,
     scheme: DecoyScheme,
     config: ConfidenceConfig,
-    key_levels: tuple[int, ...] | None = None,
 ) -> SinglePhotonBounds:
     """Run the complete decoy analysis: y1 floor plus both b1 variants per basis.
 
-    ``key_levels`` (default: the signal level) sets which levels' sifted
-    bits are keyed; it scopes ``n1_lower_by_basis``, the certified
-    single-photon population available for key extraction.  Both b1
-    bounds, in contrast, always use the whole session: the single-photon
-    error rate is a property of the channel, not of a level, so every
-    observed error constrains it.
+    ``n1_lower_by_basis``, the certified single-photon population
+    available for key extraction, counts the signal level's sifted bits
+    only: the decoy levels are disclosed for estimation.  Both b1 bounds,
+    in contrast, use the whole session: the single-photon error rate is
+    a property of the channel, not of a level, so every observed error
+    constrains it.  When the y1 floor is zero (or the yield system is
+    infeasible) the tight bound is the worst-case one, which is then the
+    vacuous 1.
+
+    Raises ``ValidationError`` when the tally does not line up with the
+    scheme (see :func:`~decoyqkd.core.validate_tally`).
     """
-    if key_levels is None:
-        key_levels = (scheme.signal_index,)
+    validate_tally(tally, scheme)
     ysys = yield_bounds(tally, scheme, config)
     ysol = solve_y1_lower(ysys)
 
@@ -358,21 +356,22 @@ def single_photon_bounds(
     worst = {}
     tight = {}
     n_levels = scheme.n_levels
+    signal = (scheme.signal_index,)
     # 2 bounds per level for yields; per basis: 2 more per level for errors.
     consumed = 2 * n_levels + 2 * n_levels * len(BASES)
     for basis in BASES:
-        weight = single_photon_sifted_weight(tally, scheme, basis, key_levels)
+        weight = single_photon_sifted_weight(tally, scheme, basis, signal)
         n1[basis] = ysol.y1_lower * weight
         wc = b1_worst_case(tally, scheme, ysol.y1_lower, basis)
         worst[basis] = wc.value
-        if ysol.feasible:
+        tight[basis] = wc.value
+        if ysol.feasible and ysol.y1_lower > 0.0:
             esys = error_bounds(tally, scheme, config, basis)
             tb = b1_tight(
                 ysys, esys, ysol.y1_lower, pin_vacuum=config.pin_vacuum_errors
             )
-            tight[basis] = min(tb.value, wc.value) if tb.feasible else wc.value
-        else:
-            tight[basis] = 1.0
+            if tb.feasible:
+                tight[basis] = min(tb.value, wc.value)
     return SinglePhotonBounds(
         feasible=ysol.feasible,
         y1_lower=ysol.y1_lower,

@@ -35,18 +35,20 @@ __all__ = [
 
 
 def _as_bits(bits, name: str) -> np.ndarray:
+    """Coerce a 0/1 string or one-dimensional array to uint8 0/1 values.
+
+    A uint8 array comes back as is, not copied.
+    """
     if isinstance(bits, str):
         try:
             arr = np.array([int(ch) for ch in bits], dtype=np.uint8)
         except ValueError as exc:
             raise ValidationError(f"{name}: bit strings may contain only 0/1") from exc
-        return arr
-    arr = np.asarray(bits)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name}: expected a one-dimensional bit sequence")
-    if arr.dtype == bool:
-        return arr.astype(np.uint8)
-    arr = arr.astype(np.uint8, copy=False)
+    else:
+        arr = np.asarray(bits)
+        if arr.ndim != 1:
+            raise ValidationError(f"{name}: expected a one-dimensional bit sequence")
+        arr = arr.astype(np.uint8, copy=False)
     if arr.size and int(arr.max(initial=0)) > 1:
         raise ValidationError(f"{name}: bit values must be 0 or 1")
     return arr

@@ -153,9 +153,13 @@ def secret_length(
     single-photon error bound, ``bit_error_rate`` the observed error
     fraction of the keyed bits, ``zero_fraction`` the bit bias, and the
     three ``f_*`` factors the measured stage efficiencies (all >= 1).
+    ``y1_eff``, ``mu`` and ``zero_fraction`` must be finite.
     """
     if n_sifted < 0:
         raise ValueError("n_sifted must be >= 0")
+    for name, v in (("y1_eff", y1_eff), ("mu", mu), ("zero_fraction", zero_fraction)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite (got {v})")
     for name, f in (("f_ec", f_ec), ("f_pa", f_pa), ("f_ds", f_ds)):
         if not f >= 1.0:
             raise ValueError(f"{name} must be >= 1 (got {f})")
@@ -229,17 +233,15 @@ def compose_session(
     f_ec: float = DEFAULT_F_EC,
     f_ds: float = DEFAULT_F_DS,
     pa_epsilon: float = DEFAULT_PA_EPSILON,
-    key_levels: tuple[int, ...] | None = None,
-    bounds: SinglePhotonBounds | None = None,
 ) -> SessionAnalysis:
     """Run the decoy analysis and budget the key for both bases.
 
-    The keyed bits come from ``key_levels`` (default: signal level only;
-    decoy-level sifted bits are disclosed for estimation).  ``f_ec`` and
-    ``f_ds`` should be the measured efficiencies of the reconciliation and
-    deskewing stages; the privacy-amplification factor is computed here
-    from the certified single-photon population.  Pass ``bounds`` to reuse
-    an already-computed decoy analysis.
+    The key is the signal level's sifted bits; the decoy levels' sifted
+    bits are disclosed for estimation.  ``f_ec`` and ``f_ds`` should be
+    the measured efficiencies of the reconciliation and deskewing stages;
+    the privacy-amplification factor is computed here from the certified
+    single-photon population.  A tally whose levels do not line up with
+    ``scheme`` raises ``ValidationError``.
 
     The single-photon population of both bases is pooled for the
     typical-set factor (the per-basis flip bounds are combined by taking
@@ -253,19 +255,14 @@ def compose_session(
     session, not a compromised key, so it is priced like an abort
     probability rather than a security failure.
     """
-    if key_levels is None:
-        key_levels = (scheme.signal_index,)
-    if bounds is None:
-        bounds = single_photon_bounds(tally, scheme, config, key_levels)
+    bounds = single_photon_bounds(tally, scheme, config)
 
     mu = scheme.signal_mu
-    n_sifted = {
-        b: sum(tally.levels[j].sifted[b] for j in key_levels) for b in BASES
+    signal = tally.levels[scheme.signal_index]
+    n_sifted = signal.sifted
+    ber = {
+        b: (signal.errors[b] / n_sifted[b] if n_sifted[b] else 0.0) for b in BASES
     }
-    errors = {
-        b: sum(tally.levels[j].errors[b] for j in key_levels) for b in BASES
-    }
-    ber = {b: (errors[b] / n_sifted[b] if n_sifted[b] else 0.0) for b in BASES}
     zfrac = {b: tally.zero_fraction(b) for b in BASES}
 
     n1_pooled = sum(bounds.n1_lower_by_basis[b] for b in BASES)

@@ -163,7 +163,7 @@ def optimize_scheme(
     }
 
     trace: list[dict] = []
-    cache: dict[tuple, tuple[int, int]] = {}
+    cache: dict[tuple, SessionAnalysis] = {}
 
     def objective(c: dict) -> tuple[int, int]:
         scheme = _clipped_scheme(c["mu1"], c["mu2"], c["p0"], c["p1"], extinction_db)
@@ -172,7 +172,7 @@ def optimize_scheme(
         key = (scheme.mus, scheme.send_probs)
         hit = cache.get(key)
         if hit is not None:
-            return hit
+            return (hit.total_tight, hit.total_worst)
         analysis = evaluate_scheme(
             model,
             scheme,
@@ -184,7 +184,7 @@ def optimize_scheme(
             zero_fraction=zero_fraction,
         )
         value = (analysis.total_tight, analysis.total_worst)
-        cache[key] = value
+        cache[key] = analysis
         trace.append(
             {
                 "mu0": scheme.mus[0],
@@ -220,16 +220,7 @@ def optimize_scheme(
     scheme = _clipped_scheme(
         current["mu1"], current["mu2"], current["p0"], current["p1"], extinction_db
     )
-    analysis = evaluate_scheme(
-        model,
-        scheme,
-        pulses,
-        config=config,
-        f_ec=f_ec,
-        f_ds=f_ds,
-        sift_ratio=sift_ratio,
-        zero_fraction=zero_fraction,
-    )
+    analysis = cache[(scheme.mus, scheme.send_probs)]
     return OptimizationResult(
         scheme=scheme,
         analysis=analysis,

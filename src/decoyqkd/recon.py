@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ValidationError
+from .extract import _as_bits
 from .stats import binary_entropy
 
 __all__ = [
@@ -37,23 +38,11 @@ __all__ = [
 ]
 
 
-def _as_bit_array(key, name: str) -> np.ndarray:
-    """Coerce a key to a uint8 array of 0/1 values."""
-    if isinstance(key, str):
-        try:
-            arr = np.array([int(ch) for ch in key], dtype=np.uint8)
-        except ValueError as exc:
-            raise ValidationError(f"{name}: bit strings may contain only 0/1") from exc
-    else:
-        arr = np.asarray(key)
-        if arr.dtype == bool:
-            arr = arr.astype(np.uint8)
-        if arr.ndim != 1:
-            raise ValidationError(f"{name}: expected a one-dimensional bit sequence")
-        arr = arr.astype(np.uint8, copy=True)
-    if arr.size and int(arr.max(initial=0)) > 1:
-        raise ValidationError(f"{name}: bit values must be 0 or 1")
-    return arr
+# The first-pass block size is ceil(_BLOCK_SIZE_FACTOR / estimated QBER),
+# the usual compromise between leak and miss probability; each later pass,
+# up to _N_PASSES in all, doubles it.
+_N_PASSES = 4
+_BLOCK_SIZE_FACTOR = 0.73
 
 
 @dataclass(frozen=True)
@@ -82,7 +71,7 @@ class ReconciliationResult:
     parity_bits_leaked : int
         Number of parity bits actually disclosed (== ``len(transcript)``).
     passes : int
-        Number of passes executed.  Smaller than the requested count only
+        Number of passes executed.  Smaller than the 4 passes attempted only
         when an early pass finished without a single correction, in which
         case the remaining passes could not have revealed anything new.
     residual_error_detected : bool
@@ -184,8 +173,6 @@ def cascade_reconcile(
     bob_key,
     estimated_qber: float,
     rng_seed: int,
-    n_passes: int = 4,
-    block_size_factor: float = 0.73,
 ) -> ReconciliationResult:
     """Reconcile ``bob_key`` against ``alice_key`` over a public channel.
 
@@ -195,16 +182,11 @@ def cascade_reconcile(
         Reference key and noisy key.  Equal lengths, at least 64 bits.
     estimated_qber : float
         A-priori estimate of the bit error rate, in (0, 0.25].  Sets the
-        first-pass block size to ``ceil(block_size_factor / estimated_qber)``;
-        each later pass doubles it and reshuffles the key.
+        first-pass block size to ``ceil(0.73 / estimated_qber)``; each of
+        the up to 3 later passes doubles it and reshuffles the key.
     rng_seed : int
         Seed for the shared shuffles.  Both parties must use the same
         seed; runs are bit-for-bit reproducible.
-    n_passes : int
-        Number of passes to attempt (default 4).
-    block_size_factor : float
-        Numerator of the first-pass block-size rule.  The default is the
-        usual compromise between leak and miss probability.
 
     Returns
     -------
@@ -216,8 +198,8 @@ def cascade_reconcile(
         On length mismatch, keys shorter than 64 bits, or an error-rate
         estimate outside (0, 0.25].
     """
-    alice = _as_bit_array(alice_key, "alice_key")
-    bob = _as_bit_array(bob_key, "bob_key")
+    alice = _as_bits(alice_key, "alice_key")
+    bob = _as_bits(bob_key, "bob_key").copy()  # corrected in place
     if alice.size != bob.size:
         raise ValidationError("keys must have equal length")
     n = alice.size
@@ -225,13 +207,9 @@ def cascade_reconcile(
         raise ValidationError("keys must be at least 64 bits long")
     if not 0.0 < estimated_qber <= 0.25:
         raise ValidationError("estimated_qber must lie in (0, 0.25]")
-    if n_passes < 1:
-        raise ValidationError("n_passes must be >= 1")
-    if block_size_factor <= 0:
-        raise ValidationError("block_size_factor must be > 0")
 
     rng = np.random.default_rng(rng_seed)
-    k1 = max(2, int(np.ceil(block_size_factor / estimated_qber)))
+    k1 = max(2, int(np.ceil(_BLOCK_SIZE_FACTOR / estimated_qber)))
 
     oracle = _ParityOracle()
     perms: list[np.ndarray] = []
@@ -261,7 +239,7 @@ def cascade_reconcile(
             if oracle.parity(q, qlo, qhi) != _bob_parity(bob, perms[q], qlo, qhi):
                 queue.append((q, qlo, qhi))
 
-    for p in range(n_passes):
+    for p in range(_N_PASSES):
         if p == 0:
             perm = np.arange(n)
         else:
@@ -299,15 +277,11 @@ def cascade_reconcile(
     )
 
 
-def measure_f_ec(result: ReconciliationResult, qber: float | None = None) -> float:
+def measure_f_ec(result: ReconciliationResult) -> float:
     """Reconciliation efficiency: disclosed bits over the Shannon minimum.
 
-    Parameters
-    ----------
-    result : ReconciliationResult
-    qber : float, optional
-        Bit error rate to normalize against.  Defaults to the rate
-        implied by the run itself (corrections / key length).
+    Normalizes against the error rate the run itself found,
+    ``qber = corrections / n``.
 
     Returns
     -------
@@ -315,14 +289,14 @@ def measure_f_ec(result: ReconciliationResult, qber: float | None = None) -> flo
         ``leak / (n * H2(qber))``.  When the error rate is zero the ratio
         is undefined (the Shannon minimum is zero); the raw per-bit leak
         ``leak / n`` is returned instead so callers still get a finite
-        diagnostic — check for ``qber == 0`` to tell the two apart.
+        diagnostic — check ``result.corrections == 0`` to tell the two
+        apart.
     """
     n = result.corrected_key.size
     if n == 0:
         raise ValidationError("cannot measure efficiency of an empty key")
-    if qber is None:
-        qber = result.corrections / n
-    if not 0.0 <= qber <= 0.5:
+    qber = result.corrections / n
+    if qber > 0.5:
         raise ValidationError("qber must lie in [0, 0.5]")
     floor = binary_entropy(qber)
     if floor == 0.0:

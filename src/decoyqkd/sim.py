@@ -265,16 +265,14 @@ def expected_tally(
 class RawKeys:
     """Sifted bit strings realized by one simulated session.
 
-    ``alice[basis]`` / ``bob[basis]`` hold the paired bits of the levels
-    in ``key_levels`` (concatenated in level order), with Bob's copy
-    containing the realized channel errors.  Only these levels have
-    their bits materialized; the other levels contribute counts to the
-    tally but no key material.
+    ``alice[basis]`` / ``bob[basis]`` hold the key: the paired sifted bits
+    of the signal level, Bob's copy containing the realized channel
+    errors.  Only the signal level has its bits materialized; the decoy
+    levels contribute counts to the tally but no key material.
     """
 
     alice: dict[str, np.ndarray]
     bob: dict[str, np.ndarray]
-    key_levels: tuple[int, ...]
 
 
 def simulate_session(
@@ -284,15 +282,13 @@ def simulate_session(
     seed: int,
     *,
     zero_bias: float = DEFAULT_ZERO_BIAS,
-    key_levels: tuple[int, ...] | None = None,
 ) -> tuple[SessionTally, RawKeys]:
     """Sample one session of ``pulses`` clock slots.
 
     Sampling is batched per (level, basis) cell — multinomial level
     choice, then binomial detection, basis, and sifting splits — which
-    is distribution-identical to a per-pulse loop.  For the levels in
-    ``key_levels`` (default: signal only) the sifted bits are
-    materialized: Alice's bits are Bernoulli with
+    is distribution-identical to a per-pulse loop.  For the signal level
+    the sifted bits are materialized: Alice's bits are Bernoulli with
     ``P(0) = zero_bias``, and Bob's copy gets flips at the level's
     analytic error rate; the realized flip count is what enters the
     tally, so tally and key material always agree.
@@ -308,12 +304,6 @@ def simulate_session(
         raise ValidationError("pulses must be >= 0")
     if not 0.0 <= zero_bias <= 1.0:
         raise ValidationError("zero_bias must lie in [0, 1]")
-    if key_levels is None:
-        key_levels = (scheme.signal_index,)
-    key_levels = tuple(sorted(set(key_levels)))
-    for j in key_levels:
-        if not 0 <= j < scheme.n_levels:
-            raise ValidationError(f"key level index {j} out of range")
 
     stats = expected_statistics(model, scheme)
     rng = np.random.default_rng(seed)
@@ -321,8 +311,8 @@ def simulate_session(
 
     levels = []
     zeros = {"X": 0, "Z": 0}
-    alice_chunks: dict[str, list[np.ndarray]] = {"X": [], "Z": []}
-    bob_chunks: dict[str, list[np.ndarray]] = {"X": [], "Z": []}
+    alice: dict[str, np.ndarray] = {}
+    bob: dict[str, np.ndarray] = {}
     for j in range(scheme.n_levels):
         det_total = int(rng.binomial(sent[j], stats.yields[j]))
         det_x = int(rng.binomial(det_total, 0.5))
@@ -331,11 +321,11 @@ def simulate_session(
         errors = {}
         for b in BASES:
             n = sifted[b]
-            if j in key_levels:
+            if j == scheme.signal_index:
                 bits = (rng.random(n) >= zero_bias).astype(np.uint8)
                 flips = rng.random(n) < stats.error_rates[j]
-                alice_chunks[b].append(bits)
-                bob_chunks[b].append(bits ^ flips.astype(np.uint8))
+                alice[b] = bits
+                bob[b] = bits ^ flips.astype(np.uint8)
                 errors[b] = int(np.count_nonzero(flips))
                 zeros[b] += int(np.count_nonzero(bits == 0))
             else:
@@ -346,12 +336,7 @@ def simulate_session(
         )
 
     tally = SessionTally(levels=tuple(levels), zeros=zeros)
-    keys = RawKeys(
-        alice={b: np.concatenate(alice_chunks[b]) if alice_chunks[b] else np.zeros(0, np.uint8) for b in BASES},
-        bob={b: np.concatenate(bob_chunks[b]) if bob_chunks[b] else np.zeros(0, np.uint8) for b in BASES},
-        key_levels=key_levels,
-    )
-    return tally, keys
+    return tally, RawKeys(alice=alice, bob=bob)
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +399,15 @@ def calibrate_to_reference(
     sifted_total: int = REFERENCE_SIFTED_TOTAL,
     key_targets: tuple[int, int] = REFERENCE_KEY_TARGETS,
     *,
-    scheme: DecoyScheme | None = None,
-    model: ChannelModel | None = None,
     duration_h: float = REFERENCE_DURATION_H,
     zero_fraction: float = REFERENCE_ZERO_FRACTION,
     f_ec: float = DEFAULT_F_EC,
     f_ds: float = DEFAULT_F_DS,
     config: ConfidenceConfig | None = None,
-    e_int_bounds: tuple[float, float] = (5e-4, 0.02),
 ) -> CalibrationResult:
-    """Fit the free link parameters to published session totals.
+    """Fit the free link parameters of the demonstration link to session totals.
 
+    The fit runs on :func:`reference_scheme` and :func:`reference_model`.
     Three quantities are not published for the demonstration session and
     are recovered here:
 
@@ -434,7 +417,7 @@ def calibrate_to_reference(
       signal-level detections match exactly;
     * the intrinsic error rate, fitted by minimizing the squared
       log-ratio between the analysis pipeline's two key totals and
-      ``key_targets`` (golden-section refine over ``e_int_bounds``).
+      ``key_targets`` (golden-section refine over [5e-4, 0.02]).
 
     The sifted/detected ratio is taken directly from the published
     totals, and the sifted count of the reconstructed tally matches the
@@ -450,8 +433,8 @@ def calibrate_to_reference(
     """
     from scipy import optimize  # deferred: slow to import, and only calibration uses it
 
-    scheme = scheme if scheme is not None else reference_scheme()
-    base = model if model is not None else reference_model()
+    scheme = reference_scheme()
+    base = reference_model()
     config = config if config is not None else ConfidenceConfig()
     if len(detections) != scheme.n_levels:
         raise ValidationError("need one detection total per scheme level")
@@ -489,16 +472,15 @@ def calibrate_to_reference(
     sift_ratio = sifted_total / float(targets.sum())
 
     # --- stage 2: intrinsic error rate from the two key totals
-    def key_totals(e_int: float) -> tuple[int, int, SessionAnalysis]:
+    def evaluate(e_int: float) -> tuple[SessionTally, SessionAnalysis]:
         m = replace(fitted, intrinsic_error_rate=e_int)
         tally = expected_tally(
             m, scheme, pulses, sift_ratio=sift_ratio, zero_fraction=zero_fraction
         )
-        analysis = compose_session(tally, scheme, config, f_ec=f_ec, f_ds=f_ds)
-        return analysis.total_tight, analysis.total_worst, analysis
+        return tally, compose_session(tally, scheme, config, f_ec=f_ec, f_ds=f_ds)
 
-    def objective(e_int: float) -> float:
-        tight, worst, _ = key_totals(e_int)
+    def score(analysis: SessionAnalysis) -> float:
+        tight, worst = analysis.total_tight, analysis.total_worst
         if tight <= 0 or worst <= 0:
             return math.inf
         return (
@@ -506,8 +488,10 @@ def calibrate_to_reference(
             + math.log(worst / key_targets[1]) ** 2
         )
 
-    lo, hi = e_int_bounds
-    grid = np.geomspace(lo, hi, 9)
+    def objective(e_int: float) -> float:
+        return score(evaluate(e_int)[1])
+
+    grid = np.geomspace(5e-4, 0.02, 9)
     scores = [objective(e) for e in grid]
     best = int(np.argmin(scores))
     # golden-section refine between the grid neighbors of the best point
@@ -526,13 +510,10 @@ def calibrate_to_reference(
             d = a + invphi * (b - a)
             fd = objective(d)
     e_int = float((a + b) / 2.0)
-    final_obj = objective(e_int)
+    tally, analysis = evaluate(e_int)
+    final_obj = score(analysis)
 
     final_model = replace(fitted, intrinsic_error_rate=e_int)
-    tally = expected_tally(
-        final_model, scheme, pulses, sift_ratio=sift_ratio, zero_fraction=zero_fraction
-    )
-    tight, worst, analysis = key_totals(e_int)
     duty = pulses / (base.clock_rate_hz * duration_h * 3600.0)
     modeled = _modeled_detections(final_model, scheme, pulses)
     sifted_model = tally.sifted_all()
@@ -559,7 +540,7 @@ def calibrate_to_reference(
             "sifted_target": int(sifted_total),
             "sifted_model": int(sifted_model),
             "key_targets": list(key_targets),
-            "key_totals_model": [tight, worst],
+            "key_totals_model": [analysis.total_tight, analysis.total_worst],
             "fit_objective": final_obj,
             "converged": converged,
         },

@@ -29,7 +29,13 @@ import decoyqkd
 from conftest import MALFORMED_DOCUMENTS
 from decoyqkd import cli
 from decoyqkd.cli import main
-from decoyqkd.core import DEFAULT_DESKEW_DEPTH, DEFAULT_ZERO_BIAS, ConfidenceConfig
+from decoyqkd.core import (
+    DEFAULT_DESKEW_DEPTH,
+    DEFAULT_ZERO_BIAS,
+    ConfidenceConfig,
+    DecoyScheme,
+    dumps,
+)
 from decoyqkd.extract import peres_extract
 from decoyqkd.keyrate import compose_session
 from decoyqkd.opt import optimize_scheme
@@ -233,6 +239,23 @@ class TestAnalyze:
         rc, _, err = run_cli(argv + ["--tally", str(unbiased)])
         assert rc == 0
         assert f"note: tally {unbiased} was reconstructed" in err
+
+
+    @pytest.mark.parametrize("command", ["analyze", "distill"])
+    @pytest.mark.parametrize(
+        "mus, probs",
+        [((0.1, 0.5), (0.3, 0.7)), ((0.002, 0.1, 0.3, 0.6), (0.1, 0.1, 0.1, 0.7))],
+        ids=["2 levels", "4 levels"],
+    )
+    def test_scheme_level_count_mismatch(self, workspace, tmp_path, command, mus, probs):
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text(dumps(DecoyScheme(mus=mus, send_probs=probs)))
+        argv = [command, "--tally", str(workspace / "tally.json"), "--scheme", str(scheme)]
+        if command == "distill":
+            argv += ["--keys", str(workspace / "run"), "--seed", "5"]
+        rc, out, err = run_cli(argv)
+        assert (rc, out) == (1, "")
+        assert f"tally has 3 levels but scheme has {len(mus)}" in err
 
 
 class TestDistill:

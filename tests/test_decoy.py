@@ -15,8 +15,9 @@ from conftest import (
     grid_y1_resolution,
     random_constraint_systems,
 )
-from decoyqkd.core import ConfidenceConfig
+from decoyqkd.core import ConfidenceConfig, LevelCounts, SessionTally
 from decoyqkd.keyrate import compose_session
+from decoyqkd.sim import reference_scheme
 from decoyqkd.decoy import (
     ConstraintSystem,
     b1_tight,
@@ -53,6 +54,19 @@ def _contradictory_pair():
         cutoff=ysys.cutoff,
     )
     return ysys, esys
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Arguments of every ``solve_lp`` call the decoy module makes."""
+    calls = []
+
+    def counting_solve_lp(*args, **kwargs):
+        calls.append(args)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr("decoyqkd.decoy.solve_lp", counting_solve_lp)
+    return calls
 
 
 class TestConstraintSystemValidation:
@@ -301,37 +315,35 @@ class TestTightErrorBound:
                 checked += 1
         assert checked >= 200
 
-    def test_one_lp_per_bound(self, calibration, monkeypatch):
-        calls = []
-
-        def counting_solve_lp(*args, **kwargs):
-            calls.append(args)
-            return solve_lp(*args, **kwargs)
-
-        monkeypatch.setattr("decoyqkd.decoy.solve_lp", counting_solve_lp)
+    def test_one_lp_per_bound(self, calibration, lp_calls):
         cfg = ConfidenceConfig()
         ysys = yield_bounds(calibration.tally, calibration.scheme, cfg)
         esys = error_bounds(calibration.tally, calibration.scheme, cfg, "X")
         cases = (
             (ysys, esys, 6.5e-6),  # positive floor
-            (ysys, esys, 0.0),  # vanishing floor
             (*_contradictory_pair(), 0.1),  # infeasible joint system
         )
         for args in cases:
-            calls.clear()
+            lp_calls.clear()
             b1_tight(*args)
-            assert len(calls) == 1
+            assert len(lp_calls) == 1
 
-        calls.clear()
+        lp_calls.clear()
+        with pytest.raises(ValueError, match="y1_lower must be > 0"):
+            b1_tight(ysys, esys, 0.0)  # vanishing floor: no LP is solved
+        assert not lp_calls
+
+        lp_calls.clear()
         compose_session(calibration.tally, calibration.scheme, cfg)
-        assert len(calls) == 3  # the y1 floor, then one b1 LP per basis
+        assert len(lp_calls) == 3  # the y1 floor, then one b1 LP per basis
 
     def test_infeasible_floor_gives_vacuous_bound(self):
         ysys, esys = _contradictory_pair()
-        for floor in (0.0, 0.1):
-            res = b1_tight(ysys, esys, floor)
-            assert not res.feasible
-            assert res.value == 1.0
+        res = b1_tight(ysys, esys, 0.1)
+        assert not res.feasible
+        assert res.value == 1.0
+        with pytest.raises(ValueError, match="y1_lower must be > 0"):
+            b1_tight(ysys, esys, 0.0)
 
     def test_grows_as_confidence_tightens(self, calibration):
         values = []
@@ -397,6 +409,25 @@ class TestCombinedBounds:
             assert (
                 bounds.b1_tight_by_basis[basis] <= bounds.b1_worst_by_basis[basis]
             )
+
+    def test_zero_floor_takes_worst_case_without_b1_lp(self, lp_calls):
+        def level(sent, detected, sifted, errors):
+            return LevelCounts(
+                sent=sent,
+                detected={"X": detected, "Z": detected},
+                sifted={"X": sifted, "Z": sifted},
+                errors={"X": errors, "Z": errors},
+            )
+
+        tally = SessionTally(
+            levels=(level(1000, 1, 1, 0), level(2000, 2, 1, 0), level(7000, 10, 5, 1)),
+            zeros={"X": 3, "Z": 3},
+        )
+        bounds = single_photon_bounds(tally, reference_scheme(), ConfidenceConfig())
+        assert bounds.feasible
+        assert bounds.y1_lower == 0.0
+        assert bounds.b1_tight_by_basis == bounds.b1_worst_by_basis == {"X": 1.0, "Z": 1.0}
+        assert len(lp_calls) == 1  # the y1 floor only
 
     def test_bound_budget_accounting(self, calibration):
         cfg = ConfidenceConfig()

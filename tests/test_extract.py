@@ -81,6 +81,8 @@ class TestPeresExtract:
     def test_validation(self):
         with pytest.raises(ValidationError):
             peres_extract([0, 1, 2], 3)
+        with pytest.raises(ValidationError, match="bit values must be 0 or 1"):
+            peres_extract("0120", 3)
         with pytest.raises(ValidationError):
             peres_extract([0, 1, 0], 0)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from decoyqkd.core import ConfidenceConfig
+from decoyqkd.core import ConfidenceConfig, DecoyScheme, ValidationError
 from decoyqkd.keyrate import (
     compose_session,
     privacy_amplification_factor,
@@ -131,6 +131,17 @@ class TestSecretLength:
             args[position] = math.nan
             with pytest.raises(ValueError, match=f"{name} must not be NaN"):
                 secret_length(*args)
+
+    @pytest.mark.parametrize(
+        "position, name, value",
+        [(1, "y1_eff", math.nan), (1, "y1_eff", math.inf), (2, "mu", math.nan),
+         (5, "zero_fraction", math.nan)],
+    )
+    def test_rejects_non_finite_inputs(self, position, name, value):
+        args = [10000, 0.9, 0.48, 0.04, 0.018, 0.494, 1.07, 1.09, 1.05]
+        args[position] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            secret_length(*args)
 
     def test_monotone_in_every_budget_term(self):
         # Non-increasing in error rate, flip bound, and all three overhead
@@ -388,6 +399,16 @@ class TestComposeSession:
             "n_secret",
         ):
             assert key in budget_doc
+
+    @pytest.mark.parametrize(
+        "mus, probs",
+        [((0.1, 0.5), (0.3, 0.7)), ((0.002, 0.1, 0.3, 0.6), (0.1, 0.1, 0.1, 0.7))],
+        ids=["2 levels", "4 levels"],
+    )
+    def test_scheme_level_count_mismatch_rejected(self, calibration, mus, probs):
+        scheme = DecoyScheme(mus=mus, send_probs=probs)
+        with pytest.raises(ValidationError, match=f"tally has 3 levels but scheme has {len(mus)}"):
+            compose_session(calibration.tally, scheme, ConfidenceConfig())
 
     def test_subunity_factors_rejected(self, calibration):
         with pytest.raises(ValueError):

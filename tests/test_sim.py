@@ -162,15 +162,13 @@ class TestSimulateSession:
 
     def test_raw_keys_match_tally(self):
         tally, keys = simulate_session(reference_model(25.0), reference_scheme(), 2_000_000, 7)
-        assert keys.key_levels == (2,)
+        signal = tally.levels[reference_scheme().signal_index]
         for basis in ("X", "Z"):
             alice = keys.alice[basis]
             bob = keys.bob[basis]
             assert alice.shape == bob.shape
-            sifted = sum(tally.levels[j].sifted[basis] for j in keys.key_levels)
-            errors = sum(tally.levels[j].errors[basis] for j in keys.key_levels)
-            assert len(alice) == sifted
-            assert int((alice != bob).sum()) == errors
+            assert len(alice) == signal.sifted[basis]
+            assert int((alice != bob).sum()) == signal.errors[basis]
             # tally zeros cover every sifted bit, keyed or not
             assert tally.zeros[basis] >= int((alice == 0).sum())
 
@@ -191,15 +189,6 @@ class TestSimulateSession:
         tally, keys = simulate_session(reference_model(25.0), reference_scheme(), 0, 1)
         assert all(level.sent == 0 for level in tally.levels)
         assert all(len(keys.alice[b]) == 0 for b in ("X", "Z"))
-
-    def test_key_levels_override(self):
-        tally, keys = simulate_session(
-            reference_model(25.0), reference_scheme(), 500_000, 3, key_levels=(1, 2)
-        )
-        assert keys.key_levels == (1, 2)
-        for basis in ("X", "Z"):
-            sifted = sum(tally.levels[j].sifted[basis] for j in (1, 2))
-            assert len(keys.alice[basis]) == sifted
 
     def test_zero_bias_shifts_bit_balance(self):
         model, scheme = reference_model(25.0), reference_scheme()
