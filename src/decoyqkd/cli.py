@@ -51,6 +51,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -77,8 +78,8 @@ from .core import (
 )
 from .extract import measure_f_ds, peres_extract, privacy_amplify
 from .keyrate import compose_session
-from .opt import curve_csv, optimize_scheme, range_curve
-from .recon import cascade_reconcile, measure_f_ec
+from .opt import NoValidSchemeError, curve_csv, optimize_scheme, range_curve
+from .recon import _MAX_QBER, _MIN_BITS, cascade_reconcile, measure_f_ec
 from .sim import (
     REFERENCE_DURATION_H,
     REFERENCE_DUTY_CYCLE,
@@ -489,6 +490,11 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     prefix = _require(settings, "keys")
     depth = settings["depth"]
     variant = settings["variant"]
+    q_flag = settings["qber_estimate"]
+    if q_flag is not None and not 0.0 < q_flag <= _MAX_QBER:
+        raise ValidationError(
+            f"{_FLAGS['qber_estimate'].flag} must lie in (0, {_MAX_QBER}], got {q_flag}"
+        )
 
     paths = _key_paths(prefix)
     bits: dict[tuple[str, str], np.ndarray] = {}
@@ -513,11 +519,20 @@ def _cmd_distill(args: argparse.Namespace) -> int:
                 f"{keys_flag}: basis {basis} holds {alice.size} bits but the tally "
                 f"records {expected} sifted signal bits"
             )
-        q_obs = (
-            tally.levels[signal].errors[basis] / expected if expected else 0.0
-        )
-        q_est = settings["qber_estimate"]
+        if alice.size < _MIN_BITS:
+            raise ValidationError(
+                f"{keys_flag}: basis {basis} holds {alice.size} bits; "
+                f"reconciliation needs at least {_MIN_BITS}"
+            )
+        q_est = q_flag
         if q_est is None:
+            q_obs = tally.levels[signal].errors[basis] / expected
+            if q_obs > _MAX_QBER:
+                raise ValidationError(
+                    f"{_FLAGS['tally'].flag}: {tally_ref['path']} records a signal "
+                    f"QBER of {q_obs:.4g} in basis {basis}, above the {_MAX_QBER} "
+                    "that reconciliation accepts"
+                )
             q_est = max(q_obs, 0.5 / alice.size)
         rec = cascade_reconcile(alice, bob, q_est, rng_seed=4 * seed + i)
         residual = residual or rec.residual_error_detected
@@ -642,6 +657,15 @@ def _cmd_distill(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _extinction_named():
+    """Name the ``--extinction-db`` flag when the scheme search finds no valid scheme."""
+    try:
+        yield
+    except NoValidSchemeError as exc:
+        raise ValidationError(f"{_FLAGS['extinction_db'].flag}: {exc}") from exc
+
+
 def _cmd_optimize(args: argparse.Namespace) -> int:
     settings, cfg_ref = _settings(args)
     model, model_ref = _load_model(settings)
@@ -653,13 +677,14 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                     "f_ec", "f_ds", "sift_ratio", "zero_fraction")
     }
 
-    result = optimize_scheme(
-        model,
-        pulses,
-        initial_scheme=scheme,
-        config=_confidence(settings),
-        **knobs,
-    )
+    with _extinction_named():
+        result = optimize_scheme(
+            model,
+            pulses,
+            initial_scheme=scheme,
+            config=_confidence(settings),
+            **knobs,
+        )
 
     report = {
         "kind": "optimize_report",
@@ -718,20 +743,21 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     pulses = _resolve_pulses(settings, model)
     distances = _parse_distances(settings["distances"])
 
-    curve = range_curve(
-        model,
-        pulses,
-        distances,
-        optimize=settings["optimize"],
-        scheme=scheme,
-        extinction_db=settings["extinction_db"],
-        stages=settings["stages"],
-        config=_confidence(settings),
-        f_ec=settings["f_ec"],
-        f_ds=settings["f_ds"],
-        sift_ratio=settings["sift_ratio"],
-        zero_fraction=settings["zero_fraction"],
-    )
+    with _extinction_named():
+        curve = range_curve(
+            model,
+            pulses,
+            distances,
+            optimize=settings["optimize"],
+            scheme=scheme,
+            extinction_db=settings["extinction_db"],
+            stages=settings["stages"],
+            config=_confidence(settings),
+            f_ec=settings["f_ec"],
+            f_ds=settings["f_ds"],
+            sift_ratio=settings["sift_ratio"],
+            zero_fraction=settings["zero_fraction"],
+        )
 
     sys.stdout.write(curve_csv(curve))
     tight = curve.range_tight_km

@@ -42,6 +42,7 @@ from .sim import (
 )
 
 __all__ = [
+    "NoValidSchemeError",
     "OptimizationResult",
     "CurvePoint",
     "RangeCurve",
@@ -50,6 +51,11 @@ __all__ = [
     "range_curve",
     "curve_csv",
 ]
+
+
+class NoValidSchemeError(ValidationError):
+    """The scheme search met no valid scheme: at the given ``extinction_db``
+    the vacuum level never falls below the decoy level."""
 
 
 def evaluate_scheme(
@@ -134,6 +140,13 @@ def optimize_scheme(
     initial_scheme : DecoyScheme, optional
         Starting point (defaults to the demonstration-link scheme);
         useful for warm starts along a distance sweep.
+
+    Raises
+    ------
+    NoValidSchemeError
+        When no candidate on the search grid is a valid scheme, which
+        happens when ``extinction_db`` is too small to put the vacuum
+        level below the decoy level.
 
     Notes
     -----
@@ -220,6 +233,12 @@ def optimize_scheme(
     scheme = _clipped_scheme(
         current["mu1"], current["mu2"], current["p0"], current["p1"], extinction_db
     )
+    if scheme is None:  # the incumbent moves only to a valid candidate
+        raise NoValidSchemeError(
+            f"extinction_db {extinction_db} dB leaves no valid scheme on the "
+            "search grid: a scheme needs mu0 = mu2 * 10**(-extinction_db / 10) "
+            "below mu1 (and p2 above 0.01)"
+        )
     analysis = cache[(scheme.mus, scheme.send_probs)]
     return OptimizationResult(
         scheme=scheme,

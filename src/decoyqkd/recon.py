@@ -10,19 +10,30 @@ Two bookkeeping rules keep the leak count honest without inflating it:
 
 * every parity the reference side actually transmits is counted (and
   recorded in the transcript), and
-* a parity the other side can already derive — the right half of a
-  searched block, or any interval whose parity was transmitted before —
-  is served from a cache and **not** counted again.
+* a parity transmitted before is served from a cache and **not** counted
+  again; the right half of a searched block is never asked for, as its
+  parity is the block's XOR the left half's.
 
 The leak count is the quantity the privacy analysis must subtract, so it
 is deliberately conservative in the other direction: top-level parities
 of every executed pass are all counted, even when they match.
+
+Pass 1 searches all of its odd blocks at once, one binary-search level
+at a time across every block.  This gives the same transcript and key as
+searching them one by one: pass 1 has no earlier pass for a flip to
+cascade into and its blocks are disjoint, so no search changes another's
+parities, and the messages are put back in block-major order (each
+block's top parity, then its left halves level by level), the order in
+which a block-by-block loop sends them.  Passes 2 onward run the
+sequential cascade.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat, starmap
 
 import numpy as np
 
@@ -40,9 +51,13 @@ __all__ = [
 
 # The first-pass block size is ceil(_BLOCK_SIZE_FACTOR / estimated QBER),
 # the usual compromise between leak and miss probability; each later pass,
-# up to _N_PASSES in all, doubles it.
+# up to _N_PASSES in all, doubles it.  The estimate may not exceed
+# _MAX_QBER, where the first-pass blocks shrink to 3 bits, and a key must
+# hold at least _MIN_BITS bits.
 _N_PASSES = 4
 _BLOCK_SIZE_FACTOR = 0.73
+_MAX_QBER = 0.25
+_MIN_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -58,6 +73,27 @@ class ParityMessage:
     start: int
     stop: int
     parity: int
+
+
+class _Transcript(Sequence):
+    """Read-only sequence of ``ParityMessage`` over ``(pass, start, stop,
+    parity)`` records; each message is built when it is read."""
+
+    __slots__ = ("_records",)
+
+    def __init__(self, records: tuple[tuple[int, int, int, int], ...]) -> None:
+        self._records = records
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(starmap(ParityMessage, self._records[index]))
+        return ParityMessage(*self._records[index])
+
+    def __iter__(self):
+        return starmap(ParityMessage, self._records)
 
 
 @dataclass(frozen=True)
@@ -81,8 +117,11 @@ class ReconciliationResult:
         compare short hashes instead, at a small extra leak.
     corrections : int
         Number of bit flips applied.
-    transcript : tuple of ParityMessage
-        Every disclosed parity, in transmission order.
+    transcript : sequence of ParityMessage
+        Every disclosed parity, in transmission order.  ``cascade_reconcile``
+        returns a lazy read-only sequence that builds each message only
+        when it is read; a result built directly takes any sequence, such
+        as a tuple.
     """
 
     corrected_key: np.ndarray
@@ -90,7 +129,7 @@ class ReconciliationResult:
     passes: int
     residual_error_detected: bool
     corrections: int
-    transcript: tuple[ParityMessage, ...] = field(repr=False)
+    transcript: Sequence[ParityMessage] = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.parity_bits_leaked < 0:
@@ -99,73 +138,124 @@ class ReconciliationResult:
             raise ValidationError("transcript length must equal the leak count")
 
 
+def _prefix_parity(bits: np.ndarray) -> np.ndarray:
+    """``out[i]`` = parity of ``bits[:i]``, for i = 0 .. len(bits)."""
+    out = np.zeros(bits.size + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(bits, out=out[1:])
+    return out
+
+
 class _ParityOracle:
     """Answers interval-parity questions about the reference key.
 
-    Parities are precomputed per pass as prefix-XOR tables, so a query is
-    O(1).  The cache distinguishes parities that had to be transmitted
-    (counted, appended to the transcript) from parities derived for free.
+    Each pass keeps its prefix-XOR table as a Python list, so a query is
+    O(1).  The intervals already transmitted are kept per pass as
+    ``lo * (n + 1) + hi``; a query on any other interval is transmitted:
+    counted, and recorded as a ``(pass, start, stop, parity)`` tuple.
     """
 
-    def __init__(self) -> None:
-        self._prefix: dict[int, np.ndarray] = {}
-        self._cache: dict[tuple[int, int, int], int] = {}
-        self.leaked = 0
-        self.transcript: list[ParityMessage] = []
+    def __init__(self, n: int) -> None:
+        self._span = n + 1
+        self._prefix: list[list[int]] = []
+        self._known: list[set[int]] = []
+        self.records: list[tuple[int, int, int, int]] = []
 
-    def add_pass(self, p: int, alice_permuted: np.ndarray) -> None:
-        # prefix[i] = parity of the first i permuted bits (wide dtype so the
-        # running sum cannot wrap before the mod-2 reduction)
-        wide = np.concatenate(([0], np.cumsum(alice_permuted, dtype=np.int64) & 1))
-        self._prefix[p] = wide.astype(np.uint8)
+    def add_pass(self, alice_permuted: np.ndarray) -> np.ndarray:
+        """Open the next pass; returns its prefix-parity table."""
+        prefix = _prefix_parity(alice_permuted)
+        self._prefix.append(prefix.tolist())
+        self._known.append(set())
+        return prefix
 
     def parity(self, p: int, lo: int, hi: int) -> int:
         """Parity of interval [lo, hi) of pass ``p``, transmitting if needed."""
-        key = (p, lo, hi)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        value = int(self._prefix[p][hi] ^ self._prefix[p][lo])
-        self._cache[key] = value
-        self.leaked += 1
-        self.transcript.append(ParityMessage(p + 1, lo, hi, value))
+        prefix = self._prefix[p]
+        value = prefix[hi] ^ prefix[lo]
+        key = lo * self._span + hi
+        known = self._known[p]
+        if key not in known:
+            known.add(key)
+            self.records.append((p + 1, lo, hi, value))
         return value
 
-    def record_derived(self, p: int, lo: int, hi: int, value: int) -> None:
-        """Store a parity both sides can compute without transmission."""
-        self._cache.setdefault((p, lo, hi), value)
-
-
-def _bob_parity(bob: np.ndarray, perm: np.ndarray, lo: int, hi: int) -> int:
-    return int(bob[perm[lo:hi]].sum()) & 1
+    def record_pass(self, p: int, start, stop, parity) -> None:
+        """Record the parities of a fresh pass, in transmission order."""
+        self.records.extend(
+            zip(repeat(p + 1), start.tolist(), stop.tolist(), parity.tolist())
+        )
+        self._known[p].update((start * self._span + stop).tolist())
 
 
 def _locate_error(
     oracle: _ParityOracle,
-    bob: np.ndarray,
+    bob_prefix: list[int],
     perm: np.ndarray,
     p: int,
     lo: int,
     hi: int,
-    alice_parity: int,
 ) -> int:
     """Binary-search a block with an odd number of errors down to one bit.
 
-    Only the parity of the left half is ever requested at each level; the
-    right half follows from the parent and is recorded as derived.
+    ``bob_prefix`` is the prefix-parity table of the block's own bits.
+    Only the parity of the left half is ever requested at each level.
     Returns the global index of the located bit.
     """
+    base = lo
     while hi - lo > 1:
         mid = (lo + hi) // 2
         a_left = oracle.parity(p, lo, mid)
-        b_left = _bob_parity(bob, perm, lo, mid)
-        a_right = alice_parity ^ a_left
-        oracle.record_derived(p, mid, hi, a_right)
-        if a_left != b_left:
-            hi, alice_parity = mid, a_left
+        if a_left != bob_prefix[mid - base] ^ bob_prefix[lo - base]:
+            hi = mid
         else:
-            lo, alice_parity = mid, a_right
+            lo = mid
     return int(perm[lo])
+
+
+def _search_first_pass(
+    oracle: _ParityOracle, alice_prefix: np.ndarray, bob: np.ndarray, k: int
+) -> np.ndarray:
+    """Run pass 1 over every block of size ``k`` at once.
+
+    Bob's prefix table is taken once: the blocks are disjoint and no bit
+    is flipped until every search is done.  Returns the index of the bit
+    located in each odd block (pass 1 keeps the key's own order).
+    """
+    n = bob.size
+    pa, pb = alice_prefix, _prefix_parity(bob)
+    lo = np.arange(0, n, k)
+    hi = np.minimum(lo + k, n)
+    top = pa[hi] ^ pa[lo]
+    # one entry per transmitted parity: block, search level, interval, value
+    block, level = [np.arange(lo.size)], [np.zeros(lo.size, dtype=np.int64)]
+    start, stop, parity = [lo], [hi], [top]
+
+    odd = np.flatnonzero(top != (pb[hi] ^ pb[lo]))
+    lo, hi = lo[odd], hi[odd]
+    live = np.flatnonzero(hi - lo > 1)
+    depth = 0
+    while live.size:
+        depth += 1
+        l, h = lo[live], hi[live]
+        mid = (l + h) // 2
+        left = pa[mid] ^ pa[l]
+        block.append(odd[live])
+        level.append(np.full(live.size, depth))
+        start.append(l)
+        stop.append(mid)
+        parity.append(left)
+        go_left = left != (pb[mid] ^ pb[l])
+        lo[live] = np.where(go_left, l, mid)
+        hi[live] = np.where(go_left, mid, h)
+        live = live[hi[live] - lo[live] > 1]
+
+    order = np.lexsort((np.concatenate(level), np.concatenate(block)))
+    oracle.record_pass(
+        0,
+        np.concatenate(start)[order],
+        np.concatenate(stop)[order],
+        np.concatenate(parity)[order],
+    )
+    return lo
 
 
 def cascade_reconcile(
@@ -175,6 +265,11 @@ def cascade_reconcile(
     rng_seed: int,
 ) -> ReconciliationResult:
     """Reconcile ``bob_key`` against ``alice_key`` over a public channel.
+
+    Pass 1 searches every odd block at once; since it cannot cascade and
+    its messages keep block-major order, the result is the one a
+    block-by-block search gives.  Passes 2 onward cascade each flip back
+    into the earlier passes, one block at a time.
 
     Parameters
     ----------
@@ -203,40 +298,36 @@ def cascade_reconcile(
     if alice.size != bob.size:
         raise ValidationError("keys must have equal length")
     n = alice.size
-    if n < 64:
-        raise ValidationError("keys must be at least 64 bits long")
-    if not 0.0 < estimated_qber <= 0.25:
-        raise ValidationError("estimated_qber must lie in (0, 0.25]")
+    if n < _MIN_BITS:
+        raise ValidationError(f"keys must be at least {_MIN_BITS} bits long")
+    if not 0.0 < estimated_qber <= _MAX_QBER:
+        raise ValidationError(f"estimated_qber must lie in (0, {_MAX_QBER}]")
 
     rng = np.random.default_rng(rng_seed)
     k1 = max(2, int(np.ceil(_BLOCK_SIZE_FACTOR / estimated_qber)))
 
-    oracle = _ParityOracle()
+    oracle = _ParityOracle(n)
     perms: list[np.ndarray] = []
     positions: list[np.ndarray] = []  # positions[p][g] = slot of bit g in pass p
     block_size: list[int] = []
+    bob_blocks: list[list[int]] = []  # bob_blocks[p][b] = parity of Bob's block b
     corrections = 0
-    executed = 0
-
-    def block_bounds(p: int, slot: int) -> tuple[int, int]:
-        k = block_size[p]
-        lo = (slot // k) * k
-        return lo, min(lo + k, n)
 
     def fix_block(p: int, lo: int, hi: int, queue: deque) -> None:
         """Search one odd block, flip the bit, and cascade the flip."""
         nonlocal corrections
-        a = oracle.parity(p, lo, hi)
-        if a == _bob_parity(bob, perms[p], lo, hi):
+        if oracle.parity(p, lo, hi) == bob_blocks[p][lo // block_size[p]]:
             return  # an earlier flip already evened this block out
-        g = _locate_error(oracle, bob, perms[p], p, lo, hi, a)
+        bob_prefix = _prefix_parity(bob[perms[p][lo:hi]]).tolist()
+        g = _locate_error(oracle, bob_prefix, perms[p], p, lo, hi)
         bob[g] ^= 1
         corrections += 1
-        for q in range(executed):
-            if q == p:
-                continue
-            qlo, qhi = block_bounds(q, int(positions[q][g]))
-            if oracle.parity(q, qlo, qhi) != _bob_parity(bob, perms[q], qlo, qhi):
+        for q in range(len(perms)):
+            k = block_size[q]
+            b = int(positions[q][g]) // k
+            bob_blocks[q][b] ^= 1
+            qlo, qhi = b * k, min(b * k + k, n)
+            if q != p and oracle.parity(q, qlo, qhi) != bob_blocks[q][b]:
                 queue.append((q, qlo, qhi))
 
     for p in range(_N_PASSES):
@@ -249,31 +340,39 @@ def cascade_reconcile(
         pos[perm] = np.arange(n)
         positions.append(pos)
         block_size.append(min(n, k1 << p))
-        oracle.add_pass(p, alice[perm])
-        executed = p + 1
+        alice_prefix = oracle.add_pass(alice[perm])
+        k = block_size[p]
+
+        if p == 0:
+            located = _search_first_pass(oracle, alice_prefix, bob, k)
+            bob[located] ^= 1
+            corrections = int(located.size)
+            if corrections == 0:
+                # No block in the very first pass disagreed: the keys are
+                # almost surely identical already and further passes would
+                # only re-confirm parities that are all on record.
+                break
+        # kept up to date by every later flip in fix_block
+        bob_blocks.append(np.bitwise_xor.reduceat(bob[perm], np.arange(0, n, k)).tolist())
+        if p == 0:
+            continue  # every pass-1 block now matches Alice's parity
 
         queue: deque = deque()
-        for lo in range(0, n, block_size[p]):
-            hi = min(lo + block_size[p], n)
-            if oracle.parity(p, lo, hi) != _bob_parity(bob, perm, lo, hi):
+        for b, lo in enumerate(range(0, n, k)):
+            hi = min(lo + k, n)
+            if oracle.parity(p, lo, hi) != bob_blocks[p][b]:
                 queue.append((p, lo, hi))
             while queue:
                 qp, qlo, qhi = queue.popleft()
                 fix_block(qp, qlo, qhi, queue)
 
-        if corrections == 0:
-            # No block in the very first pass disagreed: the keys are
-            # almost surely identical already and further passes would
-            # only re-confirm parities that are all on record.
-            break
-
     return ReconciliationResult(
         corrected_key=bob,
-        parity_bits_leaked=oracle.leaked,
-        passes=executed,
+        parity_bits_leaked=len(oracle.records),
+        passes=len(perms),
         residual_error_detected=bool(np.any(alice != bob)),
         corrections=corrections,
-        transcript=tuple(oracle.transcript),
+        transcript=_Transcript(tuple(oracle.records)),
     )
 
 

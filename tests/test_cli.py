@@ -385,6 +385,50 @@ class TestDistill:
         assert rc == 1
         assert "--keys: key file not found:" in err
 
+    @pytest.mark.parametrize("value", ["0.3", "0", "-0.01"])
+    def test_qber_estimate_out_of_range_names_flag(self, workspace, value):
+        rc, out, err = run_cli(
+            ["distill", "--tally", str(workspace / "tally.json"),
+             "--keys", str(workspace / "run"), "--seed", "5", "--qber-estimate", value]
+        )
+        assert rc == 1
+        assert out == ""
+        assert f"--qber-estimate must lie in (0, 0.25], got {float(value)}" in err
+
+    def test_observed_qber_above_limit_names_tally_and_basis(self, workspace, tmp_path):
+        doc = json.loads((workspace / "tally.json").read_text())
+        doc["levels"][2]["errors"]["X"] = 900  # of 3055 sifted signal bits
+        tally = tmp_path / "noisy.json"
+        tally.write_text(json.dumps(doc))
+        rc, out, err = run_cli(
+            ["distill", "--tally", str(tally), "--keys", str(workspace / "run"),
+             "--seed", "5"]
+        )
+        assert rc == 1
+        assert (
+            f"--tally: {tally} records a signal QBER of 0.2946 in basis X, "
+            "above the 0.25 that reconciliation accepts"
+        ) in err
+
+    def test_basis_below_reconciliation_minimum(self, workspace, tmp_path):
+        doc = json.loads((workspace / "tally.json").read_text())
+        signal = doc["levels"][2]
+        signal["sifted"]["X"] = signal["errors"]["X"] = 0
+        doc["zeros"]["X"] = 100
+        tally = tmp_path / "empty_x.json"
+        tally.write_text(json.dumps(doc))
+        for side in ("alice", "bob"):
+            for basis in ("X", "Z"):
+                name = f"run.{side}.{basis}.bits"
+                bits = "" if basis == "X" else (workspace / name).read_text()
+                (tmp_path / name).write_text(bits)
+        rc, out, err = run_cli(
+            ["distill", "--tally", str(tally), "--keys", str(tmp_path / "run"),
+             "--seed", "5"]
+        )
+        assert rc == 1
+        assert "--keys: basis X holds 0 bits; reconciliation needs at least 64" in err
+
     def test_variant_choices(self, workspace):
         rc, out, err = run_cli(
             ["distill", "--tally", str(workspace / "tally.json"),
@@ -544,6 +588,17 @@ class TestOptimize:
         assert rc == 1
         assert "give --pulses or --duration-h, not both" in err
 
+    def test_no_valid_scheme_names_extinction_flag(self):
+        rc, out, err = run_cli(
+            ["optimize", "--distance-km", "25", "--pulses", "100000000",
+             "--extinction-db", "0.05", "--stages", "1"]
+        )
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("decoyqkd optimize: error: --extinction-db: ")
+        assert "no valid scheme" in err
+        assert "Traceback" not in err
+
 
 class TestCurve:
     def test_csv_output(self):
@@ -568,6 +623,16 @@ class TestCurve:
         assert rc == 1
         assert out == ""
         assert f"--distances: expected MIN:MAX:STEP or a comma list, got {spec!r}" in err
+
+    def test_optimize_with_no_valid_scheme_names_extinction_flag(self):
+        rc, out, err = run_cli(
+            ["curve", "--distances", "25,30", "--pulses", "100000000",
+             "--extinction-db", "0.05", "--stages", "1", "--optimize"]
+        )
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("decoyqkd curve: error: --extinction-db: ")
+        assert "Traceback" not in err
 
     def test_zero_everywhere_exits_two(self):
         rc, out, err = run_cli(

@@ -11,6 +11,7 @@ import pytest
 from decoyqkd.core import ConfidenceConfig
 from decoyqkd.keyrate import compose_session
 from decoyqkd.opt import (
+    NoValidSchemeError,
     ValidationError,
     curve_csv,
     evaluate_scheme,
@@ -129,6 +130,15 @@ class TestOptimizeScheme:
         with pytest.raises(ValidationError):
             optimize_scheme(reference_model(), -1)
 
+    def test_no_valid_candidate_names_extinction(self):
+        # At 0.05 dB the vacuum level mu0 = 0.989 mu2 is never below mu1.
+        with pytest.raises(NoValidSchemeError, match="extinction_db 0.05 dB") as info:
+            optimize_scheme(
+                reference_model().with_length(25), 100_000_000,
+                extinction_db=0.05, stages=1,
+            )
+        assert isinstance(info.value, ValidationError)
+
 
 @pytest.fixture(scope="module")
 def curve():
@@ -202,6 +212,13 @@ class TestRangeCurve:
         )
         assert tuned.optimized
         assert tuned.points[0].n_secret_tight >= fixed.points[0].n_secret_tight
+
+    def test_optimized_curve_with_no_valid_scheme(self):
+        with pytest.raises(NoValidSchemeError, match="extinction_db"):
+            range_curve(
+                reference_model(), 100_000_000, [25.0, 30.0],
+                optimize=True, extinction_db=0.05, stages=1,
+            )
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):

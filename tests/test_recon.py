@@ -2,16 +2,103 @@
 
 from __future__ import annotations
 
+import hashlib
+from collections import deque
+
 import numpy as np
 import pytest
 
 from decoyqkd.recon import (
+    ParityMessage,
     ReconciliationResult,
     ValidationError,
     cascade_reconcile,
     measure_f_ec,
 )
 from decoyqkd.stats import binary_entropy
+
+
+def _reference_cascade(alice, bob, estimated_qber, rng_seed):
+    """The block-by-block CASCADE loop, every pass sequential, as an oracle.
+
+    Returns ``(records, corrected_key, corrections, passes)`` with one
+    ``(pass_index, start, stop, parity)`` tuple per transmitted parity.
+    """
+    alice = np.asarray(alice, dtype=np.uint8)
+    bob = np.asarray(bob, dtype=np.uint8).copy()
+    n = alice.size
+    rng = np.random.default_rng(rng_seed)
+    k1 = max(2, int(np.ceil(0.73 / estimated_qber)))
+    prefixes, cache, records = {}, {}, []
+
+    def parity(p, lo, hi):
+        key = (p, lo, hi)
+        if key not in cache:
+            cache[key] = int(prefixes[p][hi] ^ prefixes[p][lo])
+            records.append((p + 1, lo, hi, cache[key]))
+        return cache[key]
+
+    def bob_parity(perm, lo, hi):
+        return int(bob[perm[lo:hi]].sum()) & 1
+
+    def locate_error(perm, p, lo, hi, alice_parity):
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            a_left = parity(p, lo, mid)
+            a_right = alice_parity ^ a_left
+            cache.setdefault((p, mid, hi), a_right)
+            if a_left != bob_parity(perm, lo, mid):
+                hi, alice_parity = mid, a_left
+            else:
+                lo, alice_parity = mid, a_right
+        return int(perm[lo])
+
+    perms, positions, block_size = [], [], []
+    corrections = 0
+    executed = 0
+
+    def block_bounds(p, slot):
+        lo = (slot // block_size[p]) * block_size[p]
+        return lo, min(lo + block_size[p], n)
+
+    def fix_block(p, lo, hi, queue):
+        nonlocal corrections
+        a = parity(p, lo, hi)
+        if a == bob_parity(perms[p], lo, hi):
+            return
+        g = locate_error(perms[p], p, lo, hi, a)
+        bob[g] ^= 1
+        corrections += 1
+        for q in range(executed):
+            if q == p:
+                continue
+            qlo, qhi = block_bounds(q, int(positions[q][g]))
+            if parity(q, qlo, qhi) != bob_parity(perms[q], qlo, qhi):
+                queue.append((q, qlo, qhi))
+
+    for p in range(4):
+        perm = np.arange(n) if p == 0 else rng.permutation(n)
+        perms.append(perm)
+        pos = np.empty(n, dtype=np.int64)
+        pos[perm] = np.arange(n)
+        positions.append(pos)
+        block_size.append(min(n, k1 << p))
+        prefixes[p] = np.concatenate(([0], np.cumsum(alice[perm], dtype=np.int64) & 1))
+        executed = p + 1
+        queue = deque()
+        for lo in range(0, n, block_size[p]):
+            hi = min(lo + block_size[p], n)
+            if parity(p, lo, hi) != bob_parity(perm, lo, hi):
+                queue.append((p, lo, hi))
+            while queue:
+                fix_block(*queue.popleft(), queue)
+        if corrections == 0:
+            break
+    return records, bob, corrections, executed
+
+
+def _records(result):
+    return [(m.pass_index, m.start, m.stop, m.parity) for m in result.transcript]
 
 
 def _keys(seed, n, qber, flip_seed):
@@ -166,3 +253,110 @@ class TestValidation:
                 rng_seed=1,
             )
 
+
+
+class TestMatchesReferenceLoop:
+    """The all-blocks-at-once first pass changes no message, flip or count."""
+
+    @staticmethod
+    def _check(alice, bob, qber, seed):
+        result = cascade_reconcile(alice, bob, qber, rng_seed=seed)
+        records, key, corrections, passes = _reference_cascade(alice, bob, qber, seed)
+        assert _records(result) == records
+        assert np.array_equal(result.corrected_key, key)
+        assert result.corrections == corrections
+        assert result.passes == passes
+        assert result.parity_bits_leaked == len(records)
+        return result
+
+    @pytest.mark.parametrize(
+        "n, qber, seed",
+        [
+            (1010, 0.03, 1),  # n not a multiple of k1 = 25: a last block of 10
+            (1001, 0.03, 2),  # a last block of 1 bit
+            (100, 0.005, 3),  # k1 = 146 >= n: one block
+            (4096, 0.25, 4),  # QBER at the 0.25 limit, k1 = 3
+            (4096, 0.24, 5),
+        ],
+    )
+    def test_edge_sizes(self, n, qber, seed):
+        alice, bob = _keys(seed, n, qber, 100 + seed)
+        self._check(alice, bob, qber, seed)
+
+    def test_last_block_of_one_bit_is_searched(self):
+        # k1 = 25 and n = 1001: an error in bit 1000 makes the 1-bit block odd
+        alice = np.random.default_rng(6).integers(0, 2, 1001)
+        bob = alice.copy()
+        bob[[3, 1000]] ^= 1
+        result = self._check(alice, bob, 0.03, 6)
+        assert (1, 1000, 1001, int(alice[1000])) in _records(result)
+        assert (result.corrected_key == alice).all()
+
+    def test_zero_errors(self):
+        alice = np.random.default_rng(7).integers(0, 2, 3000)
+        result = self._check(alice, alice.copy(), 0.02, 7)
+        assert result.passes == 1 and result.corrections == 0
+
+    def test_single_error(self):
+        alice = np.random.default_rng(8).integers(0, 2, 3000)
+        bob = alice.copy()
+        bob[1234] ^= 1
+        result = self._check(alice, bob, 0.02, 8)
+        assert result.corrections == 1
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(9090)
+        for trial in range(40):
+            n = int(rng.integers(64, 6000))
+            qber = float(rng.uniform(0.002, 0.12))
+            alice, bob = _keys(9100 + trial, n, qber, 9200 + trial)
+            self._check(alice, bob, qber, 9300 + trial)
+
+    def test_long_session_frozen_digest(self):
+        # 1e5 bits at 3% QBER; the digest of its (pass, start, stop, parity)
+        # records as int64 was taken from the block-by-block loop.
+        alice, bob = _keys(2024, 100_000, 0.03, 2025)
+        result = self._check(alice, bob, 0.03, 2026)
+        records = np.array(_records(result), dtype=np.int64)
+        assert len(records) == 22470
+        assert hashlib.sha256(records.tobytes()).hexdigest() == (
+            "de3c8b864b25989109a68047801f094cf41662be19e8c471640c457c1ce5817b"
+        )
+
+
+class TestTranscriptView:
+    def test_reads_like_a_tuple_of_messages(self):
+        alice, bob = _keys(31, 2048, 0.03, 32)
+        result = cascade_reconcile(alice, bob, 0.03, rng_seed=33)
+        transcript = result.transcript
+        messages = tuple(transcript)
+        assert len(transcript) == len(messages) == result.parity_bits_leaked
+        assert all(isinstance(m, ParityMessage) for m in messages)
+        assert transcript[0] == messages[0] and transcript[-1] == messages[-1]
+        assert transcript[2:5] == messages[2:5]
+        assert messages[3] in transcript
+        with pytest.raises(IndexError):
+            transcript[len(messages)]
+        with pytest.raises(TypeError):
+            transcript[0] = messages[1]
+
+    def test_result_accepts_a_tuple(self):
+        message = ParityMessage(1, 0, 64, 1)
+        result = ReconciliationResult(
+            corrected_key=np.zeros(64, dtype=np.uint8),
+            parity_bits_leaked=1,
+            passes=1,
+            residual_error_detected=False,
+            corrections=0,
+            transcript=(message,),
+        )
+        assert result.transcript == (message,)
+        with pytest.raises(ValidationError, match="leak count"):
+            ReconciliationResult(
+                corrected_key=np.zeros(64, dtype=np.uint8),
+                parity_bits_leaked=2,
+                passes=1,
+                residual_error_detected=False,
+                corrections=0,
+                transcript=(message,),
+            )
