@@ -4,16 +4,21 @@ The constraint systems produced by the decoy analysis are tiny (tens of
 variables and rows), so rather than pulling in an external LP dependency the
 pipeline carries its own tableau simplex.  It is deliberately boring:
 explicit slack/artificial columns, Dantzig pricing with a Bland fallback for
-anti-cycling, and absolute tolerances suited to the O(1) row coefficients
-these systems have after assembly.
+anti-cycling, and absolute tolerances.
 
-Problems are stated as
+Those tolerances assume O(1) coefficients, which the decoy LPs do not have:
+the b1 LP at the reference operating point has weights from 2.6e-33 to 1
+and a cap 1/y1 of about 1.5e5.  At cutoffs 6 and 10 the solver sits up to
+1.7e-5 relative below a HiGHS oracle on some random systems (the second
+``FOUND:`` line of CHANGES.md); which is right stays open until an exact
+certificate checks the optimum (ROADMAP item 1).
 
-    minimize c.x  subject to  a_ub @ x <= b_ub,  lo <= x <= hi
+Problems are stated in one form only,
 
-with ``lo`` defaulting to 0 and ``hi`` to +inf.  Lower bounds are shifted
-out and finite upper bounds become rows, which keeps the core routine to the
-plain ``Ax <= b, x >= 0`` form.
+    minimize c.x  subject to  a_ub @ x <= b_ub,  x >= 0,
+
+with ``b_ub`` of any sign.  Callers write variable bounds as rows and
+substitute equalities into their columns.
 """
 
 from __future__ import annotations
@@ -43,49 +48,18 @@ class LPResult:
         return self.status == "optimal"
 
 
-def solve_lp(c, a_ub, b_ub, lo=None, hi=None) -> LPResult:
-    """Minimize ``c.x`` s.t. ``a_ub @ x <= b_ub`` and ``lo <= x <= hi``.
+def solve_lp(c, a_ub, b_ub) -> LPResult:
+    """Minimize ``c.x`` s.t. ``a_ub @ x <= b_ub`` and ``x >= 0``.
 
     Parameters
     ----------
     c : array-like, shape (n,)
     a_ub : array-like, shape (m, n)
     b_ub : array-like, shape (m,)
-    lo, hi : array-like or None
-        Per-variable bounds.  ``lo`` defaults to 0 and ``hi`` to +inf;
-        ``hi`` entries may be inf for unbounded-above variables.
     """
-    c = np.asarray(c, dtype=float).copy()
-    a = np.asarray(a_ub, dtype=float).reshape(len(b_ub), len(c)).copy()
-    b = np.asarray(b_ub, dtype=float).copy()
-    n = len(c)
-
-    lo_arr = np.zeros(n) if lo is None else np.asarray(lo, dtype=float)
-    hi_arr = np.full(n, np.inf) if hi is None else np.asarray(hi, dtype=float)
-    if np.any(hi_arr < lo_arr - 1e-15):
-        return LPResult("infeasible", None, None)
-
-    # Shift lower bounds to zero: x = lo + z, z >= 0.
-    b = b - a @ lo_arr
-    shifted_hi = hi_arr - lo_arr
-
-    # Finite upper bounds become rows z_k <= hi_k - lo_k.
-    finite = np.isfinite(shifted_hi)
-    if np.any(finite):
-        extra = np.zeros((int(finite.sum()), n))
-        extra[np.arange(int(finite.sum())), np.where(finite)[0]] = 1.0
-        a = np.vstack([a, extra])
-        b = np.concatenate([b, shifted_hi[finite]])
-
-    status, z, obj_shift = _simplex_min(c, a, b)
-    if status != "optimal":
-        return LPResult(status, None, None)
-    x = z + lo_arr
-    return LPResult("optimal", x, float(c @ x))
-
-
-def _simplex_min(c, a, b):
-    """Core routine: min c.z s.t. a z <= b, z >= 0 (b of any sign)."""
+    c = np.asarray(c, dtype=float)
+    b = np.asarray(b_ub, dtype=float)
+    a = np.asarray(a_ub, dtype=float).reshape(len(b), len(c))
     m, n = a.shape
 
     # Orient rows so the right-hand side is nonnegative; rows flipped this
@@ -121,20 +95,19 @@ def _simplex_min(c, a, b):
         if val is None:
             raise SimplexError("phase 1 exceeded iteration budget")
         if val > 1e-7:
-            return "infeasible", None, None
+            return LPResult("infeasible", None, None)
         _evict_artificials(tab, basis, n + m)
 
     cost2 = np.zeros(width)
     cost2[:n] = c
-    val = _run_simplex(tab, basis, cost2, allow_cols=n + m)
-    if val is None:
-        return "unbounded", None, None
+    if _run_simplex(tab, basis, cost2, allow_cols=n + m) is None:
+        return LPResult("unbounded", None, None)
 
-    z = np.zeros(n)
+    x = np.zeros(n)
     for i, bi in enumerate(basis):
         if bi < n:
-            z[bi] = tab[i, -1]
-    return "optimal", z, val
+            x[bi] = tab[i, -1]
+    return LPResult("optimal", x, float(c @ x))
 
 
 def _run_simplex(tab, basis, cost, allow_cols):

@@ -95,6 +95,9 @@ __all__ = ["main", "CONFIG_DIR_ENV"]
 
 CONFIG_DIR_ENV = "DECOYQKD_CONFIG_DIR"
 
+#: Pulse counts must fit numpy's int64 samplers.
+_MAX_PULSES = 2**63
+
 
 class _UsageError(Exception):
     """Bad command line (unknown flag, missing value, bad choice)."""
@@ -327,9 +330,17 @@ def _load_tally(settings: dict) -> tuple[SessionTally, dict]:
     return tally, ref
 
 
+def _epsilon(settings: dict, key: str) -> float:
+    """A failure probability flag, checked to lie in (0, 0.5)."""
+    value = settings[key]
+    if not 0.0 < value < 0.5:
+        raise ValidationError(f"{_FLAGS[key].flag} must lie in (0, 0.5), got {value}")
+    return value
+
+
 def _confidence(settings: dict) -> ConfidenceConfig:
     return ConfidenceConfig(
-        epsilon=settings["confidence"],
+        epsilon=_epsilon(settings, "confidence"),
         photon_cutoff=settings["photon_cutoff"],
         pin_vacuum_errors=settings["vacuum_pinning"],
     )
@@ -345,6 +356,8 @@ def _resolve_pulses(settings: dict, model: ChannelModel, *, required: bool = Fal
     if pulses is not None:
         if pulses <= 0:
             raise ValidationError("--pulses must be > 0")
+        if pulses >= _MAX_PULSES:
+            raise ValidationError(f"--pulses must be below 2**63, got {pulses}")
         return pulses
     if duration is None:
         if required:
@@ -355,7 +368,12 @@ def _resolve_pulses(settings: dict, model: ChannelModel, *, required: bool = Fal
     duty = settings["duty_cycle"]
     if not 0.0 < duty <= 1.0:
         raise ValidationError("--duty-cycle must lie in (0, 1]")
-    return int(round(duration * 3600.0 * model.clock_rate_hz * duty))
+    pulses = duration * 3600.0 * model.clock_rate_hz * duty
+    if not pulses < _MAX_PULSES:
+        raise ValidationError(
+            f"--duration-h {duration} gives {pulses:.3g} pulses; the count must be below 2**63"
+        )
+    return int(round(pulses))
 
 
 def _parse_distances(spec: str) -> list[float]:
@@ -445,7 +463,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     scheme, scheme_ref = _load_scheme(settings)
     config = _confidence(settings)
 
-    budget = {key: settings[key] for key in ("f_ec", "f_ds", "pa_epsilon")}
+    budget = {key: settings[key] for key in ("f_ec", "f_ds")}
+    budget["pa_epsilon"] = _epsilon(settings, "pa_epsilon")
     analysis = compose_session(tally, scheme, config, **budget)
 
     report = {
@@ -485,6 +504,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     scheme, scheme_ref = _load_scheme(settings)
     validate_tally(tally, scheme)  # before the signal level is indexed
     config = _confidence(settings)
+    pa_epsilon = _epsilon(settings, "pa_epsilon")
     seed = _require(settings, "seed")
     keys_flag = _FLAGS["keys"].flag
     prefix = _require(settings, "keys")
@@ -594,7 +614,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
         config,
         f_ec=f_ec_used,
         f_ds=f_ds_used,
-        pa_epsilon=settings["pa_epsilon"],
+        pa_epsilon=pa_epsilon,
     )
     budgets = (
         analysis.budgets_tight if variant == "tight" else analysis.budgets_worst

@@ -180,16 +180,18 @@ def solve_y1_lower(system: ConstraintSystem) -> YieldSolution:
     """
     dim = system.cutoff + 1
     a, b = _yield_rows(system)
+    a = np.vstack([a, np.eye(dim)])  # y_n <= 1
+    b = np.concatenate([b, np.ones(dim)])
     c = np.zeros(dim)
     c[1] = 1.0
-    res = solve_lp(c, a, b, lo=np.zeros(dim), hi=np.ones(dim))
+    res = solve_lp(c, a, b)
     if not res.ok:
         return YieldSolution(feasible=False, y1_lower=0.0, yields=None)
     y1 = min(1.0, max(0.0, float(res.x[1])))
     return YieldSolution(feasible=True, y1_lower=y1, yields=tuple(float(v) for v in res.x))
 
 
-def _joint_rows(ysys, esys, pin_vacuum) -> tuple[np.ndarray, np.ndarray]:
+def _joint_rows(ysys, esys) -> tuple[np.ndarray, np.ndarray]:
     """The joint (y, e) polytope as stacked <= rows over [y | e]."""
     dim = ysys.cutoff + 1
     ay, by = _yield_rows(ysys)
@@ -201,14 +203,6 @@ def _joint_rows(ysys, esys, pin_vacuum) -> tuple[np.ndarray, np.ndarray]:
         (np.hstack([-eye, eye]), np.zeros(dim)),  # e_n <= y_n
         (np.hstack([eye, np.zeros((dim, dim))]), np.ones(dim)),  # y_n <= 1
     ]
-    if pin_vacuum:
-        # Zero-photon clicks are uncorrelated with the sender's bit, so
-        # exactly half of them land as errors: e_0 = y_0 / 2, written as a
-        # pair of opposed inequalities.
-        pin = np.zeros((2, 2 * dim))
-        pin[0, 0], pin[0, dim] = -0.5, 1.0
-        pin[1, 0], pin[1, dim] = 0.5, -1.0
-        blocks.append((pin, np.zeros(2)))
     return np.vstack([a for a, _ in blocks]), np.concatenate([b for _, b in blocks])
 
 
@@ -224,10 +218,12 @@ def b1_tight(
     above its certified floor.  The Charnes-Cooper substitution u = y/y1,
     v = e/y1, s = 1/y1 turns every row ``A [y|e] <= b`` into the
     homogeneous ``A [u|v] - b s <= 0`` and the ratio into plain v1, so
-    one LP gives the bound.  u1 = 1 is imposed through the variable
-    bounds, and the floor y1 >= y1_lower becomes s <= 1/y1_lower, so the
-    floor must be positive.  The optimum is rounded up by ``_B1_MARGIN``
-    and clamped to [0, 1].
+    one LP gives the bound.  Its equalities are substituted into the
+    columns rather than written as rows: u1 = 1 moves the u1 column to
+    the right-hand side, and with ``pin_vacuum`` the v0 column folds into
+    the u0 column at weight one half.  The floor y1 >= y1_lower becomes
+    the one row s <= 1/y1_lower, so the floor must be positive.  The
+    optimum is rounded up by ``_B1_MARGIN`` and clamped to [0, 1].
 
     With ``pin_vacuum`` the zero-photon error rate is fixed at one half
     (see :class:`~decoyqkd.core.ConfidenceConfig`); this is what lets the
@@ -239,22 +235,26 @@ def b1_tight(
     if not y1_lower > 0.0:
         # The ratio e1/y1 is unconstrained when y1 may vanish.
         raise ValueError(f"y1_lower must be > 0 (got {y1_lower})")
-    a, b = _joint_rows(ysys, esys, pin_vacuum)
-    n_vars = a.shape[1]
+    a, b = _joint_rows(ysys, esys)
     dim = ysys.cutoff + 1
-    c = np.zeros(n_vars + 1)
-    c[dim + 1] = -1.0  # maximize v1
-    lo = np.zeros(n_vars + 1)
-    hi = np.full(n_vars + 1, np.inf)
-    # Pinning u1 by bounds rather than by two opposed rows matters: the
-    # row pair can leave the simplex at a rank-deficient final basis that
-    # it reports as optimal below the true maximum.
-    lo[1] = hi[1] = 1.0
-    hi[-1] = 1.0 / y1_lower
-    res = solve_lp(c, np.hstack([a, -b[:, None]]), np.zeros(len(b)), lo=lo, hi=hi)
+    cc = np.hstack([a, -b[:, None]])  # columns [u | v | s]
+    rhs = -cc[:, 1]  # u1 = 1
+    dropped = [1]
+    if pin_vacuum:
+        # Zero-photon clicks are uncorrelated with the sender's bit, so
+        # exactly half of them land as errors: v0 = u0 / 2.
+        cc[:, 0] += 0.5 * cc[:, dim]
+        dropped.append(dim)
+    cc = np.delete(cc, dropped, axis=1)
+    floor = np.zeros(cc.shape[1])
+    floor[-1] = 1.0  # s <= 1 / y1_lower
+    v1 = dim + 1 - len(dropped)
+    c = np.zeros(cc.shape[1])
+    c[v1] = -1.0  # maximize v1
+    res = solve_lp(c, np.vstack([cc, floor]), np.append(rhs, 1.0 / y1_lower))
     if not res.ok:
         return ErrorBoundResult(feasible=False, value=1.0)
-    value = min(1.0, max(0.0, float(res.x[dim + 1]) + _B1_MARGIN))
+    value = min(1.0, max(0.0, float(res.x[v1]) + _B1_MARGIN))
     return ErrorBoundResult(feasible=True, value=value)
 
 

@@ -253,8 +253,11 @@ def compose_session(
     pattern), deliberately separate from ``config.epsilon`` which prices
     the adversarial soundness bounds: an uncovered pattern costs a failed
     session, not a compromised key, so it is priced like an abort
-    probability rather than a security failure.
+    probability rather than a security failure.  It is checked first,
+    whether or not the session earns a key.
     """
+    if not 0.0 < pa_epsilon < 0.5:
+        raise ValueError(f"pa_epsilon must lie in (0, 0.5) (got {pa_epsilon})")
     bounds = single_photon_bounds(tally, scheme, config)
 
     mu = scheme.signal_mu

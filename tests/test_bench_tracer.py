@@ -76,6 +76,8 @@ def test_tracer_installs_records_and_uninstalls(spans):
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["keyrate.compose_calls"] == 1
     assert metrics["simplex.solves"] == 3
+    assert metrics["simplex.not_optimal"] == 0
+    assert metrics["decoy.lp_per_bound"] == 1
     assert metrics["sim.bits_materialized"] == sum(
         tally.levels[scheme.signal_index].sifted.values()
     )

@@ -155,6 +155,21 @@ class TestSimulate:
         assert rc == 0
         assert out == (workspace / "tally.json").read_text()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--duration-h", "1e306"],
+             "--duration-h 1e+306 gives inf pulses; the count must be below 2**63"),
+            (["--pulses", str(10**20)], f"--pulses must be below 2**63, got {10**20}"),
+            (["--pulses", str(2**63)], f"--pulses must be below 2**63, got {2**63}"),
+        ],
+    )
+    def test_pulse_count_beyond_int64_names_flag(self, argv, message):
+        rc, out, err = run_cli(["simulate", "--seed", "1", *argv])
+        assert (rc, out) == (1, "")
+        assert f"decoyqkd simulate: error: {message}" in err
+        assert "Traceback" not in err
+
 
 class TestAnalyze:
     def test_positive_key(self, workspace):
@@ -195,6 +210,31 @@ class TestAnalyze:
         report = json.loads(out)  # the report is still emitted
         assert report["analysis"]["total_tight"] == 0
         assert "analyze: zero-key outcome" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--pa-epsilon", "-1"), ("--pa-epsilon", "0.7"), ("--pa-epsilon", "5.0"),
+         ("--confidence", "0.7")],
+    )
+    def test_epsilon_out_of_range_names_flag(self, workspace, tmp_path, flag, value):
+        # A zero-key tally never reaches the typical-set factor, so the
+        # flag must be checked before the analysis decides the key is empty.
+        rc, out, _ = run_cli(
+            ["simulate", "--distance-km", "200", "--pulses", "20000000", "--seed", "11"]
+        )
+        assert rc == 0
+        starved = tmp_path / "starved.json"
+        starved.write_text(out)
+        for tally in (workspace / "tally.json", starved):
+            rc, out, err = run_cli(["analyze", "--tally", str(tally), flag, value])
+            assert (rc, out) == (1, ""), tally
+            assert f"analyze: error: {flag} must lie in (0, 0.5), got {float(value)}" in err
+        rc, out, err = run_cli(
+            ["distill", "--tally", str(workspace / "tally.json"),
+             "--keys", str(workspace / "run"), "--seed", "5", flag, value]
+        )
+        assert (rc, out) == (1, "")
+        assert f"distill: error: {flag} must lie in (0, 0.5), got {float(value)}" in err
 
     def test_missing_tally_file(self):
         rc, out, err = run_cli(["analyze", "--tally", "nope.json"])

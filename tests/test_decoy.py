@@ -108,14 +108,17 @@ class TestConstraintSystemValidation:
 
 class TestLinearProgramSolver:
     def test_simple_minimum(self):
-        res = solve_lp([1.0, 2.0], [[-1.0, -1.0]], [-1.0], lo=[0, 0], hi=[1, 1])
+        # x0 + x1 >= 1 in the unit box, the box written as rows
+        res = solve_lp(
+            [1.0, 2.0], [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [-1.0, 1.0, 1.0]
+        )
         assert res.status == "optimal"
         assert res.objective == pytest.approx(1.0, abs=1e-9)
         assert res.x[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_detects_infeasibility(self):
         # x <= 0.2 and x >= 0.5 cannot hold together
-        res = solve_lp([1.0], [[1.0], [-1.0]], [0.2, -0.5], lo=[0], hi=[1])
+        res = solve_lp([1.0], [[1.0], [-1.0], [1.0]], [0.2, -0.5, 1.0])
         assert res.status == "infeasible"
         assert res.x is None and res.objective is None
 
@@ -128,7 +131,9 @@ class TestLinearProgramSolver:
             a_ub = rng.normal(size=(m, n))
             b_ub = rng.uniform(0.1, 2.0, size=m)
             c = rng.normal(size=n)
-            mine = solve_lp(c, a_ub, b_ub, lo=np.zeros(n), hi=np.ones(n))
+            mine = solve_lp(
+                c, np.vstack([a_ub, np.eye(n)]), np.concatenate([b_ub, np.ones(n)])
+            )
             ref = linprog(
                 c, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, 1.0)] * n, method="highs"
             )
@@ -147,7 +152,7 @@ class TestLinearProgramSolver:
             n = int(rng.integers(1, 5))
             row = rng.uniform(0.5, 2.0, size=n)
             # row.x <= -1 is impossible for x >= 0
-            mine = solve_lp(rng.normal(size=n), [row], [-1.0], lo=np.zeros(n))
+            mine = solve_lp(rng.normal(size=n), [row], [-1.0])
             assert mine.status == "infeasible"
 
 
@@ -206,12 +211,13 @@ class TestYieldFloor:
         assert floors[-1] > 0.0
 
 
-def _charnes_cooper_b1(ysys, esys, y1_floor):
+def _charnes_cooper_b1(ysys, esys, y1_floor, pin_vacuum=True):
     """Reference route for max e1/y1: normalize by y1 and solve one LP.
 
     Variables are u = y/y1, v = e/y1 and s = 1/y1; every polytope
     constraint becomes linear after multiplying through by s, and the
-    fractional objective becomes plain v1.
+    fractional objective becomes plain v1.  The equalities u1 = 1 and,
+    with ``pin_vacuum``, v0 = u0/2 go to HiGHS as equality rows.
     """
     dim = ysys.cutoff + 1
     w = np.asarray(ysys.weights, float)
@@ -251,12 +257,13 @@ def _charnes_cooper_b1(ysys, esys, y1_floor):
     norm[1] = 1.0
     c = np.zeros(n)
     c[dim + 1] = -1.0
+    a_eq, b_eq = ([pin, norm], [0.0, 1.0]) if pin_vacuum else ([norm], [1.0])
     res = linprog(
         c,
         A_ub=np.array(a_ub),
         b_ub=np.array(b_ub),
-        A_eq=np.vstack([pin, norm]),
-        b_eq=[0.0, 1.0],
+        A_eq=np.vstack(a_eq),
+        b_eq=b_eq,
         bounds=[(0.0, None)] * n,
         method="highs",
     )
@@ -300,20 +307,21 @@ class TestTightErrorBound:
 
     def test_never_below_fractional_program_on_random_systems(self):
         # One-sided: an upper bound may sit above the oracle, never below.
-        rng = np.random.default_rng(321)
-        checked = 0
-        for cutoff in (3, 4):
-            for _ in range(150):
-                ysys, esys = random_constraint_systems(rng, cutoff)
-                sol = solve_y1_lower(ysys)
-                if not sol.feasible or sol.y1_lower <= 0.0:
-                    continue
-                res = b1_tight(ysys, esys, sol.y1_lower)
-                reference = _charnes_cooper_b1(ysys, esys, sol.y1_lower)
-                assert res.feasible
-                assert res.value >= reference * (1.0 - 1e-6)
-                checked += 1
-        assert checked >= 200
+        for pin in (True, False):
+            rng = np.random.default_rng(321)
+            checked = 0
+            for cutoff in (3, 4):
+                for _ in range(150):
+                    ysys, esys = random_constraint_systems(rng, cutoff)
+                    sol = solve_y1_lower(ysys)
+                    if not sol.feasible or sol.y1_lower <= 0.0:
+                        continue
+                    res = b1_tight(ysys, esys, sol.y1_lower, pin_vacuum=pin)
+                    reference = _charnes_cooper_b1(ysys, esys, sol.y1_lower, pin)
+                    assert res.feasible
+                    assert res.value >= reference * (1.0 - 1e-6), pin
+                    checked += 1
+            assert checked >= 200
 
     def test_one_lp_per_bound(self, calibration, lp_calls):
         cfg = ConfidenceConfig()
@@ -336,6 +344,22 @@ class TestTightErrorBound:
         lp_calls.clear()
         compose_session(calibration.tally, calibration.scheme, cfg)
         assert len(lp_calls) == 3  # the y1 floor, then one b1 LP per basis
+
+    def test_equalities_are_substituted(self, calibration, lp_calls):
+        # u1 = 1 and v0 = u0/2 remove columns; neither is a row pair.
+        levels = calibration.scheme.n_levels
+        for pin in (True, False):
+            cfg = ConfidenceConfig(pin_vacuum_errors=pin)
+            lp_calls.clear()
+            compose_session(calibration.tally, calibration.scheme, cfg)
+            dim = cfg.photon_cutoff + 1
+            for c, a, b in lp_calls:
+                rows = np.hstack([a, np.asarray(b)[:, None]])
+                opposed = np.all(rows[:, None, :] == -rows[None, :, :], axis=2)
+                assert not opposed.any(), "an equality written as a row pair"
+            for c, a, b in lp_calls[1:]:
+                assert len(c) == 2 * dim - pin
+                assert np.shape(a) == (4 * levels + 2 * dim + 1, len(c))
 
     def test_infeasible_floor_gives_vacuous_bound(self):
         ysys, esys = _contradictory_pair()

@@ -14,6 +14,7 @@ from decoyqkd.keyrate import (
     privacy_amplification_factor,
     secret_length,
 )
+from decoyqkd.sim import reference_model, simulate_session
 from decoyqkd.stats import binary_entropy
 
 
@@ -318,6 +319,17 @@ class TestComposeSession:
                 0.04853227272123375, rel=1e-9
             )
             assert bounds.b1_tight_by_basis[basis] <= bounds.b1_worst_by_basis[basis]
+
+    @pytest.mark.parametrize("pa_epsilon", [-1.0, 0.0, 0.5, 0.7, 5.0])
+    def test_pa_epsilon_checked_without_a_key(self, calibration, pa_epsilon):
+        # 200 km certifies no single photons, so no factor is computed.
+        starved, _ = simulate_session(
+            reference_model(200.0), calibration.scheme, 20_000_000, 11
+        )
+        assert compose_session(starved, calibration.scheme).total_tight == 0
+        for tally in (calibration.tally, starved):
+            with pytest.raises(ValueError, match=r"pa_epsilon must lie in \(0, 0.5\)"):
+                compose_session(tally, calibration.scheme, pa_epsilon=pa_epsilon)
 
     def test_budget_internal_consistency(self, calibration):
         analysis = calibration.analysis
