@@ -16,6 +16,7 @@ from .core import (
     ChannelModel,
     ConfidenceConfig,
     DecoyScheme,
+    InputError,
     LevelCounts,
     SessionTally,
     ValidationError,
@@ -44,9 +45,11 @@ from .keyrate import (
     secret_length,
 )
 from .recon import (
+    DistillResult,
     ParityMessage,
     ReconciliationResult,
     cascade_reconcile,
+    distill_session,
     measure_f_ec,
 )
 from .extract import (
@@ -97,6 +100,7 @@ __all__ = [
     "LevelCounts",
     "SessionTally",
     "ValidationError",
+    "InputError",
     "conjugate_basis",
     "dumps",
     "validate_tally",
@@ -122,6 +126,8 @@ __all__ = [
     "ReconciliationResult",
     "cascade_reconcile",
     "measure_f_ec",
+    "DistillResult",
+    "distill_session",
     # extract
     "DeskewResult",
     "measure_f_ds",

@@ -8,9 +8,9 @@ simulate
 analyze
     Run the decoy bounds and key budget on a stored tally.
 distill
-    Full post-processing on a tally plus raw keys: reconcile, deskew,
-    re-budget with the measured efficiencies, and hash down to the
-    final key.
+    Full post-processing on a tally plus raw keys by
+    ``decoyqkd.recon.distill_session``: reconcile, deskew, re-budget with
+    the measured efficiencies, and hash down to the final key.
 optimize
     Search the intensity/probability scheme maximizing the key total.
 curve
@@ -27,7 +27,10 @@ keys are sorted).  Reports embed a SHA-256 digest of every input file.
 Exit status is 0 on success, 1 on input errors (a message names the
 offending flag or file), and 2 when the inputs were valid but the
 session yields no key (infeasible bounds, zero key total, failed
-reconciliation, or a calibration that did not converge).
+reconciliation, or a calibration that did not converge).  ``distill``
+exits 1 when reconciliation corrects another number of errors than the
+tally records, and on a residual mismatch exits 2 before any key bit is
+printed or written.
 
 Every flag is declared once, in ``_FLAGS``, with its type, default and
 help; each subcommand in ``_COMMANDS`` lists the flags it takes.  The
@@ -70,16 +73,15 @@ from .core import (
     ChannelModel,
     ConfidenceConfig,
     DecoyScheme,
+    InputError,
     SessionTally,
     ValidationError,
     check_json_type,
     dumps,
-    validate_tally,
 )
-from .extract import measure_f_ds, peres_extract, privacy_amplify
 from .keyrate import compose_session
-from .opt import NoValidSchemeError, curve_csv, optimize_scheme, range_curve
-from .recon import _MAX_QBER, _MIN_BITS, cascade_reconcile, measure_f_ec
+from .opt import curve_csv, optimize_scheme, range_curve
+from .recon import distill_session
 from .sim import (
     REFERENCE_DURATION_H,
     REFERENCE_DUTY_CYCLE,
@@ -172,8 +174,6 @@ _FLAGS = {
     "depth": _Flag("--depth", "D", "deskewing iteration depth", int, DEFAULT_DESKEW_DEPTH),
     "variant": _Flag("--variant", None, "which error-bound variant sizes the final key",
                      str, "worst", choices=("tight", "worst")),
-    "qber_estimate": _Flag("--qber-estimate", "Q",
-                           "override the error-rate estimate fed to reconciliation", float),
     # scheme search and sweeps
     "extinction_db": _Flag("--extinction-db", "DB", "vacuum-level extinction below the signal",
                            float, DEFAULT_EXTINCTION_DB),
@@ -294,6 +294,17 @@ def _require(settings: dict, key: str):
     return value
 
 
+@contextmanager
+def _input_named(**paths: str):
+    """Turn an ``InputError`` into a message naming the input's flag and, for
+    an input in ``paths``, the document path it was read from."""
+    try:
+        yield
+    except InputError as exc:
+        shown = f"{paths[exc.input_name]} " if exc.input_name in paths else ""
+        raise ValidationError(f"{_FLAGS[exc.input_name].flag}: {shown}{exc}") from exc
+
+
 def _load_scheme(settings: dict) -> tuple[DecoyScheme, dict]:
     path = settings["scheme"]
     if path is None:
@@ -346,34 +357,40 @@ def _confidence(settings: dict) -> ConfidenceConfig:
     )
 
 
-def _resolve_pulses(settings: dict, model: ChannelModel, *, required: bool = False) -> int:
+def _resolve_pulses(
+    settings: dict, model: ChannelModel, scheme: DecoyScheme, *, required: bool = False
+) -> int:
     """Pulse count from --pulses or --duration-h (the reference duration if
-    neither is given and not ``required``)."""
+    neither is given and not ``required``); it must give every level of
+    ``scheme`` a pulse."""
     pulses = settings["pulses"]
     duration = settings["duration_h"]
     if pulses is not None and duration is not None:
         raise ValidationError("give --pulses or --duration-h, not both")
     if pulses is not None:
-        if pulses <= 0:
-            raise ValidationError("--pulses must be > 0")
+        given = f"--pulses {pulses}"
         if pulses >= _MAX_PULSES:
             raise ValidationError(f"--pulses must be below 2**63, got {pulses}")
-        return pulses
-    if duration is None:
-        if required:
-            raise ValidationError("one of --pulses or --duration-h is required")
-        duration = REFERENCE_DURATION_H
-    if duration <= 0:
-        raise ValidationError("--duration-h must be > 0")
-    duty = settings["duty_cycle"]
-    if not 0.0 < duty <= 1.0:
-        raise ValidationError("--duty-cycle must lie in (0, 1]")
-    pulses = duration * 3600.0 * model.clock_rate_hz * duty
-    if not pulses < _MAX_PULSES:
-        raise ValidationError(
-            f"--duration-h {duration} gives {pulses:.3g} pulses; the count must be below 2**63"
-        )
-    return int(round(pulses))
+    else:
+        if duration is None:
+            if required:
+                raise ValidationError("one of --pulses or --duration-h is required")
+            duration = REFERENCE_DURATION_H
+        given = f"--duration-h {duration}"
+        if duration <= 0:
+            raise ValidationError("--duration-h must be > 0")
+        duty = settings["duty_cycle"]
+        if not 0.0 < duty <= 1.0:
+            raise ValidationError("--duty-cycle must lie in (0, 1]")
+        pulses = duration * 3600.0 * model.clock_rate_hz * duty
+        if not pulses < _MAX_PULSES:
+            raise ValidationError(
+                f"{given} gives {pulses:.3g} pulses; the count must be below 2**63"
+            )
+        pulses = int(round(pulses))
+    if round(pulses * min(scheme.send_probs)) < 1:  # also any --pulses <= 0
+        raise ValidationError(f"{given} gives {pulses} pulses, too few to send one at every level")
+    return pulses
 
 
 def _parse_distances(spec: str) -> list[float]:
@@ -429,7 +446,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _require(settings, "seed")
     scheme, scheme_ref = _load_scheme(settings)
     model, model_ref = _load_model(settings)
-    pulses = _resolve_pulses(settings, model, required=True)
+    pulses = _resolve_pulses(settings, model, scheme, required=True)
 
     tally, keys = simulate_session(
         model, scheme, pulses, seed, zero_bias=settings["zero_bias"]
@@ -502,171 +519,56 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     settings, cfg_ref = _settings(args)
     tally, tally_ref = _load_tally(settings)
     scheme, scheme_ref = _load_scheme(settings)
-    validate_tally(tally, scheme)  # before the signal level is indexed
     config = _confidence(settings)
     pa_epsilon = _epsilon(settings, "pa_epsilon")
     seed = _require(settings, "seed")
-    keys_flag = _FLAGS["keys"].flag
-    prefix = _require(settings, "keys")
-    depth = settings["depth"]
-    variant = settings["variant"]
-    q_flag = settings["qber_estimate"]
-    if q_flag is not None and not 0.0 < q_flag <= _MAX_QBER:
-        raise ValidationError(
-            f"{_FLAGS['qber_estimate'].flag} must lie in (0, {_MAX_QBER}], got {q_flag}"
-        )
-
-    paths = _key_paths(prefix)
-    bits: dict[tuple[str, str], np.ndarray] = {}
+    keys: dict[str, dict[str, np.ndarray]] = {"alice": {}, "bob": {}}
     digests: dict[str, str] = {}
-    for key, path in paths.items():
-        bits[key], digests[path.name] = _read_bits(path, keys_flag)
+    for (side, basis), path in _key_paths(_require(settings, "keys")).items():
+        keys[side][basis], digests[path.name] = _read_bits(path, _FLAGS["keys"].flag)
 
-    signal = scheme.signal_index
-    per_basis: dict[str, dict] = {}
-    reconciled: dict[str, np.ndarray] = {}
-    f_ec_measured: dict[str, float] = {}
-    residual = False
-    for i, basis in enumerate(BASES):
-        alice, bob = bits[("alice", basis)], bits[("bob", basis)]
-        if alice.size != bob.size:
-            raise ValidationError(
-                f"{keys_flag}: alice/bob length mismatch in basis {basis}"
-            )
-        expected = tally.levels[signal].sifted[basis]
-        if alice.size != expected:
-            raise ValidationError(
-                f"{keys_flag}: basis {basis} holds {alice.size} bits but the tally "
-                f"records {expected} sifted signal bits"
-            )
-        if alice.size < _MIN_BITS:
-            raise ValidationError(
-                f"{keys_flag}: basis {basis} holds {alice.size} bits; "
-                f"reconciliation needs at least {_MIN_BITS}"
-            )
-        q_est = q_flag
-        if q_est is None:
-            q_obs = tally.levels[signal].errors[basis] / expected
-            if q_obs > _MAX_QBER:
-                raise ValidationError(
-                    f"{_FLAGS['tally'].flag}: {tally_ref['path']} records a signal "
-                    f"QBER of {q_obs:.4g} in basis {basis}, above the {_MAX_QBER} "
-                    "that reconciliation accepts"
-                )
-            q_est = max(q_obs, 0.5 / alice.size)
-        rec = cascade_reconcile(alice, bob, q_est, rng_seed=4 * seed + i)
-        residual = residual or rec.residual_error_detected
-        f_ec_measured[basis] = measure_f_ec(rec)
-        reconciled[basis] = rec.corrected_key
-        per_basis[basis] = {
-            "n_input": int(alice.size),
-            "estimated_qber": q_est,
-            "corrections": rec.corrections,
-            "parity_bits_leaked": rec.parity_bits_leaked,
-            "passes": rec.passes,
-            "residual_error_detected": rec.residual_error_detected,
-            "f_ec_measured": f_ec_measured[basis],
-        }
-
-    # Budget with the measured efficiencies (floored at 1: a measured
-    # factor below 1 is a finite-sample fluctuation, not a real discount).
-    f_ds_measured: dict[str, float] = {}
-    deskewed: dict[str, np.ndarray] = {}
-    for basis in BASES:
-        des = peres_extract(reconciled[basis], depth=depth)
-        z = tally.zero_fraction(basis)
-        f_ds_measured[basis] = (
-            measure_f_ds(des, z) if 0.0 < z < 1.0 else des.f_ds
+    with _input_named(tally=tally_ref["path"]):
+        result = distill_session(
+            tally, scheme, keys["alice"], keys["bob"], config, seed=seed,
+            depth=settings["depth"], variant=settings["variant"], pa_epsilon=pa_epsilon,
         )
-        deskewed[basis] = des.output_bits
-        per_basis[basis]["deskew"] = {
-            "depth": depth,
-            "output_length": int(des.output_bits.size),
-            "f_ds_measured": f_ds_measured[basis],
-        }
-    report = {
+    _emit({
         "kind": "distill_report",
-        "inputs": {
-            "tally": tally_ref,
-            "scheme": scheme_ref,
-            "config": cfg_ref,
-            "key_files_sha256": digests,
-        },
-        "parameters": {
-            key: settings[key]
-            for key in ("seed", "depth", "variant", "confidence", "pa_epsilon")
-        },
-        "bases": per_basis,
-        "analysis": None,
-        "final_key_bits": 0,
-        "final_key_hex": "",
-    }
-    if any(not math.isfinite(f) for f in f_ds_measured.values()):
-        _emit(report)
+        "inputs": {"tally": tally_ref, "scheme": scheme_ref, "config": cfg_ref,
+                   "key_files_sha256": digests},
+        "parameters": {key: settings[key]
+                       for key in ("seed", "depth", "variant", "confidence", "pa_epsilon")},
+        **result.to_json(),
+    })
+    if result.residual:
+        _note("distill: residual mismatch survived reconciliation; aborted, no key emitted")
+        return 2
+    if result.analysis is None:
         _note("distill: deskew produced no output bits")
         return 2
 
-    f_ec_used = max(1.0, *f_ec_measured.values())
-    f_ds_used = max(1.0, *f_ds_measured.values())
-    analysis = compose_session(
-        tally,
-        scheme,
-        config,
-        f_ec=f_ec_used,
-        f_ds=f_ds_used,
-        pa_epsilon=pa_epsilon,
-    )
-    budgets = (
-        analysis.budgets_tight if variant == "tight" else analysis.budgets_worst
-    )
-
-    final_chunks = []
-    for i, basis in enumerate(BASES):
-        n_secret = budgets[basis].n_secret
-        available = int(deskewed[basis].size)
-        target = min(n_secret, available)
-        hash_seed = 4 * seed + 2 + i
-        final = privacy_amplify(deskewed[basis], target, seed=hash_seed)
-        final_chunks.append(final)
-        per_basis[basis].update(
-            n_secret=n_secret,
-            final_length=target,
-            hash_seed=hash_seed,
-        )
-        if target < n_secret:
-            _note(
-                f"distill: basis {basis} budget {n_secret} exceeds the "
-                f"{available} deskewed bits; key truncated"
-            )
-
-    final_bits = np.concatenate(final_chunks)
-    final_bytes = np.packbits(final_bits).tobytes() if final_bits.size else b""
-    report.update(
-        analysis=analysis.to_json(),
-        final_key_bits=int(final_bits.size),
-        final_key_hex=final_bytes.hex(),
-    )
-    _emit(report)
-
     key_out = settings["key_out"]
     if key_out is not None:
-        Path(key_out).write_bytes(final_bytes)
+        Path(key_out).write_bytes(result.final_key_bytes())
         _note(f"final key bytes written to {key_out}")
-
+    for basis, entry in result.bases.items():
+        if entry["final_length"] < entry["n_secret"]:
+            _note(
+                f"distill: basis {basis} budget {entry['n_secret']} exceeds the "
+                f"{entry['deskew']['output_length']} deskewed bits; key truncated"
+            )
     _note(
         "distill: f_ec "
-        + ", ".join(f"{b} {f_ec_measured[b]:.4f}" for b in BASES)
+        + ", ".join(f"{b} {e['f_ec_measured']:.4f}" for b, e in result.bases.items())
         + "; f_ds "
-        + ", ".join(f"{b} {f_ds_measured[b]:.4f}" for b in BASES)
+        + ", ".join(f"{b} {e['deskew']['f_ds_measured']:.4f}" for b, e in result.bases.items())
     )
-    if residual:
-        _note("distill: residual mismatch survived reconciliation; session aborted")
-        return 2
+    analysis = result.analysis
     _note(
-        f"distill: final key {final_bits.size} bits "
-        f"({variant} variant; totals {analysis.total_tight}/{analysis.total_worst})"
+        f"distill: final key {result.final_key.size} bits ({settings['variant']} "
+        f"variant; totals {analysis.total_tight}/{analysis.total_worst})"
     )
-    if final_bits.size == 0:
+    if result.final_key.size == 0:
         _note("distill: zero-key outcome")
         return 2
     return 0
@@ -677,27 +579,18 @@ def _cmd_distill(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _extinction_named():
-    """Name the ``--extinction-db`` flag when the scheme search finds no valid scheme."""
-    try:
-        yield
-    except NoValidSchemeError as exc:
-        raise ValidationError(f"{_FLAGS['extinction_db'].flag}: {exc}") from exc
-
-
 def _cmd_optimize(args: argparse.Namespace) -> int:
     settings, cfg_ref = _settings(args)
     model, model_ref = _load_model(settings)
     scheme, scheme_ref = _load_scheme(settings)
-    pulses = _resolve_pulses(settings, model)
+    pulses = _resolve_pulses(settings, model, scheme)
     knobs = {
         key: settings[key]
         for key in ("extinction_db", "stages", "points_per_stage",
                     "f_ec", "f_ds", "sift_ratio", "zero_fraction")
     }
 
-    with _extinction_named():
+    with _input_named():
         result = optimize_scheme(
             model,
             pulses,
@@ -760,10 +653,10 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     settings, _ = _settings(args)
     model, _ = _load_model(settings)
     scheme, _ = _load_scheme(settings)
-    pulses = _resolve_pulses(settings, model)
+    pulses = _resolve_pulses(settings, model, scheme)
     distances = _parse_distances(settings["distances"])
 
-    with _extinction_named():
+    with _input_named():
         curve = range_curve(
             model,
             pulses,
@@ -879,7 +772,7 @@ _COMMANDS = {
     "distill": _Command(
         _cmd_distill, "Reconcile, deskew, and hash raw keys into the final key",
         ("tally", "scheme", *_STATISTICS, "keys", "seed", "depth", "variant",
-         "qber_estimate", "pa_epsilon", "key_out"),
+         "pa_epsilon", "key_out"),
         help_for={"seed": "seed for the reconciliation shuffles and hash; required"},
     ),
     "optimize": _Command(

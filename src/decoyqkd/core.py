@@ -26,6 +26,7 @@ __all__ = [
     "BASES",
     "FORMAT_VERSION",
     "ValidationError",
+    "InputError",
     "DecoyScheme",
     "SessionTally",
     "LevelCounts",
@@ -54,6 +55,15 @@ _PROB_SUM_TOL = 1e-12
 
 class ValidationError(ValueError):
     """Raised when a value object or JSON document violates its contract."""
+
+
+class InputError(ValidationError):
+    """A ``ValidationError`` blamed on the call's input named ``input_name``
+    (such as ``keys``, ``tally`` or ``extinction_db``)."""
+
+    def __init__(self, input_name: str, message: str) -> None:
+        super().__init__(message)
+        self.input_name = input_name
 
 
 def conjugate_basis(basis: str) -> str:

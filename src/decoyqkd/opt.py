@@ -31,6 +31,7 @@ from .core import (
     ChannelModel,
     ConfidenceConfig,
     DecoyScheme,
+    InputError,
     ValidationError,
 )
 from .keyrate import SessionAnalysis, compose_session
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 
-class NoValidSchemeError(ValidationError):
+class NoValidSchemeError(InputError):
     """The scheme search met no valid scheme: at the given ``extinction_db``
     the vacuum level never falls below the decoy level."""
 
@@ -63,14 +64,13 @@ def evaluate_scheme(
     scheme: DecoyScheme,
     pulses: int,
     *,
-    config: ConfidenceConfig | None = None,
+    config: ConfidenceConfig = ConfidenceConfig(),
     f_ec: float = DEFAULT_F_EC,
     f_ds: float = DEFAULT_F_DS,
     sift_ratio: float = REFERENCE_SIFT_RATIO,
     zero_fraction: float = REFERENCE_ZERO_FRACTION,
 ) -> SessionAnalysis:
     """Analysis of the expected (deterministic) session for one scheme."""
-    config = config if config is not None else ConfidenceConfig()
     tally = expected_tally(
         model, scheme, pulses, sift_ratio=sift_ratio, zero_fraction=zero_fraction
     )
@@ -117,7 +117,7 @@ def optimize_scheme(
     stages: int = DEFAULT_STAGES,
     points_per_stage: int = DEFAULT_POINTS_PER_STAGE,
     initial_scheme: DecoyScheme | None = None,
-    config: ConfidenceConfig | None = None,
+    config: ConfidenceConfig = ConfidenceConfig(),
     f_ec: float = DEFAULT_F_EC,
     f_ds: float = DEFAULT_F_DS,
     sift_ratio: float = REFERENCE_SIFT_RATIO,
@@ -156,7 +156,6 @@ def optimize_scheme(
     """
     if stages < 1 or points_per_stage < 3:
         raise ValidationError("need at least one stage and three grid points")
-    config = config if config is not None else ConfidenceConfig()
     start = initial_scheme if initial_scheme is not None else reference_scheme()
     if start.n_levels != 3:
         raise ValidationError("the optimizer searches 3-level schemes only")
@@ -175,6 +174,8 @@ def optimize_scheme(
         "p1": min(max(start.send_probs[1], bounds["p1"][0]), bounds["p1"][1]),
     }
 
+    knobs = dict(config=config, f_ec=f_ec, f_ds=f_ds, sift_ratio=sift_ratio,
+                 zero_fraction=zero_fraction)
     trace: list[dict] = []
     cache: dict[tuple, SessionAnalysis] = {}
 
@@ -186,16 +187,7 @@ def optimize_scheme(
         hit = cache.get(key)
         if hit is not None:
             return (hit.total_tight, hit.total_worst)
-        analysis = evaluate_scheme(
-            model,
-            scheme,
-            pulses,
-            config=config,
-            f_ec=f_ec,
-            f_ds=f_ds,
-            sift_ratio=sift_ratio,
-            zero_fraction=zero_fraction,
-        )
+        analysis = evaluate_scheme(model, scheme, pulses, **knobs)
         value = (analysis.total_tight, analysis.total_worst)
         cache[key] = analysis
         trace.append(
@@ -235,6 +227,7 @@ def optimize_scheme(
     )
     if scheme is None:  # the incumbent moves only to a valid candidate
         raise NoValidSchemeError(
+            "extinction_db",
             f"extinction_db {extinction_db} dB leaves no valid scheme on the "
             "search grid: a scheme needs mu0 = mu2 * 10**(-extinction_db / 10) "
             "below mu1 (and p2 above 0.01)"
@@ -268,17 +261,6 @@ class CurvePoint:
     b1_worst: float
     scheme: DecoyScheme
 
-    def to_json(self) -> dict:
-        return {
-            "distance_km": self.distance_km,
-            "n_secret_tight": self.n_secret_tight,
-            "n_secret_worst": self.n_secret_worst,
-            "y1_lower": self.y1_lower,
-            "b1_tight": self.b1_tight,
-            "b1_worst": self.b1_worst,
-            "scheme": self.scheme.to_json(),
-        }
-
 
 @dataclass(frozen=True)
 class RangeCurve:
@@ -305,7 +287,7 @@ def range_curve(
     scheme: DecoyScheme | None = None,
     extinction_db: float = DEFAULT_EXTINCTION_DB,
     stages: int = DEFAULT_STAGES,
-    config: ConfidenceConfig | None = None,
+    config: ConfidenceConfig = ConfidenceConfig(),
     f_ec: float = DEFAULT_F_EC,
     f_ds: float = DEFAULT_F_DS,
     sift_ratio: float = REFERENCE_SIFT_RATIO,
@@ -326,8 +308,9 @@ def range_curve(
         raise ValidationError("distance grid must be non-empty")
     if any(b <= a for a, b in zip(distances, distances[1:])):
         raise ValidationError("distance grid must be strictly increasing")
-    config = config if config is not None else ConfidenceConfig()
     fixed = scheme if scheme is not None else reference_scheme()
+    knobs = dict(config=config, f_ec=f_ec, f_ds=f_ds, sift_ratio=sift_ratio,
+                 zero_fraction=zero_fraction)
 
     points: list[CurvePoint] = []
     range_tight: float | None = None
@@ -336,32 +319,13 @@ def range_curve(
     for d in distances:
         m = model.with_length(d)
         if optimize:
-            result = optimize_scheme(
-                m,
-                pulses,
-                extinction_db=extinction_db,
-                stages=stages,
-                initial_scheme=warm,
-                config=config,
-                f_ec=f_ec,
-                f_ds=f_ds,
-                sift_ratio=sift_ratio,
-                zero_fraction=zero_fraction,
-            )
+            result = optimize_scheme(m, pulses, extinction_db=extinction_db, stages=stages,
+                                     initial_scheme=warm, **knobs)
             use, analysis = result.scheme, result.analysis
             warm = result.scheme
         else:
             use = fixed
-            analysis = evaluate_scheme(
-                m,
-                use,
-                pulses,
-                config=config,
-                f_ec=f_ec,
-                f_ds=f_ds,
-                sift_ratio=sift_ratio,
-                zero_fraction=zero_fraction,
-            )
+            analysis = evaluate_scheme(m, use, pulses, **knobs)
         points.append(
             CurvePoint(
                 distance_km=d,

@@ -26,19 +26,26 @@ parities, and the messages are put back in block-major order (each
 block's top parity, then its left halves level by level), the order in
 which a block-by-block loop sends them.  Passes 2 onward run the
 sequential cascade.
+
+:func:`distill_session` runs the whole post-processing of one session
+here, beside the limits it enforces: reconciliation, deskewing, the key
+budget with the measured factors, and hashing.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat, starmap
 
 import numpy as np
 
-from .core import ValidationError
-from .extract import _as_bits
+from .core import (BASES, DEFAULT_DESKEW_DEPTH, DEFAULT_PA_EPSILON, ConfidenceConfig,
+                   DecoyScheme, InputError, SessionTally, ValidationError, validate_tally)
+from .extract import _as_bits, measure_f_ds, peres_extract, privacy_amplify
+from .keyrate import SessionAnalysis, compose_session
 from .stats import binary_entropy
 
 __all__ = [
@@ -46,6 +53,8 @@ __all__ = [
     "ReconciliationResult",
     "cascade_reconcile",
     "measure_f_ec",
+    "DistillResult",
+    "distill_session",
 ]
 
 
@@ -401,3 +410,121 @@ def measure_f_ec(result: ReconciliationResult) -> float:
     if floor == 0.0:
         return result.parity_bits_leaked / n
     return result.parity_bits_leaked / (n * floor)
+
+
+@dataclass(frozen=True)
+class DistillResult:
+    """Outcome of :func:`distill_session`.
+
+    ``bases`` holds each basis's report entry: reconciliation, then
+    ``deskew`` and the budget and hash fields once the keys agree.
+    ``analysis`` (the budget with the measured factors) is None and
+    ``final_key`` is empty when a ``residual`` mismatch survived
+    reconciliation or deskewing gave no output bits.
+    """
+
+    bases: dict[str, dict]
+    analysis: SessionAnalysis | None
+    final_key: np.ndarray = field(repr=False)
+
+    @property
+    def residual(self) -> bool:
+        """True when the keys of some basis still differ after reconciliation."""
+        return any(entry["residual_error_detected"] for entry in self.bases.values())
+
+    def final_key_bytes(self) -> bytes:
+        """The final key packed into bytes, most significant bit first."""
+        return np.packbits(self.final_key).tobytes()
+
+    def to_json(self) -> dict:
+        return {
+            "bases": self.bases,
+            "analysis": None if self.analysis is None else self.analysis.to_json(),
+            "final_key_bits": int(self.final_key.size),
+            "final_key_hex": self.final_key_bytes().hex(),
+        }
+
+
+def distill_session(
+    tally: SessionTally, scheme: DecoyScheme, alice: Mapping, bob: Mapping,
+    config: ConfidenceConfig = ConfidenceConfig(), *, seed: int,
+    depth: int = DEFAULT_DESKEW_DEPTH, variant: str = "worst",
+    pa_epsilon: float = DEFAULT_PA_EPSILON,
+) -> DistillResult:
+    """Reconcile, deskew, budget and hash one session's sifted signal keys.
+
+    ``alice`` and ``bob`` map each basis to that side's key.  The i-th
+    basis is reconciled with seed ``4*seed + i`` from the tally's signal
+    QBER, and its deskewed key hashed with seed ``4*seed + 2 + i`` to
+    min(budget, deskewed length) bits.  The ``variant`` ("tight" or
+    "worst") budget uses the larger basis's measured f_EC and f_DS,
+    floored at 1: a factor below 1 is a finite-sample fluctuation, not a
+    real discount.  That budget prices the disclosed parities from the
+    tally, so every basis's corrections must equal the tally's
+    signal-level errors.
+
+    Raises ``InputError`` naming ``keys`` (lengths unequal, unlike the
+    tally's sifted signal count or below 64 bits; an error count unlike
+    the tally's) or ``tally`` (signal QBER above 0.25).
+    """
+    validate_tally(tally, scheme)
+    if variant not in ("tight", "worst"):
+        raise ValidationError(f"variant must be 'tight' or 'worst', got {variant!r}")
+    signal = tally.levels[scheme.signal_index]
+    bases: dict[str, dict] = {}
+    for basis in BASES:
+        n = len(alice[basis])
+        if n != len(bob[basis]):
+            raise InputError("keys", f"alice/bob length mismatch in basis {basis}")
+        if n != signal.sifted[basis]:
+            raise InputError("keys", f"basis {basis} holds {n} bits but the tally "
+                             f"records {signal.sifted[basis]} sifted signal bits")
+        if n < _MIN_BITS:
+            raise InputError("keys", f"basis {basis} holds {n} bits; "
+                             f"reconciliation needs at least {_MIN_BITS}")
+        qber = signal.errors[basis] / n
+        if qber > _MAX_QBER:
+            raise InputError("tally", f"records a signal QBER of {qber:.4g} in basis {basis}, "
+                             f"above the {_MAX_QBER} that reconciliation accepts")
+        bases[basis] = {"n_input": n, "estimated_qber": max(qber, 0.5 / n)}
+
+    corrected = {}
+    for i, (basis, entry) in enumerate(bases.items()):
+        rec = cascade_reconcile(alice[basis], bob[basis], entry["estimated_qber"], 4 * seed + i)
+        corrected[basis] = rec.corrected_key
+        entry.update(corrections=rec.corrections, parity_bits_leaked=rec.parity_bits_leaked,
+                     passes=rec.passes, residual_error_detected=rec.residual_error_detected,
+                     f_ec_measured=measure_f_ec(rec))
+    no_key = np.zeros(0, dtype=np.uint8)
+    if any(entry["residual_error_detected"] for entry in bases.values()):
+        return DistillResult(bases, None, no_key)
+    for basis, entry in bases.items():
+        if entry["corrections"] != signal.errors[basis]:
+            raise InputError("keys", f"basis {basis}: reconciliation corrected "
+                             f"{entry['corrections']} errors but the tally records "
+                             f"{signal.errors[basis]}")
+
+    deskewed = {}
+    for basis, key in corrected.items():
+        des = peres_extract(key, depth=depth)
+        z = tally.zero_fraction(basis)
+        deskewed[basis] = des.output_bits
+        bases[basis]["deskew"] = {
+            "depth": depth,
+            "output_length": int(des.output_bits.size),
+            "f_ds_measured": measure_f_ds(des, z) if 0.0 < z < 1.0 else des.f_ds,
+        }
+    f_ds = max(1.0, *(entry["deskew"]["f_ds_measured"] for entry in bases.values()))
+    if math.isinf(f_ds):
+        return DistillResult(bases, None, no_key)
+    f_ec = max(1.0, *(entry["f_ec_measured"] for entry in bases.values()))
+    analysis = compose_session(tally, scheme, config, f_ec=f_ec, f_ds=f_ds, pa_epsilon=pa_epsilon)
+    budgets = analysis.budgets_tight if variant == "tight" else analysis.budgets_worst
+    chunks = []
+    for i, (basis, bits) in enumerate(deskewed.items()):
+        n_secret = budgets[basis].n_secret
+        target = min(n_secret, int(bits.size))
+        hash_seed = 4 * seed + 2 + i
+        chunks.append(privacy_amplify(bits, target, seed=hash_seed))
+        bases[basis].update(n_secret=n_secret, final_length=target, hash_seed=hash_seed)
+    return DistillResult(bases, analysis, np.concatenate(chunks))

@@ -403,7 +403,7 @@ def calibrate_to_reference(
     zero_fraction: float = REFERENCE_ZERO_FRACTION,
     f_ec: float = DEFAULT_F_EC,
     f_ds: float = DEFAULT_F_DS,
-    config: ConfidenceConfig | None = None,
+    config: ConfidenceConfig = ConfidenceConfig(),
 ) -> CalibrationResult:
     """Fit the free link parameters of the demonstration link to session totals.
 
@@ -435,7 +435,6 @@ def calibrate_to_reference(
 
     scheme = reference_scheme()
     base = reference_model()
-    config = config if config is not None else ConfidenceConfig()
     if len(detections) != scheme.n_levels:
         raise ValidationError("need one detection total per scheme level")
     if min(detections) <= 0 or sifted_total <= 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import hashlib
 import inspect
 import io
@@ -23,13 +24,15 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import decoyqkd
 from conftest import MALFORMED_DOCUMENTS
-from decoyqkd import cli
+from decoyqkd import cli, recon
 from decoyqkd.cli import main
 from decoyqkd.core import (
+    BASES,
     DEFAULT_DESKEW_DEPTH,
     DEFAULT_ZERO_BIAS,
     ConfidenceConfig,
@@ -39,6 +42,7 @@ from decoyqkd.core import (
 from decoyqkd.extract import peres_extract
 from decoyqkd.keyrate import compose_session
 from decoyqkd.opt import optimize_scheme
+from decoyqkd.recon import distill_session
 from decoyqkd.sim import reference_model, reference_scheme, simulate_session
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -169,6 +173,22 @@ class TestSimulate:
         assert (rc, out) == (1, "")
         assert f"decoyqkd simulate: error: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, given, pulses",
+        [
+            (["simulate", "--seed", "1", "--duration-h", "1e-12"], "--duration-h 1e-12", 0),
+            (["optimize", "--duration-h", "1e-12"], "--duration-h 1e-12", 0),
+            (["curve", "--distances", "100:110:5", "--pulses", "3"], "--pulses 3", 3),
+        ],
+    )
+    def test_too_few_pulses_names_flag(self, argv, given, pulses):
+        rc, out, err = run_cli(argv)
+        assert (rc, out) == (1, "")
+        assert (
+            f"decoyqkd {argv[0]}: error: {given} gives {pulses} pulses, "
+            "too few to send one at every level"
+        ) in err
 
 
 class TestAnalyze:
@@ -425,16 +445,6 @@ class TestDistill:
         assert rc == 1
         assert "--keys: key file not found:" in err
 
-    @pytest.mark.parametrize("value", ["0.3", "0", "-0.01"])
-    def test_qber_estimate_out_of_range_names_flag(self, workspace, value):
-        rc, out, err = run_cli(
-            ["distill", "--tally", str(workspace / "tally.json"),
-             "--keys", str(workspace / "run"), "--seed", "5", "--qber-estimate", value]
-        )
-        assert rc == 1
-        assert out == ""
-        assert f"--qber-estimate must lie in (0, 0.25], got {float(value)}" in err
-
     def test_observed_qber_above_limit_names_tally_and_basis(self, workspace, tmp_path):
         doc = json.loads((workspace / "tally.json").read_text())
         doc["levels"][2]["errors"]["X"] = 900  # of 3055 sifted signal bits
@@ -468,6 +478,56 @@ class TestDistill:
         )
         assert rc == 1
         assert "--keys: basis X holds 0 bits; reconciliation needs at least 64" in err
+
+    def test_key_errors_unlike_tally_exit_one(self, tmp_path):
+        # A 100 km, 5.6 h session whose tally records 767/804 errors in X/Z
+        # while Bob's key files carry 12% more flips: the budget, which
+        # prices the disclosed parities from the tally, would undercharge.
+        rc, out, _ = run_cli(
+            ["simulate", "--distance-km", "100", "--duration-h", "5.6",
+             "--seed", "1000003", "--keys-out", str(tmp_path / "run")]
+        )
+        assert rc == 0
+        (tmp_path / "tally.json").write_text(out)
+        flips = np.random.default_rng(12)
+        for basis in BASES:
+            alice, bob = (
+                np.array(list((tmp_path / f"run.{side}.{basis}.bits").read_text().strip()),
+                         dtype=int)
+                for side in ("alice", "bob")
+            )
+            agree = np.flatnonzero(alice == bob)
+            errors = bob.size - agree.size
+            bob[flips.choice(agree, round(0.12 * errors), replace=False)] ^= 1
+            (tmp_path / f"run.bob.{basis}.bits").write_text("".join(map(str, bob)) + "\n")
+        rc, out, err = run_cli(
+            ["distill", "--tally", str(tmp_path / "tally.json"),
+             "--keys", str(tmp_path / "run"), "--seed", "7"]
+        )
+        assert (rc, out) == (1, "")
+        assert (
+            "distill: error: --keys: basis X: reconciliation corrected 859 errors "
+            "but the tally records 767"
+        ) in err
+
+    def test_residual_mismatch_emits_no_key(self, workspace, tmp_path, monkeypatch):
+        reconcile = recon.cascade_reconcile
+
+        def residual_left(*args, **kwargs):
+            return dataclasses.replace(reconcile(*args, **kwargs), residual_error_detected=True)
+
+        monkeypatch.setattr(recon, "cascade_reconcile", residual_left)
+        key_out = tmp_path / "final.bin"
+        rc, out, err = run_cli(
+            ["distill", "--tally", str(workspace / "tally.json"),
+             "--keys", str(workspace / "run"), "--seed", "5", "--key-out", str(key_out)]
+        )
+        assert rc == 2
+        report = json.loads(out)
+        assert (report["final_key_bits"], report["final_key_hex"]) == (0, "")
+        assert not key_out.exists()
+        assert "residual mismatch survived reconciliation" in err
+        assert "final key" not in err
 
     def test_variant_choices(self, workspace):
         rc, out, err = run_cli(
@@ -584,6 +644,22 @@ class TestLibraryMatchesCli:
         report = json.loads(out)["analysis"]
         assert (analysis.total_tight, analysis.total_worst) == (1207, 1207)
         assert (report["total_tight"], report["total_worst"]) == (1207, 1207)
+
+    def test_readme_snippet_matches_distill(self, workspace):
+        tally, keys = simulate_session(
+            reference_model(25.0), reference_scheme(), 20_000_000, seed=11
+        )
+        result = distill_session(tally, reference_scheme(), keys.alice, keys.bob, seed=5)
+        rc, out, _ = run_cli(
+            ["distill", "--tally", str(workspace / "tally.json"),
+             "--keys", str(workspace / "run"), "--seed", "5"]
+        )
+        assert rc == 0
+        report = json.loads(out)
+        for key in ("kind", "inputs", "parameters"):
+            del report[key]
+        assert json.loads(json.dumps(result.to_json())) == report
+        assert result.final_key.size == 887
 
     def test_optimize_scheme_matches_optimize(self):
         result = optimize_scheme(
@@ -790,3 +866,15 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "distill" in proc.stdout
+
+    def test_cli_imports_no_private_package_names(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        private = [
+            (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").startswith("decoyqkd"))
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []
