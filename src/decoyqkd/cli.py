@@ -482,7 +482,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     budget = {key: settings[key] for key in ("f_ec", "f_ds")}
     budget["pa_epsilon"] = _epsilon(settings, "pa_epsilon")
-    analysis = compose_session(tally, scheme, config, **budget)
+    with _input_named(tally=tally_ref["path"]):
+        analysis = compose_session(tally, scheme, config, **budget)
 
     report = {
         "kind": "analysis_report",

@@ -501,18 +501,19 @@ def validate_tally(tally: SessionTally, scheme: DecoyScheme) -> None:
     Raises
     ------
     ValidationError
-        If the tally's levels don't line up with the scheme's or no pulse
-        was sent.  (Per-level count chains, detections included, are
-        already enforced by the types themselves; this adds the
-        scheme-dependent checks.)
+        If the tally's levels don't line up with the scheme's; an
+        ``InputError`` naming ``tally`` if some level sent no pulse, which
+        leaves its yield unbounded.  (Per-level count chains, detections
+        included, are already enforced by the types themselves; this adds
+        the scheme-dependent checks.)
     """
     if len(tally.levels) != scheme.n_levels:
         raise ValidationError(
             f"tally has {len(tally.levels)} levels but scheme has {scheme.n_levels}"
         )
-    total_sent = sum(lv.sent for lv in tally.levels)
-    if total_sent <= 0:
-        raise ValidationError("tally records no pulses sent")
+    for j, lv in enumerate(tally.levels):
+        if lv.sent <= 0:
+            raise InputError("tally", f"level {j} has no sent pulses; cannot bound its yield")
 
 
 def dumps(obj) -> str:

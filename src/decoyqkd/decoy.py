@@ -10,8 +10,9 @@ constraints
 
 with w_jn the Poisson photon-number weights of level j truncated at the
 configured cutoff (the neglected mass is absorbed into the lower-side slack
-``tail_j``, so the true channel always stays inside the feasible region),
-and extracts from them:
+``tail_j``, so the true channel always stays inside the feasible region).
+Each basis's [B_j_lo, B_j_hi] is [Y_j_lo, Y_j_hi] scaled by the level's
+error-fraction interval.  From them it extracts:
 
 * the minimal single-photon yield ``y1`` compatible with the observations,
 * a tight upper bound on the single-photon error rate ``b1``: the ratio
@@ -28,7 +29,7 @@ individually holds except with probability epsilon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .stats import binomial_interval, poisson_tail, poisson_weights
 __all__ = [
     "ConstraintSystem",
     "YieldSolution",
-    "ErrorBoundResult",
     "SinglePhotonBounds",
     "yield_bounds",
     "error_bounds",
@@ -94,71 +94,60 @@ class YieldSolution:
     yields: tuple[float, ...] | None  # the minimizing vertex, for diagnostics
 
 
-@dataclass(frozen=True)
-class ErrorBoundResult:
-    feasible: bool
-    value: float  # upper bound on b1, in [0, 1]
-
-
-def _level_system(tally, scheme, config, basis=None) -> ConstraintSystem:
-    """Per-level intervals, Poisson weights and tails for either system kind."""
-    cutoff = config.photon_cutoff
-    lows, highs, weights, tails = [], [], [], []
-    for j, lv in enumerate(tally.levels):
-        if lv.sent <= 0:
-            raise ValueError(f"level {j} has no sent pulses; cannot bound its yield")
-        lo, hi = binomial_interval(lv.detected_total(), lv.sent, config.epsilon)
-        if basis is not None:
-            sifted = lv.sifted[basis]
-            if sifted > 0:
-                r_lo, r_hi = binomial_interval(lv.errors[basis], sifted, config.epsilon)
-            else:
-                r_lo, r_hi = 0.0, 1.0  # no data: error fraction unconstrained
-            lo, hi = r_lo * lo, r_hi * hi
-        lows.append(lo)
-        highs.append(hi)
-        mu = scheme.mus[j]
-        weights.append(tuple(poisson_weights(mu, cutoff)))
-        tails.append(poisson_tail(mu, cutoff))
-    return ConstraintSystem(
-        mus=scheme.mus,
-        lows=tuple(lows),
-        highs=tuple(highs),
-        weights=tuple(weights),
-        tails=tuple(tails),
-        cutoff=cutoff,
-        basis=basis,
-    )
-
-
 def yield_bounds(
     tally: SessionTally, scheme: DecoyScheme, config: ConfidenceConfig
 ) -> ConstraintSystem:
     """Exact-binomial detection-rate intervals for every intensity level.
 
     The per-level rate is detections (both measurement bases) over pulses
-    sent; levels with zero sent pulses are rejected.
+    sent, so every level must have sent pulses (checked by
+    :func:`~decoyqkd.core.validate_tally`).
     """
-    return _level_system(tally, scheme, config)
+    cutoff = config.photon_cutoff
+    rates = [
+        binomial_interval(lv.detected_total(), lv.sent, config.epsilon)
+        for lv in tally.levels
+    ]
+    return ConstraintSystem(
+        mus=scheme.mus,
+        lows=tuple(lo for lo, _ in rates),
+        highs=tuple(hi for _, hi in rates),
+        weights=tuple(tuple(poisson_weights(mu, cutoff)) for mu in scheme.mus),
+        tails=tuple(poisson_tail(mu, cutoff) for mu in scheme.mus),
+        cutoff=cutoff,
+    )
 
 
 def error_bounds(
+    ysys: ConstraintSystem,
     tally: SessionTally,
-    scheme: DecoyScheme,
-    config: ConfidenceConfig,
     basis: str,
+    config: ConfidenceConfig,
 ) -> ConstraintSystem:
     """Per-level bounds on the error-weighted yield in one basis.
 
     The observable splits into two independently bounded factors: the
     per-sifted-bit error fraction (binomial over sifted bits) and the
-    per-sent detection rate (binomial over sent pulses).  Their interval
-    product bounds the error yield sum_n w_jn y_n b_n; since basis choice
-    is independent of photon number, the sifting factor cancels.
+    per-sent detection rate, whose interval the yield system ``ysys`` of
+    the same tally already holds.  Their interval product bounds the
+    error yield sum_n w_jn y_n b_n; since basis choice is independent of
+    photon number, the sifting factor cancels.  The weights, tails and
+    cutoff are those of ``ysys``.
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
-    return _level_system(tally, scheme, config, basis)
+    if ysys.basis is not None:
+        raise ValueError("error bounds are built from a yield system")
+    lows, highs = [], []
+    for lv, lo, hi in zip(tally.levels, ysys.lows, ysys.highs, strict=True):
+        sifted = lv.sifted[basis]
+        if sifted > 0:
+            r_lo, r_hi = binomial_interval(lv.errors[basis], sifted, config.epsilon)
+        else:
+            r_lo, r_hi = 0.0, 1.0  # no data: error fraction unconstrained
+        lows.append(r_lo * lo)
+        highs.append(r_hi * hi)
+    return replace(ysys, lows=tuple(lows), highs=tuple(highs), basis=basis)
 
 
 def _yield_rows(system: ConstraintSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +200,7 @@ def b1_tight(
     esys: ConstraintSystem,
     y1_lower: float,
     pin_vacuum: bool = True,
-) -> ErrorBoundResult:
+) -> float | None:
     """Largest single-photon error fraction consistent with the joint system.
 
     Maximizes e1/y1 over the joint (y, e) polytope with y1 held at or
@@ -223,7 +212,8 @@ def b1_tight(
     the right-hand side, and with ``pin_vacuum`` the v0 column folds into
     the u0 column at weight one half.  The floor y1 >= y1_lower becomes
     the one row s <= 1/y1_lower, so the floor must be positive.  The
-    optimum is rounded up by ``_B1_MARGIN`` and clamped to [0, 1].
+    optimum is rounded up by ``_B1_MARGIN`` and clamped to [0, 1]; the
+    result is None when the LP is infeasible.
 
     With ``pin_vacuum`` the zero-photon error rate is fixed at one half
     (see :class:`~decoyqkd.core.ConfidenceConfig`); this is what lets the
@@ -253,9 +243,8 @@ def b1_tight(
     c[v1] = -1.0  # maximize v1
     res = solve_lp(c, np.vstack([cc, floor]), np.append(rhs, 1.0 / y1_lower))
     if not res.ok:
-        return ErrorBoundResult(feasible=False, value=1.0)
-    value = min(1.0, max(0.0, float(res.x[v1]) + _B1_MARGIN))
-    return ErrorBoundResult(feasible=True, value=value)
+        return None
+    return min(1.0, max(0.0, float(res.x[v1]) + _B1_MARGIN))
 
 
 def single_photon_sifted_weight(
@@ -295,21 +284,19 @@ def b1_worst_case(
     scheme: DecoyScheme,
     y1_lower: float,
     basis: str,
-) -> ErrorBoundResult:
+) -> float:
     """Upper-bound b1 by charging every observed error to single photons.
 
     value = (observed errors in ``basis``) / N1_lower, clamped to [0, 1],
     over every intensity level: all errors seen in the basis are assumed
     to sit on the certified single-photon sifted population
-    N1_lower = y1_lower * W.  When that population is zero the bound
-    collapses to 1 (feasible but vacuous), which downstream forces a
-    zero-length key.
+    N1_lower = y1_lower * W.  When that population is zero the bound is
+    the vacuous 1, which downstream forces a zero-length key.
     """
     n1 = y1_lower * single_photon_sifted_weight(tally, scheme, basis)
-    errors = sum(lv.errors[basis] for lv in tally.levels)
     if n1 <= 0.0:
-        return ErrorBoundResult(feasible=False, value=1.0)
-    return ErrorBoundResult(feasible=True, value=min(1.0, errors / n1))
+        return 1.0
+    return min(1.0, sum(lv.errors[basis] for lv in tally.levels) / n1)
 
 
 @dataclass(frozen=True)
@@ -343,7 +330,8 @@ def single_photon_bounds(
     a property of the channel, not of a level, so every observed error
     constrains it.  When the y1 floor is zero (or the yield system is
     infeasible) the tight bound is the worst-case one, which is then the
-    vacuous 1.
+    vacuous 1.  It is also the worst-case one when :func:`b1_tight` finds
+    its LP infeasible.
 
     Raises ``ValidationError`` when the tally does not line up with the
     scheme (see :func:`~decoyqkd.core.validate_tally`).
@@ -362,16 +350,14 @@ def single_photon_bounds(
     for basis in BASES:
         weight = single_photon_sifted_weight(tally, scheme, basis, signal)
         n1[basis] = ysol.y1_lower * weight
-        wc = b1_worst_case(tally, scheme, ysol.y1_lower, basis)
-        worst[basis] = wc.value
-        tight[basis] = wc.value
+        worst[basis] = tight[basis] = b1_worst_case(tally, scheme, ysol.y1_lower, basis)
         if ysol.feasible and ysol.y1_lower > 0.0:
-            esys = error_bounds(tally, scheme, config, basis)
-            tb = b1_tight(
+            esys = error_bounds(ysys, tally, basis, config)
+            value = b1_tight(
                 ysys, esys, ysol.y1_lower, pin_vacuum=config.pin_vacuum_errors
             )
-            if tb.feasible:
-                tight[basis] = min(tb.value, wc.value)
+            if value is not None:
+                tight[basis] = min(value, worst[basis])
     return SinglePhotonBounds(
         feasible=ysol.feasible,
         y1_lower=ysol.y1_lower,

@@ -147,6 +147,10 @@ def optimize_scheme(
         When no candidate on the search grid is a valid scheme, which
         happens when ``extinction_db`` is too small to put the vacuum
         level below the decoy level.
+    InputError
+        Naming ``pulses`` when every valid candidate would send no pulse
+        at some level.  A candidate that does so is skipped like a
+        degenerate one: its yield could not be bounded.
 
     Notes
     -----
@@ -181,8 +185,8 @@ def optimize_scheme(
 
     def objective(c: dict) -> tuple[int, int]:
         scheme = _clipped_scheme(c["mu1"], c["mu2"], c["p0"], c["p1"], extinction_db)
-        if scheme is None:
-            return (-1, -1)
+        if scheme is None or any(round(pulses * p) < 1 for p in scheme.send_probs):
+            return (-1, -1)  # degenerate, or a level would send no pulse
         key = (scheme.mus, scheme.send_probs)
         hit = cache.get(key)
         if hit is not None:
@@ -232,7 +236,13 @@ def optimize_scheme(
             "search grid: a scheme needs mu0 = mu2 * 10**(-extinction_db / 10) "
             "below mu1 (and p2 above 0.01)"
         )
-    analysis = cache[(scheme.mus, scheme.send_probs)]
+    analysis = cache.get((scheme.mus, scheme.send_probs))
+    if analysis is None:  # nothing was evaluated: every valid candidate was skipped
+        raise InputError(
+            "pulses",
+            f"{pulses} pulses leave some level of every candidate scheme "
+            "with no sent pulse"
+        )
     return OptimizationResult(
         scheme=scheme,
         analysis=analysis,

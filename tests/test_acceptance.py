@@ -193,14 +193,14 @@ def test_criterion_5_oracle_equivalence():
         y1_checked += 1
 
         if cutoff == 2 and sol.y1_lower > 0.0:
-            res = b1_tight(ysys, esys, sol.y1_lower)
+            value = b1_tight(ysys, esys, sol.y1_lower)
             nb = grid_b1_maximum(ysys, esys, sol.y1_lower, m, 64, -1)
             wb = grid_b1_maximum(ysys, esys, sol.y1_lower, m, 64, +1)
-            rho = grid_b1_resolution(ysys, esys, sol.y1_lower, m, 64, res.value)
+            rho = grid_b1_resolution(ysys, esys, sol.y1_lower, m, 64, value)
             if nb is not None:
-                assert res.value >= nb - 1e-9
+                assert value >= nb - 1e-9
             assert wb is not None
-            assert res.value <= wb + rho
+            assert value <= wb + rho
             b1_checked += 1
 
     ok = y1_checked >= 20 and b1_checked >= 8

@@ -75,6 +75,10 @@ def test_tracer_installs_records_and_uninstalls(spans):
     } <= names
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["keyrate.compose_calls"] == 1
+    # One detection interval per level, then one error fraction per level
+    # and basis with sifted bits (the vacuum level sifted none in Z): 3 + 5.
+    # Each basis's error system reuses the detection intervals.
+    assert metrics["stats.binomial_calls"] == 8
     assert metrics["simplex.solves"] == 3
     assert metrics["simplex.not_optimal"] == 0
     assert metrics["decoy.lp_per_bound"] == 1

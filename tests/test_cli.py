@@ -286,6 +286,26 @@ class TestAnalyze:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["analyze", "distill"])
+    def test_level_without_pulses_names_tally_flag(self, workspace, tmp_path, command):
+        doc = json.loads((workspace / "tally.json").read_text())
+        empty = {b: 0 for b in BASES}
+        doc["levels"][0] = {"sent": 0, "detected": empty, "sifted": empty, "errors": empty}
+        for b in BASES:
+            sifted = sum(level["sifted"][b] for level in doc["levels"])
+            doc["zeros"][b] = min(doc["zeros"][b], sifted)
+        idle = tmp_path / "idle.json"
+        idle.write_text(json.dumps(doc))
+        argv = [command, "--tally", str(idle)]
+        if command == "distill":
+            argv += ["--keys", str(workspace / "run"), "--seed", "5"]
+        rc, out, err = run_cli(argv)
+        assert (rc, out) == (1, "")
+        assert (
+            f"decoyqkd {command}: error: --tally: {idle} "
+            "level 0 has no sent pulses; cannot bound its yield"
+        ) in err
+
+    @pytest.mark.parametrize("command", ["analyze", "distill"])
     def test_reconstructed_tally_noted(self, workspace, tmp_path, command):
         argv = [command]
         if command == "distill":
@@ -698,6 +718,24 @@ class TestOptimize:
         )
         assert rc == 0
         assert json.loads(out)["trace"] is None
+
+    @pytest.mark.parametrize(
+        "argv, note",
+        [
+            (["optimize", "--pulses", "25", "--stages", "1"],
+             "optimize: every candidate yields a zero key at this operating point"),
+            (["curve", "--distances", "100", "--pulses", "25", "--optimize", "--stages", "1"],
+             "curve: zero key everywhere on the grid"),
+        ],
+    )
+    def test_candidates_without_pulses_at_a_level_are_skipped(self, argv, note):
+        # Searched send probabilities go down to 0.02, below what 25
+        # pulses give every level; such candidates score like degenerate ones.
+        rc, out, err = run_cli(argv)
+        assert rc == 2
+        assert out
+        assert note in err
+        assert "error" not in err
 
     def test_pulses_and_duration_conflict(self):
         rc, out, err = run_cli(["optimize", "--pulses", "5", "--duration-h", "1"])

@@ -16,6 +16,7 @@ from decoyqkd import (
     ChannelModel,
     ConfidenceConfig,
     DecoyScheme,
+    InputError,
     LevelCounts,
     SessionTally,
     ValidationError,
@@ -181,6 +182,13 @@ class TestSessionTally:
         tally = SessionTally(levels=(lv,), zeros={"X": 0, "Z": 0})
         with pytest.raises(ValidationError):
             validate_tally(tally, reference_scheme())
+
+    def test_validate_tally_level_without_pulses_names_tally(self):
+        idle = make_level(sent=0, det=0, sift=0, err=0)
+        tally = SessionTally(levels=(make_level(), idle, make_level()), zeros={"X": 0, "Z": 0})
+        with pytest.raises(InputError, match="level 1 has no sent pulses") as info:
+            validate_tally(tally, reference_scheme())
+        assert info.value.input_name == "tally"
 
 
 class TestChannelModel:

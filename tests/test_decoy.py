@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from decoyqkd.decoy import (
     solve_y1_lower,
     yield_bounds,
 )
-from decoyqkd.stats import poisson_tail, poisson_weights
+from decoyqkd.stats import binomial_interval, poisson_tail, poisson_weights
 
 
 def _toy_system(cutoff=4, lows=(0.0, 0.0, 0.0), highs=(1.0, 1.0, 1.0)):
@@ -271,25 +272,52 @@ def _charnes_cooper_b1(ysys, esys, y1_floor, pin_vacuum=True):
     return -res.fun
 
 
+class TestErrorSystem:
+    def test_scales_the_yield_intervals(self, calibration):
+        cfg = ConfidenceConfig()
+        tally = calibration.tally
+        ysys = yield_bounds(tally, calibration.scheme, cfg)
+        for basis in ("X", "Z"):
+            esys = error_bounds(ysys, tally, basis, cfg)
+            assert esys == dataclasses.replace(
+                ysys, lows=esys.lows, highs=esys.highs, basis=basis
+            )
+            for level, lo, hi, e_lo, e_hi in zip(
+                tally.levels, ysys.lows, ysys.highs, esys.lows, esys.highs
+            ):
+                r_lo, r_hi = binomial_interval(
+                    level.errors[basis], level.sifted[basis], cfg.epsilon
+                )
+                assert (e_lo, e_hi) == (r_lo * lo, r_hi * hi)
+
+    def test_rejects_an_error_system_or_unknown_basis(self, calibration):
+        cfg = ConfidenceConfig()
+        ysys = yield_bounds(calibration.tally, calibration.scheme, cfg)
+        esys = error_bounds(ysys, calibration.tally, "X", cfg)
+        with pytest.raises(ValueError, match="built from a yield system"):
+            error_bounds(esys, calibration.tally, "Z", cfg)
+        with pytest.raises(ValueError, match="unknown basis"):
+            error_bounds(ysys, calibration.tally, "Y", cfg)
+
+
 class TestTightErrorBound:
     def test_reference_operating_point(self, calibration):
         cfg = ConfidenceConfig()
         ysys = yield_bounds(calibration.tally, calibration.scheme, cfg)
         sol = solve_y1_lower(ysys)
         for basis in ("X", "Z"):
-            esys = error_bounds(calibration.tally, calibration.scheme, cfg, basis)
-            res = b1_tight(ysys, esys, sol.y1_lower)
-            assert res.feasible
-            assert res.value == pytest.approx(0.03764734305124105, rel=1e-9)
+            esys = error_bounds(ysys, calibration.tally, basis, cfg)
+            value = b1_tight(ysys, esys, sol.y1_lower)
+            assert value == pytest.approx(0.03764734305124105, rel=1e-9)
 
     def test_matches_fractional_program(self, calibration):
         cfg = ConfidenceConfig()
         ysys = yield_bounds(calibration.tally, calibration.scheme, cfg)
         sol = solve_y1_lower(ysys)
-        esys = error_bounds(calibration.tally, calibration.scheme, cfg, "X")
-        res = b1_tight(ysys, esys, sol.y1_lower)
+        esys = error_bounds(ysys, calibration.tally, "X", cfg)
+        value = b1_tight(ysys, esys, sol.y1_lower)
         reference = _charnes_cooper_b1(ysys, esys, sol.y1_lower)
-        assert res.value == pytest.approx(reference, abs=5e-9)
+        assert value == pytest.approx(reference, abs=5e-9)
 
     def test_matches_fractional_program_on_random_systems(self):
         rng = np.random.default_rng(321)
@@ -299,9 +327,9 @@ class TestTightErrorBound:
             sol = solve_y1_lower(ysys)
             if not sol.feasible or sol.y1_lower <= 0.0:
                 continue
-            res = b1_tight(ysys, esys, sol.y1_lower)
+            value = b1_tight(ysys, esys, sol.y1_lower)
             reference = _charnes_cooper_b1(ysys, esys, sol.y1_lower)
-            assert res.value == pytest.approx(reference, abs=5e-9)
+            assert value == pytest.approx(reference, abs=5e-9)
             checked += 1
         assert checked >= 6
 
@@ -316,17 +344,17 @@ class TestTightErrorBound:
                     sol = solve_y1_lower(ysys)
                     if not sol.feasible or sol.y1_lower <= 0.0:
                         continue
-                    res = b1_tight(ysys, esys, sol.y1_lower, pin_vacuum=pin)
+                    value = b1_tight(ysys, esys, sol.y1_lower, pin_vacuum=pin)
                     reference = _charnes_cooper_b1(ysys, esys, sol.y1_lower, pin)
-                    assert res.feasible
-                    assert res.value >= reference * (1.0 - 1e-6), pin
+                    assert value is not None
+                    assert value >= reference * (1.0 - 1e-6), pin
                     checked += 1
             assert checked >= 200
 
     def test_one_lp_per_bound(self, calibration, lp_calls):
         cfg = ConfidenceConfig()
         ysys = yield_bounds(calibration.tally, calibration.scheme, cfg)
-        esys = error_bounds(calibration.tally, calibration.scheme, cfg, "X")
+        esys = error_bounds(ysys, calibration.tally, "X", cfg)
         cases = (
             (ysys, esys, 6.5e-6),  # positive floor
             (*_contradictory_pair(), 0.1),  # infeasible joint system
@@ -361,11 +389,23 @@ class TestTightErrorBound:
                 assert len(c) == 2 * dim - pin
                 assert np.shape(a) == (4 * levels + 2 * dim + 1, len(c))
 
+    def test_systems_of_different_schemes_rejected(self, calibration):
+        cfg = ConfidenceConfig()
+        ysys = yield_bounds(calibration.tally, calibration.scheme, cfg)
+        y1 = solve_y1_lower(ysys).y1_lower
+        esys = error_bounds(ysys, calibration.tally, "X", cfg)
+        coarse = yield_bounds(
+            calibration.tally, calibration.scheme, ConfidenceConfig(photon_cutoff=6)
+        )
+        other_cutoff = error_bounds(coarse, calibration.tally, "X", cfg)
+        other_mus = dataclasses.replace(esys, mus=tuple(2.0 * mu for mu in esys.mus))
+        for wrong in (other_cutoff, other_mus):
+            with pytest.raises(ValueError, match="describe different schemes"):
+                b1_tight(ysys, wrong, y1)
+
     def test_infeasible_floor_gives_vacuous_bound(self):
         ysys, esys = _contradictory_pair()
-        res = b1_tight(ysys, esys, 0.1)
-        assert not res.feasible
-        assert res.value == 1.0
+        assert b1_tight(ysys, esys, 0.1) is None
         with pytest.raises(ValueError, match="y1_lower must be > 0"):
             b1_tight(ysys, esys, 0.0)
 
@@ -375,8 +415,8 @@ class TestTightErrorBound:
             cfg = ConfidenceConfig(epsilon=eps)
             ysys = yield_bounds(calibration.tally, calibration.scheme, cfg)
             sol = solve_y1_lower(ysys)
-            esys = error_bounds(calibration.tally, calibration.scheme, cfg, "X")
-            values.append(b1_tight(ysys, esys, sol.y1_lower).value)
+            esys = error_bounds(ysys, calibration.tally, "X", cfg)
+            values.append(b1_tight(ysys, esys, sol.y1_lower))
         assert values == sorted(values)
 
 
@@ -385,9 +425,8 @@ class TestWorstCaseErrorBound:
         cfg = ConfidenceConfig()
         ysys = yield_bounds(calibration.tally, calibration.scheme, cfg)
         sol = solve_y1_lower(ysys)
-        res = b1_worst_case(calibration.tally, calibration.scheme, sol.y1_lower, "X")
-        assert res.feasible
-        assert res.value == pytest.approx(0.04853227272123375, rel=1e-9)
+        value = b1_worst_case(calibration.tally, calibration.scheme, sol.y1_lower, "X")
+        assert value == pytest.approx(0.04853227272123375, rel=1e-9)
 
     def test_recomputable_from_tally(self, calibration):
         # worst case charges every observed error to single photons
@@ -398,13 +437,12 @@ class TestWorstCaseErrorBound:
             errors = sum(level.errors[basis] for level in tally.levels)
             weight = single_photon_sifted_weight(tally, scheme, basis)
             expected = min(1.0, errors / (y1 * weight))
-            res = b1_worst_case(tally, scheme, y1, basis)
-            assert res.value == pytest.approx(expected, rel=1e-12)
+            assert b1_worst_case(tally, scheme, y1, basis) == pytest.approx(
+                expected, rel=1e-12
+            )
 
     def test_zero_floor_is_vacuous(self, calibration):
-        res = b1_worst_case(calibration.tally, calibration.scheme, 0.0, "X")
-        assert not res.feasible
-        assert res.value == 1.0
+        assert b1_worst_case(calibration.tally, calibration.scheme, 0.0, "X") == 1.0
 
 
 class TestCombinedBounds:
@@ -489,11 +527,11 @@ class TestGridCrossCheck:
             sol = solve_y1_lower(ysys)
             if not sol.feasible or sol.y1_lower <= 0.0:
                 continue
-            res = b1_tight(ysys, esys, sol.y1_lower)
+            value = b1_tight(ysys, esys, sol.y1_lower)
             narrow = grid_b1_maximum(ysys, esys, sol.y1_lower, 20, 40, -1)
             wide = grid_b1_maximum(ysys, esys, sol.y1_lower, 20, 40, +1)
-            rho = grid_b1_resolution(ysys, esys, sol.y1_lower, 20, 40, res.value)
+            rho = grid_b1_resolution(ysys, esys, sol.y1_lower, 20, 40, value)
             if narrow is not None:
-                assert res.value >= narrow - 1e-9
+                assert value >= narrow - 1e-9
             assert wide is not None
-            assert res.value <= wide + rho
+            assert value <= wide + rho

@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from decoyqkd.core import ConfidenceConfig
+from decoyqkd.core import ConfidenceConfig, InputError
 from decoyqkd.keyrate import compose_session
 from decoyqkd.opt import (
     NoValidSchemeError,
@@ -125,6 +125,19 @@ class TestOptimizeScheme:
         assert quick.n_secret_tight == 5414
         fixed = _evaluate(reference_model(), reference_scheme(), PULSES)
         assert quick.n_secret_tight >= fixed.total_tight
+
+    def test_skips_candidates_that_leave_a_level_without_pulses(self):
+        quick = optimize_scheme(reference_model(), 25, stages=1)
+        assert not quick.feasible
+        assert quick.trace
+        for entry in quick.trace:
+            assert all(round(25 * entry[p]) >= 1 for p in ("p0", "p1", "p2"))
+
+    @pytest.mark.parametrize("pulses", [0, 2])
+    def test_no_candidate_with_pulses_at_every_level_names_pulses(self, pulses):
+        with pytest.raises(InputError, match="with no sent pulse") as info:
+            optimize_scheme(reference_model(), pulses)
+        assert info.value.input_name == "pulses"
 
     def test_rejects_negative_pulses(self):
         with pytest.raises(ValidationError):
