@@ -4,7 +4,11 @@ The constraint systems produced by the decoy analysis are tiny (tens of
 variables and rows), so rather than pulling in an external LP dependency the
 pipeline carries its own tableau simplex.  It is deliberately boring:
 explicit slack/artificial columns, Dantzig pricing with a Bland fallback for
-anti-cycling, and absolute tolerances.
+anti-cycling, and absolute tolerances.  The pivot loop works on hoisted
+views of the tableau and a few whole-array numpy calls per pivot, but
+keeps the floating-point operations, and their order, of the plain
+loop it replaced, so every solution is bit-identical to that loop's
+(``tests/test_simplex.py`` holds it as the oracle).
 
 Those tolerances assume O(1) coefficients, which the decoy LPs do not have:
 the b1 LP at the reference operating point has weights from 2.6e-33 to 1
@@ -78,14 +82,11 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
     tab = np.zeros((m, width + 1))
     tab[:, :n] = a
     tab[np.arange(m), n + np.arange(m)] = slack_sign
-    for i, row in enumerate(art_rows):
-        tab[row, n + m + i] = 1.0
+    tab[art_rows, n + m + np.arange(n_art)] = 1.0
     tab[:, -1] = b
 
-    basis = np.empty(m, dtype=int)
-    basis[:] = n + np.arange(m)  # slacks
-    for i, row in enumerate(art_rows):
-        basis[row] = n + m + i
+    basis = n + np.arange(m)  # slacks
+    basis[art_rows] = n + m + np.arange(n_art)
 
     if n_art:
         # Phase 1: minimize the sum of artificials.
@@ -104,44 +105,46 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
         return LPResult("unbounded", None, None)
 
     x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = tab[i, -1]
+    structural = basis < n
+    x[basis[structural]] = tab[structural, -1]
     return LPResult("optimal", x, float(c @ x))
 
 
 def _run_simplex(tab, basis, cost, allow_cols):
     """Run simplex iterations in place.  Returns objective, or None if unbounded."""
     m = tab.shape[0]
+    priced = tab[:, :allow_cols]
+    cost_priced = cost[:allow_cols]
+    rhs = tab[:, -1]
+    no_ratio = np.full(m, np.inf)
     bland = False
     for iteration in range(_MAX_ITER):
         # Reduced costs: r = cost - cost_B . B^-1 A  (tableau is already B^-1 A).
         cb = cost[basis]
-        r = cost[:allow_cols] - cb @ tab[:, :allow_cols]
+        r = cost_priced - cb @ priced
         r[basis[basis < allow_cols]] = 0.0  # exact zeros for basic columns
 
         if bland:
-            candidates = np.where(r < -_TOL)[0]
+            candidates = np.flatnonzero(r < -_TOL)
             if candidates.size == 0:
-                return float(cb @ tab[:, -1])
+                return float(cb @ rhs)
             col = int(candidates[0])
         else:
-            col = int(np.argmin(r))
+            col = int(r.argmin())
             if r[col] >= -_TOL:
-                return float(cb @ tab[:, -1])
+                return float(cb @ rhs)
 
         column = tab[:, col]
         positive = column > _TOL
-        if not np.any(positive):
+        if not positive.any():
             return None  # unbounded in this direction
-        ratios = np.full(m, np.inf)
-        ratios[positive] = tab[positive, -1] / column[positive]
-        row = int(np.argmin(ratios))
+        ratios = np.divide(rhs, column, out=no_ratio.copy(), where=positive)
+        row = int(ratios.argmin())
         if bland:
             # Bland tie-break: smallest basis index among minimal ratios.
             best = ratios[row]
-            ties = np.where(np.abs(ratios - best) <= 1e-12 * (1.0 + abs(best)))[0]
-            row = int(min(ties, key=lambda i: basis[i]))
+            ties = np.flatnonzero(np.abs(ratios - best) <= 1e-12 * (1.0 + abs(best)))
+            row = int(ties[basis[ties].argmin()])
 
         _pivot(tab, row, col)
         basis[row] = col
@@ -152,12 +155,13 @@ def _run_simplex(tab, basis, cost, allow_cols):
 
 
 def _pivot(tab, row, col):
-    tab[row] /= tab[row, col]
+    pivot_row = tab[row]
+    pivot_row /= pivot_row[col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
+    tab -= factors[:, None] * pivot_row
     tab[:, col] = 0.0
-    tab[row, col] = 1.0
+    pivot_row[col] = 1.0
 
 
 def _evict_artificials(tab, basis, n_real):

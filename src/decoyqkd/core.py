@@ -500,16 +500,16 @@ def validate_tally(tally: SessionTally, scheme: DecoyScheme) -> None:
 
     Raises
     ------
-    ValidationError
-        If the tally's levels don't line up with the scheme's; an
-        ``InputError`` naming ``tally`` if some level sent no pulse, which
-        leaves its yield unbounded.  (Per-level count chains, detections
-        included, are already enforced by the types themselves; this adds
-        the scheme-dependent checks.)
+    InputError
+        Naming ``tally``, if the tally's levels don't line up with the
+        scheme's or some level sent no pulse, which leaves its yield
+        unbounded.  (Per-level count chains, detections included, are
+        already enforced by the types themselves; this adds the
+        scheme-dependent checks.)
     """
     if len(tally.levels) != scheme.n_levels:
-        raise ValidationError(
-            f"tally has {len(tally.levels)} levels but scheme has {scheme.n_levels}"
+        raise InputError(
+            "tally", f"tally has {len(tally.levels)} levels but scheme has {scheme.n_levels}"
         )
     for j, lv in enumerate(tally.levels):
         if lv.sent <= 0:

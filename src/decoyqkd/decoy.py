@@ -333,8 +333,15 @@ def single_photon_bounds(
     vacuous 1.  It is also the worst-case one when :func:`b1_tight` finds
     its LP infeasible.
 
-    Raises ``ValidationError`` when the tally does not line up with the
-    scheme (see :func:`~decoyqkd.core.validate_tally`).
+    One b1 LP is solved per distinct basis error system.  A basis's
+    error system depends on the tally only through its per-level
+    (errors, sifted) counts, so when Z's equal X's, Z reuses X's system
+    and tight bound: an expected tally takes two LPs (the y1 floor and
+    one b1), a sampled one three.  ``bounds_consumed`` still counts both
+    bases, two observations whose intervals happen to coincide.
+
+    Raises an ``InputError`` naming ``tally`` when the tally does not
+    line up with the scheme (see :func:`~decoyqkd.core.validate_tally`).
     """
     validate_tally(tally, scheme)
     ysys = yield_bounds(tally, scheme, config)
@@ -347,15 +354,21 @@ def single_photon_bounds(
     signal = (scheme.signal_index,)
     # 2 bounds per level for yields; per basis: 2 more per level for errors.
     consumed = 2 * n_levels + 2 * n_levels * len(BASES)
+    # A basis's error system, and so its b1 LP, depends on the tally only
+    # through its per-level (errors, sifted) counts.
+    tight_by_counts: dict[tuple, float | None] = {}
     for basis in BASES:
         weight = single_photon_sifted_weight(tally, scheme, basis, signal)
         n1[basis] = ysol.y1_lower * weight
         worst[basis] = tight[basis] = b1_worst_case(tally, scheme, ysol.y1_lower, basis)
         if ysol.feasible and ysol.y1_lower > 0.0:
-            esys = error_bounds(ysys, tally, basis, config)
-            value = b1_tight(
-                ysys, esys, ysol.y1_lower, pin_vacuum=config.pin_vacuum_errors
-            )
+            counts = tuple((lv.errors[basis], lv.sifted[basis]) for lv in tally.levels)
+            if counts not in tight_by_counts:
+                esys = error_bounds(ysys, tally, basis, config)
+                tight_by_counts[counts] = b1_tight(
+                    ysys, esys, ysol.y1_lower, pin_vacuum=config.pin_vacuum_errors
+                )
+            value = tight_by_counts[counts]
             if value is not None:
                 tight[basis] = min(value, worst[basis])
     return SinglePhotonBounds(

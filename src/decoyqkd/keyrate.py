@@ -241,7 +241,7 @@ def compose_session(
     the measured efficiencies of the reconciliation and deskewing stages;
     the privacy-amplification factor is computed here from the certified
     single-photon population.  A tally whose levels do not line up with
-    ``scheme`` raises ``ValidationError``.
+    ``scheme`` raises an ``InputError`` naming ``tally``.
 
     The single-photon population of both bases is pooled for the
     typical-set factor (the per-basis flip bounds are combined by taking

@@ -87,3 +87,28 @@ def test_tracer_installs_records_and_uninstalls(spans):
     )
 
     assert _bindings(spans) == (functions, classmethods)
+
+
+def test_expected_tally_solves_one_b1_lp(spans):
+    # An expected tally gives both bases the same counts, so the Z bound
+    # reuses X's error system and LP: the y1 floor plus one b1 LP, and one
+    # error fraction per level beside the three detection intervals.
+    from decoyqkd import keyrate, sim
+
+    scheme = sim.reference_scheme()
+    tally = sim.expected_tally(sim.reference_model(25.0), scheme, 20_000_000)
+    with spans.Tracer() as tracer:
+        tracer.recording = True
+        analysis = keyrate.compose_session(
+            tally, scheme, ConfidenceConfig(epsilon=1e-7, photon_cutoff=10),
+            f_ec=1.07, f_ds=1.05, pa_epsilon=1e-3,
+        )
+        tracer.recording = False
+    assert analysis.feasible and analysis.bounds.y1_lower > 0.0
+
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["simplex.solves"] == 2
+    assert metrics["simplex.not_optimal"] == 0
+    assert metrics["decoy.b1_tight_calls"] == 1
+    assert metrics["decoy.lp_per_bound"] == 1
+    assert metrics["stats.binomial_calls"] == 6

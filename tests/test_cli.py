@@ -336,6 +336,7 @@ class TestAnalyze:
         rc, out, err = run_cli(argv)
         assert (rc, out) == (1, "")
         assert f"tally has 3 levels but scheme has {len(mus)}" in err
+        assert f"error: --tally: {workspace / 'tally.json'} tally has 3 levels" in err
 
 
 class TestDistill:

@@ -180,8 +180,9 @@ class TestSessionTally:
     def test_validate_tally_level_count(self):
         lv = make_level()
         tally = SessionTally(levels=(lv,), zeros={"X": 0, "Z": 0})
-        with pytest.raises(ValidationError):
+        with pytest.raises(InputError, match="tally has 1 levels but scheme has 3") as info:
             validate_tally(tally, reference_scheme())
+        assert info.value.input_name == "tally"
 
     def test_validate_tally_level_without_pulses_names_tally(self):
         idle = make_level(sent=0, det=0, sift=0, err=0)

@@ -18,7 +18,7 @@ from conftest import (
 )
 from decoyqkd.core import ConfidenceConfig, LevelCounts, SessionTally
 from decoyqkd.keyrate import compose_session
-from decoyqkd.sim import reference_scheme
+from decoyqkd.sim import reference_model, reference_scheme, simulate_session
 from decoyqkd.decoy import (
     ConstraintSystem,
     b1_tight,
@@ -55,6 +55,13 @@ def _contradictory_pair():
         cutoff=ysys.cutoff,
     )
     return ysys, esys
+
+
+def _sampled_session():
+    """A 5.6 h Monte-Carlo session at 25 km: its bases' counts differ."""
+    scheme = reference_scheme()
+    tally, _keys = simulate_session(reference_model(25.0), scheme, 23_836_243_437, 1)
+    return tally, scheme
 
 
 @pytest.fixture
@@ -369,9 +376,31 @@ class TestTightErrorBound:
             b1_tight(ysys, esys, 0.0)  # vanishing floor: no LP is solved
         assert not lp_calls
 
+        # The y1 floor, then one b1 LP per distinct basis error system: the
+        # calibration's expected tally gives both bases the same counts.
         lp_calls.clear()
         compose_session(calibration.tally, calibration.scheme, cfg)
-        assert len(lp_calls) == 3  # the y1 floor, then one b1 LP per basis
+        assert len(lp_calls) == 2
+
+        sampled, scheme = _sampled_session()
+        lp_calls.clear()
+        compose_session(sampled, scheme, cfg)
+        assert len(lp_calls) == 3
+
+    def test_symmetric_tally_reuses_x_bound_for_z(self, calibration, lp_calls):
+        tally, scheme = calibration.tally, calibration.scheme
+        cfg = ConfidenceConfig()
+        for lv in tally.levels:
+            assert (lv.errors["X"], lv.sifted["X"]) == (lv.errors["Z"], lv.sifted["Z"])
+        bounds = single_photon_bounds(tally, scheme, cfg)
+        assert len(lp_calls) == 2
+        ysys = yield_bounds(tally, scheme, cfg)
+        y1 = solve_y1_lower(ysys).y1_lower
+        own_z = b1_tight(ysys, error_bounds(ysys, tally, "Z", cfg), y1)
+        worst_z = b1_worst_case(tally, scheme, y1, "Z")
+        assert bounds.b1_tight_by_basis["Z"] == min(own_z, worst_z)
+        assert bounds.b1_tight_by_basis["Z"] < worst_z  # the LP bound is the one kept
+        assert bounds.bounds_consumed == 2 * scheme.n_levels + 4 * scheme.n_levels
 
     def test_equalities_are_substituted(self, calibration, lp_calls):
         # u1 = 1 and v0 = u0/2 remove columns; neither is a row pair.
