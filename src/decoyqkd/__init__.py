@@ -68,12 +68,11 @@ from .sim import (
     REFERENCE_ZERO_FRACTION,
     CalibrationResult,
     ExpectedStatistics,
-    LinkBudget,
     RawKeys,
     calibrate_to_reference,
+    evaluate_scheme,
     expected_statistics,
     expected_tally,
-    link_budget,
     reference_model,
     reference_scheme,
     simulate_session,
@@ -83,7 +82,6 @@ from .opt import (
     OptimizationResult,
     RangeCurve,
     curve_csv,
-    evaluate_scheme,
     optimize_scheme,
     range_curve,
 )
@@ -143,12 +141,11 @@ __all__ = [
     "REFERENCE_ZERO_FRACTION",
     "CalibrationResult",
     "ExpectedStatistics",
-    "LinkBudget",
     "RawKeys",
     "calibrate_to_reference",
+    "evaluate_scheme",
     "expected_statistics",
     "expected_tally",
-    "link_budget",
     "reference_model",
     "reference_scheme",
     "simulate_session",
@@ -157,7 +154,6 @@ __all__ = [
     "OptimizationResult",
     "RangeCurve",
     "curve_csv",
-    "evaluate_scheme",
     "optimize_scheme",
     "range_curve",
 ]

@@ -23,7 +23,8 @@ Conventions
 Machine-readable output (JSON or CSV) goes to stdout; human-readable
 summaries go to stderr.  Given the same inputs and seed, every command
 writes byte-identical output (reports carry no timestamps, and JSON
-keys are sorted).  Reports embed a SHA-256 digest of every input file.
+keys are sorted).  Reports embed a SHA-256 digest of every input file,
+and ``analyze``, ``distill`` and ``optimize`` report every other setting.
 Exit status is 0 on success, 1 on input errors (a message names the
 offending flag or file), and 2 when the inputs were valid but the
 session yields no key (infeasible bounds, zero key total, failed
@@ -99,6 +100,11 @@ CONFIG_DIR_ENV = "DECOYQKD_CONFIG_DIR"
 
 #: Pulse counts must fit numpy's int64 samplers.
 _MAX_PULSES = 2**63
+
+#: Flags that name a file.  A report's ``parameters`` holds every other
+#: setting of its command, since each of those can change the result.
+_PATH_FLAGS = ("config", "tally", "scheme", "model", "keys", "keys_out", "key_out",
+               "out_model", "out_tally")
 
 
 class _UsageError(Exception):
@@ -231,7 +237,7 @@ def _note(msg: str) -> None:
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(dumps(doc))
 
 
 def _resolve(path: str, flag: str) -> Path:
@@ -350,11 +356,12 @@ def _epsilon(settings: dict, key: str) -> float:
 
 
 def _confidence(settings: dict) -> ConfidenceConfig:
-    return ConfidenceConfig(
-        epsilon=_epsilon(settings, "confidence"),
-        photon_cutoff=settings["photon_cutoff"],
-        pin_vacuum_errors=settings["vacuum_pinning"],
-    )
+    with _input_named():
+        return ConfidenceConfig(
+            epsilon=_epsilon(settings, "confidence"),
+            photon_cutoff=settings["photon_cutoff"],
+            pin_vacuum_errors=settings["vacuum_pinning"],
+        )
 
 
 def _resolve_pulses(
@@ -448,9 +455,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     model, model_ref = _load_model(settings)
     pulses = _resolve_pulses(settings, model, scheme, required=True)
 
-    tally, keys = simulate_session(
-        model, scheme, pulses, seed, zero_bias=settings["zero_bias"]
-    )
+    with _input_named():
+        tally, keys = simulate_session(
+            model, scheme, pulses, seed, zero_bias=settings["zero_bias"]
+        )
 
     prefix = settings["keys_out"]
     if prefix is not None:
@@ -488,12 +496,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = {
         "kind": "analysis_report",
         "inputs": {"tally": tally_ref, "scheme": scheme_ref, "config": cfg_ref},
-        "parameters": {
-            "confidence": config.epsilon,
-            "photon_cutoff": config.photon_cutoff,
-            "vacuum_pinning": config.pin_vacuum_errors,
-            **budget,
-        },
+        "parameters": {k: v for k, v in settings.items() if k not in _PATH_FLAGS},
         "analysis": analysis.to_json(),
     }
     _emit(report)
@@ -537,8 +540,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
         "kind": "distill_report",
         "inputs": {"tally": tally_ref, "scheme": scheme_ref, "config": cfg_ref,
                    "key_files_sha256": digests},
-        "parameters": {key: settings[key]
-                       for key in ("seed", "depth", "variant", "confidence", "pa_epsilon")},
+        "parameters": {k: v for k, v in settings.items() if k not in _PATH_FLAGS},
         **result.to_json(),
     })
     if result.residual:
@@ -604,9 +606,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         "kind": "optimize_report",
         "inputs": {"model": model_ref, "initial_scheme": scheme_ref, "config": cfg_ref},
         "parameters": {
+            **{k: v for k, v in settings.items() if k not in _PATH_FLAGS},
             "pulses": pulses,
-            "confidence": settings["confidence"],
-            **knobs,
         },
         "scheme": result.scheme.to_json(),
         "n_secret_tight": result.n_secret_tight,
@@ -703,13 +704,14 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         if settings[key] is not None
     }
 
-    result = calibrate_to_reference(
-        zero_fraction=settings["zero_fraction"],
-        f_ec=settings["f_ec"],
-        f_ds=settings["f_ds"],
-        config=_confidence(settings),
-        **totals,
-    )
+    with _input_named():
+        result = calibrate_to_reference(
+            zero_fraction=settings["zero_fraction"],
+            f_ec=settings["f_ec"],
+            f_ds=settings["f_ds"],
+            config=_confidence(settings),
+            **totals,
+        )
 
     report = {"kind": "calibration_report", "inputs": {"config": cfg_ref}}
     report.update(result.to_json())

@@ -461,7 +461,9 @@ class ConfidenceConfig:
         if not 0.0 < self.epsilon < 0.5:
             raise ValidationError("epsilon must lie in (0, 0.5)")
         if not self.photon_cutoff >= 1:
-            raise ValidationError("photon_cutoff must be >= 1")
+            raise InputError(
+                "photon_cutoff", f"photon_cutoff must be >= 1, got {self.photon_cutoff}"
+            )
 
     def to_json(self) -> dict:
         return {"format_version": FORMAT_VERSION, "kind": "confidence_config", **asdict(self)}

@@ -30,6 +30,7 @@ from .core import (
     DEFAULT_PA_EPSILON,
     ConfidenceConfig,
     DecoyScheme,
+    InputError,
     SessionTally,
     conjugate_basis,
 )
@@ -254,10 +255,14 @@ def compose_session(
     the adversarial soundness bounds: an uncovered pattern costs a failed
     session, not a compromised key, so it is priced like an abort
     probability rather than a security failure.  It is checked first,
-    whether or not the session earns a key.
+    whether or not the session earns a key, and so are ``f_ec`` and
+    ``f_ds``, which must be at least 1.
     """
     if not 0.0 < pa_epsilon < 0.5:
         raise ValueError(f"pa_epsilon must lie in (0, 0.5) (got {pa_epsilon})")
+    for name, f in (("f_ec", f_ec), ("f_ds", f_ds)):
+        if not f >= 1.0:
+            raise InputError(name, f"{name} must be >= 1 (got {f})")
     bounds = single_photon_bounds(tally, scheme, config)
 
     mu = scheme.signal_mu

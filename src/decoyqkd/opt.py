@@ -1,12 +1,13 @@
 """Scheme optimization and rate-versus-distance curves.
 
 The optimizer maximizes the predicted secret-key total under the tight
-single-photon error variant, evaluating candidate schemes on the
-deterministic expected tally (expected counts pushed through the same
-confidence-bound machinery as real data).  Monte-Carlo noise would make
-coordinate descent wander, and the expected tally is exactly what the
-analysis would see on the average session, so the deterministic
-objective is both smooth and honest about finite-size penalties.
+single-photon error variant, evaluating candidate schemes with
+``sim.evaluate_scheme`` (re-exported here): the deterministic expected
+tally, pushed through the same confidence-bound machinery as real data.
+Monte-Carlo noise would make coordinate descent wander, and the expected
+tally is exactly what the analysis would see on the average session, so
+the deterministic objective is both smooth and honest about finite-size
+penalties.
 
 Coordinate descent over (mu1, mu2, p0, p1) with the vacuum-like level
 pinned to the transmitter's extinction floor (a fixed dB ratio below
@@ -34,16 +35,15 @@ from .core import (
     InputError,
     ValidationError,
 )
-from .keyrate import SessionAnalysis, compose_session
+from .keyrate import SessionAnalysis
 from .sim import (
     REFERENCE_SIFT_RATIO,
     REFERENCE_ZERO_FRACTION,
-    expected_tally,
+    evaluate_scheme,
     reference_scheme,
 )
 
 __all__ = [
-    "NoValidSchemeError",
     "OptimizationResult",
     "CurvePoint",
     "RangeCurve",
@@ -52,29 +52,6 @@ __all__ = [
     "range_curve",
     "curve_csv",
 ]
-
-
-class NoValidSchemeError(InputError):
-    """The scheme search met no valid scheme: at the given ``extinction_db``
-    the vacuum level never falls below the decoy level."""
-
-
-def evaluate_scheme(
-    model: ChannelModel,
-    scheme: DecoyScheme,
-    pulses: int,
-    *,
-    config: ConfidenceConfig = ConfidenceConfig(),
-    f_ec: float = DEFAULT_F_EC,
-    f_ds: float = DEFAULT_F_DS,
-    sift_ratio: float = REFERENCE_SIFT_RATIO,
-    zero_fraction: float = REFERENCE_ZERO_FRACTION,
-) -> SessionAnalysis:
-    """Analysis of the expected (deterministic) session for one scheme."""
-    tally = expected_tally(
-        model, scheme, pulses, sift_ratio=sift_ratio, zero_fraction=zero_fraction
-    )
-    return compose_session(tally, scheme, config, f_ec=f_ec, f_ds=f_ds)
 
 
 @dataclass(frozen=True)
@@ -143,14 +120,13 @@ def optimize_scheme(
 
     Raises
     ------
-    NoValidSchemeError
-        When no candidate on the search grid is a valid scheme, which
-        happens when ``extinction_db`` is too small to put the vacuum
-        level below the decoy level.
     InputError
-        Naming ``pulses`` when every valid candidate would send no pulse
-        at some level.  A candidate that does so is skipped like a
-        degenerate one: its yield could not be bounded.
+        Naming ``extinction_db`` when no candidate on the search grid is
+        a valid scheme, which happens when ``extinction_db`` is too small
+        to put the vacuum level below the decoy level.  Naming ``pulses``
+        when every valid candidate would send no pulse at some level.  A
+        candidate that does so is skipped like a degenerate one: its
+        yield could not be bounded.
 
     Notes
     -----
@@ -158,8 +134,10 @@ def optimize_scheme(
     so the reported scheme never sacrifices the conservative variant
     for nothing.
     """
-    if stages < 1 or points_per_stage < 3:
-        raise ValidationError("need at least one stage and three grid points")
+    if stages < 1:
+        raise InputError("stages", f"need at least one stage, got {stages}")
+    if points_per_stage < 3:
+        raise InputError("points_per_stage", f"need at least 3 points, got {points_per_stage}")
     start = initial_scheme if initial_scheme is not None else reference_scheme()
     if start.n_levels != 3:
         raise ValidationError("the optimizer searches 3-level schemes only")
@@ -180,33 +158,16 @@ def optimize_scheme(
 
     knobs = dict(config=config, f_ec=f_ec, f_ds=f_ds, sift_ratio=sift_ratio,
                  zero_fraction=zero_fraction)
-    trace: list[dict] = []
-    cache: dict[tuple, SessionAnalysis] = {}
+    cache: dict[tuple, SessionAnalysis] = {}  # in evaluation order
 
     def objective(c: dict) -> tuple[int, int]:
         scheme = _clipped_scheme(c["mu1"], c["mu2"], c["p0"], c["p1"], extinction_db)
         if scheme is None or any(round(pulses * p) < 1 for p in scheme.send_probs):
             return (-1, -1)  # degenerate, or a level would send no pulse
         key = (scheme.mus, scheme.send_probs)
-        hit = cache.get(key)
-        if hit is not None:
-            return (hit.total_tight, hit.total_worst)
-        analysis = evaluate_scheme(model, scheme, pulses, **knobs)
-        value = (analysis.total_tight, analysis.total_worst)
-        cache[key] = analysis
-        trace.append(
-            {
-                "mu0": scheme.mus[0],
-                "mu1": scheme.mus[1],
-                "mu2": scheme.mus[2],
-                "p0": scheme.send_probs[0],
-                "p1": scheme.send_probs[1],
-                "p2": scheme.send_probs[2],
-                "n_secret_tight": value[0],
-                "n_secret_worst": value[1],
-            }
-        )
-        return value
+        if key not in cache:
+            cache[key] = evaluate_scheme(model, scheme, pulses, **knobs)
+        return (cache[key].total_tight, cache[key].total_worst)
 
     best_value = objective(current)
     width = {name: hi - lo for name, (lo, hi) in bounds.items()}
@@ -230,7 +191,7 @@ def optimize_scheme(
         current["mu1"], current["mu2"], current["p0"], current["p1"], extinction_db
     )
     if scheme is None:  # the incumbent moves only to a valid candidate
-        raise NoValidSchemeError(
+        raise InputError(
             "extinction_db",
             f"extinction_db {extinction_db} dB leaves no valid scheme on the "
             "search grid: a scheme needs mu0 = mu2 * 10**(-extinction_db / 10) "
@@ -250,7 +211,11 @@ def optimize_scheme(
         n_secret_worst=analysis.total_worst,
         feasible=analysis.total_tight > 0,
         evaluations=len(cache),
-        trace=tuple(trace),
+        trace=tuple(
+            dict(zip(("mu0", "mu1", "mu2", "p0", "p1", "p2"), mus + probs),
+                 n_secret_tight=done.total_tight, n_secret_worst=done.total_worst)
+            for (mus, probs), done in cache.items()
+        ),
     )
 
 

@@ -21,7 +21,8 @@ visibility floor): noise counts are uncorrelated with the encoded bit
 timing-window acceptance; at ~10 MHz clocking and the count rates of
 interest, dead-time corrections are below 0.1%.
 
-:func:`calibrate_to_reference` back-solves the free link parameters
+:func:`evaluate_scheme` is the one scheme evaluation of ``opt`` and of
+:func:`calibrate_to_reference`, which back-solves the free link parameters
 (effective pulse count, background rate, intrinsic error) from the
 demonstration session totals this package ships as defaults, so the
 analytic pipeline reproduces that operating point end to end.
@@ -42,6 +43,7 @@ from .core import (
     ChannelModel,
     ConfidenceConfig,
     DecoyScheme,
+    InputError,
     LevelCounts,
     SessionTally,
     ValidationError,
@@ -49,13 +51,12 @@ from .core import (
 from .keyrate import SessionAnalysis, compose_session
 
 __all__ = [
-    "LinkBudget",
     "ExpectedStatistics",
     "RawKeys",
     "CalibrationResult",
-    "link_budget",
     "expected_statistics",
     "expected_tally",
+    "evaluate_scheme",
     "simulate_session",
     "reference_scheme",
     "reference_model",
@@ -121,41 +122,16 @@ def reference_model(fiber_length_km: float = 135.0) -> ChannelModel:
 
 
 # ---------------------------------------------------------------------------
-# Link budget and expected statistics
+# Expected statistics
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """End-to-end transmission summary for one model.
-
-    ``eta`` folds fiber loss and detector efficiency into the
-    probability that one photon produces a click;
-    ``dark_prob_per_window`` is the chance of a noise count (dark plus
-    background) inside one timing window.
-    """
-
-    total_loss_db: float
-    eta: float
-    dark_prob_per_window: float
-
-
-def link_budget(model: ChannelModel) -> LinkBudget:
-    fiber_db = model.attenuation_db_per_km * model.fiber_length_km
-    detector_db = -10.0 * math.log10(model.detector_efficiency)
-    eta = model.detector_efficiency * 10.0 ** (-fiber_db / 10.0)
-    noise = (model.dark_count_rate_hz + model.background_rate_hz) * model.timing_window_s
-    return LinkBudget(
-        total_loss_db=fiber_db + detector_db,
-        eta=eta,
-        dark_prob_per_window=noise,
-    )
 
 
 @dataclass(frozen=True)
 class ExpectedStatistics:
     """Analytic per-level detection and error probabilities.
 
+    ``eta`` is the click probability of one photon (fiber and detector),
+    ``noise_prob`` that of a dark or background count in one timing window.
     ``yields[j]`` / ``error_rates[j]`` follow the scheme's level order.
     :meth:`photon_yield` and :meth:`photon_error_rate` give the
     photon-number-resolved quantities the decoy analysis is trying to
@@ -186,8 +162,9 @@ class ExpectedStatistics:
 
 def expected_statistics(model: ChannelModel, scheme: DecoyScheme) -> ExpectedStatistics:
     """Expected per-level yield and error rate under the detection model."""
-    budget = link_budget(model)
-    eta, c = budget.eta, budget.dark_prob_per_window
+    fiber_db = model.attenuation_db_per_km * model.fiber_length_km
+    eta = model.detector_efficiency * 10.0 ** (-fiber_db / 10.0)
+    c = (model.dark_count_rate_hz + model.background_rate_hz) * model.timing_window_s
     yields = []
     error_rates = []
     for mu in scheme.mus:
@@ -228,11 +205,11 @@ def expected_tally(
     session ever produced these counts.
     """
     if pulses < 0:
-        raise ValidationError("pulses must be >= 0")
+        raise InputError("pulses", f"pulses must be >= 0, got {pulses}")
     if not 0.0 <= sift_ratio <= 1.0:
-        raise ValidationError("sift_ratio must lie in [0, 1]")
+        raise InputError("sift_ratio", f"sift_ratio must lie in [0, 1], got {sift_ratio}")
     if not 0.0 <= zero_fraction <= 1.0:
-        raise ValidationError("zero_fraction must lie in [0, 1]")
+        raise InputError("zero_fraction", f"zero_fraction must lie in [0, 1], got {zero_fraction}")
     stats = expected_statistics(model, scheme)
     levels = []
     for mu, p, q, e in zip(scheme.mus, scheme.send_probs, stats.yields, stats.error_rates):
@@ -254,6 +231,24 @@ def expected_tally(
         for b in BASES
     }
     return SessionTally(levels=tuple(levels), zeros=zeros, reconstructed=True)
+
+
+def evaluate_scheme(
+    model: ChannelModel,
+    scheme: DecoyScheme,
+    pulses: int,
+    *,
+    config: ConfidenceConfig = ConfidenceConfig(),
+    f_ec: float = DEFAULT_F_EC,
+    f_ds: float = DEFAULT_F_DS,
+    sift_ratio: float = REFERENCE_SIFT_RATIO,
+    zero_fraction: float = REFERENCE_ZERO_FRACTION,
+) -> SessionAnalysis:
+    """Analysis of the expected (deterministic) session for one scheme."""
+    tally = expected_tally(
+        model, scheme, pulses, sift_ratio=sift_ratio, zero_fraction=zero_fraction
+    )
+    return compose_session(tally, scheme, config, f_ec=f_ec, f_ds=f_ds)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +296,9 @@ def simulate_session(
     (SessionTally, RawKeys)
     """
     if pulses < 0:
-        raise ValidationError("pulses must be >= 0")
+        raise InputError("pulses", f"pulses must be >= 0, got {pulses}")
     if not 0.0 <= zero_bias <= 1.0:
-        raise ValidationError("zero_bias must lie in [0, 1]")
+        raise InputError("zero_bias", f"zero_bias must lie in [0, 1], got {zero_bias}")
 
     stats = expected_statistics(model, scheme)
     rng = np.random.default_rng(seed)
@@ -439,12 +434,14 @@ def calibrate_to_reference(
         raise ValidationError("need one detection total per scheme level")
     if min(detections) <= 0 or sifted_total <= 0:
         raise ValidationError("detection and sifted totals must be > 0")
+    if sifted_total > sum(detections):
+        raise InputError("sifted", f"sifted total {sifted_total} exceeds the detection "
+                         f"total {sum(detections)}")
     if min(key_targets) <= 0:
         raise ValidationError("key targets must be > 0")
 
     targets = np.asarray(detections, dtype=float)
-    budget = link_budget(base)
-    eta = budget.eta
+    eta = expected_statistics(base, scheme).eta
     dark_c = base.dark_count_rate_hz * base.timing_window_s
     window = base.timing_window_s
     probs = np.asarray(scheme.send_probs)
@@ -471,12 +468,8 @@ def calibrate_to_reference(
     sift_ratio = sifted_total / float(targets.sum())
 
     # --- stage 2: intrinsic error rate from the two key totals
-    def evaluate(e_int: float) -> tuple[SessionTally, SessionAnalysis]:
-        m = replace(fitted, intrinsic_error_rate=e_int)
-        tally = expected_tally(
-            m, scheme, pulses, sift_ratio=sift_ratio, zero_fraction=zero_fraction
-        )
-        return tally, compose_session(tally, scheme, config, f_ec=f_ec, f_ds=f_ds)
+    knobs = dict(config=config, f_ec=f_ec, f_ds=f_ds, sift_ratio=sift_ratio,
+                 zero_fraction=zero_fraction)
 
     def score(analysis: SessionAnalysis) -> float:
         tight, worst = analysis.total_tight, analysis.total_worst
@@ -488,7 +481,8 @@ def calibrate_to_reference(
         )
 
     def objective(e_int: float) -> float:
-        return score(evaluate(e_int)[1])
+        m = replace(fitted, intrinsic_error_rate=e_int)
+        return score(evaluate_scheme(m, scheme, pulses, **knobs))
 
     grid = np.geomspace(5e-4, 0.02, 9)
     scores = [objective(e) for e in grid]
@@ -509,10 +503,12 @@ def calibrate_to_reference(
             d = a + invphi * (b - a)
             fd = objective(d)
     e_int = float((a + b) / 2.0)
-    tally, analysis = evaluate(e_int)
-    final_obj = score(analysis)
-
     final_model = replace(fitted, intrinsic_error_rate=e_int)
+    analysis = evaluate_scheme(final_model, scheme, pulses, **knobs)
+    final_obj = score(analysis)
+    tally = expected_tally(
+        final_model, scheme, pulses, sift_ratio=sift_ratio, zero_fraction=zero_fraction
+    )
     duty = pulses / (base.clock_rate_hz * duration_h * 3600.0)
     modeled = _modeled_detections(final_model, scheme, pulses)
     sifted_model = tally.sifted_all()

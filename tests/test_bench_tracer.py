@@ -112,3 +112,22 @@ def test_expected_tally_solves_one_b1_lp(spans):
     assert metrics["decoy.b1_tight_calls"] == 1
     assert metrics["decoy.lp_per_bound"] == 1
     assert metrics["stats.binomial_calls"] == 6
+
+
+def test_calibration_composes_only_through_evaluate_scheme(spans):
+    # Every key total the calibration scores comes from the one scheme
+    # evaluation of the design tools; the reported tally is built once more.
+    from decoyqkd import sim
+
+    with spans.Tracer() as tracer:
+        tracer.recording = True
+        result = sim.calibrate_to_reference()
+        tracer.recording = False
+    assert result.diagnostics["converged"]
+
+    composed = [s for s in tracer.spans if s.name == "keyrate.compose_session"]
+    assert composed
+    assert all(tracer.spans[s.parent].name == "opt.evaluate_scheme" for s in composed)
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["opt.evaluations"] == metrics["keyrate.compose_calls"] == len(composed)
+    assert metrics["sim.expected_tally_calls"] == metrics["opt.evaluations"] + 1

@@ -256,6 +256,21 @@ class TestAnalyze:
         assert (rc, out) == (1, "")
         assert f"distill: error: {flag} must lie in (0, 0.5), got {float(value)}" in err
 
+    @pytest.mark.parametrize("flag, value", [("--f-ec", "0.5"), ("--f-ds", "0.2")])
+    def test_subunity_efficiency_factor_names_flag(self, workspace, tmp_path, flag, value):
+        # 250 km over 2e6 pulses detects nothing, so no budget is computed.
+        rc, out, _ = run_cli(
+            ["simulate", "--distance-km", "250", "--pulses", "2000000", "--seed", "3"]
+        )
+        assert rc == 0
+        empty = tmp_path / "empty.json"
+        empty.write_text(out)
+        name = flag[2:].replace("-", "_")
+        for tally in (workspace / "tally.json", empty):
+            rc, out, err = run_cli(["analyze", "--tally", str(tally), flag, value])
+            assert (rc, out) == (1, ""), tally
+            assert f"analyze: error: {flag}: {name} must be >= 1 (got {float(value)})" in err
+
     def test_missing_tally_file(self):
         rc, out, err = run_cli(["analyze", "--tally", "nope.json"])
         assert rc == 1
@@ -352,7 +367,7 @@ class TestDistill:
         assert len(report["final_key_hex"]) == 2 * ((887 + 7) // 8)
         assert report["parameters"] == {
             "confidence": 1e-07, "depth": 12, "pa_epsilon": 0.001,
-            "seed": 5, "variant": "worst",
+            "photon_cutoff": 10, "seed": 5, "vacuum_pinning": True, "variant": "worst",
         }
         x = report["bases"]["X"]
         assert x["f_ec_measured"] == pytest.approx(1.103356, abs=1e-6)
@@ -859,6 +874,45 @@ class TestUsage:
         assert (rc, out) == (1, "")
         assert f"error: {flag}: {bad} is not valid JSON (" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["optimize", "--stages", "0"], "--stages"),
+        (["optimize", "--points-per-stage", "2"], "--points-per-stage"),
+        (["curve", "--optimize", "--stages", "0"], "--stages"),
+        (["optimize", "--sift-ratio", "2"], "--sift-ratio"),
+        (["curve", "--zero-fraction", "1.5"], "--zero-fraction"),
+        (["calibrate", "--zero-fraction", "1.5"], "--zero-fraction"),
+        (["simulate", "--pulses", "1000", "--seed", "1", "--zero-bias", "2"], "--zero-bias"),
+        (["optimize", "--photon-cutoff", "0"], "--photon-cutoff"),
+        (["calibrate", "--sifted", "100000000"], "--sifted"),
+        (["calibrate", "--f-ds", "0.9"], "--f-ds"),
+    ])
+    def test_out_of_range_setting_names_flag(self, argv, flag):
+        rc, out, err = run_cli(argv)
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"decoyqkd {argv[0]}: error: {flag}: "), err
+
+    def test_report_parameters_are_the_non_path_settings(self, workspace):
+        tally, keys = str(workspace / "tally.json"), str(workspace / "run")
+        optimize = ["optimize", "--duration-h", "5.6", "--stages", "1",
+                    "--points-per-stage", "3", "--distance-km"]
+        runs = {
+            "analyze": ["analyze", "--tally", tally],
+            "distill": ["distill", "--tally", tally, "--keys", keys, "--seed", "5"],
+            "optimize": optimize + ["100"],
+        }
+        parameters = {}
+        for command, argv in runs.items():
+            rc, out, _ = run_cli(argv)
+            assert rc == 0, command
+            parameters[command] = json.loads(out)["parameters"]
+            settings = {key for key in cli._COMMANDS[command].flags
+                        if cli._FLAGS[key].metavar not in ("FILE", "PREFIX")}
+            assert set(parameters[command]) == settings, command
+        near = parameters["optimize"]
+        far = json.loads(run_cli(optimize + ["120"])[1])["parameters"]
+        assert [key for key in near if near[key] != far[key]] == ["distance_km"]
+        assert near["pulses"] == 23836243437  # the count --duration-h resolves to
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_flag_rejected(self, value):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from decoyqkd.core import ConfidenceConfig, DecoyScheme, ValidationError
+from decoyqkd.core import ConfidenceConfig, DecoyScheme, InputError, ValidationError
 from decoyqkd.keyrate import (
     compose_session,
     privacy_amplification_factor,
@@ -330,6 +330,17 @@ class TestComposeSession:
         for tally in (calibration.tally, starved):
             with pytest.raises(ValueError, match=r"pa_epsilon must lie in \(0, 0.5\)"):
                 compose_session(tally, calibration.scheme, pa_epsilon=pa_epsilon)
+
+    @pytest.mark.parametrize("name", ["f_ec", "f_ds"])
+    @pytest.mark.parametrize("value", [0.5, math.nan])
+    def test_efficiency_factors_checked_without_a_key(self, calibration, name, value):
+        # 250 km over 2e6 pulses detects nothing, so no budget is computed.
+        empty, _ = simulate_session(reference_model(250.0), calibration.scheme, 2_000_000, 3)
+        assert compose_session(empty, calibration.scheme).total_tight == 0
+        for tally in (calibration.tally, empty):
+            with pytest.raises(InputError, match=f"{name} must be >= 1") as info:
+                compose_session(tally, calibration.scheme, **{name: value})
+            assert info.value.input_name == name
 
     def test_budget_internal_consistency(self, calibration):
         analysis = calibration.analysis

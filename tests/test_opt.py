@@ -11,7 +11,6 @@ import pytest
 from decoyqkd.core import ConfidenceConfig, InputError
 from decoyqkd.keyrate import compose_session
 from decoyqkd.opt import (
-    NoValidSchemeError,
     ValidationError,
     curve_csv,
     evaluate_scheme,
@@ -145,12 +144,12 @@ class TestOptimizeScheme:
 
     def test_no_valid_candidate_names_extinction(self):
         # At 0.05 dB the vacuum level mu0 = 0.989 mu2 is never below mu1.
-        with pytest.raises(NoValidSchemeError, match="extinction_db 0.05 dB") as info:
+        with pytest.raises(InputError, match="extinction_db 0.05 dB") as info:
             optimize_scheme(
                 reference_model().with_length(25), 100_000_000,
                 extinction_db=0.05, stages=1,
             )
-        assert isinstance(info.value, ValidationError)
+        assert info.value.input_name == "extinction_db"
 
 
 @pytest.fixture(scope="module")
@@ -227,11 +226,12 @@ class TestRangeCurve:
         assert tuned.points[0].n_secret_tight >= fixed.points[0].n_secret_tight
 
     def test_optimized_curve_with_no_valid_scheme(self):
-        with pytest.raises(NoValidSchemeError, match="extinction_db"):
+        with pytest.raises(InputError, match="extinction_db") as info:
             range_curve(
                 reference_model(), 100_000_000, [25.0, 30.0],
                 optimize=True, extinction_db=0.05, stages=1,
             )
+        assert info.value.input_name == "extinction_db"
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):

@@ -18,7 +18,6 @@ from decoyqkd.sim import (
     ValidationError,
     expected_statistics,
     expected_tally,
-    link_budget,
     reference_model,
     reference_scheme,
     simulate_session,
@@ -35,26 +34,29 @@ def test_reference_constants():
 
 
 class TestLinkBudget:
+    """The link quantities ``expected_statistics`` carries: eta and noise."""
+
     def test_loss_decomposition(self):
         model = reference_model(25.0)
-        budget = link_budget(model)
+        stats = expected_statistics(model, reference_scheme())
         fiber_db = model.fiber_length_km * model.attenuation_db_per_km
-        detector_db = -10.0 * math.log10(model.detector_efficiency)
-        assert budget.total_loss_db == pytest.approx(fiber_db + detector_db, rel=1e-12)
-        assert budget.eta == pytest.approx(
+        assert stats.eta == pytest.approx(
             model.detector_efficiency * 10.0 ** (-fiber_db / 10.0), rel=1e-12
         )
 
     def test_noise_window(self):
         model = reference_model(25.0)
-        budget = link_budget(model)
+        stats = expected_statistics(model, reference_scheme())
         expected = (
             model.dark_count_rate_hz + model.background_rate_hz
         ) * model.timing_window_s
-        assert budget.dark_prob_per_window == pytest.approx(expected, rel=1e-12)
+        assert stats.noise_prob == pytest.approx(expected, rel=1e-12)
 
     def test_longer_fiber_means_less_transmission(self):
-        etas = [link_budget(reference_model(km)).eta for km in (10, 50, 100, 150)]
+        etas = [
+            expected_statistics(reference_model(km), reference_scheme()).eta
+            for km in (10, 50, 100, 150)
+        ]
         assert etas == sorted(etas, reverse=True)
 
 
@@ -63,14 +65,11 @@ class TestExpectedStatistics:
         model = reference_model(25.0)
         stats = expected_statistics(model, reference_scheme())
         assert stats.photon_yield(0) == pytest.approx(stats.noise_prob, rel=1e-12)
-        assert stats.noise_prob == pytest.approx(
-            link_budget(model).dark_prob_per_window, rel=1e-12
-        )
 
     def test_photon_yield_formula(self):
         model = reference_model(25.0)
         stats = expected_statistics(model, reference_scheme())
-        eta = link_budget(model).eta
+        eta = stats.eta
         c = stats.noise_prob
         for n in range(6):
             expected = 1.0 - (1.0 - c) * (1.0 - eta) ** n
@@ -79,7 +78,7 @@ class TestExpectedStatistics:
     def test_photon_error_formula(self):
         model = reference_model(25.0)
         stats = expected_statistics(model, reference_scheme())
-        eta = link_budget(model).eta
+        eta = stats.eta
         c = stats.noise_prob
         for n in range(1, 6):
             arrival = 1.0 - (1.0 - eta) ** n
