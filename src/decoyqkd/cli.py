@@ -307,7 +307,8 @@ def _input_named(**paths: str):
     try:
         yield
     except InputError as exc:
-        shown = f"{paths[exc.input_name]} " if exc.input_name in paths else ""
+        path = paths.get(exc.input_name)
+        shown = f"{path} " if path is not None else ""
         raise ValidationError(f"{_FLAGS[exc.input_name].flag}: {shown}{exc}") from exc
 
 
@@ -593,7 +594,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                     "f_ec", "f_ds", "sift_ratio", "zero_fraction")
     }
 
-    with _input_named():
+    with _input_named(scheme=settings["scheme"]):
         result = optimize_scheme(
             model,
             pulses,
@@ -658,7 +659,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     pulses = _resolve_pulses(settings, model, scheme)
     distances = _parse_distances(settings["distances"])
 
-    with _input_named():
+    with _input_named(scheme=settings["scheme"]):
         curve = range_curve(
             model,
             pulses,
@@ -713,7 +714,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             **totals,
         )
 
-    report = {"kind": "calibration_report", "inputs": {"config": cfg_ref}}
+    report = {
+        "kind": "calibration_report",
+        "inputs": {"config": cfg_ref},
+        "parameters": {k: v for k, v in settings.items() if k not in _PATH_FLAGS},
+    }
     report.update(result.to_json())
     _emit(report)
 

@@ -121,12 +121,13 @@ def optimize_scheme(
     Raises
     ------
     InputError
-        Naming ``extinction_db`` when no candidate on the search grid is
-        a valid scheme, which happens when ``extinction_db`` is too small
-        to put the vacuum level below the decoy level.  Naming ``pulses``
-        when every valid candidate would send no pulse at some level.  A
-        candidate that does so is skipped like a degenerate one: its
-        yield could not be bounded.
+        Naming ``scheme`` when ``initial_scheme`` is not a 3-level
+        scheme.  Naming ``extinction_db`` when no candidate on the search
+        grid is a valid scheme, which happens when ``extinction_db`` is
+        too small to put the vacuum level below the decoy level.  Naming
+        ``pulses`` when every valid candidate would send no pulse at some
+        level.  A candidate that does so is skipped like a degenerate
+        one: its yield could not be bounded.
 
     Notes
     -----
@@ -140,7 +141,8 @@ def optimize_scheme(
         raise InputError("points_per_stage", f"need at least 3 points, got {points_per_stage}")
     start = initial_scheme if initial_scheme is not None else reference_scheme()
     if start.n_levels != 3:
-        raise ValidationError("the optimizer searches 3-level schemes only")
+        raise InputError("scheme", f"the optimizer searches 3-level schemes only, "
+                         f"got {start.n_levels} levels")
 
     # free coordinates and their hard search boxes
     bounds = {

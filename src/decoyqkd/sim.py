@@ -31,6 +31,8 @@ analytic pipeline reproduces that operating point end to end.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -270,6 +272,70 @@ class RawKeys:
     bob: dict[str, np.ndarray]
 
 
+#: Doubles drawn per block: 512 KiB, so a block and its comparison stay in cache.
+_BLOCK = 2**16
+#: Fewer signal draws than this are made in the calling thread alone.
+_PARALLEL_DRAWS = 2**17
+_MAX_WORKERS = 8
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _signal_draws(
+    rng: np.random.Generator, sizes: list[int], zero_bias: float, error_rate: float
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Alice's bits and Bob's flip marks of the signal level, one pair per size.
+
+    Bit for bit the arrays ``rng.random(n) >= zero_bias`` and
+    ``rng.random(n) < error_rate`` drawn in turn for each ``n`` in
+    ``sizes``, and ``rng`` is left where those calls would leave it.  The
+    draw positions are split over up to :data:`_MAX_WORKERS` threads, one
+    per usable CPU.  Each thread advances its own copy of the PCG64 state
+    to its first position and fills blocks of :data:`_BLOCK` doubles,
+    which it compares in place into the boolean outputs; both steps
+    release the GIL.  No thread outlives the call.
+    """
+    pairs, segments, start = [], [], 0
+    for n in sizes:
+        bits, flips = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        pairs.append((bits, flips))
+        segments += [(start, bits, np.greater_equal, zero_bias),
+                     (start + n, flips, np.less, error_rate)]
+        start += 2 * n
+    total = start
+    workers = min(_MAX_WORKERS, _usable_cpus()) if total >= _PARALLEL_DRAWS else 1
+    edges = [total * i // workers for i in range(workers + 1)]
+    state = rng.bit_generator.state
+
+    def fill(lo: int, hi: int) -> None:
+        bit_gen = np.random.PCG64()
+        bit_gen.state = state
+        bit_gen.advance(lo)
+        gen = np.random.Generator(bit_gen)
+        buf = np.empty(min(_BLOCK, hi - lo))
+        for first, out, compare, threshold in segments:
+            for pos in range(max(lo, first), min(hi, first + out.size), _BLOCK):
+                block = buf[: min(_BLOCK, hi - pos, first + out.size - pos)]
+                gen.random(out=block)
+                compare(block, threshold, out=out[pos - first : pos - first + block.size])
+
+    if workers == 1:
+        fill(0, total)
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            rest = [pool.submit(fill, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+            fill(edges[0], edges[1])
+            for future in rest:
+                future.result()
+    rng.bit_generator.advance(total)
+    return pairs
+
+
 def simulate_session(
     model: ChannelModel,
     scheme: DecoyScheme,
@@ -287,6 +353,13 @@ def simulate_session(
     ``P(0) = zero_bias``, and Bob's copy gets flips at the level's
     analytic error rate; the realized flip count is what enters the
     tally, so tally and key material always agree.
+
+    The signal level's uniform draws (bits then flips, X basis then Z)
+    are split over min(8, usable CPUs) threads once there are at least
+    2**17 of them; each thread fills blocks of 2**16 doubles from its
+    own copy of the stream, advanced to its first draw.  The draws are
+    those of one sequential stream, so the tally and the keys depend on
+    ``seed`` only, not on the number of cores.
 
     Deterministic in ``seed``.  ``pulses = 0`` is allowed and yields an
     all-zero tally (and empty keys).
@@ -314,18 +387,19 @@ def simulate_session(
         detected = {"X": det_x, "Z": det_total - det_x}
         sifted = {b: int(rng.binomial(detected[b], 0.5)) for b in BASES}
         errors = {}
-        for b in BASES:
-            n = sifted[b]
-            if j == scheme.signal_index:
-                bits = (rng.random(n) >= zero_bias).astype(np.uint8)
-                flips = rng.random(n) < stats.error_rates[j]
-                alice[b] = bits
-                bob[b] = bits ^ flips.astype(np.uint8)
+        if j == scheme.signal_index:
+            draws = _signal_draws(
+                rng, [sifted[b] for b in BASES], zero_bias, stats.error_rates[j]
+            )
+            for b, (bits, flips) in zip(BASES, draws):
+                alice[b] = bits = bits.view(np.uint8)
+                bob[b] = bits ^ flips.view(np.uint8)
                 errors[b] = int(np.count_nonzero(flips))
-                zeros[b] += int(np.count_nonzero(bits == 0))
-            else:
-                errors[b] = int(rng.binomial(n, stats.error_rates[j]))
-                zeros[b] += int(rng.binomial(n, zero_bias))
+                zeros[b] += sifted[b] - int(np.count_nonzero(bits))
+        else:
+            for b in BASES:
+                errors[b] = int(rng.binomial(sifted[b], stats.error_rates[j]))
+                zeros[b] += int(rng.binomial(sifted[b], zero_bias))
         levels.append(
             LevelCounts(sent=int(sent[j]), detected=detected, sifted=sifted, errors=errors)
         )
@@ -431,14 +505,17 @@ def calibrate_to_reference(
     scheme = reference_scheme()
     base = reference_model()
     if len(detections) != scheme.n_levels:
-        raise ValidationError("need one detection total per scheme level")
-    if min(detections) <= 0 or sifted_total <= 0:
-        raise ValidationError("detection and sifted totals must be > 0")
+        raise InputError("detections", f"need one detection total per scheme level "
+                         f"({scheme.n_levels}), got {len(detections)}")
+    if min(detections) <= 0:
+        raise InputError("detections", f"detection totals must be > 0, got {list(detections)}")
+    if sifted_total <= 0:
+        raise InputError("sifted", f"sifted total must be > 0, got {sifted_total}")
     if sifted_total > sum(detections):
         raise InputError("sifted", f"sifted total {sifted_total} exceeds the detection "
                          f"total {sum(detections)}")
     if min(key_targets) <= 0:
-        raise ValidationError("key targets must be > 0")
+        raise InputError("targets", f"key targets must be > 0, got {list(key_targets)}")
 
     targets = np.asarray(detections, dtype=float)
     eta = expected_statistics(base, scheme).eta

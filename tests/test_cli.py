@@ -769,6 +769,18 @@ class TestOptimize:
         assert "no valid scheme" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--stages", "1"],
+        ["curve", "--distances", "100", "--optimize", "--stages", "1"],
+    ])
+    def test_start_scheme_not_three_levels_names_scheme_file(self, tmp_path, argv):
+        scheme = tmp_path / "s2.json"
+        scheme.write_text(dumps(DecoyScheme(mus=(0.1, 0.5), send_probs=(0.3, 0.7))))
+        rc, out, err = run_cli(argv + ["--scheme", str(scheme)])
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"decoyqkd {argv[0]}: error: --scheme: {scheme} "), err
+        assert "3-level schemes only, got 2 levels" in err
+
 
 class TestCurve:
     def test_csv_output(self):
@@ -886,11 +898,22 @@ class TestUsage:
         (["optimize", "--photon-cutoff", "0"], "--photon-cutoff"),
         (["calibrate", "--sifted", "100000000"], "--sifted"),
         (["calibrate", "--f-ds", "0.9"], "--f-ds"),
+        (["calibrate", "--sifted", "0"], "--sifted"),
+        (["calibrate", "--detections", "0", "5729", "80776"], "--detections"),
+        (["calibrate", "--targets", "0", "10"], "--targets"),
     ])
     def test_out_of_range_setting_names_flag(self, argv, flag):
         rc, out, err = run_cli(argv)
         assert (rc, out) == (1, "")
         assert err.startswith(f"decoyqkd {argv[0]}: error: {flag}: "), err
+
+    def test_detection_count_names_flag(self):
+        # argparse holds --detections to three values before the library's
+        # one-total-per-level check runs, so the usage error names the flag
+        rc, out, err = run_cli(["calibrate", "--detections", "5729", "80776"])
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: decoyqkd calibrate: argument --detections: "), err
+        assert "expected 3 arguments" in err
 
     def test_report_parameters_are_the_non_path_settings(self, workspace):
         tally, keys = str(workspace / "tally.json"), str(workspace / "run")
@@ -900,6 +923,7 @@ class TestUsage:
             "analyze": ["analyze", "--tally", tally],
             "distill": ["distill", "--tally", tally, "--keys", keys, "--seed", "5"],
             "optimize": optimize + ["100"],
+            "calibrate": ["calibrate", "--confidence", "1e-5"],
         }
         parameters = {}
         for command, argv in runs.items():
@@ -913,6 +937,7 @@ class TestUsage:
         far = json.loads(run_cli(optimize + ["120"])[1])["parameters"]
         assert [key for key in near if near[key] != far[key]] == ["distance_km"]
         assert near["pulses"] == 23836243437  # the count --duration-h resolves to
+        assert parameters["calibrate"]["confidence"] == 1e-5
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_flag_rejected(self, value):

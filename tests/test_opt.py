@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from decoyqkd.core import ConfidenceConfig, InputError
+from decoyqkd.core import ConfidenceConfig, DecoyScheme, InputError
 from decoyqkd.keyrate import compose_session
 from decoyqkd.opt import (
     ValidationError,
@@ -141,6 +141,12 @@ class TestOptimizeScheme:
     def test_rejects_negative_pulses(self):
         with pytest.raises(ValidationError):
             optimize_scheme(reference_model(), -1)
+
+    def test_start_scheme_not_three_levels_names_scheme(self):
+        two = DecoyScheme(mus=(0.1, 0.5), send_probs=(0.3, 0.7))
+        with pytest.raises(InputError, match="3-level schemes only") as info:
+            optimize_scheme(reference_model(), PULSES, initial_scheme=two, stages=1)
+        assert info.value.input_name == "scheme"
 
     def test_no_valid_candidate_names_extinction(self):
         # At 0.05 dB the vacuum level mu0 = 0.989 mu2 is never below mu1.

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from decoyqkd import sim
+from decoyqkd.core import BASES, InputError, LevelCounts, SessionTally
 from decoyqkd.sim import (
     REFERENCE_DETECTIONS,
     REFERENCE_DURATION_H,
@@ -16,6 +19,7 @@ from decoyqkd.sim import (
     REFERENCE_SIFTED_TOTAL,
     REFERENCE_ZERO_FRACTION,
     ValidationError,
+    calibrate_to_reference,
     expected_statistics,
     expected_tally,
     reference_model,
@@ -226,6 +230,94 @@ class TestSimulateSession:
         assert sound >= 19
 
 
+def _sequential_session(model, scheme, pulses, seed, zero_bias):
+    """``simulate_session`` with the signal level drawn by two ``rng.random(n)``
+    calls per basis in the calling thread: the stream the parallel fill must
+    reproduce draw for draw."""
+    stats = expected_statistics(model, scheme)
+    rng = np.random.default_rng(seed)
+    sent = rng.multinomial(pulses, scheme.send_probs)
+    levels, zeros, alice, bob = [], {"X": 0, "Z": 0}, {}, {}
+    for j in range(scheme.n_levels):
+        det_total = int(rng.binomial(sent[j], stats.yields[j]))
+        det_x = int(rng.binomial(det_total, 0.5))
+        detected = {"X": det_x, "Z": det_total - det_x}
+        sifted = {b: int(rng.binomial(detected[b], 0.5)) for b in BASES}
+        errors = {}
+        for b in BASES:
+            n = sifted[b]
+            if j == scheme.signal_index:
+                bits = (rng.random(n) >= zero_bias).astype(np.uint8)
+                flips = rng.random(n) < stats.error_rates[j]
+                alice[b] = bits
+                bob[b] = bits ^ flips.astype(np.uint8)
+                errors[b] = int(np.count_nonzero(flips))
+                zeros[b] += int(np.count_nonzero(bits == 0))
+            else:
+                errors[b] = int(rng.binomial(n, stats.error_rates[j]))
+                zeros[b] += int(rng.binomial(n, zero_bias))
+        levels.append(
+            LevelCounts(sent=int(sent[j]), detected=detected, sifted=sifted, errors=errors)
+        )
+    return SessionTally(levels=tuple(levels), zeros=zeros), alice, bob
+
+
+class TestSignalStream:
+    """The signal level's parallel block fill draws the sequential stream."""
+
+    PULSES = 23_836_243_437
+    # 2 * 65505 and 2 * 65539 signal draws at 25 km, seed 7: just below and
+    # just above sim._PARALLEL_DRAWS, and no multiple of sim._BLOCK
+    NEAR_THRESHOLD = ((214_797_613, False), (214_908_479, True))
+
+    @staticmethod
+    def assert_matches_sequential(monkeypatch, km, pulses, seed, zero_bias=0.494):
+        """Compare with 1, 2 and 3 workers; return the reference tally."""
+        model, scheme = reference_model(km), reference_scheme()
+        ref_tally, ref_alice, ref_bob = _sequential_session(model, scheme, pulses, seed, zero_bias)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(sim, "_usable_cpus", lambda: workers)
+            threads = threading.active_count()
+            tally, keys = simulate_session(model, scheme, pulses, seed, zero_bias=zero_bias)
+            assert threading.active_count() == threads
+            assert tally == ref_tally
+            for got, want in ((keys.alice, ref_alice), (keys.bob, ref_bob)):
+                for b in BASES:
+                    assert got[b].dtype == np.uint8
+                    assert np.array_equal(got[b], want[b]), (km, pulses, seed, workers, b)
+        return ref_tally
+
+    @pytest.mark.parametrize("km", [25, 75, 125, 150])
+    def test_full_sessions(self, monkeypatch, km):
+        for seed in (1, 2, 3):
+            self.assert_matches_sequential(monkeypatch, km, self.PULSES, seed)
+
+    @pytest.mark.parametrize("zero_bias", [0.0, 0.494, 1.0])
+    def test_zero_bias(self, monkeypatch, zero_bias):
+        self.assert_matches_sequential(monkeypatch, 75, self.PULSES, 4, zero_bias)
+
+    def test_around_parallel_threshold(self, monkeypatch):
+        for pulses, parallel in self.NEAR_THRESHOLD:
+            tally = self.assert_matches_sequential(monkeypatch, 25, pulses, 7)
+            draws = 2 * sum(tally.levels[-1].sifted.values())
+            assert (draws >= sim._PARALLEL_DRAWS) == parallel
+            assert draws % sim._BLOCK
+
+    def test_empty_session(self, monkeypatch):
+        self.assert_matches_sequential(monkeypatch, 25, 0, 1)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_leaves_stream_after_the_draws(self, monkeypatch, workers):
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: workers)
+        sizes = [100_003, 0, 70_001]
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        pairs = sim._signal_draws(rng, sizes, 0.494, 0.03)
+        for n, (bits, flips) in zip(sizes, pairs):
+            assert np.array_equal(bits, ref.random(n) >= 0.494)
+            assert np.array_equal(flips, ref.random(n) < 0.03)
+        assert rng.random(3).tolist() == ref.random(3).tolist()
+
+
 class TestCalibration:
     def test_frozen_operating_point(self, calibration):
         assert calibration.pulses == 23836243437
@@ -264,3 +356,14 @@ class TestCalibration:
             "sifted_target",
         }
         assert calibration.diagnostics["detections_target"] == list(REFERENCE_DETECTIONS)
+
+    @pytest.mark.parametrize("totals, name", [
+        (dict(detections=(5729, 80776)), "detections"),
+        (dict(detections=(0, 5729, 80776)), "detections"),
+        (dict(sifted_total=0), "sifted"),
+        (dict(key_targets=(0, 10)), "targets"),
+    ])
+    def test_bad_totals_name_their_input(self, totals, name):
+        with pytest.raises(InputError) as info:
+            calibrate_to_reference(**totals)
+        assert info.value.input_name == name
