@@ -23,8 +23,11 @@ Conventions
 Machine-readable output (JSON or CSV) goes to stdout; human-readable
 summaries go to stderr.  Given the same inputs and seed, every command
 writes byte-identical output (reports carry no timestamps, and JSON
-keys are sorted).  Reports embed a SHA-256 digest of every input file,
-and ``analyze``, ``distill`` and ``optimize`` report every other setting.
+keys are sorted).  Reports embed a SHA-256 digest of every input file
+and, under ``parameters``, every other setting (with the pulse count a
+command resolved from ``--duration-h``).  ``curve``, whose stdout is CSV,
+prints the same ``parameters`` to stderr as one line,
+``curve: parameters {...}``, of compact sorted-key JSON.
 Exit status is 0 on success, 1 on input errors (a message names the
 offending flag or file), and 2 when the inputs were valid but the
 session yields no key (infeasible bounds, zero key total, failed
@@ -36,6 +39,11 @@ printed or written.
 Every flag is declared once, in ``_FLAGS``, with its type, default and
 help; each subcommand in ``_COMMANDS`` lists the flags it takes.  The
 defaults are the library's (``decoyqkd.core``, ``decoyqkd.sim``).
+
+``main`` merges a command's settings once and runs its handler inside
+one ``_input_named``, so every ``InputError`` raised under a command
+names the flag its input name keys in ``_FLAGS`` and, for ``--tally``,
+``--scheme`` and ``--model``, the path as reports show it.
 
 Each subcommand accepts ``--config FILE``, a JSON object of default
 values keyed by flag name (hyphens as underscores); explicit flags
@@ -105,6 +113,8 @@ _MAX_PULSES = 2**63
 #: setting of its command, since each of those can change the result.
 _PATH_FLAGS = ("config", "tally", "scheme", "model", "keys", "keys_out", "key_out",
                "out_model", "out_tally")
+#: Flags that name a JSON document; an input error blamed on one shows its path.
+_DOC_FLAGS = ("tally", "scheme", "model")
 
 
 class _UsageError(Exception):
@@ -254,15 +264,15 @@ def _resolve(path: str, flag: str) -> Path:
     raise ValidationError(f"{flag}: file not found: {path}")
 
 
+def _shown(path: str, flag: str) -> str:
+    """A document path as reports and messages show it."""
+    return "<stdin>" if path == "-" else str(_resolve(path, flag))
+
+
 def _load_doc(path: str, flag: str) -> tuple[dict, dict]:
     """Load a JSON document; returns (doc, reference-with-digest)."""
-    if path == "-":
-        raw = sys.stdin.buffer.read()
-        shown = "<stdin>"
-    else:
-        resolved = _resolve(path, flag)
-        raw = resolved.read_bytes()
-        shown = str(resolved)
+    shown = _shown(path, flag)
+    raw = sys.stdin.buffer.read() if path == "-" else Path(shown).read_bytes()
     try:
         doc = json.loads(raw)
     except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
@@ -301,15 +311,28 @@ def _require(settings: dict, key: str):
 
 
 @contextmanager
-def _input_named(**paths: str):
+def _input_named(settings: dict):
     """Turn an ``InputError`` into a message naming the input's flag and, for
-    an input in ``paths``, the document path it was read from."""
+    a document flag that was given, the path it was read from."""
     try:
         yield
     except InputError as exc:
-        path = paths.get(exc.input_name)
-        shown = f"{path} " if path is not None else ""
-        raise ValidationError(f"{_FLAGS[exc.input_name].flag}: {shown}{exc}") from exc
+        name = exc.input_name
+        path = settings.get(name) if name in _DOC_FLAGS else None
+        shown = "" if path is None else f"{_shown(path, _FLAGS[name].flag)} "
+        raise ValidationError(f"{_FLAGS[name].flag}: {shown}{exc}") from exc
+
+
+def _parameters(settings: dict, **resolved) -> dict:
+    """Every setting but the file flags, with the values a command
+    ``resolved`` from them (such as ``pulses``)."""
+    return {**{k: v for k, v in settings.items() if k not in _PATH_FLAGS}, **resolved}
+
+
+def _report(kind: str, settings: dict, cfg_ref: dict | None, inputs: dict, **resolved) -> dict:
+    """The head of a JSON report: its kind, input files and parameters."""
+    return {"kind": kind, "inputs": {**inputs, "config": cfg_ref},
+            "parameters": _parameters(settings, **resolved)}
 
 
 def _load_scheme(settings: dict) -> tuple[DecoyScheme, dict]:
@@ -327,12 +350,14 @@ def _load_model(settings: dict) -> tuple[ChannelModel, dict]:
     else:
         doc, ref = _load_doc(path, _FLAGS["model"].flag)
         model = ChannelModel.from_json(doc)
-    distance = settings["distance_km"]
-    if distance is not None:
-        model = model.with_length(distance)
-    efficiency = settings.get("detector_efficiency")
-    if efficiency is not None:
-        model = replace(model, detector_efficiency=efficiency)
+    for key, field_name in (("distance_km", "fiber_length_km"),
+                            ("detector_efficiency", "detector_efficiency")):
+        value = settings.get(key)
+        if value is not None:
+            try:
+                model = replace(model, **{field_name: value})
+            except ValidationError as exc:
+                raise InputError(key, str(exc)) from exc
     return model, ref
 
 
@@ -357,12 +382,17 @@ def _epsilon(settings: dict, key: str) -> float:
 
 
 def _confidence(settings: dict) -> ConfidenceConfig:
-    with _input_named():
-        return ConfidenceConfig(
-            epsilon=_epsilon(settings, "confidence"),
-            photon_cutoff=settings["photon_cutoff"],
-            pin_vacuum_errors=settings["vacuum_pinning"],
-        )
+    return ConfidenceConfig(
+        epsilon=_epsilon(settings, "confidence"),
+        photon_cutoff=settings["photon_cutoff"],
+        pin_vacuum_errors=settings["vacuum_pinning"],
+    )
+
+
+def _evaluation(settings: dict) -> dict:
+    """The ``evaluate_scheme`` keywords among a design command's settings."""
+    keys = ("f_ec", "f_ds", "sift_ratio", "zero_fraction")
+    return {"config": _confidence(settings), **{k: settings[k] for k in keys if k in settings}}
 
 
 def _resolve_pulses(
@@ -410,15 +440,18 @@ def _parse_distances(spec: str) -> list[float]:
             if step <= 0 or hi < lo or not all(map(math.isfinite, (lo, hi, step))):
                 raise ValueError
             n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-            return [lo + i * step for i in range(n)]
-        values = [float(tok) for tok in spec.split(",") if tok.strip()]
-        if not values or not all(map(math.isfinite, values)):
-            raise ValueError
-        return values
+            values = [lo + i * step for i in range(n)]
+        else:
+            values = [float(tok) for tok in spec.split(",") if tok.strip()]
+            if not values or not all(map(math.isfinite, values)):
+                raise ValueError
     except ValueError:
         raise ValidationError(
             f"--distances: expected MIN:MAX:STEP or a comma list, got {spec!r}"
         ) from None
+    if min(values) < 0:
+        raise ValidationError(f"--distances: distances must be >= 0 km, got {spec!r}")
+    return values
 
 
 def _key_paths(prefix: str) -> dict[tuple[str, str], Path]:
@@ -429,19 +462,22 @@ def _key_paths(prefix: str) -> dict[tuple[str, str], Path]:
     }
 
 
+#: The ASCII characters ``str.strip`` removes: the whitespace around a key file's bits.
+_KEY_PADDING = bytes(c for c in range(128) if chr(c).isspace())
+
+
 def _write_bits(path: Path, bits: np.ndarray) -> None:
-    path.write_text("".join("1" if b else "0" for b in bits) + "\n")
+    path.write_bytes(((bits != 0).view(np.uint8) + ord("0")).tobytes() + b"\n")
 
 
 def _read_bits(path: Path, flag: str) -> tuple[np.ndarray, str]:
     if not path.exists():
         raise ValidationError(f"{flag}: key file not found: {path}")
     raw = path.read_bytes()
-    text = raw.decode("ascii", errors="replace").strip()
-    if text and set(text) - {"0", "1"}:
+    bits = np.frombuffer(raw.strip(_KEY_PADDING), dtype=np.uint8) - ord("0")
+    if bits.size and bits.max() > 1:  # any other byte wraps past 1
         raise ValidationError(f"{flag}: {path} holds non-binary characters")
-    bits = np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
-    return bits.astype(np.uint8), hashlib.sha256(raw).hexdigest()
+    return bits, hashlib.sha256(raw).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -449,17 +485,15 @@ def _read_bits(path: Path, flag: str) -> tuple[np.ndarray, str]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    settings, _ = _settings(args)
+def _cmd_simulate(settings: dict, cfg_ref: dict | None) -> int:
     seed = _require(settings, "seed")
     scheme, scheme_ref = _load_scheme(settings)
     model, model_ref = _load_model(settings)
     pulses = _resolve_pulses(settings, model, scheme, required=True)
 
-    with _input_named():
-        tally, keys = simulate_session(
-            model, scheme, pulses, seed, zero_bias=settings["zero_bias"]
-        )
+    tally, keys = simulate_session(
+        model, scheme, pulses, seed, zero_bias=settings["zero_bias"]
+    )
 
     prefix = settings["keys_out"]
     if prefix is not None:
@@ -483,24 +517,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    settings, cfg_ref = _settings(args)
+def _cmd_analyze(settings: dict, cfg_ref: dict | None) -> int:
     tally, tally_ref = _load_tally(settings)
     scheme, scheme_ref = _load_scheme(settings)
     config = _confidence(settings)
 
     budget = {key: settings[key] for key in ("f_ec", "f_ds")}
     budget["pa_epsilon"] = _epsilon(settings, "pa_epsilon")
-    with _input_named(tally=tally_ref["path"]):
-        analysis = compose_session(tally, scheme, config, **budget)
+    analysis = compose_session(tally, scheme, config, **budget)
 
-    report = {
-        "kind": "analysis_report",
-        "inputs": {"tally": tally_ref, "scheme": scheme_ref, "config": cfg_ref},
-        "parameters": {k: v for k, v in settings.items() if k not in _PATH_FLAGS},
-        "analysis": analysis.to_json(),
-    }
-    _emit(report)
+    report = _report("analysis_report", settings, cfg_ref,
+                     {"tally": tally_ref, "scheme": scheme_ref})
+    _emit({**report, "analysis": analysis.to_json()})
 
     if not analysis.feasible:
         _note("analyze: decoy bounds infeasible for this tally")
@@ -520,8 +548,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_distill(args: argparse.Namespace) -> int:
-    settings, cfg_ref = _settings(args)
+def _cmd_distill(settings: dict, cfg_ref: dict | None) -> int:
     tally, tally_ref = _load_tally(settings)
     scheme, scheme_ref = _load_scheme(settings)
     config = _confidence(settings)
@@ -532,16 +559,13 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     for (side, basis), path in _key_paths(_require(settings, "keys")).items():
         keys[side][basis], digests[path.name] = _read_bits(path, _FLAGS["keys"].flag)
 
-    with _input_named(tally=tally_ref["path"]):
-        result = distill_session(
-            tally, scheme, keys["alice"], keys["bob"], config, seed=seed,
-            depth=settings["depth"], variant=settings["variant"], pa_epsilon=pa_epsilon,
-        )
+    result = distill_session(
+        tally, scheme, keys["alice"], keys["bob"], config, seed=seed,
+        depth=settings["depth"], variant=settings["variant"], pa_epsilon=pa_epsilon,
+    )
     _emit({
-        "kind": "distill_report",
-        "inputs": {"tally": tally_ref, "scheme": scheme_ref, "config": cfg_ref,
-                   "key_files_sha256": digests},
-        "parameters": {k: v for k, v in settings.items() if k not in _PATH_FLAGS},
+        **_report("distill_report", settings, cfg_ref,
+                  {"tally": tally_ref, "scheme": scheme_ref, "key_files_sha256": digests}),
         **result.to_json(),
     })
     if result.residual:
@@ -583,33 +607,24 @@ def _cmd_distill(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
-    settings, cfg_ref = _settings(args)
+def _cmd_optimize(settings: dict, cfg_ref: dict | None) -> int:
     model, model_ref = _load_model(settings)
     scheme, scheme_ref = _load_scheme(settings)
     pulses = _resolve_pulses(settings, model, scheme)
-    knobs = {
-        key: settings[key]
-        for key in ("extinction_db", "stages", "points_per_stage",
-                    "f_ec", "f_ds", "sift_ratio", "zero_fraction")
-    }
 
-    with _input_named(scheme=settings["scheme"]):
-        result = optimize_scheme(
-            model,
-            pulses,
-            initial_scheme=scheme,
-            config=_confidence(settings),
-            **knobs,
-        )
+    result = optimize_scheme(
+        model,
+        pulses,
+        extinction_db=settings["extinction_db"],
+        stages=settings["stages"],
+        points_per_stage=settings["points_per_stage"],
+        initial_scheme=scheme,
+        **_evaluation(settings),
+    )
 
     report = {
-        "kind": "optimize_report",
-        "inputs": {"model": model_ref, "initial_scheme": scheme_ref, "config": cfg_ref},
-        "parameters": {
-            **{k: v for k, v in settings.items() if k not in _PATH_FLAGS},
-            "pulses": pulses,
-        },
+        **_report("optimize_report", settings, cfg_ref,
+                  {"model": model_ref, "initial_scheme": scheme_ref}, pulses=pulses),
         "scheme": result.scheme.to_json(),
         "n_secret_tight": result.n_secret_tight,
         "n_secret_worst": result.n_secret_worst,
@@ -652,30 +667,27 @@ resolution; the two range endpoints are printed to stderr.
 """
 
 
-def _cmd_curve(args: argparse.Namespace) -> int:
-    settings, _ = _settings(args)
+def _cmd_curve(settings: dict, cfg_ref: dict | None) -> int:
     model, _ = _load_model(settings)
     scheme, _ = _load_scheme(settings)
     pulses = _resolve_pulses(settings, model, scheme)
     distances = _parse_distances(settings["distances"])
 
-    with _input_named(scheme=settings["scheme"]):
-        curve = range_curve(
-            model,
-            pulses,
-            distances,
-            optimize=settings["optimize"],
-            scheme=scheme,
-            extinction_db=settings["extinction_db"],
-            stages=settings["stages"],
-            config=_confidence(settings),
-            f_ec=settings["f_ec"],
-            f_ds=settings["f_ds"],
-            sift_ratio=settings["sift_ratio"],
-            zero_fraction=settings["zero_fraction"],
-        )
+    curve = range_curve(
+        model,
+        pulses,
+        distances,
+        optimize=settings["optimize"],
+        scheme=scheme,
+        extinction_db=settings["extinction_db"],
+        stages=settings["stages"],
+        **_evaluation(settings),
+    )
 
     sys.stdout.write(curve_csv(curve))
+    parameters = json.dumps(_parameters(settings, pulses=pulses), sort_keys=True,
+                            separators=(",", ":"))
+    _note(f"curve: parameters {parameters}")
     tight = curve.range_tight_km
     worst = curve.range_worst_km
     _note(
@@ -695,8 +707,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    settings, cfg_ref = _settings(args)
+def _cmd_calibrate(settings: dict, cfg_ref: dict | None) -> int:
     # Session totals left unset fall back to the library's reference session.
     totals = {
         param: settings[key]
@@ -705,22 +716,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         if settings[key] is not None
     }
 
-    with _input_named():
-        result = calibrate_to_reference(
-            zero_fraction=settings["zero_fraction"],
-            f_ec=settings["f_ec"],
-            f_ds=settings["f_ds"],
-            config=_confidence(settings),
-            **totals,
-        )
+    result = calibrate_to_reference(**_evaluation(settings), **totals)
 
-    report = {
-        "kind": "calibration_report",
-        "inputs": {"config": cfg_ref},
-        "parameters": {k: v for k, v in settings.items() if k not in _PATH_FLAGS},
-    }
-    report.update(result.to_json())
-    _emit(report)
+    _emit({**_report("calibration_report", settings, cfg_ref, {}), **result.to_json()})
 
     for key, obj in (("out_model", result.model), ("out_tally", result.tally)):
         path = settings[key]
@@ -853,10 +851,11 @@ def main(argv=None) -> int:
         _note(f"error: {exc}")
         return 1
     try:
-        return args.handler(args)
+        settings, cfg_ref = _settings(args)
+        with _input_named(settings):
+            return args.handler(settings, cfg_ref)
     except (ValidationError, ValueError, OSError) as exc:
-        command = getattr(args, "command", "decoyqkd")
-        _note(f"decoyqkd {command}: error: {exc}")
+        _note(f"decoyqkd {args.command}: error: {exc}")
         return 1
 
 

@@ -7,7 +7,9 @@ tally, pushed through the same confidence-bound machinery as real data.
 Monte-Carlo noise would make coordinate descent wander, and the expected
 tally is exactly what the analysis would see on the average session, so
 the deterministic objective is both smooth and honest about finite-size
-penalties.
+penalties.  :func:`optimize_scheme` and :func:`range_curve` pass their
+``**evaluation`` keywords (``config``, ``f_ec``, ``f_ds``, ``sift_ratio``,
+``zero_fraction``) to every ``evaluate_scheme`` call.
 
 Coordinate descent over (mu1, mu2, p0, p1) with the vacuum-like level
 pinned to the transmitter's extinction floor (a fixed dB ratio below
@@ -25,23 +27,15 @@ from dataclasses import dataclass
 
 from .core import (
     DEFAULT_EXTINCTION_DB,
-    DEFAULT_F_DS,
-    DEFAULT_F_EC,
     DEFAULT_POINTS_PER_STAGE,
     DEFAULT_STAGES,
     ChannelModel,
-    ConfidenceConfig,
     DecoyScheme,
     InputError,
     ValidationError,
 )
 from .keyrate import SessionAnalysis
-from .sim import (
-    REFERENCE_SIFT_RATIO,
-    REFERENCE_ZERO_FRACTION,
-    evaluate_scheme,
-    reference_scheme,
-)
+from .sim import evaluate_scheme, reference_scheme
 
 __all__ = [
     "OptimizationResult",
@@ -94,11 +88,7 @@ def optimize_scheme(
     stages: int = DEFAULT_STAGES,
     points_per_stage: int = DEFAULT_POINTS_PER_STAGE,
     initial_scheme: DecoyScheme | None = None,
-    config: ConfidenceConfig = ConfidenceConfig(),
-    f_ec: float = DEFAULT_F_EC,
-    f_ds: float = DEFAULT_F_DS,
-    sift_ratio: float = REFERENCE_SIFT_RATIO,
-    zero_fraction: float = REFERENCE_ZERO_FRACTION,
+    **evaluation,
 ) -> OptimizationResult:
     """Search for the scheme maximizing the tight-variant key total.
 
@@ -117,6 +107,9 @@ def optimize_scheme(
     initial_scheme : DecoyScheme, optional
         Starting point (defaults to the demonstration-link scheme);
         useful for warm starts along a distance sweep.
+    **evaluation
+        Keywords of every candidate's :func:`evaluate_scheme` call (its
+        defaults apply); any other keyword raises ``TypeError``.
 
     Raises
     ------
@@ -158,8 +151,6 @@ def optimize_scheme(
         "p1": min(max(start.send_probs[1], bounds["p1"][0]), bounds["p1"][1]),
     }
 
-    knobs = dict(config=config, f_ec=f_ec, f_ds=f_ds, sift_ratio=sift_ratio,
-                 zero_fraction=zero_fraction)
     cache: dict[tuple, SessionAnalysis] = {}  # in evaluation order
 
     def objective(c: dict) -> tuple[int, int]:
@@ -168,7 +159,7 @@ def optimize_scheme(
             return (-1, -1)  # degenerate, or a level would send no pulse
         key = (scheme.mus, scheme.send_probs)
         if key not in cache:
-            cache[key] = evaluate_scheme(model, scheme, pulses, **knobs)
+            cache[key] = evaluate_scheme(model, scheme, pulses, **evaluation)
         return (cache[key].total_tight, cache[key].total_worst)
 
     best_value = objective(current)
@@ -264,11 +255,7 @@ def range_curve(
     scheme: DecoyScheme | None = None,
     extinction_db: float = DEFAULT_EXTINCTION_DB,
     stages: int = DEFAULT_STAGES,
-    config: ConfidenceConfig = ConfidenceConfig(),
-    f_ec: float = DEFAULT_F_EC,
-    f_ds: float = DEFAULT_F_DS,
-    sift_ratio: float = REFERENCE_SIFT_RATIO,
-    zero_fraction: float = REFERENCE_ZERO_FRACTION,
+    **evaluation,
 ) -> RangeCurve:
     """Evaluate the key total along a distance grid.
 
@@ -276,7 +263,8 @@ def range_curve(
     demonstration-link scheme) is used everywhere; with
     ``optimize=True`` a fresh coordinate-descent search runs per
     distance, warm-started from the previous distance's optimum, and
-    ``scheme`` (if given) seeds the first distance.
+    ``scheme`` (if given) seeds the first distance.  ``evaluation`` is
+    passed to every :func:`evaluate_scheme` call, as in :func:`optimize_scheme`.
 
     ``distances_km`` must be strictly increasing.
     """
@@ -286,8 +274,6 @@ def range_curve(
     if any(b <= a for a, b in zip(distances, distances[1:])):
         raise ValidationError("distance grid must be strictly increasing")
     fixed = scheme if scheme is not None else reference_scheme()
-    knobs = dict(config=config, f_ec=f_ec, f_ds=f_ds, sift_ratio=sift_ratio,
-                 zero_fraction=zero_fraction)
 
     points: list[CurvePoint] = []
     range_tight: float | None = None
@@ -297,12 +283,12 @@ def range_curve(
         m = model.with_length(d)
         if optimize:
             result = optimize_scheme(m, pulses, extinction_db=extinction_db, stages=stages,
-                                     initial_scheme=warm, **knobs)
+                                     initial_scheme=warm, **evaluation)
             use, analysis = result.scheme, result.analysis
             warm = result.scheme
         else:
             use = fixed
-            analysis = evaluate_scheme(m, use, pulses, **knobs)
+            analysis = evaluate_scheme(m, use, pulses, **evaluation)
         points.append(
             CurvePoint(
                 distance_km=d,

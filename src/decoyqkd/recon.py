@@ -463,13 +463,18 @@ def distill_session(
     tally, so every basis's corrections must equal the tally's
     signal-level errors.
 
-    Raises ``InputError`` naming ``keys`` (lengths unequal, unlike the
-    tally's sifted signal count or below 64 bits; an error count unlike
-    the tally's) or ``tally`` (signal QBER above 0.25).
+    Raises ``InputError`` naming ``depth`` (below 1) or ``seed``
+    (negative) before any basis is reconciled, ``keys`` (lengths unequal,
+    unlike the tally's sifted signal count or below 64 bits; an error
+    count unlike the tally's) or ``tally`` (signal QBER above 0.25).
     """
     validate_tally(tally, scheme)
     if variant not in ("tight", "worst"):
         raise ValidationError(f"variant must be 'tight' or 'worst', got {variant!r}")
+    if depth < 1:
+        raise InputError("depth", f"depth must be >= 1, got {depth}")
+    if seed < 0:
+        raise InputError("seed", f"seed must be >= 0, got {seed}")
     signal = tally.levels[scheme.signal_index]
     bases: dict[str, dict] = {}
     for basis in BASES:

@@ -25,7 +25,9 @@ interest, dead-time corrections are below 0.1%.
 :func:`calibrate_to_reference`, which back-solves the free link parameters
 (effective pulse count, background rate, intrinsic error) from the
 demonstration session totals this package ships as defaults, so the
-analytic pipeline reproduces that operating point end to end.
+analytic pipeline reproduces that operating point end to end.  Only
+:func:`evaluate_scheme` declares its keywords and their defaults; the
+design tools take them as ``**evaluation`` and pass them through.
 """
 
 from __future__ import annotations
@@ -361,8 +363,8 @@ def simulate_session(
     those of one sequential stream, so the tally and the keys depend on
     ``seed`` only, not on the number of cores.
 
-    Deterministic in ``seed``.  ``pulses = 0`` is allowed and yields an
-    all-zero tally (and empty keys).
+    Deterministic in ``seed``, which must be >= 0.  ``pulses = 0`` is
+    allowed and yields an all-zero tally (and empty keys).
 
     Returns
     -------
@@ -372,6 +374,8 @@ def simulate_session(
         raise InputError("pulses", f"pulses must be >= 0, got {pulses}")
     if not 0.0 <= zero_bias <= 1.0:
         raise InputError("zero_bias", f"zero_bias must lie in [0, 1], got {zero_bias}")
+    if seed < 0:
+        raise InputError("seed", f"seed must be >= 0, got {seed}")
 
     stats = expected_statistics(model, scheme)
     rng = np.random.default_rng(seed)
@@ -470,9 +474,7 @@ def calibrate_to_reference(
     *,
     duration_h: float = REFERENCE_DURATION_H,
     zero_fraction: float = REFERENCE_ZERO_FRACTION,
-    f_ec: float = DEFAULT_F_EC,
-    f_ds: float = DEFAULT_F_DS,
-    config: ConfidenceConfig = ConfidenceConfig(),
+    **evaluation,
 ) -> CalibrationResult:
     """Fit the free link parameters of the demonstration link to session totals.
 
@@ -490,7 +492,9 @@ def calibrate_to_reference(
 
     The sifted/detected ratio is taken directly from the published
     totals, and the sifted count of the reconstructed tally matches the
-    published one to rounding.
+    published one to rounding.  Key totals come from :func:`evaluate_scheme`
+    with that ratio, ``zero_fraction`` and ``**evaluation`` (``config``,
+    ``f_ec``, ``f_ds``); a ``sift_ratio`` among them raises ``TypeError``.
 
     Returns
     -------
@@ -516,6 +520,8 @@ def calibrate_to_reference(
                          f"total {sum(detections)}")
     if min(key_targets) <= 0:
         raise InputError("targets", f"key targets must be > 0, got {list(key_targets)}")
+    if not duration_h > 0:
+        raise InputError("duration_h", f"duration_h must be > 0, got {duration_h}")
 
     targets = np.asarray(detections, dtype=float)
     eta = expected_statistics(base, scheme).eta
@@ -545,9 +551,6 @@ def calibrate_to_reference(
     sift_ratio = sifted_total / float(targets.sum())
 
     # --- stage 2: intrinsic error rate from the two key totals
-    knobs = dict(config=config, f_ec=f_ec, f_ds=f_ds, sift_ratio=sift_ratio,
-                 zero_fraction=zero_fraction)
-
     def score(analysis: SessionAnalysis) -> float:
         tight, worst = analysis.total_tight, analysis.total_worst
         if tight <= 0 or worst <= 0:
@@ -559,7 +562,8 @@ def calibrate_to_reference(
 
     def objective(e_int: float) -> float:
         m = replace(fitted, intrinsic_error_rate=e_int)
-        return score(evaluate_scheme(m, scheme, pulses, **knobs))
+        return score(evaluate_scheme(m, scheme, pulses, sift_ratio=sift_ratio,
+                                     zero_fraction=zero_fraction, **evaluation))
 
     grid = np.geomspace(5e-4, 0.02, 9)
     scores = [objective(e) for e in grid]
@@ -581,7 +585,8 @@ def calibrate_to_reference(
             fd = objective(d)
     e_int = float((a + b) / 2.0)
     final_model = replace(fitted, intrinsic_error_rate=e_int)
-    analysis = evaluate_scheme(final_model, scheme, pulses, **knobs)
+    analysis = evaluate_scheme(final_model, scheme, pulses, sift_ratio=sift_ratio,
+                               zero_fraction=zero_fraction, **evaluation)
     final_obj = score(analysis)
     tally = expected_tally(
         final_model, scheme, pulses, sift_ratio=sift_ratio, zero_fraction=zero_fraction

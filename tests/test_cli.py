@@ -37,6 +37,7 @@ from decoyqkd.core import (
     DEFAULT_ZERO_BIAS,
     ConfidenceConfig,
     DecoyScheme,
+    ValidationError,
     dumps,
 )
 from decoyqkd.extract import peres_extract
@@ -574,6 +575,51 @@ class TestDistill:
         assert "invalid choice: 'bogus'" in err
 
 
+def _accepted_before(raw: bytes) -> bool:
+    """Whether a key file of these bytes was read as bits by the text-based reader."""
+    text = raw.decode("ascii", errors="replace").strip()
+    return not (text and set(text) - {"0", "1"})
+
+
+class TestKeyFiles:
+    def test_round_trip(self, tmp_path):
+        bits = np.random.default_rng(1).integers(0, 2, 10_000, dtype=np.uint8)
+        path = tmp_path / "k.bits"
+        cli._write_bits(path, bits)
+        assert path.read_bytes() == "".join(map(str, bits)).encode() + b"\n"
+        read, digest = cli._read_bits(path, "--keys")
+        assert read.dtype == np.uint8
+        assert np.array_equal(read, bits)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("raw, accepted", [
+        (b"0110\r\n", True), (b"0110 \t\n", True), (b"\x0b\x1c0110\x1f\x0c", True), (b"", True),
+        (b"0120\n", False), (b"01x0\n", False), (b"01\xff10\n", False), (b"01 10\n", False),
+    ])
+    def test_padding_accepted_and_other_bytes_rejected(self, tmp_path, raw, accepted):
+        path = tmp_path / "k.bits"
+        path.write_bytes(raw)
+        if accepted:
+            bits, _ = cli._read_bits(path, "--keys")
+            assert bits.tolist() == [int(c) for c in raw.decode().strip()]
+        else:
+            with pytest.raises(ValidationError) as info:
+                cli._read_bits(path, "--keys")
+            assert str(info.value) == f"--keys: {path} holds non-binary characters"
+
+    def test_accepts_what_the_text_reader_accepted(self, tmp_path):
+        path = tmp_path / "k.bits"
+        for byte in (bytes([c]) for c in range(256)):
+            for raw in (byte + b"01" + byte, b"0" + byte + b"1", byte):
+                path.write_bytes(raw)
+                try:
+                    cli._read_bits(path, "--keys")
+                    accepted = True
+                except ValidationError:
+                    accepted = False
+                assert accepted == _accepted_before(raw), raw
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -781,6 +827,18 @@ class TestOptimize:
         assert err.startswith(f"decoyqkd {argv[0]}: error: --scheme: {scheme} "), err
         assert "3-level schemes only, got 2 levels" in err
 
+    def test_scheme_found_under_config_dir_is_named_by_its_resolved_path(
+        self, tmp_path, monkeypatch
+    ):
+        scheme = DecoyScheme(mus=(0.1, 0.5), send_probs=(0.3, 0.7))
+        (tmp_path / "s2.json").write_text(dumps(scheme))
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        monkeypatch.setenv(cli.CONFIG_DIR_ENV, str(tmp_path))
+        rc, out, err = run_cli(["optimize", "--stages", "1", "--scheme", "s2.json"])
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"decoyqkd optimize: error: --scheme: {tmp_path / 's2.json'} "), err
+
 
 class TestCurve:
     def test_csv_output(self):
@@ -798,6 +856,23 @@ class TestCurve:
         last = lines[3].split(",")
         assert int(last[1]) == 0
         assert "range 146.0 km (tight) / 140.0 km (worst-case)" in err
+
+    def test_settings_recorded_on_stderr(self):
+        rc, out, err = run_cli(
+            ["curve", "--distances", "140,146", "--duration-h", "5.6", "--confidence", "1e-5",
+             "--no-vacuum-pinning"]
+        )
+        assert rc == 0
+        assert out.splitlines()[0] == CURVE_HEADER
+        [line] = [line for line in err.splitlines() if line.startswith("curve: parameters ")]
+        parameters = json.loads(line[len("curve: parameters "):])
+        assert set(parameters) == {key for key in cli._COMMANDS["curve"].flags
+                                   if cli._FLAGS[key].metavar not in ("FILE", "PREFIX")}
+        assert parameters["confidence"] == 1e-5
+        assert parameters["vacuum_pinning"] is False
+        assert parameters["pulses"] == 23836243437  # the count --duration-h resolves to
+        assert line == "curve: parameters " + json.dumps(
+            parameters, sort_keys=True, separators=(",", ":"))
 
     @pytest.mark.parametrize("spec", ["100,nan", "inf", "100:inf:2", "nan:170:2", "100:170:inf"])
     def test_non_finite_distances_rejected(self, spec):
@@ -901,8 +976,20 @@ class TestUsage:
         (["calibrate", "--sifted", "0"], "--sifted"),
         (["calibrate", "--detections", "0", "5729", "80776"], "--detections"),
         (["calibrate", "--targets", "0", "10"], "--targets"),
+        (["calibrate", "--duration-h", "0"], "--duration-h"),
+        (["calibrate", "--duration-h", "-1"], "--duration-h"),
+        (["simulate", "--pulses", "1000", "--seed", "1", "--distance-km", "-5"], "--distance-km"),
+        (["optimize", "--distance-km", "-5"], "--distance-km"),
+        (["curve", "--distance-km", "-5"], "--distance-km"),
+        (["curve", "--detector-efficiency", "2"], "--detector-efficiency"),
+        (["curve", "--distances=-10,5"], "--distances"),
+        (["distill", "--tally", "{tally}", "--keys", "{keys}", "--seed", "5", "--depth", "0"],
+         "--depth"),
+        (["distill", "--tally", "{tally}", "--keys", "{keys}", "--seed", "-1"], "--seed"),
+        (["simulate", "--pulses", "1000", "--seed", "-1"], "--seed"),
     ])
-    def test_out_of_range_setting_names_flag(self, argv, flag):
+    def test_out_of_range_setting_names_flag(self, workspace, argv, flag):
+        argv = [arg.format(tally=workspace / "tally.json", keys=workspace / "run") for arg in argv]
         rc, out, err = run_cli(argv)
         assert (rc, out) == (1, "")
         assert err.startswith(f"decoyqkd {argv[0]}: error: {flag}: "), err
@@ -984,6 +1071,19 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "distill" in proc.stdout
+
+    def test_input_error_names_are_flags(self):
+        # _input_named reports an InputError under _FLAGS[its input name], so
+        # a name outside the table would end in a KeyError traceback.
+        names = set()
+        for path in Path(decoyqkd.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "InputError" and node.args
+                        and isinstance(node.args[0], ast.Constant)):
+                    names.add((path.name, node.args[0].value))
+        assert {("recon.py", "keys"), ("core.py", "tally"), ("sim.py", "seed")} <= names
+        assert sorted((module, name) for module, name in names if name not in cli._FLAGS) == []
 
     def test_cli_imports_no_private_package_names(self):
         tree = ast.parse(Path(cli.__file__).read_text())

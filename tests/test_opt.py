@@ -148,6 +148,10 @@ class TestOptimizeScheme:
             optimize_scheme(reference_model(), PULSES, initial_scheme=two, stages=1)
         assert info.value.input_name == "scheme"
 
+    def test_unknown_evaluation_keyword(self):
+        with pytest.raises(TypeError, match="f_ecc"):
+            optimize_scheme(reference_model(), PULSES, stages=1, f_ecc=1.1)
+
     def test_no_valid_candidate_names_extinction(self):
         # At 0.05 dB the vacuum level mu0 = 0.989 mu2 is never below mu1.
         with pytest.raises(InputError, match="extinction_db 0.05 dB") as info:
@@ -238,6 +242,12 @@ class TestRangeCurve:
                 optimize=True, extinction_db=0.05, stages=1,
             )
         assert info.value.input_name == "extinction_db"
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_unknown_evaluation_keyword(self, optimize):
+        with pytest.raises(TypeError, match="f_ecc"):
+            range_curve(reference_model(), PULSES, [140.0], optimize=optimize, stages=1,
+                        f_ecc=1.1)
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):

@@ -8,13 +8,17 @@ from collections import deque
 import numpy as np
 import pytest
 
+from decoyqkd import recon
+from decoyqkd.core import InputError
 from decoyqkd.recon import (
     ParityMessage,
     ReconciliationResult,
     ValidationError,
     cascade_reconcile,
+    distill_session,
     measure_f_ec,
 )
+from decoyqkd.sim import reference_model, reference_scheme, simulate_session
 from decoyqkd.stats import binary_entropy
 
 
@@ -252,6 +256,21 @@ class TestValidation:
                 0.01,
                 rng_seed=1,
             )
+
+    @pytest.mark.parametrize("settings, name", [
+        (dict(seed=5, depth=0), "depth"),
+        (dict(seed=-1), "seed"),
+    ])
+    def test_distill_settings_checked_before_reconciling(self, settings, name, monkeypatch):
+        def no_reconcile(*args, **kwargs):
+            raise AssertionError("a basis was reconciled")
+
+        monkeypatch.setattr(recon, "cascade_reconcile", no_reconcile)
+        scheme = reference_scheme()
+        tally, keys = simulate_session(reference_model(25.0), scheme, 20_000_000, 11)
+        with pytest.raises(InputError) as info:
+            distill_session(tally, scheme, keys.alice, keys.bob, **settings)
+        assert info.value.input_name == name
 
 
 

@@ -204,6 +204,11 @@ class TestSimulateSession:
         with pytest.raises(ValidationError):
             simulate_session(reference_model(), reference_scheme(), 100, 1, zero_bias=1.5)
 
+    def test_negative_seed_names_seed(self):
+        with pytest.raises(InputError, match="seed must be >= 0, got -1") as info:
+            simulate_session(reference_model(), reference_scheme(), 100, -1)
+        assert info.value.input_name == "seed"
+
     def test_bound_soundness_on_small_batch(self):
         # simulated sessions must not certify better-than-true values;
         # the acceptance suite runs the full 500-session version
@@ -367,3 +372,18 @@ class TestCalibration:
         with pytest.raises(InputError) as info:
             calibrate_to_reference(**totals)
         assert info.value.input_name == name
+
+    @pytest.mark.parametrize("duration_h", [0.0, -1.0])
+    def test_duration_must_be_positive_before_any_fit(self, duration_h, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("stage 1 ran")
+
+        monkeypatch.setattr("scipy.optimize.least_squares", no_fit)
+        with pytest.raises(InputError, match="duration_h must be > 0") as info:
+            calibrate_to_reference(duration_h=duration_h)
+        assert info.value.input_name == "duration_h"
+
+    def test_sift_ratio_is_the_fitted_one(self):
+        # calibration derives the ratio from the totals; a caller's would be ignored
+        with pytest.raises(TypeError, match="sift_ratio"):
+            calibrate_to_reference(sift_ratio=0.5)
