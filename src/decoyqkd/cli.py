@@ -25,9 +25,10 @@ summaries go to stderr.  Given the same inputs and seed, every command
 writes byte-identical output (reports carry no timestamps, and JSON
 keys are sorted).  Reports embed a SHA-256 digest of every input file
 and, under ``parameters``, every other setting (with the pulse count a
-command resolved from ``--duration-h``).  ``curve``, whose stdout is CSV,
-prints the same ``parameters`` to stderr as one line,
-``curve: parameters {...}``, of compact sorted-key JSON.
+command resolved from ``--duration-h``).  ``simulate`` and ``curve``,
+whose stdout is a tally or CSV, print the same report head to stderr as
+one line, ``simulate: report {...}`` or ``curve: report {...}``, of
+compact sorted-key JSON.
 Exit status is 0 on success, 1 on input errors (a message names the
 offending flag or file), and 2 when the inputs were valid but the
 session yields no key (infeasible bounds, zero key total, failed
@@ -323,16 +324,18 @@ def _input_named(settings: dict):
         raise ValidationError(f"{_FLAGS[name].flag}: {shown}{exc}") from exc
 
 
-def _parameters(settings: dict, **resolved) -> dict:
-    """Every setting but the file flags, with the values a command
-    ``resolved`` from them (such as ``pulses``)."""
-    return {**{k: v for k, v in settings.items() if k not in _PATH_FLAGS}, **resolved}
-
-
 def _report(kind: str, settings: dict, cfg_ref: dict | None, inputs: dict, **resolved) -> dict:
-    """The head of a JSON report: its kind, input files and parameters."""
+    """The head of a JSON report: its kind, input files and parameters,
+    which are every setting but the file flags, with the values a command
+    ``resolved`` from them (such as ``pulses``)."""
+    parameters = {k: v for k, v in settings.items() if k not in _PATH_FLAGS}
     return {"kind": kind, "inputs": {**inputs, "config": cfg_ref},
-            "parameters": _parameters(settings, **resolved)}
+            "parameters": {**parameters, **resolved}}
+
+
+def _note_report(command: str, report: dict) -> None:
+    """A report head on stderr, as one line of compact sorted-key JSON."""
+    _note(f"{command}: report {json.dumps(report, sort_keys=True, separators=(',', ':'))}")
 
 
 def _load_scheme(settings: dict) -> tuple[DecoyScheme, dict]:
@@ -507,7 +510,8 @@ def _cmd_simulate(settings: dict, cfg_ref: dict | None) -> int:
         f"detections {[lv.detected_total() for lv in tally.levels]}, "
         f"sifted {[tally.sifted_total(b) for b in BASES]} (X, Z)"
     )
-    _note(f"inputs: scheme {scheme_ref}, model {model_ref}")
+    _note_report("simulate", _report("simulate_report", settings, cfg_ref,
+                                     {"scheme": scheme_ref, "model": model_ref}, pulses=pulses))
     print(dumps(tally))
     return 0
 
@@ -622,28 +626,29 @@ def _cmd_optimize(settings: dict, cfg_ref: dict | None) -> int:
         **_evaluation(settings),
     )
 
+    analysis = result.analysis
     report = {
         **_report("optimize_report", settings, cfg_ref,
                   {"model": model_ref, "initial_scheme": scheme_ref}, pulses=pulses),
         "scheme": result.scheme.to_json(),
-        "n_secret_tight": result.n_secret_tight,
-        "n_secret_worst": result.n_secret_worst,
-        "feasible": result.feasible,
-        "evaluations": result.evaluations,
+        "n_secret_tight": analysis.total_tight,
+        "n_secret_worst": analysis.total_worst,
+        "feasible": analysis.total_tight > 0,
+        "evaluations": len(result.trace),
         "trace": list(result.trace) if settings["trace"] else None,
     }
     _emit(report)
     _note(
-        f"optimize: {result.evaluations} evaluations, best scheme "
+        f"optimize: {len(result.trace)} evaluations, best scheme "
         f"mus={tuple(round(m, 6) for m in result.scheme.mus)} "
         f"probs={tuple(round(p, 6) for p in result.scheme.send_probs)}"
     )
-    if not result.feasible:
+    if analysis.total_tight == 0:
         _note("optimize: every candidate yields a zero key at this operating point")
         return 2
     _note(
-        f"optimize: key total {result.n_secret_tight} (tight) / "
-        f"{result.n_secret_worst} (worst-case)"
+        f"optimize: key total {analysis.total_tight} (tight) / "
+        f"{analysis.total_worst} (worst-case)"
     )
     return 0
 
@@ -668,8 +673,8 @@ resolution; the two range endpoints are printed to stderr.
 
 
 def _cmd_curve(settings: dict, cfg_ref: dict | None) -> int:
-    model, _ = _load_model(settings)
-    scheme, _ = _load_scheme(settings)
+    model, model_ref = _load_model(settings)
+    scheme, scheme_ref = _load_scheme(settings)
     pulses = _resolve_pulses(settings, model, scheme)
     distances = _parse_distances(settings["distances"])
 
@@ -685,16 +690,15 @@ def _cmd_curve(settings: dict, cfg_ref: dict | None) -> int:
     )
 
     sys.stdout.write(curve_csv(curve))
-    parameters = json.dumps(_parameters(settings, pulses=pulses), sort_keys=True,
-                            separators=(",", ":"))
-    _note(f"curve: parameters {parameters}")
+    _note_report("curve", _report("curve_report", settings, cfg_ref,
+                                  {"model": model_ref, "scheme": scheme_ref}, pulses=pulses))
     tight = curve.range_tight_km
     worst = curve.range_worst_km
     _note(
         f"curve: {len(curve.points)} points, "
         f"range {tight if tight is not None else '<grid'} km (tight) / "
         f"{worst if worst is not None else '<grid'} km (worst-case), "
-        f"{'re-optimized per point' if curve.optimized else 'fixed scheme'}"
+        f"{'re-optimized per point' if settings['optimize'] else 'fixed scheme'}"
     )
     if tight is None:
         _note("curve: zero key everywhere on the grid")
@@ -729,8 +733,8 @@ def _cmd_calibrate(settings: dict, cfg_ref: dict | None) -> int:
     diag = result.diagnostics
     _note(
         f"calibrate: pulses {result.pulses} (duty {result.duty_cycle:.4f}), "
-        f"background {result.background_rate_hz:.1f} Hz, "
-        f"intrinsic error {result.e_int:.5f}"
+        f"background {result.model.background_rate_hz:.1f} Hz, "
+        f"intrinsic error {result.model.intrinsic_error_rate:.5f}"
     )
     _note(
         f"calibrate: key totals {result.analysis.total_tight} (tight) / "
@@ -789,8 +793,10 @@ _COMMANDS = {
     ),
     "curve": _Command(
         _cmd_curve, "Key total versus distance as CSV",
-        (*_SESSION, *_STATISTICS, "scheme", "distances", "optimize", "extinction_db",
-         "stages", "f_ec", "f_ds", "sift_ratio", "zero_fraction", "detector_efficiency"),
+        # range_curve sets each point's fiber length, so no --distance-km
+        ("model", "duration_h", "pulses", "duty_cycle", "detector_efficiency", *_STATISTICS,
+         "scheme", "distances", "optimize", "extinction_db", "stages", "f_ec", "f_ds",
+         "sift_ratio", "zero_fraction"),
         help_for={
             "scheme": "fixed scheme JSON, or the first-point seed with --optimize",
             "stages": "refinement stages per optimized point",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import typing
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 
 __all__ = [
     "BASES",
@@ -418,10 +418,6 @@ class ChannelModel:
             raise ValidationError("timing window cannot exceed the clock period")
         if not 0.0 <= self.intrinsic_error_rate <= 0.5:
             raise ValidationError("intrinsic_error_rate must lie in [0, 0.5]")
-
-    def with_length(self, fiber_length_km: float) -> "ChannelModel":
-        """Copy of this model at a different fiber length."""
-        return replace(self, fiber_length_km=fiber_length_km)
 
     def to_json(self) -> dict:
         return {"format_version": FORMAT_VERSION, "kind": "channel_model", **asdict(self)}

@@ -66,7 +66,6 @@ class DeskewResult:
 
     output_bits: np.ndarray
     input_length: int
-    iteration_depth: int
     f_ds: float
 
 
@@ -125,7 +124,6 @@ def peres_extract(bits, depth: int = DEFAULT_DESKEW_DEPTH) -> DeskewResult:
     return DeskewResult(
         output_bits=out,
         input_length=int(arr.size),
-        iteration_depth=depth,
         f_ds=f_ds,
     )
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import io
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     DEFAULT_EXTINCTION_DB,
@@ -52,18 +52,16 @@ __all__ = [
 class OptimizationResult:
     """Best scheme found plus the full search history.
 
-    ``feasible`` is False when every evaluated scheme produced zero key
-    (the distance/duration is beyond range); the returned scheme is then
-    just the final search point and the totals are 0.  ``trace`` holds
-    one dict per objective evaluation, in evaluation order.
+    ``analysis`` is the best scheme's evaluation and holds its key totals.
+    When every evaluated scheme produced zero key (the distance/duration
+    is beyond range), ``analysis.total_tight`` is 0 and the scheme is
+    just the final search point.  ``trace`` holds one dict per distinct
+    objective evaluation, in evaluation order, so its length is the
+    number of evaluations.
     """
 
     scheme: DecoyScheme
     analysis: SessionAnalysis
-    n_secret_tight: int
-    n_secret_worst: int
-    feasible: bool
-    evaluations: int
     trace: tuple[dict, ...]
 
 
@@ -200,10 +198,6 @@ def optimize_scheme(
     return OptimizationResult(
         scheme=scheme,
         analysis=analysis,
-        n_secret_tight=analysis.total_tight,
-        n_secret_worst=analysis.total_worst,
-        feasible=analysis.total_tight > 0,
-        evaluations=len(cache),
         trace=tuple(
             dict(zip(("mu0", "mu1", "mu2", "p0", "p1", "p2"), mus + probs),
                  n_secret_tight=done.total_tight, n_secret_worst=done.total_worst)
@@ -219,15 +213,11 @@ def optimize_scheme(
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One distance-grid evaluation (scheme recorded for optimized sweeps)."""
+    """One distance-grid evaluation: the scheme used there and its analysis."""
 
     distance_km: float
-    n_secret_tight: int
-    n_secret_worst: int
-    y1_lower: float
-    b1_tight: float
-    b1_worst: float
     scheme: DecoyScheme
+    analysis: SessionAnalysis
 
 
 @dataclass(frozen=True)
@@ -243,7 +233,6 @@ class RangeCurve:
     points: tuple[CurvePoint, ...]
     range_tight_km: float | None
     range_worst_km: float | None
-    optimized: bool
 
 
 def range_curve(
@@ -280,7 +269,7 @@ def range_curve(
     range_worst: float | None = None
     warm = fixed
     for d in distances:
-        m = model.with_length(d)
+        m = replace(model, fiber_length_km=d)
         if optimize:
             result = optimize_scheme(m, pulses, extinction_db=extinction_db, stages=stages,
                                      initial_scheme=warm, **evaluation)
@@ -289,17 +278,7 @@ def range_curve(
         else:
             use = fixed
             analysis = evaluate_scheme(m, use, pulses, **evaluation)
-        points.append(
-            CurvePoint(
-                distance_km=d,
-                n_secret_tight=analysis.total_tight,
-                n_secret_worst=analysis.total_worst,
-                y1_lower=analysis.bounds.y1_lower,
-                b1_tight=max(analysis.bounds.b1_tight_by_basis.values()),
-                b1_worst=max(analysis.bounds.b1_worst_by_basis.values()),
-                scheme=use,
-            )
-        )
+        points.append(CurvePoint(distance_km=d, scheme=use, analysis=analysis))
         if analysis.total_tight > 0:
             range_tight = d
         if analysis.total_worst > 0:
@@ -308,7 +287,6 @@ def range_curve(
         points=tuple(points),
         range_tight_km=range_tight,
         range_worst_km=range_worst,
-        optimized=optimize,
     )
 
 
@@ -333,14 +311,15 @@ def curve_csv(curve: RangeCurve) -> str:
         ]
     )
     for pt in curve.points:
+        bounds = pt.analysis.bounds
         writer.writerow(
             [
                 f"{pt.distance_km:g}",
-                pt.n_secret_tight,
-                pt.n_secret_worst,
-                f"{pt.y1_lower:.6e}",
-                f"{pt.b1_tight:.6f}",
-                f"{pt.b1_worst:.6f}",
+                pt.analysis.total_tight,
+                pt.analysis.total_worst,
+                f"{bounds.y1_lower:.6e}",
+                f"{max(bounds.b1_tight_by_basis.values()):.6f}",
+                f"{max(bounds.b1_worst_by_basis.values()):.6f}",
                 *(f"{m:g}" for m in pt.scheme.mus),
                 *(f"{p:g}" for p in pt.scheme.send_probs),
             ]

@@ -8,8 +8,8 @@ is cascaded back into earlier passes whose block parities it flipped.
 
 Two bookkeeping rules keep the leak count honest without inflating it:
 
-* every parity the reference side actually transmits is counted (and
-  recorded in the transcript), and
+* every parity the reference side actually transmits is recorded in
+  the transcript, whose length is the leak count, and
 * a parity transmitted before is served from a cache and **not** counted
   again; the right half of a searched block is never asked for, as its
   parity is the block's XOR the left half's.
@@ -113,8 +113,6 @@ class ReconciliationResult:
     ----------
     corrected_key : numpy.ndarray
         The corrected copy of the noisy key; same length as the input.
-    parity_bits_leaked : int
-        Number of parity bits actually disclosed (== ``len(transcript)``).
     passes : int
         Number of passes executed.  Smaller than the 4 passes attempted only
         when an early pass finished without a single correction, in which
@@ -134,17 +132,15 @@ class ReconciliationResult:
     """
 
     corrected_key: np.ndarray
-    parity_bits_leaked: int
     passes: int
     residual_error_detected: bool
     corrections: int
     transcript: Sequence[ParityMessage] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if self.parity_bits_leaked < 0:
-            raise ValidationError("parity_bits_leaked must be >= 0")
-        if self.parity_bits_leaked != len(self.transcript):
-            raise ValidationError("transcript length must equal the leak count")
+    @property
+    def parity_bits_leaked(self) -> int:
+        """Number of parity bits actually disclosed: one per transcript message."""
+        return len(self.transcript)
 
 
 def _prefix_parity(bits: np.ndarray) -> np.ndarray:
@@ -377,7 +373,6 @@ def cascade_reconcile(
 
     return ReconciliationResult(
         corrected_key=bob,
-        parity_bits_leaked=len(oracle.records),
         passes=len(perms),
         residual_error_detected=bool(np.any(alice != bob)),
         corrections=corrections,

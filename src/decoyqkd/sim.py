@@ -145,7 +145,6 @@ class ExpectedStatistics:
     eta: float
     noise_prob: float
     intrinsic_error_rate: float
-    mus: tuple[float, ...]
     yields: tuple[float, ...]
     error_rates: tuple[float, ...]
 
@@ -183,7 +182,6 @@ def expected_statistics(model: ChannelModel, scheme: DecoyScheme) -> ExpectedSta
         eta=eta,
         noise_prob=c,
         intrinsic_error_rate=model.intrinsic_error_rate,
-        mus=tuple(scheme.mus),
         yields=tuple(yields),
         error_rates=tuple(error_rates),
     )
@@ -421,7 +419,8 @@ def simulate_session(
 class CalibrationResult:
     """Back-solved operating point of the demonstration link.
 
-    ``model`` carries the fitted background rate and intrinsic error;
+    ``model`` carries the fitted background rate and intrinsic error,
+    which the report shows as ``background_rate_hz`` and ``e_int``;
     ``pulses`` is the effective number of sent pulses (the published
     totals fold in an unpublished duty cycle, made explicit here as
     ``duty_cycle``).  ``tally`` is the reconstructed expected tally at
@@ -436,8 +435,6 @@ class CalibrationResult:
     duty_cycle: float
     sift_ratio: float
     zero_fraction: float
-    e_int: float
-    background_rate_hz: float
     tally: SessionTally
     analysis: SessionAnalysis
     diagnostics: dict
@@ -450,8 +447,8 @@ class CalibrationResult:
             "duty_cycle": self.duty_cycle,
             "sift_ratio": self.sift_ratio,
             "zero_fraction": self.zero_fraction,
-            "e_int": self.e_int,
-            "background_rate_hz": self.background_rate_hz,
+            "e_int": self.model.intrinsic_error_rate,
+            "background_rate_hz": self.model.background_rate_hz,
             "tally": self.tally.to_json(),
             "analysis": self.analysis.to_json(),
             "diagnostics": self.diagnostics,
@@ -607,8 +604,6 @@ def calibrate_to_reference(
         duty_cycle=duty,
         sift_ratio=sift_ratio,
         zero_fraction=zero_fraction,
-        e_int=e_int,
-        background_rate_hz=bg_rate,
         tally=tally,
         analysis=analysis,
         diagnostics={

@@ -61,9 +61,10 @@ def binomial_lower(k: float, n: float, epsilon: float) -> float:
     a, b = k, n - k + 1.0
     x = float(special.betaincinv(a, b, epsilon))
     # The quantile routine loses its footing in the extreme-n, tiny-rate
-    # corner (it can land above the observed rate).  The forward function
-    # stays accurate there, so verify the tail mass and re-invert by
-    # bisection below the observed rate when the check fails.
+    # corner (it can land above the observed rate), and in the upper
+    # bound's k ~ n corner (see there).  The forward function stays
+    # accurate, so verify the tail mass and re-invert by bisection below
+    # the observed rate when the check fails.
     if not (0.0 <= x <= k / n) or not (
         0.2 * epsilon <= float(special.betainc(a, b, x)) <= 5.0 * epsilon
     ):
@@ -87,6 +88,10 @@ def binomial_upper(k: float, n: float, epsilon: float) -> float:
     a, b = k + 1.0, n - k
     x = float(special.betaincinv(a, b, 1.0 - epsilon))
     # Same safeguard as the lower bound, on the other side of the mean.
+    # It also fires when k is so close to n that the bound lies within one
+    # ulp of 1 (k = 999.5 of 1000 at epsilon 1e-7): the quantile rounds to
+    # 1.0, where the tail is 0 and the check fails, and the bisection
+    # settles on 1.0, the smallest double with a tail of at most epsilon.
     if not (k / n <= x <= 1.0) or not (
         0.2 * epsilon <= 1.0 - float(special.betainc(a, b, x)) <= 5.0 * epsilon
     ):

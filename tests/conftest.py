@@ -48,6 +48,29 @@ MALFORMED_DOCUMENTS = {
         lambda d: d.update(reconstructed="no"),
         "session_tally: reconstructed",
     ),
+    "format_version 2": (
+        "session_tally",
+        lambda d: d.update(format_version="2"),
+        "session_tally: unsupported format_version '2' (expected '1')",
+    ),
+    "missing errors": (
+        "session_tally",
+        lambda d: d["levels"][0].pop("errors"),
+        "session_tally: levels[0]: missing field 'errors'",
+    ),
+    "no levels": (
+        "session_tally", lambda d: d.update(levels=[]), "'levels' must be a non-empty list"
+    ),
+    "negative detected.X": (
+        "session_tally",
+        lambda d: d["levels"][0]["detected"].update(X=-1),
+        "levels[0].detected.X: counts must be >= 0, got -1",
+    ),
+    "negative zeros.Z": (
+        "session_tally",
+        lambda d: d["zeros"].update(Z=-1),
+        "zeros.Z: counts must be >= 0, got -1",
+    ),
 }
 
 

@@ -79,6 +79,15 @@ def run_cli(argv, stdin_bytes=None):
     return rc, out.getvalue(), err.getvalue()
 
 
+def stderr_report(err, command):
+    """The one ``COMMAND: report {...}`` line of a command's stderr, parsed."""
+    prefix = f"{command}: report "
+    [line] = [line for line in err.splitlines() if line.startswith(prefix)]
+    report = json.loads(line[len(prefix):])
+    assert line == prefix + json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return report
+
+
 def help_text(command):
     """``decoyqkd COMMAND --help`` with its whitespace collapsed."""
     out = io.StringIO()
@@ -753,7 +762,7 @@ class TestLibraryMatchesCli:
         )
         assert rc == 0
         report = json.loads(out)
-        assert (result.n_secret_tight, result.n_secret_worst) == (19062, 18760)
+        assert (result.analysis.total_tight, result.analysis.total_worst) == (19062, 18760)
         assert (report["n_secret_tight"], report["n_secret_worst"]) == (19062, 18760)
         assert report["scheme"] == result.scheme.to_json()
 
@@ -864,15 +873,28 @@ class TestCurve:
         )
         assert rc == 0
         assert out.splitlines()[0] == CURVE_HEADER
-        [line] = [line for line in err.splitlines() if line.startswith("curve: parameters ")]
-        parameters = json.loads(line[len("curve: parameters "):])
+        report = stderr_report(err, "curve")
+        assert report["kind"] == "curve_report"
+        assert report["inputs"] == {"model": {"builtin": "reference"},
+                                    "scheme": {"builtin": "reference"}, "config": None}
+        parameters = report["parameters"]
         assert set(parameters) == {key for key in cli._COMMANDS["curve"].flags
                                    if cli._FLAGS[key].metavar not in ("FILE", "PREFIX")}
         assert parameters["confidence"] == 1e-5
         assert parameters["vacuum_pinning"] is False
         assert parameters["pulses"] == 23836243437  # the count --duration-h resolves to
-        assert line == "curve: parameters " + json.dumps(
-            parameters, sort_keys=True, separators=(",", ":"))
+
+    def test_distance_is_not_a_curve_setting(self, tmp_path):
+        # range_curve sets every point's fiber length, so the flag would change nothing
+        argv = ["curve", "--distances", "140,150"]
+        rc, out, err = run_cli(argv + ["--distance-km", "20"])
+        assert (rc, out) == (1, "")
+        assert err == "error: decoyqkd: unrecognized arguments: --distance-km 20\n"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"distance_km": 20}')
+        rc, out, err = run_cli(argv + ["--config", str(cfg)])
+        assert (rc, out) == (1, "")
+        assert err.startswith("decoyqkd curve: error: --config: unknown fields ['distance_km']")
 
     @pytest.mark.parametrize("spec", ["100,nan", "inf", "100:inf:2", "nan:170:2", "100:170:inf"])
     def test_non_finite_distances_rejected(self, spec):
@@ -980,7 +1002,8 @@ class TestUsage:
         (["calibrate", "--duration-h", "-1"], "--duration-h"),
         (["simulate", "--pulses", "1000", "--seed", "1", "--distance-km", "-5"], "--distance-km"),
         (["optimize", "--distance-km", "-5"], "--distance-km"),
-        (["curve", "--distance-km", "-5"], "--distance-km"),
+        (["simulate", "--duration-h", "1", "--seed", "1", "--distance-km", "-5"],
+         "--distance-km"),
         (["curve", "--detector-efficiency", "2"], "--detector-efficiency"),
         (["curve", "--distances=-10,5"], "--distances"),
         (["distill", "--tally", "{tally}", "--keys", "{keys}", "--seed", "5", "--depth", "0"],
@@ -1025,6 +1048,26 @@ class TestUsage:
         assert [key for key in near if near[key] != far[key]] == ["distance_km"]
         assert near["pulses"] == 23836243437  # the count --duration-h resolves to
         assert parameters["calibrate"]["confidence"] == 1e-5
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--distance-km", "25", "--pulses", "1000000", "--seed", "1"],
+        ["curve", "--distances", "140,146", "--pulses", "23836243437"],
+    ], ids=["simulate", "curve"])
+    def test_stderr_report_records_model_and_config(self, tmp_path, argv):
+        model, cfg = tmp_path / "model.json", tmp_path / "cfg.json"
+        model.write_text(dumps(reference_model()))
+        cfg.write_text('{"duty_cycle": 0.5}')
+        rc, out, err = run_cli(argv + ["--model", str(model), "--config", str(cfg)])
+        assert rc == 0
+        report = stderr_report(err, argv[0])
+        assert report["kind"] == f"{argv[0]}_report"
+        assert report["inputs"] == {
+            "model": {"path": str(model), "sha256": hashlib.sha256(model.read_bytes()).hexdigest()},
+            "config": {"path": str(cfg), "sha256": hashlib.sha256(cfg.read_bytes()).hexdigest()},
+            "scheme": {"builtin": "reference"},
+        }
+        assert report["parameters"]["duty_cycle"] == 0.5
+        assert report["parameters"]["pulses"] == int(argv[argv.index("--pulses") + 1])
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_flag_rejected(self, value):

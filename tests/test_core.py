@@ -201,11 +201,11 @@ class TestChannelModel:
         assert m.clock_rate_hz == 1e7
 
     def test_with_length(self):
-        m = reference_model().with_length(42.0)
+        m = replace(reference_model(), fiber_length_km=42.0)
         assert m.fiber_length_km == 42.0
         assert m.detector_efficiency == reference_model().detector_efficiency
         with pytest.raises(ValidationError, match="fiber_length_km"):
-            reference_model().with_length(math.nan)
+            replace(reference_model(), fiber_length_km=math.nan)
 
     @pytest.mark.parametrize("field", [
         "attenuation_db_per_km", "detector_efficiency", "dark_count_rate_hz",

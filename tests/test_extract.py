@@ -24,7 +24,6 @@ class TestPeresExtract:
         result = peres_extract([0, 1, 1, 1, 1, 0, 0, 0], 1)
         assert list(result.output_bits) == [0, 1]
         assert result.input_length == 8
-        assert result.iteration_depth == 1
 
     def test_hand_traced_depth_two(self):
         # one more level taps the parity and residue streams of the pairs

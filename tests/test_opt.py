@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -74,10 +75,9 @@ def result():
 
 class TestOptimizeScheme:
     def test_frozen_optimum(self, result):
-        assert result.feasible
-        assert result.n_secret_tight == 5502
-        assert result.n_secret_worst == 4734
-        assert result.evaluations == 79
+        assert result.analysis.total_tight == 5502
+        assert result.analysis.total_worst == 4734
+        assert len(result.trace) == 79
         mus, probs = result.scheme.mus, result.scheme.send_probs
         assert mus[0] == pytest.approx(0.002678, abs=2e-4)
         assert mus[1] == pytest.approx(0.13, abs=0.02)
@@ -86,13 +86,13 @@ class TestOptimizeScheme:
 
     def test_beats_fixed_scheme(self, result):
         fixed = _evaluate(reference_model(), reference_scheme(), PULSES)
-        assert result.n_secret_tight >= fixed.total_tight
-        assert result.n_secret_worst >= fixed.total_worst
+        assert result.analysis.total_tight >= fixed.total_tight
+        assert result.analysis.total_worst >= fixed.total_worst
 
     def test_result_is_reproducible_from_scheme(self, result):
         replay = _evaluate(reference_model(), result.scheme, PULSES)
-        assert replay.total_tight == result.n_secret_tight
-        assert replay.total_worst == result.n_secret_worst
+        assert replay.total_tight == result.analysis.total_tight
+        assert replay.total_worst == result.analysis.total_worst
         assert replay.to_json() == result.analysis.to_json()
 
     def test_vacuum_level_respects_extinction_floor(self, result):
@@ -102,13 +102,14 @@ class TestOptimizeScheme:
         assert result.scheme.mus[0] >= floor * (1.0 - 1e-12)
 
     def test_trace_covers_every_evaluation(self, result):
-        assert len(result.trace) == result.evaluations
+        # one entry per distinct scheme evaluated
+        assert len({tuple(entry.values()) for entry in result.trace}) == len(result.trace)
         first = result.trace[0]
         # the scan starts from the incumbent scheme
         assert first["mu1"] == pytest.approx(0.13)
         assert first["mu2"] == pytest.approx(0.57)
         best = max(entry["n_secret_tight"] for entry in result.trace)
-        assert best == result.n_secret_tight
+        assert best == result.analysis.total_tight
 
     def test_single_stage_is_coarser_but_sound(self):
         quick = optimize_scheme(
@@ -120,14 +121,14 @@ class TestOptimizeScheme:
             sift_ratio=REFERENCE_SIFT_RATIO,
             zero_fraction=0.494,
         )
-        assert quick.evaluations == 27
-        assert quick.n_secret_tight == 5414
+        assert len(quick.trace) == 27
+        assert quick.analysis.total_tight == 5414
         fixed = _evaluate(reference_model(), reference_scheme(), PULSES)
-        assert quick.n_secret_tight >= fixed.total_tight
+        assert quick.analysis.total_tight >= fixed.total_tight
 
     def test_skips_candidates_that_leave_a_level_without_pulses(self):
         quick = optimize_scheme(reference_model(), 25, stages=1)
-        assert not quick.feasible
+        assert quick.analysis.total_tight == 0
         assert quick.trace
         for entry in quick.trace:
             assert all(round(25 * entry[p]) >= 1 for p in ("p0", "p1", "p2"))
@@ -156,7 +157,7 @@ class TestOptimizeScheme:
         # At 0.05 dB the vacuum level mu0 = 0.989 mu2 is never below mu1.
         with pytest.raises(InputError, match="extinction_db 0.05 dB") as info:
             optimize_scheme(
-                reference_model().with_length(25), 100_000_000,
+                replace(reference_model(), fiber_length_km=25), 100_000_000,
                 extinction_db=0.05, stages=1,
             )
         assert info.value.input_name == "extinction_db"
@@ -177,14 +178,14 @@ def curve():
 
 class TestRangeCurve:
     def test_frozen_fixed_scheme_points(self, curve):
-        got = [(p.distance_km, p.n_secret_tight, p.n_secret_worst) for p in curve.points]
+        got = [(p.distance_km, p.analysis.total_tight, p.analysis.total_worst)
+               for p in curve.points]
         assert got == [
             (140.0, 2816, 1974),
             (143.0, 1622, 764),
             (146.0, 636, 0),
             (149.0, 0, 0),
         ]
-        assert not curve.optimized
 
     def test_range_endpoints(self, curve):
         assert curve.range_tight_km == 146.0
@@ -192,17 +193,20 @@ class TestRangeCurve:
         assert curve.range_tight_km >= curve.range_worst_km
 
     def test_yield_monotone_along_curve(self, curve):
-        tights = [p.n_secret_tight for p in curve.points]
-        worsts = [p.n_secret_worst for p in curve.points]
+        tights = [p.analysis.total_tight for p in curve.points]
+        worsts = [p.analysis.total_worst for p in curve.points]
         assert tights == sorted(tights, reverse=True)
         assert worsts == sorted(worsts, reverse=True)
         for point in curve.points:
-            assert point.n_secret_tight >= point.n_secret_worst
+            assert point.analysis.total_tight >= point.analysis.total_worst
 
     def test_points_carry_bound_diagnostics(self, curve):
         for point in curve.points:
-            assert point.y1_lower > 0.0
-            assert 0.0 < point.b1_tight <= point.b1_worst <= 1.0
+            bounds = point.analysis.bounds
+            assert bounds.y1_lower > 0.0
+            b1_tight = max(bounds.b1_tight_by_basis.values())
+            b1_worst = max(bounds.b1_worst_by_basis.values())
+            assert 0.0 < b1_tight <= b1_worst <= 1.0
             assert point.scheme == reference_scheme()
 
     def test_csv_round_trip(self, curve):
@@ -216,9 +220,10 @@ class TestRangeCurve:
         )
         for row, point in zip(rows, curve.points):
             assert float(row["distance_km"]) == point.distance_km
-            assert int(row["n_secret_tight"]) == point.n_secret_tight
-            assert int(row["n_secret_worst"]) == point.n_secret_worst
-            assert float(row["y1_lower"]) == pytest.approx(point.y1_lower, rel=1e-5)
+            assert int(row["n_secret_tight"]) == point.analysis.total_tight
+            assert int(row["n_secret_worst"]) == point.analysis.total_worst
+            assert float(row["y1_lower"]) == pytest.approx(point.analysis.bounds.y1_lower,
+                                                           rel=1e-5)
             assert float(row["mu2"]) == pytest.approx(point.scheme.mus[2], rel=1e-5)
 
     def test_optimized_point_dominates_fixed(self):
@@ -232,8 +237,7 @@ class TestRangeCurve:
         tuned = range_curve(
             reference_model(), PULSES, [146.0], optimize=True, stages=2, **kwargs
         )
-        assert tuned.optimized
-        assert tuned.points[0].n_secret_tight >= fixed.points[0].n_secret_tight
+        assert tuned.points[0].analysis.total_tight >= fixed.points[0].analysis.total_tight
 
     def test_optimized_curve_with_no_valid_scheme(self):
         with pytest.raises(InputError, match="extinction_db") as info:

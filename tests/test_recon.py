@@ -220,7 +220,6 @@ class TestMeasureFEc:
         # More than half the bits corrected: the observed rate exceeds 1/2.
         result = ReconciliationResult(
             corrected_key=np.zeros(100, dtype=np.uint8),
-            parity_bits_leaked=0,
             passes=1,
             residual_error_detected=False,
             corrections=60,
@@ -363,19 +362,10 @@ class TestTranscriptView:
         message = ParityMessage(1, 0, 64, 1)
         result = ReconciliationResult(
             corrected_key=np.zeros(64, dtype=np.uint8),
-            parity_bits_leaked=1,
             passes=1,
             residual_error_detected=False,
             corrections=0,
             transcript=(message,),
         )
         assert result.transcript == (message,)
-        with pytest.raises(ValidationError, match="leak count"):
-            ReconciliationResult(
-                corrected_key=np.zeros(64, dtype=np.uint8),
-                parity_bits_leaked=2,
-                passes=1,
-                residual_error_detected=False,
-                corrections=0,
-                transcript=(message,),
-            )
+        assert result.parity_bits_leaked == 1

@@ -327,8 +327,9 @@ class TestCalibration:
     def test_frozen_operating_point(self, calibration):
         assert calibration.pulses == 23836243437
         assert calibration.duty_cycle == pytest.approx(0.11823533450892858, rel=1e-9)
-        assert calibration.background_rate_hz == pytest.approx(586.00045754661, rel=1e-6)
-        assert calibration.e_int == pytest.approx(0.005092440316693087, rel=1e-6)
+        assert calibration.model.background_rate_hz == pytest.approx(586.00045754661, rel=1e-6)
+        assert calibration.model.intrinsic_error_rate == pytest.approx(0.005092440316693087,
+                                                                       rel=1e-6)
         assert calibration.sift_ratio == REFERENCE_SIFT_RATIO
         assert calibration.zero_fraction == REFERENCE_ZERO_FRACTION
 

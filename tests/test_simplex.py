@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from decoyqkd import _simplex
 from decoyqkd._simplex import LPResult, SimplexError, solve_lp
@@ -169,6 +170,32 @@ def test_beale_cycle_reaches_bland_rule(monkeypatch):
     assert _assert_bitwise_equal(*BEALE) == "optimal"
     (m, width), = set(pivots)
     assert len(pivots) > 4 * (width + m) + 1  # pivots after the switch
+
+
+def test_artificial_basic_at_zero_is_pivoted_out(monkeypatch):
+    # The two rows are one equality, x1 + x2 = 1.  Phase 1 ends with the
+    # flipped row's artificial basic at zero, and it leaves the basis by a
+    # pivot onto a real column.  (The redundant-row branch is unreachable:
+    # a row whose basic variable is an artificial holds +-1 in the slack
+    # column of that artificial's row.)
+    basic_artificials = []
+    evict = _simplex._evict_artificials
+
+    def recorded(tab, basis, n_real):
+        basic_artificials.append(int(np.count_nonzero(basis >= n_real)))
+        evict(tab, basis, n_real)
+        assert np.all(basis < n_real)
+
+    monkeypatch.setattr(_simplex, "_evict_artificials", recorded)
+    c, a, b = [1.0, 2.0], [[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0]
+    assert _assert_bitwise_equal(c, a, b) == "optimal"
+    assert basic_artificials == [1]
+    result = solve_lp(c, a, b)
+    reference = linprog(c, A_ub=a, b_ub=b, method="highs")
+    assert reference.status == 0
+    assert reference.fun == pytest.approx(1.0)
+    assert result.objective == pytest.approx(reference.fun, rel=1e-12)
+    assert result.x == pytest.approx(reference.x, abs=1e-12)
 
 
 def test_random_programs_match_reference():

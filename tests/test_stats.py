@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from decoyqkd import stats
 from decoyqkd.stats import (
     binary_entropy,
     binomial_interval,
@@ -33,6 +35,41 @@ FROZEN_INTERVALS = [
 def test_frozen_interval_values(k, n, eps, lo, hi):
     assert binomial_lower(k, n, eps) == pytest.approx(lo, rel=1e-9, abs=1e-15)
     assert binomial_upper(k, n, eps) == pytest.approx(hi, rel=1e-9)
+
+
+@pytest.mark.parametrize("k, n, eps", [(k, n, eps) for k, n, eps, _, _ in FROZEN_INTERVALS
+                                         if 0 < k < n])
+def test_bisection_fallback_matches_quantile(monkeypatch, k, n, eps):
+    # A quantile that fails its check (here: always NaN) is re-inverted by
+    # bisection on the forward function, on both sides of the mean.
+    expected = binomial_interval(k, n, eps)
+    monkeypatch.setattr(stats.special, "betaincinv", lambda *args: math.nan)
+    lo, hi = binomial_interval(k, n, eps)
+    assert lo == pytest.approx(expected[0], rel=1e-9, abs=1e-15)
+    assert hi == pytest.approx(expected[1], rel=1e-9)
+
+
+@pytest.mark.parametrize("k, n", [(999.5, 1000), (23_999_999_999, 24e9)])
+def test_upper_bound_next_to_n_rounds_to_one(monkeypatch, k, n):
+    # The bound lies within one ulp of 1, so the quantile's check fails and
+    # the bisection settles on 1.0: the tail P[X <= k] is 0 there and
+    # above epsilon one double below, so 1.0 is the tightest valid double.
+    eps = 1e-7
+    bisected = []
+    bisect_to = stats._bisect_to
+
+    def recorded(*args):
+        bisected.append(bisect_to(*args))
+        return bisected[-1]
+
+    monkeypatch.setattr(stats, "_bisect_to", recorded)
+    assert binomial_upper(k, n, eps) == 1.0
+    assert bisected == [1.0]
+    with mpmath.workdps(50):
+        def tail(p):
+            return 1 - mpmath.betainc(k + 1, n - k, 0, p, regularized=True)
+        assert tail(1) <= eps
+        assert tail(math.nextafter(1.0, 0.0)) > eps
 
 
 def test_interval_is_lower_upper_pair():
