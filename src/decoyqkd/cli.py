@@ -825,6 +825,7 @@ def _build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    parser.commands = sub.choices
     for name, command in _COMMANDS.items():
         p = sub.add_parser(
             name, help=command.help, description=command.help,
@@ -852,7 +853,9 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:  # report them on the command whose flag list was meant
+            parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
     except _UsageError as exc:
         _note(f"error: {exc}")
         return 1

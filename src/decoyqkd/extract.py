@@ -33,6 +33,11 @@ __all__ = [
     "privacy_amplify",
 ]
 
+# Nodes of at least this many bits are split by the recursion; the subtrees
+# below it are run breadth-first together, where one numpy call serves
+# every node of a level instead of one node.
+_PERES_CUTOVER = 1024
+
 
 def _as_bits(bits, name: str) -> np.ndarray:
     """Coerce a 0/1 string or one-dimensional array to uint8 0/1 values.
@@ -69,11 +74,20 @@ class DeskewResult:
     f_ds: float
 
 
-def _peres(bits: np.ndarray, depth: int, chunks: list[np.ndarray]) -> None:
-    """Append this level's extracted streams to ``chunks`` (fixed order:
-    von Neumann output first, then the recursion on the pair-XOR stream,
-    then the recursion on the agreed-values stream)."""
+def _peres(bits: np.ndarray, depth: int, chunks: list, small: list) -> None:
+    """Append this node's extracted streams to ``chunks`` in the fixed
+    order: von Neumann output first, then the subtree of the pair-XOR
+    stream, then the subtree of the agreed-values stream.
+
+    A subtree whose root holds fewer than ``_PERES_CUTOVER`` bits is not
+    run here: ``(bits, depth)`` goes to ``small``, and a None holds its
+    place in ``chunks`` for the output of :func:`_peres_small`.
+    """
     if depth <= 0 or bits.size < 2:
+        return
+    if bits.size < _PERES_CUTOVER:
+        small.append((bits, depth))
+        chunks.append(None)
         return
     m = bits.size // 2
     first = bits[0 : 2 * m : 2]
@@ -81,8 +95,69 @@ def _peres(bits: np.ndarray, depth: int, chunks: list[np.ndarray]) -> None:
     xors = first ^ second
     disagree = xors == 1
     chunks.append(first[disagree])
-    _peres(xors, depth - 1, chunks)
-    _peres(first[~disagree], depth - 1, chunks)
+    _peres(xors, depth - 1, chunks, small)
+    _peres(first[~disagree], depth - 1, chunks, small)
+
+
+def _peres_small(roots: list) -> list[np.ndarray]:
+    """Run the ``(bits, depth)`` subtrees breadth-first, all in one pass.
+
+    Each level holds every live node of every subtree, bits laid end to
+    end; a node is live while it has at least 2 bits and depth left.  Its
+    children go to the next level, all pair-XOR children first.  Each
+    subtree's output is its nodes' von Neumann bits in the recursion's
+    order: a node's offset is its parent's offset plus the parent's own
+    bits, plus the XOR sibling's subtree total for an agreed-values child,
+    so the totals are summed bottom-up and the bits placed top-down.
+    Returns one output array per subtree.
+    """
+    bits = np.concatenate([b for b, _ in roots])
+    lens = np.array([b.size for b, _ in roots], dtype=np.int64)
+    depth = np.array([d for _, d in roots], dtype=np.int64)
+    levels = []  # per level: own bit counts, child indices (-1: none), own bits
+    while lens.size:
+        if (lens & 1).any():  # drop each odd node's last bit so no pair spans two nodes
+            keep = np.ones(bits.size, dtype=bool)
+            keep[np.cumsum(lens)[(lens & 1) == 1] - 1] = False
+            bits = bits[keep]
+        first, second = bits[0::2], bits[1::2]
+        xors = first ^ second
+        disagree = xors == 1
+        pairs = lens // 2
+        ends = np.cumsum(pairs)
+        ones = np.concatenate(([0], np.cumsum(xors, dtype=np.int64)))
+        own = ones[ends] - ones[ends - pairs]
+        agreed = pairs - own
+        deeper = depth > 1
+        x_live = deeper & (pairs >= 2)
+        a_live = deeper & (agreed >= 2)
+        n_x = int(np.count_nonzero(x_live))
+        x_child = np.where(x_live, np.cumsum(x_live) - 1, -1)
+        a_child = np.where(a_live, n_x + np.cumsum(a_live) - 1, -1)
+        levels.append((own, x_child, a_child, first[disagree]))
+        bits = np.concatenate((xors[np.repeat(x_live, pairs)],
+                               first[~disagree][np.repeat(a_live, agreed)]))
+        lens = np.concatenate((pairs[x_live], agreed[a_live]))
+        depth = np.concatenate((depth[x_live], depth[a_live])) - 1
+
+    totals = [np.zeros(1, dtype=np.int64)]  # each with a trailing 0 for child -1
+    for own, x_child, a_child, _ in reversed(levels):
+        below = totals[-1]
+        totals.append(np.append(own + below[x_child] + below[a_child], 0))
+    totals.reverse()
+
+    sizes = totals[0][:-1]
+    offset = np.cumsum(sizes) - sizes
+    out = np.empty(int(sizes.sum()), dtype=np.uint8)
+    for (own, x_child, a_child, own_bits), below in zip(levels, totals[1:]):
+        start = np.cumsum(own) - own
+        out[np.repeat(offset - start, own) + np.arange(own_bits.size)] = own_bits
+        child = np.empty(below.size - 1, dtype=np.int64)
+        x_off = offset + own
+        child[x_child[x_child >= 0]] = x_off[x_child >= 0]
+        child[a_child[a_child >= 0]] = (x_off + below[x_child])[a_child >= 0]
+        offset = child
+    return np.split(out, np.cumsum(sizes)[:-1])
 
 
 def peres_extract(bits, depth: int = DEFAULT_DESKEW_DEPTH) -> DeskewResult:
@@ -115,8 +190,13 @@ def peres_extract(bits, depth: int = DEFAULT_DESKEW_DEPTH) -> DeskewResult:
         raise ValidationError("depth must be >= 1")
     if arr.size < 2:
         raise ValidationError("need at least one pair of bits to deskew")
-    chunks: list[np.ndarray] = []
-    _peres(arr, depth, chunks)
+    chunks: list = []
+    small: list = []
+    _peres(arr, depth, chunks, small)
+    if small:
+        slots = [i for i, chunk in enumerate(chunks) if chunk is None]
+        for slot, part in zip(slots, _peres_small(small)):
+            chunks[slot] = part
     out = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint8)
     zero_fraction = float(np.count_nonzero(arr == 0)) / arr.size
     rate = out.size / arr.size
@@ -147,6 +227,23 @@ def measure_f_ds(result: DeskewResult, zero_fraction: float) -> float:
     return binary_entropy(zero_fraction) / rate
 
 
+def _fft_length(x: int) -> int:
+    """Smallest 5-smooth number ``2**a * 3**b * 5**c >= x``, for x >= 1.
+
+    numpy's FFT has radix-2, 3 and 5 passes, so such a length is about as
+    fast per point as a power of two and up to half as long.
+    """
+    best = 1 << (x - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-x // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def privacy_amplify(key, target_length: int, seed: int) -> np.ndarray:
     """Compress ``key`` to ``target_length`` bits with a seeded Toeplitz hash.
 
@@ -157,12 +254,14 @@ def privacy_amplify(key, target_length: int, seed: int) -> np.ndarray:
     ``hash(a XOR b) == hash(a) XOR hash(b)`` for keys hashed with one seed.
 
     Row ``i`` of ``T @ key`` is entry ``n - 1 + i`` of the convolution of ``s``
-    with ``key``: one float64 FFT convolution of power-of-two length
-    ``N >= n + m - 1`` (its wrap-around misses the kept window), rounded and
-    taken mod 2, in O((n + m) log(n + m)) work.  The rounding error grows about
-    as ``eps * log2(N) * sqrt(n * (n + m - 1))``: near 1e-10 at 1e6 bits and
-    1e-9 at 1e7, far below the 0.5 that would flip a bit.  A kept entry more
-    than 0.25 from an integer raises ``ValidationError``, emitting no key.
+    with ``key``: one float64 FFT convolution of length ``N``, the smallest
+    5-smooth number (``2**a * 3**b * 5**c``) ``>= n + m - 1`` (its wrap-around
+    misses the kept window), rounded and taken mod 2, in
+    O((n + m) log(n + m)) work.  ``N`` is less than the next power of two, so
+    the rounding error bound ``eps * log2(N) * sqrt(n * (n + m - 1))`` only
+    shrinks: near 1e-10 at 1e6 bits and 1e-9 at 1e7, far below the 0.5 that
+    would flip a bit.  A kept entry more than 0.25 from an integer raises
+    ``ValidationError``, emitting no key.
 
     Parameters
     ----------
@@ -186,7 +285,7 @@ def privacy_amplify(key, target_length: int, seed: int) -> np.ndarray:
         return np.zeros(0, dtype=np.uint8)
 
     s = np.random.default_rng(seed).integers(0, 2, n + target_length - 1, dtype=np.uint8)
-    size = 1 << (s.size - 1).bit_length()
+    size = _fft_length(s.size)
     spectrum = np.fft.rfft(s, size) * np.fft.rfft(arr, size)
     window = np.fft.irfft(spectrum, size)[n - 1 : n - 1 + target_length]
     counts = np.rint(window)

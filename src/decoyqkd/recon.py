@@ -153,29 +153,30 @@ def _prefix_parity(bits: np.ndarray) -> np.ndarray:
 class _ParityOracle:
     """Answers interval-parity questions about the reference key.
 
-    Each pass keeps its prefix-XOR table as a Python list, so a query is
-    O(1).  The intervals already transmitted are kept per pass as
-    ``lo * (n + 1) + hi``; a query on any other interval is transmitted:
-    counted, and recorded as a ``(pass, start, stop, parity)`` tuple.
+    Each pass keeps its prefix-XOR array, read one entry at a time with
+    ``item``, so a query is O(1).  The intervals already transmitted are
+    kept per pass as ``lo * (n + 1) + hi``; a query on any other interval
+    is transmitted: counted, and recorded as a ``(pass, start, stop,
+    parity)`` tuple.
     """
 
     def __init__(self, n: int) -> None:
         self._span = n + 1
-        self._prefix: list[list[int]] = []
+        self._prefix: list[np.ndarray] = []
         self._known: list[set[int]] = []
         self.records: list[tuple[int, int, int, int]] = []
 
     def add_pass(self, alice_permuted: np.ndarray) -> np.ndarray:
         """Open the next pass; returns its prefix-parity table."""
         prefix = _prefix_parity(alice_permuted)
-        self._prefix.append(prefix.tolist())
+        self._prefix.append(prefix)
         self._known.append(set())
         return prefix
 
     def parity(self, p: int, lo: int, hi: int) -> int:
         """Parity of interval [lo, hi) of pass ``p``, transmitting if needed."""
         prefix = self._prefix[p]
-        value = prefix[hi] ^ prefix[lo]
+        value = prefix.item(hi) ^ prefix.item(lo)
         key = lo * self._span + hi
         known = self._known[p]
         if key not in known:
@@ -183,37 +184,37 @@ class _ParityOracle:
             self.records.append((p + 1, lo, hi, value))
         return value
 
+    def locate(self, p: int, lo: int, hi: int, bob_running: np.ndarray) -> int:
+        """Binary-search block [lo, hi) of pass ``p``, which holds an odd
+        number of errors, down to one slot, and return that slot.
+
+        ``bob_running[i]`` is the parity of the block's own first i + 1
+        bits.  Only the parity of the left half is ever requested at each
+        level, through the same cache and record as :meth:`parity`.
+        """
+        prefix, known, records = self._prefix[p], self._known[p], self.records
+        span, sent = self._span, p + 1
+        base, a_lo, b_lo = lo, prefix.item(lo), 0
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            a_mid = prefix.item(mid)
+            key = lo * span + mid
+            if key not in known:
+                known.add(key)
+                records.append((sent, lo, mid, a_mid ^ a_lo))
+            b_mid = bob_running.item(mid - base - 1)
+            if a_mid ^ a_lo != b_mid ^ b_lo:
+                hi = mid
+            else:
+                lo, a_lo, b_lo = mid, a_mid, b_mid
+        return lo
+
     def record_pass(self, p: int, start, stop, parity) -> None:
         """Record the parities of a fresh pass, in transmission order."""
         self.records.extend(
             zip(repeat(p + 1), start.tolist(), stop.tolist(), parity.tolist())
         )
         self._known[p].update((start * self._span + stop).tolist())
-
-
-def _locate_error(
-    oracle: _ParityOracle,
-    bob_prefix: list[int],
-    perm: np.ndarray,
-    p: int,
-    lo: int,
-    hi: int,
-) -> int:
-    """Binary-search a block with an odd number of errors down to one bit.
-
-    ``bob_prefix`` is the prefix-parity table of the block's own bits.
-    Only the parity of the left half is ever requested at each level.
-    Returns the global index of the located bit.
-    """
-    base = lo
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        a_left = oracle.parity(p, lo, mid)
-        if a_left != bob_prefix[mid - base] ^ bob_prefix[lo - base]:
-            hi = mid
-        else:
-            lo = mid
-    return int(perm[lo])
 
 
 def _search_first_pass(
@@ -318,22 +319,28 @@ def cascade_reconcile(
     bob_blocks: list[list[int]] = []  # bob_blocks[p][b] = parity of Bob's block b
     corrections = 0
 
-    def fix_block(p: int, lo: int, hi: int, queue: deque) -> None:
-        """Search one odd block, flip the bit, and cascade the flip."""
+    def fix_block(p: int, lo: int, hi: int, alice_parity: int, queue: deque) -> None:
+        """Search one odd block, flip the bit, and cascade the flip.
+
+        ``alice_parity`` is the block's parity, already on record: a block
+        is queued only after its parity was asked for.
+        """
         nonlocal corrections
-        if oracle.parity(p, lo, hi) == bob_blocks[p][lo // block_size[p]]:
+        if alice_parity == bob_blocks[p][lo // block_size[p]]:
             return  # an earlier flip already evened this block out
-        bob_prefix = _prefix_parity(bob[perms[p][lo:hi]]).tolist()
-        g = _locate_error(oracle, bob_prefix, perms[p], p, lo, hi)
+        perm = perms[p]
+        g = perm.item(oracle.locate(p, lo, hi, np.bitwise_xor.accumulate(bob[perm[lo:hi]])))
         bob[g] ^= 1
         corrections += 1
-        for q in range(len(perms)):
-            k = block_size[q]
-            b = int(positions[q][g]) // k
-            bob_blocks[q][b] ^= 1
-            qlo, qhi = b * k, min(b * k + k, n)
-            if q != p and oracle.parity(q, qlo, qhi) != bob_blocks[q][b]:
-                queue.append((q, qlo, qhi))
+        for q, (pos, k, blocks) in enumerate(zip(positions, block_size, bob_blocks)):
+            b = pos.item(g) // k
+            blocks[b] ^= 1
+            if q != p:
+                qlo = b * k
+                qhi = min(qlo + k, n)
+                a = oracle.parity(q, qlo, qhi)
+                if a != blocks[b]:
+                    queue.append((q, qlo, qhi, a))
 
     for p in range(_N_PASSES):
         if p == 0:
@@ -341,8 +348,8 @@ def cascade_reconcile(
         else:
             perm = rng.permutation(n)
         perms.append(perm)
-        pos = np.empty(n, dtype=np.int64)
-        pos[perm] = np.arange(n)
+        pos = np.empty(n, dtype=np.int32)
+        pos[perm] = np.arange(n, dtype=np.int32)
         positions.append(pos)
         block_size.append(min(n, k1 << p))
         alice_prefix = oracle.add_pass(alice[perm])
@@ -365,11 +372,11 @@ def cascade_reconcile(
         queue: deque = deque()
         for b, lo in enumerate(range(0, n, k)):
             hi = min(lo + k, n)
-            if oracle.parity(p, lo, hi) != bob_blocks[p][b]:
-                queue.append((p, lo, hi))
+            a = oracle.parity(p, lo, hi)
+            if a != bob_blocks[p][b]:
+                queue.append((p, lo, hi, a))
             while queue:
-                qp, qlo, qhi = queue.popleft()
-                fix_block(qp, qlo, qhi, queue)
+                fix_block(*queue.popleft(), queue)
 
     return ReconciliationResult(
         corrected_key=bob,

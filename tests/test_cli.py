@@ -889,7 +889,7 @@ class TestCurve:
         argv = ["curve", "--distances", "140,150"]
         rc, out, err = run_cli(argv + ["--distance-km", "20"])
         assert (rc, out) == (1, "")
-        assert err == "error: decoyqkd: unrecognized arguments: --distance-km 20\n"
+        assert err == "error: decoyqkd curve: unrecognized arguments: --distance-km 20\n"
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"distance_km": 20}')
         rc, out, err = run_cli(argv + ["--config", str(cfg)])
@@ -945,9 +945,11 @@ class TestCalibrate:
 class TestUsage:
     def test_unknown_flag(self, workspace):
         rc, out, err = run_cli(["analyze", "--tally", str(workspace / "tally.json"), "--wat"])
-        assert rc == 1
-        assert "error: decoyqkd" in err
-        assert "--wat" in err
+        assert (rc, out) == (1, "")
+        assert err == "error: decoyqkd analyze: unrecognized arguments: --wat\n"
+        rc, out, err = run_cli(["simulate", "--seed", "1", "stray", "--wat"])
+        assert (rc, out) == (1, "")
+        assert err == "error: decoyqkd simulate: unrecognized arguments: stray --wat\n"
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_command_help(self, command, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 from decoyqkd.extract import (
+    _PERES_CUTOVER,
     ValidationError,
+    _fft_length,
     measure_f_ds,
     peres_extract,
     privacy_amplify,
@@ -86,6 +89,49 @@ class TestPeresExtract:
             peres_extract([0, 1, 0], 0)
 
 
+def _reference_peres(bits: np.ndarray, depth: int, chunks: list) -> None:
+    """The node-by-node recursion, kept as an oracle for the extractor that
+    runs small subtrees breadth-first: von Neumann bits, then the pair-XOR
+    subtree, then the agreed-values subtree."""
+    if depth <= 0 or bits.size < 2:
+        return
+    m = bits.size // 2
+    first = bits[0 : 2 * m : 2]
+    xors = first ^ bits[1 : 2 * m : 2]
+    disagree = xors == 1
+    chunks.append(first[disagree])
+    _reference_peres(xors, depth - 1, chunks)
+    _reference_peres(first[~disagree], depth - 1, chunks)
+
+
+class TestMatchesRecursion:
+    """Batching the subtrees below the cut-over changes no output bit."""
+
+    LENGTHS = [2, 3, 7, _PERES_CUTOVER - 1, _PERES_CUTOVER, _PERES_CUTOVER + 1,
+               2 * _PERES_CUTOVER + 1, 4 * _PERES_CUTOVER - 1, 12_345, 100_000]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("depth", [1, 2, 3, 12])
+    @pytest.mark.parametrize("ones", [0.5, 0.46, 0.9, 1.0])  # 1.0: a constant input
+    def test_output_equals_the_recursion(self, n, depth, ones):
+        bits = (np.random.default_rng(n + depth).random(n) < ones).astype(np.uint8)
+        chunks = []
+        _reference_peres(bits, depth, chunks)
+        expected = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint8)
+        out = peres_extract(bits, depth).output_bits
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, expected)
+
+    def test_depth_12_frozen_digest(self):
+        # SHA-256 of the packed output, taken from the node-by-node recursion
+        bits = (np.random.default_rng(42).random(100_000) >= 0.494).astype(np.uint8)
+        out = peres_extract(bits, 12).output_bits
+        assert out.size == 96078
+        assert hashlib.sha256(np.packbits(out).tobytes()).hexdigest() == (
+            "b967dac2f35e1fe968778c4c5cba0d623128a90a7b4cd60bca04b99c7d19c89b"
+        )
+
+
 class TestMeasureFDs:
     def test_definition(self):
         bits = np.random.default_rng(8).integers(0, 2, 4096)
@@ -154,6 +200,20 @@ class TestPrivacyAmplify:
         with pytest.raises(ValidationError, match="rounding"):
             privacy_amplify(key, m, seed=3)
 
+    @pytest.mark.parametrize("n, m, fft_length", [
+        (100, 36, 135),  # n + m - 1 = 135 = 3**3 * 5 is 5-smooth
+        (100, 37, 144),  # one more than 5-smooth
+        (1500, 526, 2025),  # 3**4 * 5**2
+        (1500, 527, 2048),
+    ])
+    def test_five_smooth_edges_match_explicit_matrix(self, n, m, fft_length):
+        assert _fft_length(n + m - 1) == fft_length
+        key = np.random.default_rng(n + m).integers(0, 2, n, dtype=np.uint8)
+        out = privacy_amplify(key, m, seed=m)
+        band = np.random.default_rng(m).integers(0, 2, n + m - 1, dtype=np.uint8)
+        matrix = band[np.arange(m)[:, None] + n - 1 - np.arange(n)[None, :]]
+        assert np.array_equal(out, (matrix.astype(np.int64) @ key) % 2)
+
     def test_matches_explicit_toeplitz_matrix(self):
         # the hash is T.key over GF(2) with T read off one seeded diagonal
         # band; rebuild the matrix longhand and compare
@@ -205,3 +265,34 @@ class TestPrivacyAmplify:
         out = privacy_amplify(key, 128, seed=44)
         assert out.shape == (128,)
         assert set(np.unique(out)).issubset({0, 1})
+
+
+class TestFftLength:
+    @staticmethod
+    def _next_smooth(x):
+        """Smallest y >= x with no prime factor above 5, by trial division."""
+        y = x
+        while True:
+            rest = y
+            for p in (2, 3, 5):
+                while rest % p == 0:
+                    rest //= p
+            if rest == 1:
+                return y
+            y += 1
+
+    def test_smallest_five_smooth_by_brute_force(self):
+        for x in range(1, 5001):
+            assert _fft_length(x) == self._next_smooth(x), x
+
+    @pytest.mark.parametrize("x", [2**23 - 1, 2**23, 2**23 + 1, 3**14 + 1, 5**10 - 1])
+    def test_near_two_to_the_23(self, x):
+        assert _fft_length(x) == self._next_smooth(x)
+
+    def test_random_lengths_below_2_to_the_24(self):
+        smooth = sorted(2**a * 3**b * 5**c for a in range(26) for b in range(17)
+                        for c in range(12) if 2**a * 3**b * 5**c <= 2**25)
+        for x in np.random.default_rng(23).integers(1, 2**24, 2000).tolist():
+            length = _fft_length(x)
+            assert length == smooth[bisect.bisect_left(smooth, x)]
+            assert length <= 1 << (x - 1).bit_length()

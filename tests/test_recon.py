@@ -330,6 +330,14 @@ class TestMatchesReferenceLoop:
             alice, bob = _keys(9100 + trial, n, qber, 9200 + trial)
             self._check(alice, bob, qber, 9300 + trial)
 
+    @pytest.mark.parametrize("qber, seed", [(0.007, 71), (0.018, 72), (0.03, 73)])
+    def test_long_sessions(self, qber, seed):
+        # 1e5-bit keys at the near, mid and far signal QBERs of the
+        # benchmark sessions, where passes 2-4 cascade into earlier passes
+        alice, bob = _keys(seed, 100_000, qber, 100 + seed)
+        result = self._check(alice, bob, qber, seed)
+        assert result.passes == 4 and (result.corrected_key == alice).all()
+
     def test_long_session_frozen_digest(self):
         # 1e5 bits at 3% QBER; the digest of its (pass, start, stop, parity)
         # records as int64 was taken from the block-by-block loop.
