@@ -165,19 +165,20 @@ def _pivot(tab, row, col):
 
 
 def _evict_artificials(tab, basis, n_real):
-    """Pivot any artificial still basic (at zero) onto a real column."""
+    """Pivot any artificial still basic (at zero) onto a real column.
+
+    A real column always qualifies.  In a flipped row the slack column
+    starts as the exact negation of the artificial's column, and
+    ``_pivot``'s divide and ``x - f*y`` steps are sign-symmetric in IEEE
+    arithmetic, so the two columns stay exact negations through every
+    pivot.  The row where an artificial is basic, where its own column
+    holds 1, thus holds exactly -1 in its slack's column, and the
+    ``> 1e-9`` scan stops at that column at the latest.
+    """
     m = tab.shape[0]
     for i in range(m):
         if basis[i] >= n_real:
-            pivot_col = None
-            for j in range(n_real):
-                if abs(tab[i, j]) > 1e-9:
-                    pivot_col = j
-                    break
-            if pivot_col is None:
-                # Redundant row: zero it out; it can never bind again.
-                tab[i, :] = 0.0
-                continue
+            pivot_col = next(j for j in range(n_real) if abs(tab[i, j]) > 1e-9)
             _pivot(tab, i, pivot_col)
             basis[i] = pivot_col
     # Artificial columns are dead from here on: zero them so they are never

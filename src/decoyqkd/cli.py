@@ -59,6 +59,7 @@ retried under ``$DECOYQKD_CONFIG_DIR`` if that variable is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -811,6 +812,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="decoyqkd",

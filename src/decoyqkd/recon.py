@@ -27,6 +27,11 @@ block's top parity, then its left halves level by level), the order in
 which a block-by-block loop sends them.  Passes 2 onward run the
 sequential cascade.
 
+Each pass is one record holding its shuffle, Alice's prefix parities
+with the intervals already sent, and Bob's block parities.  A flip found
+by a later pass updates Bob's parities in every record and checks each
+block it changed in the other passes against Alice's parity.
+
 :func:`distill_session` runs the whole post-processing of one session
 here, beside the limits it enforces: reconciliation, deskewing, the key
 budget with the measured factors, and hashing.
@@ -114,9 +119,9 @@ class ReconciliationResult:
     corrected_key : numpy.ndarray
         The corrected copy of the noisy key; same length as the input.
     passes : int
-        Number of passes executed.  Smaller than the 4 passes attempted only
-        when an early pass finished without a single correction, in which
-        case the remaining passes could not have revealed anything new.
+        Number of passes executed: 4, or 1 when no block of the first pass
+        disagreed, as the keys then almost surely agree already and later
+        passes would only re-confirm parities on record.
     residual_error_detected : bool
         True when the corrected key still differs from the reference key.
         Determined here by direct comparison, which is available because
@@ -150,57 +155,58 @@ def _prefix_parity(bits: np.ndarray) -> np.ndarray:
     return out
 
 
-class _ParityOracle:
-    """Answers interval-parity questions about the reference key.
+class _Pass:
+    """One CASCADE pass: its shuffle, Alice's parities with the intervals
+    already sent, and Bob's block parities.
 
-    Each pass keeps its prefix-XOR array, read one entry at a time with
-    ``item``, so a query is O(1).  The intervals already transmitted are
-    kept per pass as ``lo * (n + 1) + hi``; a query on any other interval
-    is transmitted: counted, and recorded as a ``(pass, start, stop,
-    parity)`` tuple.
+    ``perm[slot]`` is the key bit at ``slot`` in the pass's order and
+    ``pos`` its inverse.  ``prefix`` is Alice's prefix-parity array, read
+    one entry at a time with ``item``, so a query is O(1).  Every interval
+    asked for is a block, or the left half of a node in that block's
+    bisection tree, which ends at the node's midpoint.  No two nodes share
+    a midpoint and none falls on a block boundary, so ``known`` holds the
+    ends of the intervals already transmitted.  A query on any other
+    interval is transmitted: appended to the shared ``records`` as a
+    ``(pass, start, stop, parity)`` tuple.  ``bob_blocks[b]`` is the
+    parity of Bob's block b, kept up to date by every flip.
     """
 
-    def __init__(self, n: int) -> None:
-        self._span = n + 1
-        self._prefix: list[np.ndarray] = []
-        self._known: list[set[int]] = []
-        self.records: list[tuple[int, int, int, int]] = []
+    __slots__ = ("index", "perm", "pos", "k", "prefix", "known", "bob_blocks", "records")
 
-    def add_pass(self, alice_permuted: np.ndarray) -> np.ndarray:
-        """Open the next pass; returns its prefix-parity table."""
-        prefix = _prefix_parity(alice_permuted)
-        self._prefix.append(prefix)
-        self._known.append(set())
-        return prefix
+    def __init__(self, index: int, perm: np.ndarray, k: int, alice: np.ndarray,
+                 bob: np.ndarray, records: list) -> None:
+        n = perm.size
+        self.index, self.perm, self.k, self.records = index, perm, k, records
+        self.pos = np.empty(n, dtype=np.int32)
+        self.pos[perm] = np.arange(n, dtype=np.int32)
+        self.prefix = _prefix_parity(alice[perm])
+        self.known: set[int] = set()
+        self.bob_blocks = np.bitwise_xor.reduceat(bob[perm], np.arange(0, n, k)).tolist()
 
-    def parity(self, p: int, lo: int, hi: int) -> int:
-        """Parity of interval [lo, hi) of pass ``p``, transmitting if needed."""
-        prefix = self._prefix[p]
+    def parity(self, lo: int, hi: int) -> int:
+        """Parity of Alice's interval [lo, hi), transmitting it if needed."""
+        prefix = self.prefix
         value = prefix.item(hi) ^ prefix.item(lo)
-        key = lo * self._span + hi
-        known = self._known[p]
-        if key not in known:
-            known.add(key)
-            self.records.append((p + 1, lo, hi, value))
+        if hi not in self.known:
+            self.known.add(hi)
+            self.records.append((self.index, lo, hi, value))
         return value
 
-    def locate(self, p: int, lo: int, hi: int, bob_running: np.ndarray) -> int:
-        """Binary-search block [lo, hi) of pass ``p``, which holds an odd
-        number of errors, down to one slot, and return that slot.
+    def locate(self, lo: int, hi: int, bob_running: np.ndarray) -> int:
+        """Binary-search block [lo, hi), which holds an odd number of
+        errors, down to one slot, and return that slot.
 
         ``bob_running[i]`` is the parity of the block's own first i + 1
         bits.  Only the parity of the left half is ever requested at each
         level, through the same cache and record as :meth:`parity`.
         """
-        prefix, known, records = self._prefix[p], self._known[p], self.records
-        span, sent = self._span, p + 1
+        prefix, known, records, sent = self.prefix, self.known, self.records, self.index
         base, a_lo, b_lo = lo, prefix.item(lo), 0
         while hi - lo > 1:
             mid = (lo + hi) >> 1
             a_mid = prefix.item(mid)
-            key = lo * span + mid
-            if key not in known:
-                known.add(key)
+            if mid not in known:
+                known.add(mid)
                 records.append((sent, lo, mid, a_mid ^ a_lo))
             b_mid = bob_running.item(mid - base - 1)
             if a_mid ^ a_lo != b_mid ^ b_lo:
@@ -209,59 +215,52 @@ class _ParityOracle:
                 lo, a_lo, b_lo = mid, a_mid, b_mid
         return lo
 
-    def record_pass(self, p: int, start, stop, parity) -> None:
-        """Record the parities of a fresh pass, in transmission order."""
-        self.records.extend(
-            zip(repeat(p + 1), start.tolist(), stop.tolist(), parity.tolist())
-        )
-        self._known[p].update((start * self._span + stop).tolist())
+    def search_all(self, bob: np.ndarray) -> int:
+        """Search every odd block at once, flip the bit located in each,
+        and return the number of flips.
 
+        Valid for the first pass only, which has no earlier pass to
+        cascade into: its blocks are disjoint and no bit is flipped until
+        every search is done, so Bob's prefix table is taken once.  The
+        messages are recorded in block-major order, as a block-by-block
+        search sends them.
+        """
+        n, k, pa = bob.size, self.k, self.prefix
+        pb = _prefix_parity(bob[self.perm])
+        lo = np.arange(0, n, k)
+        hi = np.minimum(lo + k, n)
+        top = pa[hi] ^ pa[lo]
+        # one entry per transmitted parity: block, search level, interval, value
+        block, level = [np.arange(lo.size)], [np.zeros(lo.size, dtype=np.int64)]
+        start, stop, parity = [lo], [hi], [top]
 
-def _search_first_pass(
-    oracle: _ParityOracle, alice_prefix: np.ndarray, bob: np.ndarray, k: int
-) -> np.ndarray:
-    """Run pass 1 over every block of size ``k`` at once.
+        odd = np.flatnonzero(top != (pb[hi] ^ pb[lo]))
+        lo, hi = lo[odd], hi[odd]
+        live = np.flatnonzero(hi - lo > 1)
+        depth = 0
+        while live.size:
+            depth += 1
+            l, h = lo[live], hi[live]
+            mid = (l + h) // 2
+            left = pa[mid] ^ pa[l]
+            block.append(odd[live])
+            level.append(np.full(live.size, depth))
+            start.append(l)
+            stop.append(mid)
+            parity.append(left)
+            go_left = left != (pb[mid] ^ pb[l])
+            lo[live] = np.where(go_left, l, mid)
+            hi[live] = np.where(go_left, mid, h)
+            live = live[hi[live] - lo[live] > 1]
 
-    Bob's prefix table is taken once: the blocks are disjoint and no bit
-    is flipped until every search is done.  Returns the index of the bit
-    located in each odd block (pass 1 keeps the key's own order).
-    """
-    n = bob.size
-    pa, pb = alice_prefix, _prefix_parity(bob)
-    lo = np.arange(0, n, k)
-    hi = np.minimum(lo + k, n)
-    top = pa[hi] ^ pa[lo]
-    # one entry per transmitted parity: block, search level, interval, value
-    block, level = [np.arange(lo.size)], [np.zeros(lo.size, dtype=np.int64)]
-    start, stop, parity = [lo], [hi], [top]
-
-    odd = np.flatnonzero(top != (pb[hi] ^ pb[lo]))
-    lo, hi = lo[odd], hi[odd]
-    live = np.flatnonzero(hi - lo > 1)
-    depth = 0
-    while live.size:
-        depth += 1
-        l, h = lo[live], hi[live]
-        mid = (l + h) // 2
-        left = pa[mid] ^ pa[l]
-        block.append(odd[live])
-        level.append(np.full(live.size, depth))
-        start.append(l)
-        stop.append(mid)
-        parity.append(left)
-        go_left = left != (pb[mid] ^ pb[l])
-        lo[live] = np.where(go_left, l, mid)
-        hi[live] = np.where(go_left, mid, h)
-        live = live[hi[live] - lo[live] > 1]
-
-    order = np.lexsort((np.concatenate(level), np.concatenate(block)))
-    oracle.record_pass(
-        0,
-        np.concatenate(start)[order],
-        np.concatenate(stop)[order],
-        np.concatenate(parity)[order],
-    )
-    return lo
+        order = np.lexsort((np.concatenate(level), np.concatenate(block)))
+        stop = np.concatenate(stop)[order].tolist()
+        self.records.extend(zip(repeat(self.index), np.concatenate(start)[order].tolist(),
+                                stop, np.concatenate(parity)[order].tolist()))
+        self.known.update(stop)
+        bob[self.perm[lo]] ^= 1
+        self.bob_blocks = top.tolist()  # every block now matches Alice's parity
+        return int(lo.size)
 
 
 def cascade_reconcile(
@@ -311,79 +310,55 @@ def cascade_reconcile(
 
     rng = np.random.default_rng(rng_seed)
     k1 = max(2, int(np.ceil(_BLOCK_SIZE_FACTOR / estimated_qber)))
+    records: list[tuple[int, int, int, int]] = []
+    passes = [_Pass(1, np.arange(n), min(n, k1), alice, bob, records)]
+    corrections = passes[0].search_all(bob)
 
-    oracle = _ParityOracle(n)
-    perms: list[np.ndarray] = []
-    positions: list[np.ndarray] = []  # positions[p][g] = slot of bit g in pass p
-    block_size: list[int] = []
-    bob_blocks: list[list[int]] = []  # bob_blocks[p][b] = parity of Bob's block b
-    corrections = 0
-
-    def fix_block(p: int, lo: int, hi: int, alice_parity: int, queue: deque) -> None:
+    def fix_block(searched: _Pass, lo: int, hi: int, alice_parity: int, queue: deque) -> None:
         """Search one odd block, flip the bit, and cascade the flip.
 
         ``alice_parity`` is the block's parity, already on record: a block
         is queued only after its parity was asked for.
         """
         nonlocal corrections
-        if alice_parity == bob_blocks[p][lo // block_size[p]]:
+        if alice_parity == searched.bob_blocks[lo // searched.k]:
             return  # an earlier flip already evened this block out
-        perm = perms[p]
-        g = perm.item(oracle.locate(p, lo, hi, np.bitwise_xor.accumulate(bob[perm[lo:hi]])))
+        perm = searched.perm
+        g = perm.item(searched.locate(lo, hi, np.bitwise_xor.accumulate(bob[perm[lo:hi]])))
         bob[g] ^= 1
         corrections += 1
-        for q, (pos, k, blocks) in enumerate(zip(positions, block_size, bob_blocks)):
-            b = pos.item(g) // k
+        for other in passes:
+            k, blocks = other.k, other.bob_blocks
+            b = other.pos.item(g) // k
             blocks[b] ^= 1
-            if q != p:
+            if other is not searched:
                 qlo = b * k
                 qhi = min(qlo + k, n)
-                a = oracle.parity(q, qlo, qhi)
+                a = other.parity(qlo, qhi)
                 if a != blocks[b]:
-                    queue.append((q, qlo, qhi, a))
+                    queue.append((other, qlo, qhi, a))
 
-    for p in range(_N_PASSES):
-        if p == 0:
-            perm = np.arange(n)
-        else:
-            perm = rng.permutation(n)
-        perms.append(perm)
-        pos = np.empty(n, dtype=np.int32)
-        pos[perm] = np.arange(n, dtype=np.int32)
-        positions.append(pos)
-        block_size.append(min(n, k1 << p))
-        alice_prefix = oracle.add_pass(alice[perm])
-        k = block_size[p]
-
-        if p == 0:
-            located = _search_first_pass(oracle, alice_prefix, bob, k)
-            bob[located] ^= 1
-            corrections = int(located.size)
-            if corrections == 0:
-                # No block in the very first pass disagreed: the keys are
-                # almost surely identical already and further passes would
-                # only re-confirm parities that are all on record.
-                break
-        # kept up to date by every later flip in fix_block
-        bob_blocks.append(np.bitwise_xor.reduceat(bob[perm], np.arange(0, n, k)).tolist())
-        if p == 0:
-            continue  # every pass-1 block now matches Alice's parity
-
+    # When no first-pass block disagreed the keys almost surely agree
+    # already, and later passes would only re-confirm parities on record.
+    last = _N_PASSES if corrections else 1
+    for index in range(2, last + 1):
+        current = _Pass(index, rng.permutation(n), min(n, k1 << (index - 1)), alice, bob, records)
+        passes.append(current)
         queue: deque = deque()
-        for b, lo in enumerate(range(0, n, k)):
-            hi = min(lo + k, n)
-            a = oracle.parity(p, lo, hi)
-            if a != bob_blocks[p][b]:
-                queue.append((p, lo, hi, a))
+        for b, lo in enumerate(range(0, n, current.k)):
+            hi = min(lo + current.k, n)
+            a = current.parity(lo, hi)
+            if a != current.bob_blocks[b]:
+                queue.append((current, lo, hi, a))
             while queue:
                 fix_block(*queue.popleft(), queue)
 
     return ReconciliationResult(
         corrected_key=bob,
-        passes=len(perms),
+        passes=len(passes),
         residual_error_detected=bool(np.any(alice != bob)),
         corrections=corrections,
-        transcript=_Transcript(tuple(oracle.records)),
+        transcript=_Transcript(tuple(records)),
     )
 
 

@@ -951,6 +951,43 @@ class TestUsage:
         assert (rc, out) == (1, "")
         assert err == "error: decoyqkd simulate: unrecognized arguments: stray --wat\n"
 
+    def test_repeated_calls_see_only_their_own_flags(self, workspace, monkeypatch):
+        # One parser serves every call in a process: neither a usage error
+        # part-way through a parse nor an earlier command's flags may leak.
+        assert cli._build_parser() is cli._build_parser()
+        merged = []
+        settings_of = cli._settings
+
+        def recorded(args):
+            settings, cfg_ref = settings_of(args)
+            merged.append(settings)
+            return settings, cfg_ref
+
+        monkeypatch.setattr(cli, "_settings", recorded)
+        tally, keys = str(workspace / "tally.json"), str(workspace / "run")
+        calls = [
+            (["distill", "--tally", tally, "--depth", "3", "--variant", "tight", "--wat"], 1, None),
+            (["analyze", "--tally", tally, "--f-ec", "1.2"], 0, {"tally": tally, "f_ec": 1.2}),
+            (["distill", "--tally", tally, "--keys", keys, "--seed", "6", "--depth", "8",
+              "--variant", "tight"], 0,
+             {"tally": tally, "keys": keys, "seed": 6, "depth": 8, "variant": "tight"}),
+            (["distill", "--tally", tally, "--keys", keys, "--seed", "5"], 0,
+             {"tally": tally, "keys": keys, "seed": 5}),
+        ]
+        for argv, code, given in calls:
+            rc, out, _ = run_cli(argv)
+            assert rc == code, argv
+            if given is None:
+                assert (out, merged) == ("", [])
+                continue
+            expected = {key: cli._FLAGS[key].default for key in cli._COMMANDS[argv[0]].flags}
+            expected.update(given)
+            assert merged.pop() == expected
+            assert json.loads(out)["parameters"] == {
+                key: value for key, value in expected.items()
+                if cli._FLAGS[key].metavar not in ("FILE", "PREFIX")
+            }
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_command_help(self, command, tmp_path):
         out = io.StringIO()

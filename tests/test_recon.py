@@ -101,6 +101,33 @@ def _reference_cascade(alice, bob, estimated_qber, rng_seed):
     return records, bob, corrections, executed
 
 
+def _cascade_paths(transcript, n, estimated_qber):
+    """Count the messages a cascade sends outside the current pass's loop.
+
+    Returns ``(into_earlier, ahead)``: messages into a pass before the
+    latest one started, and top-level parities of the latest pass sent
+    while a block before them was still unsent, so before the block loop
+    reached them.
+    """
+    k1 = max(2, int(np.ceil(0.73 / estimated_qber)))
+    current, into_earlier, ahead = 0, 0, 0
+    for message in transcript:
+        if message.pass_index < current:
+            into_earlier += 1
+            continue
+        if message.pass_index > current:
+            current, sent, unsent = message.pass_index, set(), 0
+        k = min(n, k1 << (current - 1))
+        if message.start % k or message.stop != min(message.start + k, n):
+            continue  # a left half, not a top-level parity
+        block = message.start // k
+        ahead += block > unsent
+        sent.add(block)
+        while unsent in sent:
+            unsent += 1
+    return into_earlier, ahead
+
+
 def _records(result):
     return [(m.pass_index, m.start, m.stop, m.parity) for m in result.transcript]
 
@@ -337,6 +364,8 @@ class TestMatchesReferenceLoop:
         alice, bob = _keys(seed, 100_000, qber, 100 + seed)
         result = self._check(alice, bob, qber, seed)
         assert result.passes == 4 and (result.corrected_key == alice).all()
+        into_earlier, ahead = _cascade_paths(result.transcript, 100_000, qber)
+        assert into_earlier > 0 and ahead > 0
 
     def test_long_session_frozen_digest(self):
         # 1e5 bits at 3% QBER; the digest of its (pass, start, stop, parity)

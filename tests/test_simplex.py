@@ -198,6 +198,49 @@ def test_artificial_basic_at_zero_is_pivoted_out(monkeypatch):
     assert result.x == pytest.approx(reference.x, abs=1e-12)
 
 
+def test_basic_artificial_row_holds_minus_one_in_its_slack(monkeypatch):
+    # The argument that makes _evict_artificials always find a real pivot
+    # column: each artificial's column and its row's slack column stay
+    # exact negations, so the row where an artificial is basic holds
+    # exactly -1 in that slack's column.
+    rng = np.random.default_rng(17)
+    evict = _simplex._evict_artificials
+    program = {}
+    basic_artificials = 0
+
+    def checked(tab, basis, n_real):
+        nonlocal basic_artificials
+        n = n_real - program["m"]
+        for t, row in enumerate(program["art_rows"]):
+            assert np.array_equal(tab[:, n + row], -tab[:, n_real + t])
+        for i in np.flatnonzero(basis >= n_real):
+            assert tab[i, n + program["art_rows"][basis[i] - n_real]] == -1.0
+            basic_artificials += 1
+        evict(tab, basis, n_real)
+        assert np.all(basis < n_real)
+
+    monkeypatch.setattr(_simplex, "_evict_artificials", checked)
+    for _ in range(1500):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 6))
+        a = rng.normal(size=(m, n))
+        if rng.random() < 0.5:
+            a = np.round(a)
+        b = rng.uniform(-1.0, 1.0, size=m)
+        b[rng.random(m) < 0.3] = 0.0
+        # duplicated and negated rows make equalities, so phase 1 can end
+        # with an artificial basic at zero
+        pick = rng.integers(0, m, size=int(rng.integers(1, 4)))
+        sign = rng.choice([-1.0, 1.0], size=pick.size)
+        a = np.vstack([a, sign[:, None] * a[pick]])
+        b = np.concatenate([b, sign * b[pick]])
+        scale = 10.0 ** rng.choice([-6.0, 0.0, 6.0], size=len(b))
+        a, b = a * scale[:, None], b * scale
+        program.update(m=len(b), art_rows=np.flatnonzero(b < 0))
+        solve_lp(rng.normal(size=n), a, b)
+    assert basic_artificials >= 100
+
+
 def test_random_programs_match_reference():
     rng = np.random.default_rng(13)
     seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
