@@ -339,21 +339,27 @@ def _note_report(command: str, report: dict) -> None:
     _note(f"{command}: report {json.dumps(report, sort_keys=True, separators=(',', ':'))}")
 
 
+def _read_doc(settings: dict, key: str, cls):
+    """Read the ``cls`` document that flag ``key`` names; returns (value, ref).
+    An error in the document is blamed on the flag and its file."""
+    doc, ref = _load_doc(settings[key], _FLAGS[key].flag)
+    try:
+        return cls.from_json(doc), ref
+    except ValidationError as exc:
+        raise InputError(key, str(exc)) from exc
+
+
 def _load_scheme(settings: dict) -> tuple[DecoyScheme, dict]:
-    path = settings["scheme"]
-    if path is None:
+    if settings["scheme"] is None:
         return reference_scheme(), {"builtin": "reference"}
-    doc, ref = _load_doc(path, _FLAGS["scheme"].flag)
-    return DecoyScheme.from_json(doc), ref
+    return _read_doc(settings, "scheme", DecoyScheme)
 
 
 def _load_model(settings: dict) -> tuple[ChannelModel, dict]:
-    path = settings["model"]
-    if path is None:
+    if settings["model"] is None:
         model, ref = reference_model(), {"builtin": "reference"}
     else:
-        doc, ref = _load_doc(path, _FLAGS["model"].flag)
-        model = ChannelModel.from_json(doc)
+        model, ref = _read_doc(settings, "model", ChannelModel)
     for key, field_name in (("distance_km", "fiber_length_km"),
                             ("detector_efficiency", "detector_efficiency")):
         value = settings.get(key)
@@ -366,9 +372,8 @@ def _load_model(settings: dict) -> tuple[ChannelModel, dict]:
 
 
 def _load_tally(settings: dict) -> tuple[SessionTally, dict]:
-    path = _require(settings, "tally")
-    doc, ref = _load_doc(path, _FLAGS["tally"].flag)
-    tally = SessionTally.from_json(doc)
+    _require(settings, "tally")
+    tally, ref = _read_doc(settings, "tally", SessionTally)
     if tally.reconstructed:
         _note(
             f"note: tally {ref['path']} was reconstructed (bare totals split 50/50 "
@@ -453,8 +458,6 @@ def _parse_distances(spec: str) -> list[float]:
         raise ValidationError(
             f"--distances: expected MIN:MAX:STEP or a comma list, got {spec!r}"
         ) from None
-    if min(values) < 0:
-        raise ValidationError(f"--distances: distances must be >= 0 km, got {spec!r}")
     return values
 
 

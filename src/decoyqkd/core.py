@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import typing
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "DEFAULT_ZERO_BIAS",
     "check_json_type",
     "conjugate_basis",
+    "dumps",
     "validate_tally",
 ]
 
@@ -125,6 +127,17 @@ def _document(doc, kind: str, keys, required) -> None:
         raise ValidationError(f"{kind}: kind is {doc['kind']!r}, expected {kind!r}")
 
 
+@contextmanager
+def _at(what: str):
+    """Prefix the message of a ``ValidationError`` raised inside with the
+    document path ``what``, keeping its type (and an ``InputError``'s name)."""
+    try:
+        yield
+    except ValidationError as exc:
+        exc.args = (f"{what}: {exc}",)
+        raise
+
+
 def _read_fields(cls, doc, kind: str):
     """Build the flat record ``cls`` from a ``kind`` document.
 
@@ -136,11 +149,13 @@ def _read_fields(cls, doc, kind: str):
         doc, kind, [f.name for f in specs], [f.name for f in specs if f.default is MISSING]
     )
     types = typing.get_type_hints(cls)
-    return cls(**{
+    values = {
         f.name: check_json_type(doc[f.name], types[f.name], f"{kind}: {f.name}")
         for f in specs
         if f.name in doc
-    })
+    }
+    with _at(kind):
+        return cls(**values)
 
 
 def _levels(doc: dict, kind: str) -> list:
@@ -228,7 +243,8 @@ class DecoyScheme:
             _object(raw, what, ("mu", "send_prob"))
             mus.append(check_json_type(raw["mu"], float, f"{what}.mu"))
             probs.append(check_json_type(raw["send_prob"], float, f"{what}.send_prob"))
-        return cls(mus=tuple(mus), send_probs=tuple(probs))
+        with _at(kind):
+            return cls(mus=tuple(mus), send_probs=tuple(probs))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +368,9 @@ class SessionTally:
             for name in ("detected", "sifted", "errors"):
                 counts[name], was_split = _basis_counts(raw[name], f"{what}.{name}")
                 reconstructed = reconstructed or was_split
-            levels.append(LevelCounts(sent=_count(raw["sent"], f"{what}.sent"), **counts))
+            sent = _count(raw["sent"], f"{what}.sent")
+            with _at(what):
+                levels.append(LevelCounts(sent=sent, **counts))
         if "zeros" in doc:
             zeros, was_split = _basis_counts(doc["zeros"], f"{kind}: zeros")
             reconstructed = reconstructed or was_split
@@ -360,7 +378,8 @@ class SessionTally:
             # No bit-bias information: assume an unbiased source.
             zeros = {b: sum(lv.sifted[b] for lv in levels) // 2 for b in BASES}
             reconstructed = True
-        return cls(levels=tuple(levels), zeros=zeros, reconstructed=reconstructed)
+        with _at(kind):
+            return cls(levels=tuple(levels), zeros=zeros, reconstructed=reconstructed)
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,11 @@ def secret_length(
     ec_term = f_ec * binary_entropy(bit_error_rate)
     deskew_term = 1.0 - binary_entropy(zero_fraction) / f_ds
     bracket = single_photon_term - ec_term - deskew_term
-    return max(0, math.floor(n_sifted * bracket))
+    # A huge factor makes n_sifted * bracket overflow to -inf, and an infinite
+    # one times a zero entropy makes the bracket NaN: no key either way.
+    if not bracket > 0.0:
+        return 0
+    return math.floor(n_sifted * bracket)
 
 
 @dataclass(frozen=True)

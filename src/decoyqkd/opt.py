@@ -2,8 +2,8 @@
 
 The optimizer maximizes the predicted secret-key total under the tight
 single-photon error variant, evaluating candidate schemes with
-``sim.evaluate_scheme`` (re-exported here): the deterministic expected
-tally, pushed through the same confidence-bound machinery as real data.
+``sim.evaluate_scheme``: the deterministic expected tally, pushed through
+the same confidence-bound machinery as real data.
 Monte-Carlo noise would make coordinate descent wander, and the expected
 tally is exactly what the analysis would see on the average session, so
 the deterministic objective is both smooth and honest about finite-size
@@ -32,7 +32,7 @@ from .core import (
     ChannelModel,
     DecoyScheme,
     InputError,
-    ValidationError,
+    ValidationError,  # unused here; callers import it from this module
 )
 from .keyrate import SessionAnalysis
 from .sim import evaluate_scheme, reference_scheme
@@ -41,7 +41,6 @@ __all__ = [
     "OptimizationResult",
     "CurvePoint",
     "RangeCurve",
-    "evaluate_scheme",
     "optimize_scheme",
     "range_curve",
     "curve_csv",
@@ -255,13 +254,16 @@ def range_curve(
     ``scheme`` (if given) seeds the first distance.  ``evaluation`` is
     passed to every :func:`evaluate_scheme` call, as in :func:`optimize_scheme`.
 
-    ``distances_km`` must be strictly increasing.
+    ``distances_km`` must be non-empty, >= 0 and strictly increasing;
+    an ``InputError`` naming ``distances`` says which it is not.
     """
     distances = [float(d) for d in distances_km]
     if not distances:
-        raise ValidationError("distance grid must be non-empty")
+        raise InputError("distances", "distance grid must be non-empty")
     if any(b <= a for a, b in zip(distances, distances[1:])):
-        raise ValidationError("distance grid must be strictly increasing")
+        raise InputError("distances", "distance grid must be strictly increasing")
+    if not all(d >= 0 for d in distances):
+        raise InputError("distances", f"distances must be >= 0 km, got {distances}")
     fixed = scheme if scheme is not None else reference_scheme()
 
     points: list[CurvePoint] = []

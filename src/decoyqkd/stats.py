@@ -82,8 +82,9 @@ def binomial_upper(k: float, n: float, epsilon: float) -> float:
     if k >= n:
         return 1.0
     if k <= 0.0:
-        # P[X <= 0] = (1-p)^n  =>  p = 1 - epsilon ** (1/n)
-        return 1.0 - float(epsilon) ** (1.0 / n)
+        # P[X <= 0] = (1-p)^n  =>  p = 1 - epsilon ** (1/n), formed by
+        # expm1: the plain difference cancels at large n and rounds inward.
+        return -math.expm1(math.log(epsilon) / n)
     # P[X <= k] = 1 - I_p(k + 1, n - k), so invert I at 1 - epsilon.
     a, b = k + 1.0, n - k
     x = float(special.betaincinv(a, b, 1.0 - epsilon))

@@ -241,6 +241,53 @@ class TestAnalyze:
         assert report["analysis"]["total_tight"] == 0
         assert "analyze: zero-key outcome" in err
 
+    def test_unbounded_f_ec_is_a_zero_key(self, workspace):
+        rc, out, err = run_cli(["analyze", "--tally", str(workspace / "tally.json"),
+                                "--f-ec", "1e308"])
+        assert rc == 2
+        assert json.loads(out)["analysis"]["total_tight"] == 0
+        assert "analyze: zero-key outcome" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, edit, message",
+        [
+            ("--tally",
+             lambda d: d["levels"][0]["errors"].update(X=d["levels"][0]["sifted"]["X"] + 1),
+             "session_tally: levels[0]: count chain violated in basis X"),
+            ("--tally", lambda d: d["levels"][1].update(sent=1),
+             "session_tally: levels[1]: total detections exceed pulses sent"),
+            ("--tally", lambda d: d["zeros"].update(X=10**12),
+             "session_tally: zeros in basis X must lie in"),
+            ("--scheme", lambda d: d["levels"][0].update(send_prob=0.2),
+             "decoy_scheme: send probabilities sum to"),
+            ("--scheme", lambda d: d["levels"][1].update(mu=0.9),
+             "decoy_scheme: mean photon numbers must be strictly increasing"),
+            ("--model", lambda d: d.update(fiber_length_km=-1),
+             "channel_model: fiber_length_km must be >= 0"),
+        ],
+        ids=["errors above sifted", "detections above sent", "too many zeros",
+             "probabilities", "unordered mus", "negative length"],
+    )
+    def test_cross_field_error_names_flag_file_and_level(
+        self, workspace, tmp_path, flag, edit, message
+    ):
+        tally = workspace / "tally.json"
+        docs = {"--tally": json.loads(tally.read_text()),
+                "--scheme": reference_scheme().to_json(),
+                "--model": reference_model().to_json()}
+        doc = docs[flag]
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        if flag == "--model":
+            argv = ["simulate", "--pulses", "1000", "--seed", "1", flag, str(bad)]
+        else:
+            argv = ["analyze", "--tally", str(tally), flag, str(bad)]
+        rc, out, err = run_cli(argv)
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"decoyqkd {argv[0]}: error: {flag}: {bad} {message}"), err
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--pa-epsilon", "-1"), ("--pa-epsilon", "0.7"), ("--pa-epsilon", "5.0"),
@@ -902,6 +949,14 @@ class TestCurve:
         assert rc == 1
         assert out == ""
         assert f"--distances: expected MIN:MAX:STEP or a comma list, got {spec!r}" in err
+
+    @pytest.mark.parametrize("spec", ["150,140", "100,100"])
+    def test_unordered_distances_name_flag(self, spec):
+        rc, out, err = run_cli(["curve", f"--distances={spec}"])
+        assert (rc, out) == (1, "")
+        assert err.startswith(
+            "decoyqkd curve: error: --distances: distance grid must be strictly increasing"
+        ), err
 
     def test_optimize_with_no_valid_scheme_names_extinction_flag(self):
         rc, out, err = run_cli(

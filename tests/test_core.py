@@ -474,6 +474,24 @@ def test_malformed_document_rejected(case):
         type(value).from_json(doc)
 
 
+def test_constructor_errors_carry_the_document_path():
+    tally = SessionTally(levels=(make_level(), make_level()), zeros={"X": 10, "Z": 10})
+    doc = tally.to_json()
+    doc["levels"][1]["sent"] = 1
+    with pytest.raises(ValidationError, match=re.escape(
+        "session_tally: levels[1]: total detections exceed pulses sent"
+    )):
+        SessionTally.from_json(doc)
+    doc = reference_scheme().to_json()
+    doc["levels"][0]["send_prob"] += 0.1
+    with pytest.raises(ValidationError, match="^decoy_scheme: send probabilities sum to"):
+        DecoyScheme.from_json(doc)
+    # the path is added to the message; the error keeps its type and name
+    with pytest.raises(InputError, match="^confidence_config: photon_cutoff must be >= 1") as exc:
+        ConfidenceConfig.from_json({"format_version": "1", "photon_cutoff": 0})
+    assert exc.value.input_name == "photon_cutoff"
+
+
 def test_document_of_another_kind_rejected():
     doc = ConfidenceConfig().to_json()
     doc["kind"] = "channel_model"

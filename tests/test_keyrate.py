@@ -14,7 +14,7 @@ from decoyqkd.keyrate import (
     privacy_amplification_factor,
     secret_length,
 )
-from decoyqkd.sim import reference_model, simulate_session
+from decoyqkd.sim import expected_tally, reference_model, reference_scheme, simulate_session
 from decoyqkd.stats import binary_entropy
 
 
@@ -111,6 +111,15 @@ class TestSecretLength:
 
     def test_hopeless_budget_floors_at_zero(self):
         assert secret_length(100, 0.01, 0.48, 0.4, 0.2, 0.494, 1.5, 1.5, 1.5) == 0
+
+    @pytest.mark.parametrize("position", [6, 7])
+    @pytest.mark.parametrize("value, rate", [(1e308, 0.02), (math.inf, 0.02), (math.inf, 0.0)])
+    def test_huge_or_infinite_factor_gives_zero(self, position, value, rate):
+        # The bracket is -inf, or NaN where an infinite factor meets a zero
+        # entropy (error rate or b1 of 0); either way no key is left.
+        args = [10000, 0.9, 0.48, rate, rate, 0.494, 1.07, 1.09, 1.05]
+        args[position] = value
+        assert secret_length(*args) == 0
 
     def test_rejects_negative_sifted(self):
         with pytest.raises(ValueError):
@@ -319,6 +328,12 @@ class TestComposeSession:
                 0.04853227272123375, rel=1e-9
             )
             assert bounds.b1_tight_by_basis[basis] <= bounds.b1_worst_by_basis[basis]
+
+    @pytest.mark.parametrize("f_ec", [1e308, math.inf])
+    def test_unbounded_f_ec_gives_zero_key(self, f_ec):
+        tally = expected_tally(reference_model(25.0), reference_scheme(), 20_000_000)
+        analysis = compose_session(tally, reference_scheme(), f_ec=f_ec)
+        assert (analysis.total_tight, analysis.total_worst) == (0, 0)
 
     @pytest.mark.parametrize("pa_epsilon", [-1.0, 0.0, 0.5, 0.7, 5.0])
     def test_pa_epsilon_checked_without_a_key(self, calibration, pa_epsilon):

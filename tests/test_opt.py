@@ -253,6 +253,13 @@ class TestRangeCurve:
             range_curve(reference_model(), PULSES, [140.0], optimize=optimize, stages=1,
                         f_ecc=1.1)
 
+    @pytest.mark.parametrize("grid", [[], [150.0, 140.0], [140.0, 140.0], [-5.0, 10.0],
+                                      [10.0, math.nan]])
+    def test_bad_grid_names_distances(self, grid):
+        with pytest.raises(InputError) as exc:
+            range_curve(reference_model(), PULSES, grid)
+        assert exc.value.input_name == "distances"
+
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
             range_curve(reference_model(), PULSES, [140.0, 139.0])

@@ -92,6 +92,20 @@ def test_extreme_count_closed_forms():
             )
 
 
+@pytest.mark.parametrize("eps", [0.05, 1e-3, 1e-7])
+def test_zero_count_upper_bound_is_exact_and_never_inward(eps):
+    # 1 - eps**(1/n) cancels at large n; the bound must hold to 1e-12
+    # relative across [1, 3e11] and its tail (1 - p)^n must not exceed eps.
+    ns = sorted({round(n) for n in np.geomspace(1.0, 3e11, 240)})
+    assert len(ns) >= 200
+    with mpmath.workdps(50):
+        for n in ns:
+            p = binomial_upper(0, n, eps)
+            exact = 1 - mpmath.mpf(eps) ** (mpmath.mpf(1) / n)
+            assert abs(p - exact) <= 1e-12 * exact, n
+            assert (1 - mpmath.mpf(p)) ** n <= eps * (1 + mpmath.mpf(1e-12)), n
+
+
 def _binom_cdf(k: int, n: int, p: float) -> float:
     """P[X <= k] for X ~ Binomial(n, p), summed term by term in log space."""
     if p <= 0.0:
