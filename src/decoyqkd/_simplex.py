@@ -14,8 +14,8 @@ Those tolerances assume O(1) coefficients, which the decoy LPs do not have:
 the b1 LP at the reference operating point has weights from 2.6e-33 to 1
 and a cap 1/y1 of about 1.5e5.  At cutoffs 6 and 10 the solver sits up to
 1.7e-5 relative below a HiGHS oracle on some random systems; which is
-right stays open until an exact certificate checks the optimum (ROADMAP
-item 1).
+right stays open until an exact certificate checks the optimum (the open
+``FOUND:`` line on this gap in CHANGES.md).
 
 Problems are stated in one form only,
 

@@ -41,10 +41,11 @@ Every flag is declared once, in ``_FLAGS``, with its type, default and
 help; each subcommand in ``_COMMANDS`` lists the flags it takes.  The
 defaults are the library's (``decoyqkd.core``, ``decoyqkd.sim``).
 
-``main`` merges a command's settings once and runs its handler inside
-one ``_input_named``, so every ``InputError`` raised under a command
-names the flag its input name keys in ``_FLAGS`` and, for ``--tally``,
-``--scheme`` and ``--model``, the path as reports show it.
+``main`` merges a command's settings into the ``_Settings`` record its
+handler takes.  ``_Settings.name`` names a setting in every message,
+``InputError``s included: by its flag, or as ``--config: <field>`` when
+the config file set it (``--config: photon_cutoff: photon_cutoff must be
+>= 1, got 0``), with the path for ``--tally``, ``--scheme`` and ``--model``.
 
 Each subcommand accepts ``--config FILE``, a JSON object of default
 values keyed by flag name (hyphens as underscores); explicit flags
@@ -65,7 +66,6 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -111,10 +111,6 @@ CONFIG_DIR_ENV = "DECOYQKD_CONFIG_DIR"
 #: Pulse counts must fit numpy's int64 samplers.
 _MAX_PULSES = 2**63
 
-#: Flags that name a file.  A report's ``parameters`` holds every other
-#: setting of its command, since each of those can change the result.
-_PATH_FLAGS = ("config", "tally", "scheme", "model", "keys", "keys_out", "key_out",
-               "out_model", "out_tally")
 #: Flags that name a JSON document; an input error blamed on one shows its path.
 _DOC_FLAGS = ("tally", "scheme", "model")
 
@@ -212,6 +208,10 @@ _FLAGS = {
                      int, nargs=2),
 }
 
+#: Flags that name a file.  A report's ``parameters`` holds every other
+#: setting of its command, since each of those can change the result.
+_PATH_FLAGS = tuple(key for key, row in _FLAGS.items() if row.metavar in ("FILE", "PREFIX"))
+
 
 def _finite_float(text: str) -> float:
     """The argparse type of a ``float`` flag: a finite number."""
@@ -224,10 +224,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _config_value(key: str, value):
-    """A ``--config`` value read with the type of the flag it stands for."""
+def _config_value(key: str, value, what: str):
+    """A ``--config`` value, named ``what``, read with the type of its flag."""
     row = _FLAGS[key]
-    what = f"{_FLAGS['config'].flag}: {key}"
     if value is None and row.default is None:
         return None
     if row.nargs is not None:
@@ -248,11 +247,7 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _emit(doc: dict) -> None:
-    print(dumps(doc))
-
-
-def _resolve(path: str, flag: str) -> Path:
+def _resolve(path: str, name: str) -> Path:
     """Resolve a user-supplied path, falling back to the config dir."""
     p = Path(path)
     if p.exists():
@@ -263,74 +258,77 @@ def _resolve(path: str, flag: str) -> Path:
             candidate = Path(base) / p
             if candidate.exists():
                 return candidate
-    raise ValidationError(f"{flag}: file not found: {path}")
+    raise ValidationError(f"{name}: file not found: {path}")
 
 
-def _shown(path: str, flag: str) -> str:
+def _shown(path: str, name: str) -> str:
     """A document path as reports and messages show it."""
-    return "<stdin>" if path == "-" else str(_resolve(path, flag))
+    return "<stdin>" if path == "-" else str(_resolve(path, name))
 
 
-def _load_doc(path: str, flag: str) -> tuple[dict, dict]:
+def _load_doc(path: str, name: str) -> tuple[dict, dict]:
     """Load a JSON document; returns (doc, reference-with-digest)."""
-    shown = _shown(path, flag)
+    shown = _shown(path, name)
     raw = sys.stdin.buffer.read() if path == "-" else Path(shown).read_bytes()
     try:
         doc = json.loads(raw)
     except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
-        raise ValidationError(f"{flag}: {shown} is not valid JSON ({exc})") from exc
+        raise ValidationError(f"{name}: {shown} is not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
-        raise ValidationError(f"{flag}: {shown} must hold a JSON object")
+        raise ValidationError(f"{name}: {shown} must hold a JSON object")
     return doc, {"path": shown, "sha256": hashlib.sha256(raw).hexdigest()}
 
 
-def _settings(args: argparse.Namespace) -> tuple[dict, dict | None]:
+class _Settings(dict):
+    """A command's settings by key, with ``config``, the reference (path and
+    digest) of the config file if one was given, and ``from_config``, the
+    keys whose value that file set."""
+
+    config: dict | None = None
+    from_config: frozenset[str] = frozenset()
+
+    def name(self, key: str) -> str:
+        """How a message names setting ``key``: ``--config: <field>`` if its
+        value came from the config file, else its flag."""
+        if key in self.from_config:
+            return f"{_FLAGS['config'].flag}: {key}"
+        return _FLAGS[key].flag
+
+
+def _settings(args: argparse.Namespace) -> _Settings:
     """Merge the table defaults < config file < explicit flags."""
-    settings = {key: _FLAGS[key].default for key in _COMMANDS[args.command].flags}
-    passed = {
-        k: v for k, v in vars(args).items() if k not in ("handler", "command")
-    }
-    cfg_ref = None
+    settings = _Settings({key: _FLAGS[key].default for key in _COMMANDS[args.command].flags})
+    passed = {k: v for k, v in vars(args).items() if k not in ("handler", "command")}
     cfg_path = passed.pop("config", None)
     if cfg_path is not None:
-        doc, cfg_ref = _load_doc(cfg_path, _FLAGS["config"].flag)
+        doc, settings.config = _load_doc(cfg_path, settings.name("config"))
         unknown = sorted(set(doc) - set(settings))
         if unknown:
             raise ValidationError(
-                f"{_FLAGS['config'].flag}: unknown fields {unknown}; "
+                f"{settings.name('config')}: unknown fields {unknown}; "
                 f"expected among {sorted(settings)}"
             )
-        settings.update((key, _config_value(key, value)) for key, value in doc.items())
+        settings.from_config = frozenset(doc)
+        settings.update((key, _config_value(key, value, settings.name(key)))
+                        for key, value in doc.items())
+        settings.from_config -= set(passed)
     settings.update(passed)
-    return settings, cfg_ref
+    return settings
 
 
-def _require(settings: dict, key: str):
+def _require(settings: _Settings, key: str):
     value = settings[key]
     if value is None:
-        raise ValidationError(f"{_FLAGS[key].flag} is required")
+        raise ValidationError(f"{settings.name(key)} is required")
     return value
 
 
-@contextmanager
-def _input_named(settings: dict):
-    """Turn an ``InputError`` into a message naming the input's flag and, for
-    a document flag that was given, the path it was read from."""
-    try:
-        yield
-    except InputError as exc:
-        name = exc.input_name
-        path = settings.get(name) if name in _DOC_FLAGS else None
-        shown = "" if path is None else f"{_shown(path, _FLAGS[name].flag)} "
-        raise ValidationError(f"{_FLAGS[name].flag}: {shown}{exc}") from exc
-
-
-def _report(kind: str, settings: dict, cfg_ref: dict | None, inputs: dict, **resolved) -> dict:
+def _report(kind: str, settings: _Settings, inputs: dict, **resolved) -> dict:
     """The head of a JSON report: its kind, input files and parameters,
     which are every setting but the file flags, with the values a command
     ``resolved`` from them (such as ``pulses``)."""
     parameters = {k: v for k, v in settings.items() if k not in _PATH_FLAGS}
-    return {"kind": kind, "inputs": {**inputs, "config": cfg_ref},
+    return {"kind": kind, "inputs": {**inputs, "config": settings.config},
             "parameters": {**parameters, **resolved}}
 
 
@@ -339,23 +337,23 @@ def _note_report(command: str, report: dict) -> None:
     _note(f"{command}: report {json.dumps(report, sort_keys=True, separators=(',', ':'))}")
 
 
-def _read_doc(settings: dict, key: str, cls):
-    """Read the ``cls`` document that flag ``key`` names; returns (value, ref).
-    An error in the document is blamed on the flag and its file."""
-    doc, ref = _load_doc(settings[key], _FLAGS[key].flag)
+def _read_doc(settings: _Settings, key: str, cls):
+    """Read the ``cls`` document that setting ``key`` names; returns (value, ref).
+    An error in the document is blamed on the setting and its file."""
+    doc, ref = _load_doc(settings[key], settings.name(key))
     try:
         return cls.from_json(doc), ref
     except ValidationError as exc:
         raise InputError(key, str(exc)) from exc
 
 
-def _load_scheme(settings: dict) -> tuple[DecoyScheme, dict]:
+def _load_scheme(settings: _Settings) -> tuple[DecoyScheme, dict]:
     if settings["scheme"] is None:
         return reference_scheme(), {"builtin": "reference"}
     return _read_doc(settings, "scheme", DecoyScheme)
 
 
-def _load_model(settings: dict) -> tuple[ChannelModel, dict]:
+def _load_model(settings: _Settings) -> tuple[ChannelModel, dict]:
     if settings["model"] is None:
         model, ref = reference_model(), {"builtin": "reference"}
     else:
@@ -371,7 +369,7 @@ def _load_model(settings: dict) -> tuple[ChannelModel, dict]:
     return model, ref
 
 
-def _load_tally(settings: dict) -> tuple[SessionTally, dict]:
+def _load_tally(settings: _Settings) -> tuple[SessionTally, dict]:
     _require(settings, "tally")
     tally, ref = _read_doc(settings, "tally", SessionTally)
     if tally.reconstructed:
@@ -382,15 +380,15 @@ def _load_tally(settings: dict) -> tuple[SessionTally, dict]:
     return tally, ref
 
 
-def _epsilon(settings: dict, key: str) -> float:
-    """A failure probability flag, checked to lie in (0, 0.5)."""
+def _epsilon(settings: _Settings, key: str) -> float:
+    """A failure probability setting, checked to lie in (0, 0.5)."""
     value = settings[key]
     if not 0.0 < value < 0.5:
-        raise ValidationError(f"{_FLAGS[key].flag} must lie in (0, 0.5), got {value}")
+        raise ValidationError(f"{settings.name(key)} must lie in (0, 0.5), got {value}")
     return value
 
 
-def _confidence(settings: dict) -> ConfidenceConfig:
+def _confidence(settings: _Settings) -> ConfidenceConfig:
     return ConfidenceConfig(
         epsilon=_epsilon(settings, "confidence"),
         photon_cutoff=settings["photon_cutoff"],
@@ -398,37 +396,36 @@ def _confidence(settings: dict) -> ConfidenceConfig:
     )
 
 
-def _evaluation(settings: dict) -> dict:
+def _evaluation(settings: _Settings) -> dict:
     """The ``evaluate_scheme`` keywords among a design command's settings."""
     keys = ("f_ec", "f_ds", "sift_ratio", "zero_fraction")
     return {"config": _confidence(settings), **{k: settings[k] for k in keys if k in settings}}
 
 
 def _resolve_pulses(
-    settings: dict, model: ChannelModel, scheme: DecoyScheme, *, required: bool = False
+    settings: _Settings, model: ChannelModel, scheme: DecoyScheme, *, required: bool = False
 ) -> int:
     """Pulse count from --pulses or --duration-h (the reference duration if
     neither is given and not ``required``); it must give every level of
     ``scheme`` a pulse."""
-    pulses = settings["pulses"]
-    duration = settings["duration_h"]
+    pulses, duration, duty = settings["pulses"], settings["duration_h"], settings["duty_cycle"]
+    named_pulses, named_duration = settings.name("pulses"), settings.name("duration_h")
+    if not 0.0 < duty <= 1.0:
+        raise ValidationError(f"{settings.name('duty_cycle')} must lie in (0, 1]")
     if pulses is not None and duration is not None:
-        raise ValidationError("give --pulses or --duration-h, not both")
+        raise ValidationError(f"give {named_pulses} or {named_duration}, not both")
     if pulses is not None:
-        given = f"--pulses {pulses}"
+        given = f"{named_pulses} {pulses}"
         if pulses >= _MAX_PULSES:
-            raise ValidationError(f"--pulses must be below 2**63, got {pulses}")
+            raise ValidationError(f"{named_pulses} must be below 2**63, got {pulses}")
     else:
         if duration is None:
             if required:
-                raise ValidationError("one of --pulses or --duration-h is required")
+                raise ValidationError(f"one of {named_pulses} or {named_duration} is required")
             duration = REFERENCE_DURATION_H
-        given = f"--duration-h {duration}"
+        given = f"{named_duration} {duration}"
         if duration <= 0:
-            raise ValidationError("--duration-h must be > 0")
-        duty = settings["duty_cycle"]
-        if not 0.0 < duty <= 1.0:
-            raise ValidationError("--duty-cycle must lie in (0, 1]")
+            raise ValidationError(f"{named_duration} must be > 0")
         pulses = duration * 3600.0 * model.clock_rate_hz * duty
         if not pulses < _MAX_PULSES:
             raise ValidationError(
@@ -455,9 +452,8 @@ def _parse_distances(spec: str) -> list[float]:
             if not values or not all(map(math.isfinite, values)):
                 raise ValueError
     except ValueError:
-        raise ValidationError(
-            f"--distances: expected MIN:MAX:STEP or a comma list, got {spec!r}"
-        ) from None
+        raise InputError("distances",
+                         f"expected MIN:MAX:STEP or a comma list, got {spec!r}") from None
     return values
 
 
@@ -477,13 +473,13 @@ def _write_bits(path: Path, bits: np.ndarray) -> None:
     path.write_bytes(((bits != 0).view(np.uint8) + ord("0")).tobytes() + b"\n")
 
 
-def _read_bits(path: Path, flag: str) -> tuple[np.ndarray, str]:
+def _read_bits(path: Path, name: str) -> tuple[np.ndarray, str]:
     if not path.exists():
-        raise ValidationError(f"{flag}: key file not found: {path}")
+        raise ValidationError(f"{name}: key file not found: {path}")
     raw = path.read_bytes()
     bits = np.frombuffer(raw.strip(_KEY_PADDING), dtype=np.uint8) - ord("0")
     if bits.size and bits.max() > 1:  # any other byte wraps past 1
-        raise ValidationError(f"{flag}: {path} holds non-binary characters")
+        raise ValidationError(f"{name}: {path} holds non-binary characters")
     return bits, hashlib.sha256(raw).hexdigest()
 
 
@@ -492,7 +488,7 @@ def _read_bits(path: Path, flag: str) -> tuple[np.ndarray, str]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(settings: dict, cfg_ref: dict | None) -> int:
+def _cmd_simulate(settings: _Settings) -> int:
     seed = _require(settings, "seed")
     scheme, scheme_ref = _load_scheme(settings)
     model, model_ref = _load_model(settings)
@@ -514,7 +510,7 @@ def _cmd_simulate(settings: dict, cfg_ref: dict | None) -> int:
         f"detections {[lv.detected_total() for lv in tally.levels]}, "
         f"sifted {[tally.sifted_total(b) for b in BASES]} (X, Z)"
     )
-    _note_report("simulate", _report("simulate_report", settings, cfg_ref,
+    _note_report("simulate", _report("simulate_report", settings,
                                      {"scheme": scheme_ref, "model": model_ref}, pulses=pulses))
     print(dumps(tally))
     return 0
@@ -525,7 +521,7 @@ def _cmd_simulate(settings: dict, cfg_ref: dict | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_analyze(settings: dict, cfg_ref: dict | None) -> int:
+def _cmd_analyze(settings: _Settings) -> int:
     tally, tally_ref = _load_tally(settings)
     scheme, scheme_ref = _load_scheme(settings)
     config = _confidence(settings)
@@ -534,9 +530,9 @@ def _cmd_analyze(settings: dict, cfg_ref: dict | None) -> int:
     budget["pa_epsilon"] = _epsilon(settings, "pa_epsilon")
     analysis = compose_session(tally, scheme, config, **budget)
 
-    report = _report("analysis_report", settings, cfg_ref,
+    report = _report("analysis_report", settings,
                      {"tally": tally_ref, "scheme": scheme_ref})
-    _emit({**report, "analysis": analysis.to_json()})
+    print(dumps({**report, "analysis": analysis.to_json()}))
 
     if not analysis.feasible:
         _note("analyze: decoy bounds infeasible for this tally")
@@ -556,7 +552,7 @@ def _cmd_analyze(settings: dict, cfg_ref: dict | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_distill(settings: dict, cfg_ref: dict | None) -> int:
+def _cmd_distill(settings: _Settings) -> int:
     tally, tally_ref = _load_tally(settings)
     scheme, scheme_ref = _load_scheme(settings)
     config = _confidence(settings)
@@ -565,17 +561,17 @@ def _cmd_distill(settings: dict, cfg_ref: dict | None) -> int:
     keys: dict[str, dict[str, np.ndarray]] = {"alice": {}, "bob": {}}
     digests: dict[str, str] = {}
     for (side, basis), path in _key_paths(_require(settings, "keys")).items():
-        keys[side][basis], digests[path.name] = _read_bits(path, _FLAGS["keys"].flag)
+        keys[side][basis], digests[path.name] = _read_bits(path, settings.name("keys"))
 
     result = distill_session(
         tally, scheme, keys["alice"], keys["bob"], config, seed=seed,
         depth=settings["depth"], variant=settings["variant"], pa_epsilon=pa_epsilon,
     )
-    _emit({
-        **_report("distill_report", settings, cfg_ref,
+    print(dumps({
+        **_report("distill_report", settings,
                   {"tally": tally_ref, "scheme": scheme_ref, "key_files_sha256": digests}),
         **result.to_json(),
-    })
+    }))
     if result.residual:
         _note("distill: residual mismatch survived reconciliation; aborted, no key emitted")
         return 2
@@ -615,7 +611,7 @@ def _cmd_distill(settings: dict, cfg_ref: dict | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_optimize(settings: dict, cfg_ref: dict | None) -> int:
+def _cmd_optimize(settings: _Settings) -> int:
     model, model_ref = _load_model(settings)
     scheme, scheme_ref = _load_scheme(settings)
     pulses = _resolve_pulses(settings, model, scheme)
@@ -632,7 +628,7 @@ def _cmd_optimize(settings: dict, cfg_ref: dict | None) -> int:
 
     analysis = result.analysis
     report = {
-        **_report("optimize_report", settings, cfg_ref,
+        **_report("optimize_report", settings,
                   {"model": model_ref, "initial_scheme": scheme_ref}, pulses=pulses),
         "scheme": result.scheme.to_json(),
         "n_secret_tight": analysis.total_tight,
@@ -641,7 +637,7 @@ def _cmd_optimize(settings: dict, cfg_ref: dict | None) -> int:
         "evaluations": len(result.trace),
         "trace": list(result.trace) if settings["trace"] else None,
     }
-    _emit(report)
+    print(dumps(report))
     _note(
         f"optimize: {len(result.trace)} evaluations, best scheme "
         f"mus={tuple(round(m, 6) for m in result.scheme.mus)} "
@@ -676,7 +672,7 @@ resolution; the two range endpoints are printed to stderr.
 """
 
 
-def _cmd_curve(settings: dict, cfg_ref: dict | None) -> int:
+def _cmd_curve(settings: _Settings) -> int:
     model, model_ref = _load_model(settings)
     scheme, scheme_ref = _load_scheme(settings)
     pulses = _resolve_pulses(settings, model, scheme)
@@ -694,7 +690,7 @@ def _cmd_curve(settings: dict, cfg_ref: dict | None) -> int:
     )
 
     sys.stdout.write(curve_csv(curve))
-    _note_report("curve", _report("curve_report", settings, cfg_ref,
+    _note_report("curve", _report("curve_report", settings,
                                   {"model": model_ref, "scheme": scheme_ref}, pulses=pulses))
     tight = curve.range_tight_km
     worst = curve.range_worst_km
@@ -715,7 +711,7 @@ def _cmd_curve(settings: dict, cfg_ref: dict | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_calibrate(settings: dict, cfg_ref: dict | None) -> int:
+def _cmd_calibrate(settings: _Settings) -> int:
     # Session totals left unset fall back to the library's reference session.
     totals = {
         param: settings[key]
@@ -726,7 +722,7 @@ def _cmd_calibrate(settings: dict, cfg_ref: dict | None) -> int:
 
     result = calibrate_to_reference(**_evaluation(settings), **totals)
 
-    _emit({**_report("calibration_report", settings, cfg_ref, {}), **result.to_json()})
+    print(dumps({**_report("calibration_report", settings, {}), **result.to_json()}))
 
     for key, obj in (("out_model", result.model), ("out_tally", result.tally)):
         path = settings[key]
@@ -865,11 +861,15 @@ def main(argv=None) -> int:
         _note(f"error: {exc}")
         return 1
     try:
-        settings, cfg_ref = _settings(args)
-        with _input_named(settings):
-            return args.handler(settings, cfg_ref)
+        settings = _settings(args)
+        return args.handler(settings)
     except (ValidationError, ValueError, OSError) as exc:
-        _note(f"decoyqkd {args.command}: error: {exc}")
+        message = str(exc)
+        if isinstance(exc, InputError):  # raised by a handler, so settings exist
+            name = settings.name(exc.input_name)
+            path = settings.get(exc.input_name) if exc.input_name in _DOC_FLAGS else None
+            message = f"{name}: {exc}" if path is None else f"{name}: {_shown(path, name)} {exc}"
+        _note(f"decoyqkd {args.command}: error: {message}")
         return 1
 
 

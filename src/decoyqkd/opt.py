@@ -255,7 +255,8 @@ def range_curve(
     passed to every :func:`evaluate_scheme` call, as in :func:`optimize_scheme`.
 
     ``distances_km`` must be non-empty, >= 0 and strictly increasing;
-    an ``InputError`` naming ``distances`` says which it is not.
+    an ``InputError`` naming ``distances`` says which it is not.  ``stages``
+    must be >= 1 with or without ``optimize``.
     """
     distances = [float(d) for d in distances_km]
     if not distances:
@@ -264,6 +265,8 @@ def range_curve(
         raise InputError("distances", "distance grid must be strictly increasing")
     if not all(d >= 0 for d in distances):
         raise InputError("distances", f"distances must be >= 0 km, got {distances}")
+    if stages < 1:
+        raise InputError("stages", f"need at least one stage, got {stages}")
     fixed = scheme if scheme is not None else reference_scheme()
 
     points: list[CurvePoint] = []

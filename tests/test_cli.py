@@ -61,6 +61,45 @@ CURVE_HEADER = (
     "distance_km,n_secret_tight,n_secret_worst,y1_lower,b1_tight,b1_worst,"
     "mu0,mu1,mu2,p0,p1,p2"
 )
+#: (command, other flags, bad settings, the error when the settings are
+#: given as flags).  ``{tally}``, ``{keys}`` and ``{tmp}`` stand for paths.
+BAD_SETTINGS = [
+    ("analyze", ["--tally", "{tally}"], {"confidence": 0.9},
+     "--confidence must lie in (0, 0.5), got 0.9"),
+    ("analyze", ["--tally", "{tally}"], {"pa_epsilon": 0.7},
+     "--pa-epsilon must lie in (0, 0.5), got 0.7"),
+    ("analyze", ["--tally", "{tally}"], {"photon_cutoff": 0},
+     "--photon-cutoff: photon_cutoff must be >= 1, got 0"),
+    ("analyze", ["--tally", "{tally}"], {"f_ec": 0.5}, "--f-ec: f_ec must be >= 1 (got 0.5)"),
+    ("curve", ["--distances", "100:110:5"], {"pulses": 3},
+     "--pulses 3 gives 3 pulses, too few to send one at every level"),
+    ("simulate", ["--seed", "1"], {"pulses": 10**20},
+     f"--pulses must be below 2**63, got {10**20}"),
+    ("optimize", [], {"pulses": 1000000, "duration_h": 1.0},
+     "give --pulses or --duration-h, not both"),
+    ("simulate", ["--seed", "1"], {"duration_h": -1.0}, "--duration-h must be > 0"),
+    ("simulate", ["--seed", "1", "--duration-h", "1"], {"duty_cycle": 7.0},
+     "--duty-cycle must lie in (0, 1]"),
+    ("curve", [], {"distances": "150,140"},
+     "--distances: distance grid must be strictly increasing"),
+    ("curve", [], {"distances": "abc"},
+     "--distances: expected MIN:MAX:STEP or a comma list, got 'abc'"),
+    ("curve", ["--distances", "100:102:2", "--optimize"], {"stages": 0},
+     "--stages: need at least one stage, got 0"),
+    ("optimize", [], {"distance_km": -5.0}, "--distance-km: fiber_length_km must be >= 0"),
+    ("analyze", [], {"tally": "nope.json"}, "--tally: file not found: nope.json"),
+    ("analyze", ["--tally", "{tally}"], {"scheme": "nope.json"},
+     "--scheme: file not found: nope.json"),
+    ("analyze", ["--tally", "{tally}"], {"scheme": "{tmp}/scheme.json"},
+     "--scheme: {tmp}/scheme.json decoy_scheme: send probabilities sum to 1.1, "
+     "expected 1 within 1e-12"),
+    ("distill", ["--tally", "{tally}", "--seed", "5"], {"keys": "{tmp}/missing"},
+     "--keys: key file not found: {tmp}/missing.alice.X.bits"),
+    ("distill", ["--tally", "{tally}", "--keys", "{keys}", "--seed", "5"], {"depth": 0},
+     "--depth: depth must be >= 1, got 0"),
+    ("simulate", ["--pulses", "1000"], {"seed": -1}, "--seed: seed must be >= 0, got -1"),
+    ("calibrate", [], {"sifted": 0}, "--sifted: sifted total must be > 0, got 0"),
+]
 
 
 def run_cli(argv, stdin_bytes=None):
@@ -770,6 +809,50 @@ class TestConfigFile:
         assert params["photon_cutoff"] == 8
         assert json.loads(out)["inputs"]["scheme"] == {"builtin": "reference"}
 
+    @staticmethod
+    def check_named_by_source(workspace, tmp_path, command, argv, bad, message):
+        """``bad`` given as flags exits 1 with ``message``; given in a config
+        file, with each flag in it read as ``--config: <field>``."""
+        def fill(text):
+            return text.format(tally=workspace / "tally.json", keys=workspace / "run",
+                               tmp=tmp_path)
+
+        scheme = json.loads(dumps(reference_scheme()))
+        scheme["levels"][2]["send_prob"] = 0.8
+        (tmp_path / "scheme.json").write_text(json.dumps(scheme))
+        argv = [command, *map(fill, argv)]
+        bad = {key: fill(v) if isinstance(v, str) else v for key, v in bad.items()}
+        flags = {key: cli._FLAGS[key].flag for key in bad}
+        rc, out, err = run_cli(argv + [f"{flags[key]}={value}" for key, value in bad.items()])
+        assert (rc, out, err) == (1, "", f"decoyqkd {command}: error: {fill(message)}\n")
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        rc, out, err = run_cli(argv + ["--config", str(cfg)])
+        expected = fill(message)
+        for key, flag in flags.items():
+            expected = expected.replace(flag, f"--config: {key}")
+        assert (rc, out, err) == (1, "", f"decoyqkd {command}: error: {expected}\n")
+        assert not any(flag in err for flag in flags.values()), err
+
+    @pytest.mark.parametrize("command, argv, bad, message", BAD_SETTINGS,
+                             ids=["+".join(case[2]) for case in BAD_SETTINGS])
+    def test_bad_value_is_named_by_its_source(
+        self, workspace, tmp_path, command, argv, bad, message
+    ):
+        self.check_named_by_source(workspace, tmp_path, command, argv, bad, message)
+
+    @pytest.mark.parametrize("command, argv, bad, message", [
+        ("simulate", ["--seed", "1", "--pulses", "100000"], {"duty_cycle": 7.0},
+         "--duty-cycle must lie in (0, 1]"),
+        ("curve", ["--distances", "100:102:2"], {"stages": -1},
+         "--stages: need at least one stage, got -1"),
+    ], ids=["duty_cycle-with-pulses", "stages-without-optimize"])
+    def test_setting_is_checked_where_it_has_no_effect(
+        self, workspace, tmp_path, command, argv, bad, message
+    ):
+        self.check_named_by_source(workspace, tmp_path, command, argv, bad, message)
+
 
 class TestLibraryMatchesCli:
     def test_readme_snippet_matches_analyze(self, workspace):
@@ -1014,9 +1097,9 @@ class TestUsage:
         settings_of = cli._settings
 
         def recorded(args):
-            settings, cfg_ref = settings_of(args)
+            settings = settings_of(args)
             merged.append(settings)
-            return settings, cfg_ref
+            return settings
 
         monkeypatch.setattr(cli, "_settings", recorded)
         tally, keys = str(workspace / "tally.json"), str(workspace / "run")
@@ -1210,8 +1293,8 @@ class TestUsage:
         assert "distill" in proc.stdout
 
     def test_input_error_names_are_flags(self):
-        # _input_named reports an InputError under _FLAGS[its input name], so
-        # a name outside the table would end in a KeyError traceback.
+        # main reports an InputError under settings.name(its input name), so
+        # a name outside _FLAGS would end in a KeyError traceback.
         names = set()
         for path in Path(decoyqkd.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -1221,6 +1304,24 @@ class TestUsage:
                     names.add((path.name, node.args[0].value))
         assert {("recon.py", "keys"), ("core.py", "tally"), ("sim.py", "seed")} <= names
         assert sorted((module, name) for module, name in names if name not in cli._FLAGS) == []
+
+    def test_no_function_body_spells_a_flag(self):
+        # Messages take a setting's name from _Settings.name, which knows
+        # whether the value came from a flag or from the config file.
+        tree = ast.parse(Path(cli.__file__).read_text())
+        docstrings = {
+            id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and ast.get_docstring(node) is not None
+        }
+        spelled = sorted(
+            (function.name, node.lineno, node.value)
+            for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "--" in node.value and id(node) not in docstrings
+        )
+        assert spelled == []
 
     def test_cli_imports_no_private_package_names(self):
         tree = ast.parse(Path(cli.__file__).read_text())

@@ -260,6 +260,13 @@ class TestRangeCurve:
             range_curve(reference_model(), PULSES, grid)
         assert exc.value.input_name == "distances"
 
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("stages", [0, -1])
+    def test_stages_below_one_named_with_or_without_optimize(self, optimize, stages):
+        with pytest.raises(InputError, match=f"^need at least one stage, got {stages}$") as exc:
+            range_curve(reference_model(), PULSES, [140.0], optimize=optimize, stages=stages)
+        assert exc.value.input_name == "stages"
+
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
             range_curve(reference_model(), PULSES, [140.0, 139.0])
