@@ -30,9 +30,10 @@ whose stdout is a tally or CSV, print the same report head to stderr as
 one line, ``simulate: report {...}`` or ``curve: report {...}``, of
 compact sorted-key JSON.
 Exit status is 0 on success, 1 on input errors (a message names the
-offending flag or file), and 2 when the inputs were valid but the
-session yields no key (infeasible bounds, zero key total, failed
-reconciliation, or a calibration that did not converge).  ``distill``
+offending flag or file; an output file that cannot be written is named
+with its flag, before anything reaches stdout), and 2 when the inputs
+were valid but the session yields no key (infeasible bounds, zero key
+total, failed reconciliation, or a calibration that did not converge).  ``distill``
 exits 1 when reconciliation corrects another number of errors than the
 tally records, and on a residual mismatch exits 2 before any key bit is
 printed or written.
@@ -60,6 +61,7 @@ retried under ``$DECOYQKD_CONFIG_DIR`` if that variable is set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -473,6 +475,18 @@ def _write_bits(path: Path, bits: np.ndarray) -> None:
     path.write_bytes(((bits != 0).view(np.uint8) + ord("0")).tobytes() + b"\n")
 
 
+@contextlib.contextmanager
+def _writing(key: str, path: Path | str):
+    """Blame a failure to write ``path`` on output setting ``key``.
+
+    Handlers write their files before printing, so such a failure leaves
+    stdout empty."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(key, f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _read_bits(path: Path, name: str) -> tuple[np.ndarray, str]:
     if not path.exists():
         raise ValidationError(f"{name}: key file not found: {path}")
@@ -502,7 +516,8 @@ def _cmd_simulate(settings: _Settings) -> int:
     if prefix is not None:
         for (side, basis), path in _key_paths(prefix).items():
             source = keys.alice if side == "alice" else keys.bob
-            _write_bits(path, source[basis])
+            with _writing("keys_out", path):
+                _write_bits(path, source[basis])
         _note(f"raw keys written under prefix {prefix!r}")
 
     _note(
@@ -567,6 +582,10 @@ def _cmd_distill(settings: _Settings) -> int:
         tally, scheme, keys["alice"], keys["bob"], config, seed=seed,
         depth=settings["depth"], variant=settings["variant"], pa_epsilon=pa_epsilon,
     )
+    key_out = settings["key_out"]
+    if key_out is not None and result.analysis is not None:  # None: aborted, no key
+        with _writing("key_out", key_out):
+            Path(key_out).write_bytes(result.final_key_bytes())
     print(dumps({
         **_report("distill_report", settings,
                   {"tally": tally_ref, "scheme": scheme_ref, "key_files_sha256": digests}),
@@ -579,9 +598,7 @@ def _cmd_distill(settings: _Settings) -> int:
         _note("distill: deskew produced no output bits")
         return 2
 
-    key_out = settings["key_out"]
     if key_out is not None:
-        Path(key_out).write_bytes(result.final_key_bytes())
         _note(f"final key bytes written to {key_out}")
     for basis, entry in result.bases.items():
         if entry["final_length"] < entry["n_secret"]:
@@ -722,13 +739,13 @@ def _cmd_calibrate(settings: _Settings) -> int:
 
     result = calibrate_to_reference(**_evaluation(settings), **totals)
 
-    print(dumps({**_report("calibration_report", settings, {}), **result.to_json()}))
-
     for key, obj in (("out_model", result.model), ("out_tally", result.tally)):
         path = settings[key]
         if path is not None:
-            Path(path).write_text(dumps(obj) + "\n")
+            with _writing(key, path):
+                Path(path).write_text(dumps(obj) + "\n")
             _note(f"{key.replace('_', ' ')} written to {path}")
+    print(dumps({**_report("calibration_report", settings, {}), **result.to_json()}))
 
     diag = result.diagnostics
     _note(

@@ -33,12 +33,6 @@ __all__ = [
     "privacy_amplify",
 ]
 
-# Nodes of at least this many bits are split by the recursion; the subtrees
-# below it are run breadth-first together, where one numpy call serves
-# every node of a level instead of one node.
-_PERES_CUTOVER = 1024
-
-
 def _as_bits(bits, name: str) -> np.ndarray:
     """Coerce a 0/1 string or one-dimensional array to uint8 0/1 values.
 
@@ -74,90 +68,62 @@ class DeskewResult:
     f_ds: float
 
 
-def _peres(bits: np.ndarray, depth: int, chunks: list, small: list) -> None:
-    """Append this node's extracted streams to ``chunks`` in the fixed
-    order: von Neumann output first, then the subtree of the pair-XOR
-    stream, then the subtree of the agreed-values stream.
+def _peres_breadth_first(bits: np.ndarray, depth: int) -> np.ndarray:
+    """Run the extractor tree on ``bits`` (at least 2 of them) breadth-first.
 
-    A subtree whose root holds fewer than ``_PERES_CUTOVER`` bits is not
-    run here: ``(bits, depth)`` goes to ``small``, and a None holds its
-    place in ``chunks`` for the output of :func:`_peres_small`.
+    Each level holds every live node, bits laid end to end; a node is live
+    while it has at least 2 bits and depth left.  Its children go to the
+    next level, all pair-XOR children first, then all agreed-values
+    children.  The output is each node's von Neumann bits in the
+    recursion's order: the node's own bits, then the pair-XOR subtree, then
+    the agreed-values subtree.  So a node's offset is its parent's offset
+    plus the parent's own bits, plus the XOR sibling's subtree total for an
+    agreed-values child: the totals are summed bottom-up and the bits
+    placed top-down.
     """
-    if depth <= 0 or bits.size < 2:
-        return
-    if bits.size < _PERES_CUTOVER:
-        small.append((bits, depth))
-        chunks.append(None)
-        return
-    m = bits.size // 2
-    first = bits[0 : 2 * m : 2]
-    second = bits[1 : 2 * m : 2]
-    xors = first ^ second
-    disagree = xors == 1
-    chunks.append(first[disagree])
-    _peres(xors, depth - 1, chunks, small)
-    _peres(first[~disagree], depth - 1, chunks, small)
-
-
-def _peres_small(roots: list) -> list[np.ndarray]:
-    """Run the ``(bits, depth)`` subtrees breadth-first, all in one pass.
-
-    Each level holds every live node of every subtree, bits laid end to
-    end; a node is live while it has at least 2 bits and depth left.  Its
-    children go to the next level, all pair-XOR children first.  Each
-    subtree's output is its nodes' von Neumann bits in the recursion's
-    order: a node's offset is its parent's offset plus the parent's own
-    bits, plus the XOR sibling's subtree total for an agreed-values child,
-    so the totals are summed bottom-up and the bits placed top-down.
-    Returns one output array per subtree.
-    """
-    bits = np.concatenate([b for b, _ in roots])
-    lens = np.array([b.size for b, _ in roots], dtype=np.int64)
-    depth = np.array([d for _, d in roots], dtype=np.int64)
-    levels = []  # per level: own bit counts, child indices (-1: none), own bits
-    while lens.size:
+    lens = np.array([bits.size], dtype=np.int64)
+    levels = []  # per level: own bit counts, live-child masks, own bits
+    for left in range(depth - 1, -1, -1):
         if (lens & 1).any():  # drop each odd node's last bit so no pair spans two nodes
-            keep = np.ones(bits.size, dtype=bool)
-            keep[np.cumsum(lens)[(lens & 1) == 1] - 1] = False
-            bits = bits[keep]
-        first, second = bits[0::2], bits[1::2]
-        xors = first ^ second
-        disagree = xors == 1
+            bits = np.delete(bits, (np.cumsum(lens) - 1)[(lens & 1) == 1])
+        first = bits[0::2]
+        xors = first ^ bits[1::2]
+        hits = np.flatnonzero(xors.view(bool))  # a bool nonzero is several times faster
         pairs = lens // 2
-        ends = np.cumsum(pairs)
-        ones = np.concatenate(([0], np.cumsum(xors, dtype=np.int64)))
-        own = ones[ends] - ones[ends - pairs]
+        own = np.diff(np.searchsorted(hits, np.cumsum(pairs)), prepend=0)
         agreed = pairs - own
-        deeper = depth > 1
-        x_live = deeper & (pairs >= 2)
-        a_live = deeper & (agreed >= 2)
-        n_x = int(np.count_nonzero(x_live))
-        x_child = np.where(x_live, np.cumsum(x_live) - 1, -1)
-        a_child = np.where(a_live, n_x + np.cumsum(a_live) - 1, -1)
-        levels.append((own, x_child, a_child, first[disagree]))
-        bits = np.concatenate((xors[np.repeat(x_live, pairs)],
-                               first[~disagree][np.repeat(a_live, agreed)]))
+        x_live = (pairs >= 2) & (left > 0)
+        a_live = (agreed >= 2) & (left > 0)
+        levels.append((own, x_live, a_live, first[hits]))
+        if not (x_live.any() or a_live.any()):
+            break
+        same = np.compress(xors == 0, first)  # beats a boolean index on an unsorted mask
+        bits = np.concatenate((xors if x_live.all() else xors[np.repeat(x_live, pairs)],
+                               same if a_live.all() else same[np.repeat(a_live, agreed)]))
         lens = np.concatenate((pairs[x_live], agreed[a_live]))
-        depth = np.concatenate((depth[x_live], depth[a_live])) - 1
 
-    totals = [np.zeros(1, dtype=np.int64)]  # each with a trailing 0 for child -1
-    for own, x_child, a_child, _ in reversed(levels):
-        below = totals[-1]
-        totals.append(np.append(own + below[x_child] + below[a_child], 0))
-    totals.reverse()
+    below = np.zeros(0, dtype=np.int64)  # subtree totals of the level below
+    x_totals = []
+    for own, x_live, a_live, _ in reversed(levels):
+        n_x = int(np.count_nonzero(x_live))
+        x_total = np.zeros(own.size, dtype=np.int64)
+        x_total[x_live] = below[:n_x]
+        a_total = np.zeros(own.size, dtype=np.int64)
+        a_total[a_live] = below[n_x:]
+        x_totals.append(x_total)
+        below = own + x_total + a_total
 
-    sizes = totals[0][:-1]
-    offset = np.cumsum(sizes) - sizes
-    out = np.empty(int(sizes.sum()), dtype=np.uint8)
-    for (own, x_child, a_child, own_bits), below in zip(levels, totals[1:]):
-        start = np.cumsum(own) - own
-        out[np.repeat(offset - start, own) + np.arange(own_bits.size)] = own_bits
-        child = np.empty(below.size - 1, dtype=np.int64)
+    out = np.empty(int(below[0]), dtype=np.uint8)
+    offset = np.zeros(1, dtype=np.int64)
+    for (own, x_live, a_live, own_bits), x_total in zip(levels, reversed(x_totals)):
+        if own.size == 1:
+            out[offset[0] : offset[0] + own_bits.size] = own_bits
+        else:
+            start = np.cumsum(own) - own
+            out[np.repeat(offset - start, own) + np.arange(own_bits.size)] = own_bits
         x_off = offset + own
-        child[x_child[x_child >= 0]] = x_off[x_child >= 0]
-        child[a_child[a_child >= 0]] = (x_off + below[x_child])[a_child >= 0]
-        offset = child
-    return np.split(out, np.cumsum(sizes)[:-1])
+        offset = np.concatenate((x_off[x_live], (x_off + x_total)[a_live]))
+    return out
 
 
 def peres_extract(bits, depth: int = DEFAULT_DESKEW_DEPTH) -> DeskewResult:
@@ -190,14 +156,7 @@ def peres_extract(bits, depth: int = DEFAULT_DESKEW_DEPTH) -> DeskewResult:
         raise ValidationError("depth must be >= 1")
     if arr.size < 2:
         raise ValidationError("need at least one pair of bits to deskew")
-    chunks: list = []
-    small: list = []
-    _peres(arr, depth, chunks, small)
-    if small:
-        slots = [i for i, chunk in enumerate(chunks) if chunk is None]
-        for slot, part in zip(slots, _peres_small(small)):
-            chunks[slot] = part
-    out = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint8)
+    out = _peres_breadth_first(arr, depth)
     zero_fraction = float(np.count_nonzero(arr == 0)) / arr.size
     rate = out.size / arr.size
     f_ds = binary_entropy(zero_fraction) / rate if rate > 0 else math.inf

@@ -32,7 +32,6 @@ from .core import (
     ChannelModel,
     DecoyScheme,
     InputError,
-    ValidationError,  # unused here; callers import it from this module
 )
 from .keyrate import SessionAnalysis
 from .sim import evaluate_scheme, reference_scheme

@@ -1080,6 +1080,27 @@ class TestCalibrate:
                    for level in tally["levels"]) > 80000
 
 
+
+class TestOutputFiles:
+    ARGV = {
+        "--key-out": ["distill", "--tally", "{tally}", "--keys", "{keys}", "--seed", "5"],
+        "--out-model": ["calibrate"],
+        "--out-tally": ["calibrate"],
+        "--keys-out": ["simulate", "--pulses", "200000", "--seed", "1"],
+    }
+
+    @pytest.mark.parametrize("flag", ARGV)
+    def test_unwritable_path_names_flag_before_any_output(self, workspace, tmp_path, flag):
+        path = tmp_path / "missing" / "out"
+        argv = [arg.format(tally=workspace / "tally.json", keys=workspace / "run")
+                for arg in self.ARGV[flag]]
+        rc, out, err = run_cli(argv + [flag, str(path)])
+        assert (rc, out) == (1, "")
+        written = f"{path}.alice.X.bits" if flag == "--keys-out" else path
+        assert err.endswith(f"decoyqkd {argv[0]}: error: {flag}: cannot write {written}: "
+                            "No such file or directory\n"), err
+        assert "Traceback" not in err
+
 class TestUsage:
     def test_unknown_flag(self, workspace):
         rc, out, err = run_cli(["analyze", "--tally", str(workspace / "tally.json"), "--wat"])

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from decoyqkd.extract import (
-    _PERES_CUTOVER,
     ValidationError,
     _fft_length,
     measure_f_ds,
@@ -90,9 +89,9 @@ class TestPeresExtract:
 
 
 def _reference_peres(bits: np.ndarray, depth: int, chunks: list) -> None:
-    """The node-by-node recursion, kept as an oracle for the extractor that
-    runs small subtrees breadth-first: von Neumann bits, then the pair-XOR
-    subtree, then the agreed-values subtree."""
+    """The node-by-node recursion, kept as an oracle for the extractor,
+    which runs the whole tree breadth-first: von Neumann bits, then the
+    pair-XOR subtree, then the agreed-values subtree."""
     if depth <= 0 or bits.size < 2:
         return
     m = bits.size // 2
@@ -105,22 +104,38 @@ def _reference_peres(bits: np.ndarray, depth: int, chunks: list) -> None:
 
 
 class TestMatchesRecursion:
-    """Batching the subtrees below the cut-over changes no output bit."""
+    """The breadth-first pass emits the recursion's bits in its order, at
+    lengths on both sides of powers of two among others."""
 
-    LENGTHS = [2, 3, 7, _PERES_CUTOVER - 1, _PERES_CUTOVER, _PERES_CUTOVER + 1,
-               2 * _PERES_CUTOVER + 1, 4 * _PERES_CUTOVER - 1, 12_345, 100_000]
+    LENGTHS = [2, 3, 7, 1023, 1024, 1025, 2049, 4095, 12_345, 100_000]
+
+    @staticmethod
+    def expected(bits, depth):
+        chunks = []
+        _reference_peres(bits, depth, chunks)
+        return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint8)
 
     @pytest.mark.parametrize("n", LENGTHS)
     @pytest.mark.parametrize("depth", [1, 2, 3, 12])
     @pytest.mark.parametrize("ones", [0.5, 0.46, 0.9, 1.0])  # 1.0: a constant input
     def test_output_equals_the_recursion(self, n, depth, ones):
         bits = (np.random.default_rng(n + depth).random(n) < ones).astype(np.uint8)
-        chunks = []
-        _reference_peres(bits, depth, chunks)
-        expected = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint8)
         out = peres_extract(bits, depth).output_bits
         assert out.dtype == np.uint8
-        assert np.array_equal(out, expected)
+        assert np.array_equal(out, self.expected(bits, depth))
+
+    def test_million_bits_at_depth_12(self):
+        bits = (np.random.default_rng(7).random(1_000_000) < 0.47).astype(np.uint8)
+        assert np.array_equal(peres_extract(bits, 12).output_bits, self.expected(bits, 12))
+
+    def test_random_length_bias_and_depth(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(150):
+            n = int(rng.integers(2, 20_001))
+            depth = int(rng.integers(1, 15))
+            bits = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(np.uint8)
+            out = peres_extract(bits, depth).output_bits
+            assert np.array_equal(out, self.expected(bits, depth)), (n, depth)
 
     def test_depth_12_frozen_digest(self):
         # SHA-256 of the packed output, taken from the node-by-node recursion

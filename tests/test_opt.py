@@ -9,10 +9,9 @@ from dataclasses import replace
 
 import pytest
 
-from decoyqkd.core import ConfidenceConfig, DecoyScheme, InputError
+from decoyqkd.core import ConfidenceConfig, DecoyScheme, InputError, ValidationError
 from decoyqkd.keyrate import compose_session
 from decoyqkd.opt import (
-    ValidationError,
     curve_csv,
     evaluate_scheme,
     optimize_scheme,
