@@ -36,14 +36,17 @@ were valid but the session yields no key (infeasible bounds, zero key
 total, failed reconciliation, or a calibration that did not converge).  ``distill``
 exits 1 when reconciliation corrects another number of errors than the
 tally records, and on a residual mismatch exits 2 before any key bit is
-printed or written.
+printed or written.  A command writes all of its output files or none,
+and no output may name an input or another output.
 
 Every flag is declared once, in ``_FLAGS``, with its type, default and
 help; each subcommand in ``_COMMANDS`` lists the flags it takes.  The
 defaults are the library's (``decoyqkd.core``, ``decoyqkd.sim``).
 
 ``main`` merges a command's settings into the ``_Settings`` record its
-handler takes.  ``_Settings.name`` names a setting in every message,
+handler takes, with the files the command reads and the bytes it writes:
+a handler returns its exit status and stdout, and ``main`` writes, then
+prints.  ``_Settings.name`` names a setting in every message,
 ``InputError``s included: by its flag, or as ``--config: <field>`` when
 the config file set it (``--config: photon_cutoff: photon_cutoff must be
 >= 1, got 0``), with the path for ``--tally``, ``--scheme`` and ``--model``.
@@ -61,12 +64,12 @@ retried under ``$DECOYQKD_CONFIG_DIR`` if that variable is set.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -112,9 +115,6 @@ CONFIG_DIR_ENV = "DECOYQKD_CONFIG_DIR"
 
 #: Pulse counts must fit numpy's int64 samplers.
 _MAX_PULSES = 2**63
-
-#: Flags that name a JSON document; an input error blamed on one shows its path.
-_DOC_FLAGS = ("tally", "scheme", "model")
 
 
 class _UsageError(Exception):
@@ -263,30 +263,29 @@ def _resolve(path: str, name: str) -> Path:
     raise ValidationError(f"{name}: file not found: {path}")
 
 
-def _shown(path: str, name: str) -> str:
-    """A document path as reports and messages show it."""
-    return "<stdin>" if path == "-" else str(_resolve(path, name))
-
-
-def _load_doc(path: str, name: str) -> tuple[dict, dict]:
-    """Load a JSON document; returns (doc, reference-with-digest)."""
-    shown = _shown(path, name)
+def _load_doc(settings: _Settings, key: str, path: str) -> dict:
+    """Load the JSON object ``path`` names for setting ``key``, recording its file."""
+    name = settings.name(key)
+    shown = "<stdin>" if path == "-" else str(_resolve(path, name))
     raw = sys.stdin.buffer.read() if path == "-" else Path(shown).read_bytes()
+    settings.inputs[key] = {"path": shown, "sha256": hashlib.sha256(raw).hexdigest()}
+    if path != "-":
+        settings.read[os.path.realpath(shown)] = name
     try:
         doc = json.loads(raw)
     except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
         raise ValidationError(f"{name}: {shown} is not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{name}: {shown} must hold a JSON object")
-    return doc, {"path": shown, "sha256": hashlib.sha256(raw).hexdigest()}
+    return doc
 
 
 class _Settings(dict):
-    """A command's settings by key, with ``config``, the reference (path and
-    digest) of the config file if one was given, and ``from_config``, the
-    keys whose value that file set."""
+    """A command's settings by key, with ``from_config``, the keys the config
+    file set, and its files: ``inputs``, each input's reference (path and
+    digest, or built-in) by key; ``read``, the name of the setting that read
+    each input file, by real path; ``outputs``, the ``(key, path, bytes)`` to write."""
 
-    config: dict | None = None
     from_config: frozenset[str] = frozenset()
 
     def name(self, key: str) -> str:
@@ -300,10 +299,11 @@ class _Settings(dict):
 def _settings(args: argparse.Namespace) -> _Settings:
     """Merge the table defaults < config file < explicit flags."""
     settings = _Settings({key: _FLAGS[key].default for key in _COMMANDS[args.command].flags})
+    settings.inputs, settings.read, settings.outputs = {"config": None}, {}, []
     passed = {k: v for k, v in vars(args).items() if k not in ("handler", "command")}
     cfg_path = passed.pop("config", None)
     if cfg_path is not None:
-        doc, settings.config = _load_doc(cfg_path, settings.name("config"))
+        doc = _load_doc(settings, "config", cfg_path)
         unknown = sorted(set(doc) - set(settings))
         if unknown:
             raise ValidationError(
@@ -325,12 +325,12 @@ def _require(settings: _Settings, key: str):
     return value
 
 
-def _report(kind: str, settings: _Settings, inputs: dict, **resolved) -> dict:
-    """The head of a JSON report: its kind, input files and parameters,
-    which are every setting but the file flags, with the values a command
-    ``resolved`` from them (such as ``pulses``)."""
+def _report(kind: str, settings: _Settings, **resolved) -> dict:
+    """The head of a JSON report: its kind, the input files the command
+    read and its parameters, which are every setting but the file flags,
+    with the values a command ``resolved`` from them (such as ``pulses``)."""
     parameters = {k: v for k, v in settings.items() if k not in _PATH_FLAGS}
-    return {"kind": kind, "inputs": {**inputs, "config": settings.config},
+    return {"kind": kind, "inputs": dict(settings.inputs),
             "parameters": {**parameters, **resolved}}
 
 
@@ -339,27 +339,26 @@ def _note_report(command: str, report: dict) -> None:
     _note(f"{command}: report {json.dumps(report, sort_keys=True, separators=(',', ':'))}")
 
 
-def _read_doc(settings: _Settings, key: str, cls):
-    """Read the ``cls`` document that setting ``key`` names; returns (value, ref).
-    An error in the document is blamed on the setting and its file."""
-    doc, ref = _load_doc(settings[key], settings.name(key))
+#: Each document setting's class and built-in (None: the setting is required).
+_DOCUMENTS = {"tally": (SessionTally, None), "scheme": (DecoyScheme, reference_scheme),
+              "model": (ChannelModel, reference_model)}
+
+
+def _read(settings: _Settings, key: str):
+    """The document setting ``key`` names, or its built-in, as ``settings.inputs`` records."""
+    cls, builtin = _DOCUMENTS[key]
+    if settings[key] is None and builtin is not None:
+        settings.inputs[key] = {"builtin": "reference"}
+        return builtin()
+    doc = _load_doc(settings, key, _require(settings, key))
     try:
-        return cls.from_json(doc), ref
+        return cls.from_json(doc)
     except ValidationError as exc:
         raise InputError(key, str(exc)) from exc
 
 
-def _load_scheme(settings: _Settings) -> tuple[DecoyScheme, dict]:
-    if settings["scheme"] is None:
-        return reference_scheme(), {"builtin": "reference"}
-    return _read_doc(settings, "scheme", DecoyScheme)
-
-
-def _load_model(settings: _Settings) -> tuple[ChannelModel, dict]:
-    if settings["model"] is None:
-        model, ref = reference_model(), {"builtin": "reference"}
-    else:
-        model, ref = _read_doc(settings, "model", ChannelModel)
+def _load_model(settings: _Settings) -> ChannelModel:
+    model = _read(settings, "model")
     for key, field_name in (("distance_km", "fiber_length_km"),
                             ("detector_efficiency", "detector_efficiency")):
         value = settings.get(key)
@@ -368,18 +367,17 @@ def _load_model(settings: _Settings) -> tuple[ChannelModel, dict]:
                 model = replace(model, **{field_name: value})
             except ValidationError as exc:
                 raise InputError(key, str(exc)) from exc
-    return model, ref
+    return model
 
 
-def _load_tally(settings: _Settings) -> tuple[SessionTally, dict]:
-    _require(settings, "tally")
-    tally, ref = _read_doc(settings, "tally", SessionTally)
+def _load_tally(settings: _Settings) -> SessionTally:
+    tally = _read(settings, "tally")
     if tally.reconstructed:
         _note(
-            f"note: tally {ref['path']} was reconstructed (bare totals split 50/50 "
-            "or zeros assumed unbiased), so its per-basis counts are estimates"
+            f"note: tally {settings.inputs['tally']['path']} was reconstructed (bare totals "
+            "split 50/50 or zeros assumed unbiased), so its per-basis counts are estimates"
         )
-    return tally, ref
+    return tally
 
 
 def _epsilon(settings: _Settings, key: str) -> float:
@@ -471,20 +469,9 @@ def _key_paths(prefix: str) -> dict[tuple[str, str], Path]:
 _KEY_PADDING = bytes(c for c in range(128) if chr(c).isspace())
 
 
-def _write_bits(path: Path, bits: np.ndarray) -> None:
-    path.write_bytes(((bits != 0).view(np.uint8) + ord("0")).tobytes() + b"\n")
-
-
-@contextlib.contextmanager
-def _writing(key: str, path: Path | str):
-    """Blame a failure to write ``path`` on output setting ``key``.
-
-    Handlers write their files before printing, so such a failure leaves
-    stdout empty."""
-    try:
-        yield
-    except OSError as exc:
-        raise InputError(key, f"cannot write {path}: {exc.strerror or exc}") from None
+def _encode_bits(bits: np.ndarray) -> bytes:
+    """A key file's bytes: an ASCII ``0`` or ``1`` per bit, then a newline."""
+    return ((bits != 0).view(np.uint8) + ord("0")).tobytes() + b"\n"
 
 
 def _read_bits(path: Path, name: str) -> tuple[np.ndarray, str]:
@@ -497,38 +484,60 @@ def _read_bits(path: Path, name: str) -> tuple[np.ndarray, str]:
     return bits, hashlib.sha256(raw).hexdigest()
 
 
+def _write_all(settings: _Settings) -> None:
+    """Write every file in ``settings.outputs`` or none: each is staged beside
+    its target, in order, and renamed onto it once all are staged.  No output
+    may name an input, another output or an existing non-regular file."""
+    taken, targets, staged = dict(settings.read), [], []
+    for key, path, _ in settings.outputs:
+        target = os.path.realpath(path)
+        if target in taken:
+            raise InputError(key, f"cannot write {path}: {taken[target]} names it too")
+        if os.path.exists(target) and not os.path.isfile(target):
+            raise InputError(key, f"cannot write {path}: not a regular file")
+        taken[target] = settings.name(key)
+        targets.append(target)
+    try:
+        for (key, path, data), target in zip(settings.outputs, targets):
+            with open(f"{target}.{os.getpid()}.partial", "xb") as out:
+                staged.append(out.name)
+                out.write(data)
+            if os.path.exists(target):  # keep its permissions, as writing into it would
+                shutil.copymode(target, out.name)
+    except OSError as exc:
+        for name in staged:
+            os.remove(name)
+        raise InputError(key, f"cannot write {path}: {exc.strerror or exc}") from None
+    for name, target in zip(staged, targets):
+        os.replace(name, target)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(settings: _Settings) -> int:
+def _cmd_simulate(settings: _Settings) -> tuple[int, str]:
     seed = _require(settings, "seed")
-    scheme, scheme_ref = _load_scheme(settings)
-    model, model_ref = _load_model(settings)
+    scheme = _read(settings, "scheme")
+    model = _load_model(settings)
     pulses = _resolve_pulses(settings, model, scheme, required=True)
 
     tally, keys = simulate_session(
         model, scheme, pulses, seed, zero_bias=settings["zero_bias"]
     )
 
-    prefix = settings["keys_out"]
-    if prefix is not None:
-        for (side, basis), path in _key_paths(prefix).items():
-            source = keys.alice if side == "alice" else keys.bob
-            with _writing("keys_out", path):
-                _write_bits(path, source[basis])
-        _note(f"raw keys written under prefix {prefix!r}")
+    if settings["keys_out"] is not None:
+        for (side, basis), path in _key_paths(settings["keys_out"]).items():
+            settings.outputs.append(("keys_out", path, _encode_bits(getattr(keys, side)[basis])))
 
     _note(
         f"simulate: seed {seed}, {pulses} pulses, "
         f"detections {[lv.detected_total() for lv in tally.levels]}, "
         f"sifted {[tally.sifted_total(b) for b in BASES]} (X, Z)"
     )
-    _note_report("simulate", _report("simulate_report", settings,
-                                     {"scheme": scheme_ref, "model": model_ref}, pulses=pulses))
-    print(dumps(tally))
-    return 0
+    _note_report("simulate", _report("simulate_report", settings, pulses=pulses))
+    return 0, dumps(tally) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -536,30 +545,28 @@ def _cmd_simulate(settings: _Settings) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_analyze(settings: _Settings) -> int:
-    tally, tally_ref = _load_tally(settings)
-    scheme, scheme_ref = _load_scheme(settings)
+def _cmd_analyze(settings: _Settings) -> tuple[int, str]:
+    tally = _load_tally(settings)
+    scheme = _read(settings, "scheme")
     config = _confidence(settings)
 
     budget = {key: settings[key] for key in ("f_ec", "f_ds")}
     budget["pa_epsilon"] = _epsilon(settings, "pa_epsilon")
     analysis = compose_session(tally, scheme, config, **budget)
 
-    report = _report("analysis_report", settings,
-                     {"tally": tally_ref, "scheme": scheme_ref})
-    print(dumps({**report, "analysis": analysis.to_json()}))
+    text = dumps({**_report("analysis_report", settings), "analysis": analysis.to_json()}) + "\n"
 
     if not analysis.feasible:
         _note("analyze: decoy bounds infeasible for this tally")
-        return 2
+        return 2, text
     _note(
         f"analyze: key total {analysis.total_tight} (tight) / "
         f"{analysis.total_worst} (worst-case), y1 lower {analysis.bounds.y1_lower:.3e}"
     )
     if analysis.total_tight == 0:
         _note("analyze: zero-key outcome")
-        return 2
-    return 0
+        return 2, text
+    return 0, text
 
 
 # ---------------------------------------------------------------------------
@@ -567,39 +574,32 @@ def _cmd_analyze(settings: _Settings) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_distill(settings: _Settings) -> int:
-    tally, tally_ref = _load_tally(settings)
-    scheme, scheme_ref = _load_scheme(settings)
+def _cmd_distill(settings: _Settings) -> tuple[int, str]:
+    tally = _load_tally(settings)
+    scheme = _read(settings, "scheme")
     config = _confidence(settings)
     pa_epsilon = _epsilon(settings, "pa_epsilon")
     seed = _require(settings, "seed")
     keys: dict[str, dict[str, np.ndarray]] = {"alice": {}, "bob": {}}
-    digests: dict[str, str] = {}
+    digests = settings.inputs["key_files_sha256"] = {}
     for (side, basis), path in _key_paths(_require(settings, "keys")).items():
         keys[side][basis], digests[path.name] = _read_bits(path, settings.name("keys"))
+        settings.read[os.path.realpath(path)] = settings.name("keys")
 
     result = distill_session(
         tally, scheme, keys["alice"], keys["bob"], config, seed=seed,
         depth=settings["depth"], variant=settings["variant"], pa_epsilon=pa_epsilon,
     )
-    key_out = settings["key_out"]
-    if key_out is not None and result.analysis is not None:  # None: aborted, no key
-        with _writing("key_out", key_out):
-            Path(key_out).write_bytes(result.final_key_bytes())
-    print(dumps({
-        **_report("distill_report", settings,
-                  {"tally": tally_ref, "scheme": scheme_ref, "key_files_sha256": digests}),
-        **result.to_json(),
-    }))
+    if settings["key_out"] is not None and result.analysis is not None:  # None: aborted, no key
+        settings.outputs.append(("key_out", settings["key_out"], result.final_key_bytes()))
+    text = dumps({**_report("distill_report", settings), **result.to_json()}) + "\n"
     if result.residual:
         _note("distill: residual mismatch survived reconciliation; aborted, no key emitted")
-        return 2
+        return 2, text
     if result.analysis is None:
         _note("distill: deskew produced no output bits")
-        return 2
+        return 2, text
 
-    if key_out is not None:
-        _note(f"final key bytes written to {key_out}")
     for basis, entry in result.bases.items():
         if entry["final_length"] < entry["n_secret"]:
             _note(
@@ -619,8 +619,8 @@ def _cmd_distill(settings: _Settings) -> int:
     )
     if result.final_key.size == 0:
         _note("distill: zero-key outcome")
-        return 2
-    return 0
+        return 2, text
+    return 0, text
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +628,9 @@ def _cmd_distill(settings: _Settings) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_optimize(settings: _Settings) -> int:
-    model, model_ref = _load_model(settings)
-    scheme, scheme_ref = _load_scheme(settings)
+def _cmd_optimize(settings: _Settings) -> tuple[int, str]:
+    model = _load_model(settings)
+    scheme = _read(settings, "scheme")
     pulses = _resolve_pulses(settings, model, scheme)
 
     result = optimize_scheme(
@@ -645,8 +645,7 @@ def _cmd_optimize(settings: _Settings) -> int:
 
     analysis = result.analysis
     report = {
-        **_report("optimize_report", settings,
-                  {"model": model_ref, "initial_scheme": scheme_ref}, pulses=pulses),
+        **_report("optimize_report", settings, pulses=pulses),
         "scheme": result.scheme.to_json(),
         "n_secret_tight": analysis.total_tight,
         "n_secret_worst": analysis.total_worst,
@@ -654,7 +653,8 @@ def _cmd_optimize(settings: _Settings) -> int:
         "evaluations": len(result.trace),
         "trace": list(result.trace) if settings["trace"] else None,
     }
-    print(dumps(report))
+    report["inputs"]["initial_scheme"] = report["inputs"].pop("scheme")
+    text = dumps(report) + "\n"
     _note(
         f"optimize: {len(result.trace)} evaluations, best scheme "
         f"mus={tuple(round(m, 6) for m in result.scheme.mus)} "
@@ -662,12 +662,12 @@ def _cmd_optimize(settings: _Settings) -> int:
     )
     if analysis.total_tight == 0:
         _note("optimize: every candidate yields a zero key at this operating point")
-        return 2
+        return 2, text
     _note(
         f"optimize: key total {analysis.total_tight} (tight) / "
         f"{analysis.total_worst} (worst-case)"
     )
-    return 0
+    return 0, text
 
 
 # ---------------------------------------------------------------------------
@@ -689,9 +689,9 @@ resolution; the two range endpoints are printed to stderr.
 """
 
 
-def _cmd_curve(settings: _Settings) -> int:
-    model, model_ref = _load_model(settings)
-    scheme, scheme_ref = _load_scheme(settings)
+def _cmd_curve(settings: _Settings) -> tuple[int, str]:
+    model = _load_model(settings)
+    scheme = _read(settings, "scheme")
     pulses = _resolve_pulses(settings, model, scheme)
     distances = _parse_distances(settings["distances"])
 
@@ -706,9 +706,8 @@ def _cmd_curve(settings: _Settings) -> int:
         **_evaluation(settings),
     )
 
-    sys.stdout.write(curve_csv(curve))
-    _note_report("curve", _report("curve_report", settings,
-                                  {"model": model_ref, "scheme": scheme_ref}, pulses=pulses))
+    text = curve_csv(curve)
+    _note_report("curve", _report("curve_report", settings, pulses=pulses))
     tight = curve.range_tight_km
     worst = curve.range_worst_km
     _note(
@@ -719,8 +718,8 @@ def _cmd_curve(settings: _Settings) -> int:
     )
     if tight is None:
         _note("curve: zero key everywhere on the grid")
-        return 2
-    return 0
+        return 2, text
+    return 0, text
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +727,7 @@ def _cmd_curve(settings: _Settings) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_calibrate(settings: _Settings) -> int:
+def _cmd_calibrate(settings: _Settings) -> tuple[int, str]:
     # Session totals left unset fall back to the library's reference session.
     totals = {
         param: settings[key]
@@ -740,12 +739,9 @@ def _cmd_calibrate(settings: _Settings) -> int:
     result = calibrate_to_reference(**_evaluation(settings), **totals)
 
     for key, obj in (("out_model", result.model), ("out_tally", result.tally)):
-        path = settings[key]
-        if path is not None:
-            with _writing(key, path):
-                Path(path).write_text(dumps(obj) + "\n")
-            _note(f"{key.replace('_', ' ')} written to {path}")
-    print(dumps({**_report("calibration_report", settings, {}), **result.to_json()}))
+        if settings[key] is not None:
+            settings.outputs.append((key, settings[key], (dumps(obj) + "\n").encode()))
+    text = dumps({**_report("calibration_report", settings), **result.to_json()}) + "\n"
 
     diag = result.diagnostics
     _note(
@@ -760,8 +756,8 @@ def _cmd_calibrate(settings: _Settings) -> int:
     )
     if not diag.get("converged", False):
         _note("calibrate: fit did not converge; inspect the diagnostics block")
-        return 2
-    return 0
+        return 2, text
+    return 0, text
 
 
 # ---------------------------------------------------------------------------
@@ -879,15 +875,19 @@ def main(argv=None) -> int:
         return 1
     try:
         settings = _settings(args)
-        return args.handler(settings)
+        status, text = args.handler(settings)
+        _write_all(settings)
     except (ValidationError, ValueError, OSError) as exc:
         message = str(exc)
-        if isinstance(exc, InputError):  # raised by a handler, so settings exist
-            name = settings.name(exc.input_name)
-            path = settings.get(exc.input_name) if exc.input_name in _DOC_FLAGS else None
-            message = f"{name}: {exc}" if path is None else f"{name}: {_shown(path, name)} {exc}"
+        if isinstance(exc, InputError):  # raised after _settings, so settings exist
+            path = (settings.inputs.get(exc.input_name) or {}).get("path")
+            message = f"{settings.name(exc.input_name)}: {f'{path} ' if path else ''}{exc}"
         _note(f"decoyqkd {args.command}: error: {message}")
         return 1
+    for key, path, _ in settings.outputs:
+        _note(f"{args.command}: wrote {path} ({settings.name(key)})")
+    sys.stdout.write(text)
+    return status
 
 
 if __name__ == "__main__":

@@ -192,8 +192,8 @@ def expected_tally(
     scheme: DecoyScheme,
     pulses: int,
     *,
-    sift_ratio: float = 0.5,
-    zero_fraction: float = 0.5,
+    sift_ratio: float,
+    zero_fraction: float,
 ) -> SessionTally:
     """Deterministic tally built from expected counts (no sampling).
 

@@ -48,8 +48,8 @@ def binomial_lower(k: float, n: float, epsilon: float) -> float:
     k <= 0 the bound is 0 (no count can certify a positive rate).
 
     ``k`` may be non-integral: the bound interpolates smoothly through the
-    beta quantile, which is what the deterministic expected-count evaluator
-    in the optimizer relies on.
+    beta quantile.  Every package caller passes an observed count, since
+    ``sim.expected_tally`` rounds each expected count too.
     """
     _check_count_args(k, n, epsilon)
     if k <= 0.0:

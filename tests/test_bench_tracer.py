@@ -96,7 +96,8 @@ def test_expected_tally_solves_one_b1_lp(spans):
     from decoyqkd import keyrate, sim
 
     scheme = sim.reference_scheme()
-    tally = sim.expected_tally(sim.reference_model(25.0), scheme, 20_000_000)
+    tally = sim.expected_tally(sim.reference_model(25.0), scheme, 20_000_000,
+                               sift_ratio=0.5, zero_fraction=0.5)
     with spans.Tracer() as tracer:
         tracer.recording = True
         analysis = keyrate.compose_session(

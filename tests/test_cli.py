@@ -680,7 +680,7 @@ class TestKeyFiles:
     def test_round_trip(self, tmp_path):
         bits = np.random.default_rng(1).integers(0, 2, 10_000, dtype=np.uint8)
         path = tmp_path / "k.bits"
-        cli._write_bits(path, bits)
+        path.write_bytes(cli._encode_bits(bits))
         assert path.read_bytes() == "".join(map(str, bits)).encode() + b"\n"
         read, digest = cli._read_bits(path, "--keys")
         assert read.dtype == np.uint8
@@ -1100,6 +1100,57 @@ class TestOutputFiles:
         assert err.endswith(f"decoyqkd {argv[0]}: error: {flag}: cannot write {written}: "
                             "No such file or directory\n"), err
         assert "Traceback" not in err
+
+    def test_failed_write_leaves_earlier_outputs_unwritten(self, tmp_path):
+        model = tmp_path / "m.json"
+        tally = tmp_path / "missing" / "t.json"
+        rc, out, err = run_cli(["calibrate", "--out-model", str(model), "--out-tally", str(tally)])
+        assert (rc, out) == (1, "")
+        assert err.endswith(f"error: --out-tally: cannot write {tally}: "
+                            "No such file or directory\n"), err
+        assert os.listdir(tmp_path) == []
+        model.write_bytes(b"kept")
+        assert run_cli(["calibrate", "--out-model", str(model), "--out-tally", str(tally)])[0] == 1
+        assert model.read_bytes() == b"kept"
+        assert os.listdir(tmp_path) == ["m.json"]
+
+    def test_last_key_file_unwritable_leaves_no_key_file(self, tmp_path):
+        prefix = tmp_path / "P"
+        (tmp_path / "P.bob.Z.bits").mkdir()
+        rc, out, err = run_cli(self.ARGV["--keys-out"] + ["--keys-out", str(prefix)])
+        assert (rc, out) == (1, "")
+        assert err.endswith(f"error: --keys-out: cannot write {prefix}.bob.Z.bits: "
+                            "not a regular file\n"), err
+        assert os.listdir(tmp_path) == ["P.bob.Z.bits"]
+
+    def test_output_naming_an_input_is_refused(self, workspace, tmp_path):
+        tally = tmp_path / "tally.json"
+        shutil.copy(workspace / "tally.json", tally)
+        rc, out, err = run_cli(["distill", "--tally", str(tally), "--keys", str(workspace / "run"),
+                                "--seed", "5", "--key-out", str(tally)])
+        assert (rc, out) == (1, "")
+        assert err.endswith(f"error: --key-out: cannot write {tally}: --tally names it too\n"), err
+        assert tally.read_bytes() == (workspace / "tally.json").read_bytes()
+
+    def test_output_naming_another_output_is_refused(self, tmp_path):
+        path = tmp_path / "x.json"
+        rc, out, err = run_cli(["calibrate", "--out-model", str(path), "--out-tally", str(path)])
+        assert (rc, out) == (1, "")
+        assert err.endswith(f"error: --out-tally: cannot write {path}: --out-model names it too\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_rewritten_output_keeps_its_permissions(self, workspace, tmp_path):
+        key = tmp_path / "final.bin"
+        key.write_bytes(b"")
+        key.chmod(0o600)
+        rc, _, err = run_cli(["distill", "--tally", str(workspace / "tally.json"),
+                              "--keys", str(workspace / "run"), "--seed", "5",
+                              "--key-out", str(key)])
+        assert rc == 0
+        assert err.endswith(f"distill: wrote {key} (--key-out)\n"), err
+        assert key.stat().st_size > 0
+        assert key.stat().st_mode & 0o777 == 0o600
+
 
 class TestUsage:
     def test_unknown_flag(self, workspace):

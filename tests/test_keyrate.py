@@ -331,7 +331,8 @@ class TestComposeSession:
 
     @pytest.mark.parametrize("f_ec", [1e308, math.inf])
     def test_unbounded_f_ec_gives_zero_key(self, f_ec):
-        tally = expected_tally(reference_model(25.0), reference_scheme(), 20_000_000)
+        tally = expected_tally(reference_model(25.0), reference_scheme(), 20_000_000,
+                               sift_ratio=0.5, zero_fraction=0.5)
         analysis = compose_session(tally, reference_scheme(), f_ec=f_ec)
         assert (analysis.total_tight, analysis.total_worst) == (0, 0)
 

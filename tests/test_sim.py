@@ -128,7 +128,8 @@ class TestExpectedTally:
 
     def test_split_by_send_probabilities(self):
         scheme = reference_scheme()
-        tally = expected_tally(reference_model(25.0), scheme, 1_000_000)
+        tally = expected_tally(reference_model(25.0), scheme, 1_000_000,
+                               sift_ratio=0.5, zero_fraction=0.5)
         sents = [level.sent for level in tally.levels]
         assert sum(sents) == 1_000_000
         for sent, prob in zip(sents, scheme.send_probs):
@@ -136,7 +137,8 @@ class TestExpectedTally:
 
     def test_zero_counts_follow_requested_fraction(self):
         tally = expected_tally(
-            reference_model(25.0), reference_scheme(), 2_000_000, zero_fraction=0.3
+            reference_model(25.0), reference_scheme(), 2_000_000,
+            sift_ratio=0.5, zero_fraction=0.3,
         )
         for basis in ("X", "Z"):
             sifted = sum(level.sifted[basis] for level in tally.levels)
@@ -144,7 +146,8 @@ class TestExpectedTally:
 
     def test_rejects_negative_pulses(self):
         with pytest.raises(ValidationError):
-            expected_tally(reference_model(), reference_scheme(), -5)
+            expected_tally(reference_model(), reference_scheme(), -5,
+                           sift_ratio=0.5, zero_fraction=0.5)
 
 
 class TestSimulateSession:
@@ -155,7 +158,7 @@ class TestSimulateSession:
         scheme = reference_scheme()
         pulses = 10_000_000
         tally, _ = simulate_session(model, scheme, pulses, 99)
-        expectation = expected_tally(model, scheme, pulses)
+        expectation = expected_tally(model, scheme, pulses, sift_ratio=0.5, zero_fraction=0.5)
         for j in range(scheme.n_levels):
             sent = expectation.levels[j].sent
             p = expectation.levels[j].detected_total() / sent
