@@ -24,13 +24,24 @@ searching them one by one: pass 1 has no earlier pass for a flip to
 cascade into and its blocks are disjoint, so no search changes another's
 parities, and the messages are put back in block-major order (each
 block's top parity, then its left halves level by level), the order in
-which a block-by-block loop sends them.  Passes 2 onward run the
-sequential cascade.
+which a block-by-block loop sends them.  Its messages stay numpy arrays
+inside the transcript until they are read.  Passes 2 onward run the
+sequential cascade over the blocks that are odd when the pass starts.
+Any other block is still even when the loop reaches it, since a flip
+that makes it odd has it searched at once; so the loop sends the
+top-level parities between two odd blocks as one run, skipping any that
+a cascade already sent ahead.
 
-Each pass is one record holding its shuffle, Alice's prefix parities
-with the intervals already sent, and Bob's block parities.  A flip found
-by a later pass updates Bob's parities in every record and checks each
-block it changed in the other passes against Alice's parity.
+Each pass is one record.  At set-up it takes both sides' block
+parities, with one ``reduceat`` each, and keeps Bob's key in its own
+order as bytes that every flip updates; pass 1, the identity, gathers
+neither key.  Alice's prefix parities, which a search reads, and the
+inverse shuffle, which a flip needs, are built on first use, so a pass
+that never searches or is never flipped into builds neither.  A byte
+mask over interval ends marks the parities already sent.  A flip found
+by a later pass updates Bob's bits and parities in every record and
+checks each block it changed in the other passes against Alice's
+parity.
 
 :func:`distill_session` runs the whole post-processing of one session
 here, beside the limits it enforces: reconciliation, deskewing, the key
@@ -40,10 +51,11 @@ budget with the measured factors, and hashing.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import repeat, starmap
+from itertools import chain, repeat, starmap
 
 import numpy as np
 
@@ -90,24 +102,32 @@ class ParityMessage:
 
 
 class _Transcript(Sequence):
-    """Read-only sequence of ``ParityMessage`` over ``(pass, start, stop,
-    parity)`` records; each message is built when it is read."""
+    """Read-only sequence of ``ParityMessage``: pass 1's messages as
+    ``(start, stop, parity)`` arrays, then the later ones as ``(pass,
+    start, stop, parity)`` records; each message is built when it is read."""
 
-    __slots__ = ("_records",)
+    __slots__ = ("_first", "_later")
 
-    def __init__(self, records: tuple[tuple[int, int, int, int], ...]) -> None:
-        self._records = records
+    def __init__(self, first: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 later: tuple[tuple[int, int, int, int], ...]) -> None:
+        self._first, self._later = first, later
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._first[0].size + len(self._later)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(starmap(ParityMessage, self._records[index]))
-        return ParityMessage(*self._records[index])
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        i = range(len(self))[index]  # a non-negative index, or IndexError
+        start, stop, parity = self._first
+        if i >= start.size:
+            return ParityMessage(*self._later[i - start.size])
+        return ParityMessage(1, start.item(i), stop.item(i), parity.item(i))
 
     def __iter__(self):
-        return starmap(ParityMessage, self._records)
+        start, stop, parity = (column.tolist() for column in self._first)
+        return chain(starmap(ParityMessage, zip(repeat(1), start, stop, parity)),
+                     starmap(ParityMessage, self._later))
 
 
 @dataclass(frozen=True)
@@ -156,111 +176,159 @@ def _prefix_parity(bits: np.ndarray) -> np.ndarray:
 
 
 class _Pass:
-    """One CASCADE pass: its shuffle, Alice's parities with the intervals
-    already sent, and Bob's block parities.
+    """One CASCADE pass: its shuffle, both keys in its order, both sides'
+    block parities, and the intervals Alice has already sent.
 
-    ``perm[slot]`` is the key bit at ``slot`` in the pass's order and
-    ``pos`` its inverse.  ``prefix`` is Alice's prefix-parity array, read
-    one entry at a time with ``item``, so a query is O(1).  Every interval
-    asked for is a block, or the left half of a node in that block's
-    bisection tree, which ends at the node's midpoint.  No two nodes share
-    a midpoint and none falls on a block boundary, so ``known`` holds the
-    ends of the intervals already transmitted.  A query on any other
-    interval is transmitted: appended to the shared ``records`` as a
-    ``(pass, start, stop, parity)`` tuple.  ``bob_blocks[b]`` is the
-    parity of Bob's block b, kept up to date by every flip.
+    ``perm[slot]`` is the key bit at ``slot`` in the pass's order.  Pass 1
+    is the identity, so it gathers neither key and ``pos``, the inverse
+    of ``perm``, is ``perm`` itself.  ``bob`` is Bob's key in the pass's
+    order, a ``bytearray`` that every flip updates (pass 1's is the
+    corrected key itself), so a search counts a half's ones in place.
+    ``alice_blocks[b]`` and ``bob_blocks[b]`` are the two sides' parities
+    of block b, taken at set-up with one ``reduceat`` each; ``odd`` lists
+    the blocks where they differ then, and every flip keeps
+    ``bob_blocks`` up to date.  Two tables are built on first use: ``pos``
+    when a flip first lands in the pass, and ``prefix``, the bytes of
+    Alice's prefix parities, when a search first needs it.
+
+    The pass's own loop has sent the top-level parities of the blocks
+    below ``cursor``.  Any other interval asked for is a block, or the left
+    half of a node in that block's bisection tree, which ends at the
+    node's midpoint.  No two nodes share a midpoint and none falls on a
+    block boundary, so the byte mask ``known`` marks the ends of the
+    intervals already transmitted.  A query on any other interval is
+    transmitted: appended to the shared ``records`` as a ``(pass, start,
+    stop, parity)`` tuple.
     """
 
-    __slots__ = ("index", "perm", "pos", "k", "prefix", "known", "bob_blocks", "records")
+    __slots__ = ("index", "perm", "pos", "k", "n", "alice", "bob", "prefix", "alice_blocks",
+                 "bob_blocks", "odd", "cursor", "known", "records")
 
-    def __init__(self, index: int, perm: np.ndarray, k: int, alice: np.ndarray,
-                 bob: np.ndarray, records: list) -> None:
-        n = perm.size
-        self.index, self.perm, self.k, self.records = index, perm, k, records
-        self.pos = np.empty(n, dtype=np.int32)
-        self.pos[perm] = np.arange(n, dtype=np.int32)
-        self.prefix = _prefix_parity(alice[perm])
-        self.known: set[int] = set()
-        self.bob_blocks = np.bitwise_xor.reduceat(bob[perm], np.arange(0, n, k)).tolist()
+    def __init__(self, index: int, perm: np.ndarray | None, k: int, alice: np.ndarray,
+                 bob: bytearray, records: list) -> None:
+        n = alice.size
+        if perm is None:
+            self.perm = self.pos = np.arange(n)
+        else:
+            self.perm, self.pos = perm, None
+            alice, bob = alice[perm], bytearray(np.frombuffer(bob, dtype=np.uint8)[perm])
+        starts = np.arange(0, n, k)
+        alice_blocks = np.bitwise_xor.reduceat(alice, starts)
+        bob_blocks = np.bitwise_xor.reduceat(np.frombuffer(bob, dtype=np.uint8), starts)
+        self.odd = np.flatnonzero(alice_blocks != bob_blocks)
+        self.alice_blocks, self.bob_blocks = alice_blocks.tolist(), bob_blocks.tolist()
+        self.index, self.k, self.n, self.alice, self.bob = index, k, n, alice, bob
+        self.records = records
+        self.prefix = None
+        self.cursor = 0
+        self.known = bytearray(n + 1)
 
-    def parity(self, lo: int, hi: int) -> int:
-        """Parity of Alice's interval [lo, hi), transmitting it if needed."""
-        prefix = self.prefix
-        value = prefix.item(hi) ^ prefix.item(lo)
-        if hi not in self.known:
-            self.known.add(hi)
-            self.records.append((self.index, lo, hi, value))
+    def slot(self, g: int) -> int:
+        """Position of key bit ``g`` in the pass's order."""
+        if self.pos is None:
+            self.pos = np.empty(self.n, dtype=np.int32)
+            self.pos[self.perm] = np.arange(self.n, dtype=np.int32)
+        return self.pos.item(g)
+
+    def top(self, b: int) -> int:
+        """Alice's parity of block b, transmitting it if it is not on record."""
+        value = self.alice_blocks[b]
+        if b >= self.cursor:
+            lo = b * self.k
+            hi = min(lo + self.k, self.n)
+            if not self.known[hi]:
+                self.known[hi] = 1
+                self.records.append((self.index, lo, hi, value))
         return value
 
-    def locate(self, lo: int, hi: int, bob_running: np.ndarray) -> int:
-        """Binary-search block [lo, hi), which holds an odd number of
-        errors, down to one slot, and return that slot.
+    def send_blocks(self, stop: int) -> None:
+        """Transmit the top-level parities of blocks ``cursor`` .. ``stop - 1``
+        in block order, skipping any a cascade already sent, and move the
+        cursor to ``stop``."""
+        k, n, known, records, index, values = (self.k, self.n, self.known, self.records,
+                                               self.index, self.alice_blocks)
+        for b in range(self.cursor, stop):
+            lo = b * k
+            hi = min(lo + k, n)
+            if not known[hi]:
+                records.append((index, lo, hi, values[b]))
+        self.cursor = stop
 
-        ``bob_running[i]`` is the parity of the block's own first i + 1
-        bits.  Only the parity of the left half is ever requested at each
-        level, through the same cache and record as :meth:`parity`.
+    def locate(self, b: int) -> int:
+        """Binary-search block b, which holds an odd number of errors, down
+        to one slot, and return that slot.
+
+        Only the parity of the left half is ever requested at each level,
+        through the same mask and record as :meth:`top`.
         """
-        prefix, known, records, sent = self.prefix, self.known, self.records, self.index
-        base, a_lo, b_lo = lo, prefix.item(lo), 0
+        lo = b * self.k
+        hi = min(lo + self.k, self.n)
+        prefix = self.prefix
+        if prefix is None:
+            prefix = self.prefix = _prefix_parity(self.alice).tobytes()
+        bob, known, records, sent = self.bob, self.known, self.records, self.index
+        a_lo = prefix[lo]
         while hi - lo > 1:
             mid = (lo + hi) >> 1
-            a_mid = prefix.item(mid)
-            if mid not in known:
-                known.add(mid)
+            a_mid = prefix[mid]
+            if not known[mid]:
+                known[mid] = 1
                 records.append((sent, lo, mid, a_mid ^ a_lo))
-            b_mid = bob_running.item(mid - base - 1)
-            if a_mid ^ a_lo != b_mid ^ b_lo:
+            if a_mid ^ a_lo != bob.count(1, lo, mid) & 1:
                 hi = mid
             else:
-                lo, a_lo, b_lo = mid, a_mid, b_mid
+                lo, a_lo = mid, a_mid
         return lo
 
-    def search_all(self, bob: np.ndarray) -> int:
+    def search_all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Search every odd block at once, flip the bit located in each,
-        and return the number of flips.
+        and return the pass's messages as ``(start, stop, parity)`` arrays.
 
-        Valid for the first pass only, which has no earlier pass to
-        cascade into: its blocks are disjoint and no bit is flipped until
-        every search is done, so Bob's prefix table is taken once.  The
-        messages are recorded in block-major order, as a block-by-block
-        search sends them.
+        Valid for pass 1 only, which has no earlier pass to cascade into
+        and is the identity: its blocks are disjoint and no bit is flipped
+        until every search is done, so Bob's prefix table is taken once.
+        The messages are in block-major order, as a block-by-block search
+        sends them.
         """
-        n, k, pa = bob.size, self.k, self.prefix
-        pb = _prefix_parity(bob[self.perm])
+        n, k = self.n, self.k
         lo = np.arange(0, n, k)
         hi = np.minimum(lo + k, n)
-        top = pa[hi] ^ pa[lo]
         # one entry per transmitted parity: block, search level, interval, value
         block, level = [np.arange(lo.size)], [np.zeros(lo.size, dtype=np.int64)]
-        start, stop, parity = [lo], [hi], [top]
+        start, stop = [lo], [hi]
+        parity = [np.array(self.alice_blocks, dtype=np.uint8)]
 
-        odd = np.flatnonzero(top != (pb[hi] ^ pb[lo]))
-        lo, hi = lo[odd], hi[odd]
-        live = np.flatnonzero(hi - lo > 1)
-        depth = 0
-        while live.size:
-            depth += 1
-            l, h = lo[live], hi[live]
-            mid = (l + h) // 2
-            left = pa[mid] ^ pa[l]
-            block.append(odd[live])
-            level.append(np.full(live.size, depth))
-            start.append(l)
-            stop.append(mid)
-            parity.append(left)
-            go_left = left != (pb[mid] ^ pb[l])
-            lo[live] = np.where(go_left, l, mid)
-            hi[live] = np.where(go_left, mid, h)
-            live = live[hi[live] - lo[live] > 1]
+        odd = self.odd
+        if odd.size:
+            pa = _prefix_parity(self.alice)
+            bob = np.frombuffer(self.bob, dtype=np.uint8)
+            pb = _prefix_parity(bob)
+            lo, hi = lo[odd], hi[odd]
+            live = np.flatnonzero(hi - lo > 1)
+            depth = 0
+            while live.size:
+                depth += 1
+                l, h = lo[live], hi[live]
+                mid = (l + h) // 2
+                left = pa[mid] ^ pa[l]
+                block.append(odd[live])
+                level.append(np.full(live.size, depth))
+                start.append(l)
+                stop.append(mid)
+                parity.append(left)
+                go_left = left != (pb[mid] ^ pb[l])
+                lo[live] = np.where(go_left, l, mid)
+                hi[live] = np.where(go_left, mid, h)
+                live = live[hi[live] - lo[live] > 1]
+            bob[lo] ^= 1
+            self.prefix = pa.tobytes()
 
         order = np.lexsort((np.concatenate(level), np.concatenate(block)))
-        stop = np.concatenate(stop)[order].tolist()
-        self.records.extend(zip(repeat(self.index), np.concatenate(start)[order].tolist(),
-                                stop, np.concatenate(parity)[order].tolist()))
-        self.known.update(stop)
-        bob[self.perm[lo]] ^= 1
-        self.bob_blocks = top.tolist()  # every block now matches Alice's parity
-        return int(lo.size)
+        start, stop, parity = (np.concatenate(column)[order] for column in (start, stop, parity))
+        np.frombuffer(self.known, dtype=np.uint8)[stop] = 1
+        self.cursor = len(self.alice_blocks)
+        self.bob_blocks = self.alice_blocks.copy()  # every block now matches Alice's parity
+        return start, stop, parity
 
 
 def cascade_reconcile(
@@ -273,8 +341,9 @@ def cascade_reconcile(
 
     Pass 1 searches every odd block at once; since it cannot cascade and
     its messages keep block-major order, the result is the one a
-    block-by-block search gives.  Passes 2 onward cascade each flip back
-    into the earlier passes, one block at a time.
+    block-by-block search gives.  Passes 2 onward visit the blocks that
+    are odd when the pass starts and cascade each flip back into the
+    earlier passes, one block at a time.
 
     Parameters
     ----------
@@ -285,8 +354,9 @@ def cascade_reconcile(
         first-pass block size to ``ceil(0.73 / estimated_qber)``; each of
         the up to 3 later passes doubles it and reshuffles the key.
     rng_seed : int
-        Seed for the shared shuffles.  Both parties must use the same
-        seed; runs are bit-for-bit reproducible.
+        Seed for the shared shuffles, a non-negative integer (Python or
+        numpy).  Both parties must use the same seed; runs are bit-for-bit
+        reproducible.
 
     Returns
     -------
@@ -295,70 +365,75 @@ def cascade_reconcile(
     Raises
     ------
     ValidationError
-        On length mismatch, keys shorter than 64 bits, or an error-rate
-        estimate outside (0, 0.25].
+        On length mismatch or keys shorter than 64 bits; naming
+        ``estimated_qber`` when it is not a real number (a bool or a
+        string) or lies outside (0, 0.25]; naming ``rng_seed`` when it is
+        negative, a bool or not an integer (such as 1.5 or "3").
     """
     alice = _as_bits(alice_key, "alice_key")
-    bob = _as_bits(bob_key, "bob_key").copy()  # corrected in place
+    corrected = bytearray(_as_bits(bob_key, "bob_key").tobytes())  # flipped in place
+    bob = np.frombuffer(corrected, dtype=np.uint8)
     if alice.size != bob.size:
         raise ValidationError("keys must have equal length")
     n = alice.size
     if n < _MIN_BITS:
         raise ValidationError(f"keys must be at least {_MIN_BITS} bits long")
+    if isinstance(estimated_qber, bool) or not isinstance(estimated_qber, numbers.Real):
+        raise ValidationError(f"estimated_qber must be a real number, got {estimated_qber!r}")
     if not 0.0 < estimated_qber <= _MAX_QBER:
         raise ValidationError(f"estimated_qber must lie in (0, {_MAX_QBER}]")
+    if (isinstance(rng_seed, bool) or not isinstance(rng_seed, numbers.Integral)
+            or rng_seed < 0):
+        raise ValidationError(f"rng_seed must be a non-negative integer, got {rng_seed!r}")
 
     rng = np.random.default_rng(rng_seed)
     k1 = max(2, int(np.ceil(_BLOCK_SIZE_FACTOR / estimated_qber)))
     records: list[tuple[int, int, int, int]] = []
-    passes = [_Pass(1, np.arange(n), min(n, k1), alice, bob, records)]
-    corrections = passes[0].search_all(bob)
+    passes = [_Pass(1, None, min(n, k1), alice, corrected, records)]
+    first = passes[0].search_all()
+    corrections = passes[0].odd.size
 
-    def fix_block(searched: _Pass, lo: int, hi: int, alice_parity: int, queue: deque) -> None:
-        """Search one odd block, flip the bit, and cascade the flip.
-
-        ``alice_parity`` is the block's parity, already on record: a block
-        is queued only after its parity was asked for.
-        """
+    def fix_block(searched: _Pass, b: int, queue: deque) -> None:
+        """Search block b of ``searched`` if it is still odd, flip the bit,
+        and cascade the flip.  Block b's parity is already on record: a
+        block is queued only after its parity was asked for."""
         nonlocal corrections
-        if alice_parity == searched.bob_blocks[lo // searched.k]:
+        blocks = searched.bob_blocks
+        if searched.alice_blocks[b] == blocks[b]:
             return  # an earlier flip already evened this block out
-        perm = searched.perm
-        g = perm.item(searched.locate(lo, hi, np.bitwise_xor.accumulate(bob[perm[lo:hi]])))
-        bob[g] ^= 1
+        slot = searched.locate(b)
+        g = searched.perm.item(slot)
         corrections += 1
         for other in passes:
-            k, blocks = other.k, other.bob_blocks
-            b = other.pos.item(g) // k
-            blocks[b] ^= 1
-            if other is not searched:
-                qlo = b * k
-                qhi = min(qlo + k, n)
-                a = other.parity(qlo, qhi)
-                if a != blocks[b]:
-                    queue.append((other, qlo, qhi, a))
+            s = slot if other is searched else other.slot(g)
+            other.bob[s] ^= 1  # pass 1's copy is the corrected key itself
+            ob = s // other.k
+            blocks = other.bob_blocks
+            blocks[ob] ^= 1
+            if other is not searched and other.top(ob) != blocks[ob]:
+                queue.append((other, ob))
 
     # When no first-pass block disagreed the keys almost surely agree
     # already, and later passes would only re-confirm parities on record.
     last = _N_PASSES if corrections else 1
+    queue: deque = deque()
     for index in range(2, last + 1):
-        current = _Pass(index, rng.permutation(n), min(n, k1 << (index - 1)), alice, bob, records)
+        current = _Pass(index, rng.permutation(n), min(n, k1 << (index - 1)), alice, corrected,
+                        records)
         passes.append(current)
-        queue: deque = deque()
-        for b, lo in enumerate(range(0, n, current.k)):
-            hi = min(lo + current.k, n)
-            a = current.parity(lo, hi)
-            if a != current.bob_blocks[b]:
-                queue.append((current, lo, hi, a))
+        for b in current.odd.tolist():
+            current.send_blocks(b + 1)
+            queue.append((current, b))
             while queue:
                 fix_block(*queue.popleft(), queue)
+        current.send_blocks(len(current.alice_blocks))
 
     return ReconciliationResult(
         corrected_key=bob,
         passes=len(passes),
         residual_error_detected=bool(np.any(alice != bob)),
         corrections=corrections,
-        transcript=_Transcript(tuple(records)),
+        transcript=_Transcript(first, tuple(records)),
     )
 
 

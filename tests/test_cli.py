@@ -471,6 +471,22 @@ class TestDistill:
         assert x["residual_error_detected"] is False
         assert "distill: final key 887 bits" in err
 
+    def test_frozen_key(self, workspace, tmp_path):
+        # The README session's key and each basis's reconciliation counts,
+        # as the block-by-block CASCADE loop gave them.
+        key = tmp_path / "K"
+        rc, out, _ = run_cli(
+            ["distill", "--tally", str(workspace / "tally.json"),
+             "--keys", str(workspace / "run"), "--seed", "5", "--key-out", str(key)]
+        )
+        assert rc == 0
+        assert hashlib.sha256(key.read_bytes()).hexdigest() == (
+            "16fe45c3cae849157f38bb849db0590f998931d720ed47bdb00d46e4b30ada43"
+        )
+        bases = json.loads(out)["bases"]
+        assert {b: (e["parity_bits_leaked"], e["corrections"], e["passes"])
+                for b, e in bases.items()} == {"X": (116, 11, 4), "Z": (164, 17, 4)}
+
     def test_reports_measured_factors_at_least_one(self, workspace):
         rc, out, _ = run_cli(
             ["distill", "--tally", str(workspace / "tally.json"),

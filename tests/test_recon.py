@@ -284,6 +284,27 @@ class TestValidation:
             )
 
     @pytest.mark.parametrize("settings, name", [
+        (dict(rng_seed=-1), "rng_seed"),
+        (dict(rng_seed=1.5), "rng_seed"),
+        (dict(rng_seed="3"), "rng_seed"),
+        (dict(rng_seed=True), "rng_seed"),
+        (dict(rng_seed=np.bool_(True)), "rng_seed"),
+        (dict(estimated_qber="0.03"), "estimated_qber"),
+        (dict(estimated_qber=True), "estimated_qber"),
+        (dict(estimated_qber=None), "estimated_qber"),
+    ])
+    def test_scalar_arguments(self, settings, name):
+        key = np.zeros(128, dtype=int)
+        with pytest.raises(ValidationError, match=name):
+            cascade_reconcile(key, key.copy(), **{"estimated_qber": 0.03, "rng_seed": 1, **settings})
+
+    def test_numpy_scalars_accepted(self):
+        alice, bob = _keys(13, 1024, 0.03, 14)
+        plain = cascade_reconcile(alice, bob, 0.03, rng_seed=15)
+        numpy = cascade_reconcile(alice, bob, np.float64(0.03), rng_seed=np.int64(15))
+        assert _records(numpy) == _records(plain)
+
+    @pytest.mark.parametrize("settings, name", [
         (dict(seed=5, depth=0), "depth"),
         (dict(seed=-1), "seed"),
     ])
@@ -367,6 +388,22 @@ class TestMatchesReferenceLoop:
         into_earlier, ahead = _cascade_paths(result.transcript, 100_000, qber)
         assert into_earlier > 0 and ahead > 0
 
+    @pytest.mark.parametrize("key_args, qber, seed, searched, residual", [
+        ((0, 2000, 0.12, 100), 0.004, 0, 4, False),
+        ((4, 2000, 0.12, 104), 0.004, 4, 4, True),
+        ((1, 20000, 0.03, 2), 0.005, 3, 3, False),
+    ])
+    def test_estimate_far_below_true_rate(self, key_args, qber, seed, searched, residual):
+        # Blocks far too long for the true rate leave errors to passes 3
+        # and 4, so those passes search and cascade too.
+        alice, bob = _keys(*key_args)
+        result = self._check(alice, bob, qber, seed)
+        assert result.residual_error_detected is residual
+        n = alice.size
+        k = min(n, max(2, int(np.ceil(0.73 / qber))) << (searched - 1))
+        assert any(m.pass_index == searched and m.stop != min(m.start + k, n)
+                   for m in result.transcript)  # a left half of that pass
+
     def test_long_session_frozen_digest(self):
         # 1e5 bits at 3% QBER; the digest of its (pass, start, stop, parity)
         # records as int64 was taken from the block-by-block loop.
@@ -394,6 +431,20 @@ class TestTranscriptView:
             transcript[len(messages)]
         with pytest.raises(TypeError):
             transcript[0] = messages[1]
+
+    def test_split_between_first_pass_and_later_messages(self):
+        alice, bob = _keys(31, 2048, 0.03, 32)
+        transcript = cascade_reconcile(alice, bob, 0.03, rng_seed=33).transcript
+        messages = tuple(transcript)
+        split = next(i for i, m in enumerate(messages) if m.pass_index != 1)
+        assert 3 <= split <= len(messages) - 3
+        for part in (slice(split - 2, split + 3), slice(-len(messages) + split - 1, -1),
+                     slice(split + 2, split - 3, -1), slice(None, None, -1)):
+            assert transcript[part] == messages[part]
+        for i in (split - 1, split, -1, split - len(messages), -len(messages)):
+            assert transcript[i] == messages[i]
+        with pytest.raises(IndexError):
+            transcript[-len(messages) - 1]
 
     def test_result_accepts_a_tuple(self):
         message = ParityMessage(1, 0, 64, 1)
