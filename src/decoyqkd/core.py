@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import typing
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -41,6 +42,7 @@ __all__ = [
     "DEFAULT_POINTS_PER_STAGE",
     "DEFAULT_DESKEW_DEPTH",
     "DEFAULT_ZERO_BIAS",
+    "check_integer",
     "check_json_type",
     "conjugate_basis",
     "dumps",
@@ -83,12 +85,11 @@ _JSON_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
 def check_json_type(value, kind: type, what: str):
     """Return a JSON ``value`` as ``kind`` (bool, int, float or str).
 
-    Bools are never numbers, a JSON integer is a valid float (it is
-    returned as one), and a float must be finite (JSON readers accept
-    ``NaN`` and ``Infinity``).  Anything else raises ``ValidationError``
-    naming ``what``.
+    Bools are never numbers, any integer (numpy's too) is a valid float (returned
+    as one), and a float must be finite (JSON readers accept ``NaN`` and
+    ``Infinity``).  Anything else raises ``ValidationError`` naming ``what``.
     """
-    allowed = (int, float) if kind is float else kind
+    allowed = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
     if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
         raise ValidationError(f"{what}: expected {_JSON_TYPE_NAMES[kind]}, got {value!r}")
     if kind is not float:
@@ -99,6 +100,18 @@ def check_json_type(value, kind: type, what: str):
         value = math.inf
     if not math.isfinite(value):
         raise ValidationError(f"{what}: expected a finite number, got {value!r}")
+    return value
+
+
+def check_integer(value, name: str, minimum: int = 0) -> int:
+    """Return ``value`` as an ``int`` if :func:`check_json_type` takes it as an
+    integer and it is >= ``minimum``; otherwise raise ``InputError(name, ...)``."""
+    try:
+        value = int(check_json_type(value, int, name))
+    except ValidationError as exc:
+        raise InputError(name, str(exc)) from None
+    if value < minimum:
+        raise InputError(name, f"{name} must be >= {minimum}, got {value}")
     return value
 
 
@@ -475,10 +488,8 @@ class ConfidenceConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 0.5:
             raise ValidationError("epsilon must lie in (0, 0.5)")
-        if not self.photon_cutoff >= 1:
-            raise InputError(
-                "photon_cutoff", f"photon_cutoff must be >= 1, got {self.photon_cutoff}"
-            )
+        cutoff = check_integer(self.photon_cutoff, "photon_cutoff", 1)
+        object.__setattr__(self, "photon_cutoff", cutoff)
 
     def to_json(self) -> dict:
         return {"format_version": FORMAT_VERSION, "kind": "confidence_config", **asdict(self)}

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import DEFAULT_DESKEW_DEPTH, ValidationError
+from .core import DEFAULT_DESKEW_DEPTH, ValidationError, check_integer, check_json_type
 from .stats import binary_entropy
 
 __all__ = [
@@ -149,11 +149,10 @@ def peres_extract(bits, depth: int = DEFAULT_DESKEW_DEPTH) -> DeskewResult:
     Raises
     ------
     ValidationError
-        If ``depth < 1`` or the input is empty.
+        If ``depth`` is not an integer >= 1 (``InputError``) or the input is empty.
     """
+    depth = check_integer(depth, "depth", 1)
     arr = _as_bits(bits, "bits")
-    if depth < 1:
-        raise ValidationError("depth must be >= 1")
     if arr.size < 2:
         raise ValidationError("need at least one pair of bits to deskew")
     out = _peres_breadth_first(arr, depth)
@@ -229,16 +228,17 @@ def privacy_amplify(key, target_length: int, seed: int) -> np.ndarray:
         Desired output length, at most ``len(key)``.  Zero or negative
         yields an empty array — a valid zero-key session, not an error.
     seed : int
-        Seed for the hash matrix; both parties must use the same one.
+        Seed for the hash matrix, an integer >= 0; both parties use the same one.
 
     Returns
     -------
     numpy.ndarray
         ``target_length`` hashed bits (uint8).
     """
+    seed = check_integer(seed, "seed")
     arr = _as_bits(key, "key")
     n = int(arr.size)
-    if target_length > n:
+    if check_json_type(target_length, int, "target_length") > n:
         raise ValidationError("target_length cannot exceed the key length")
     if target_length <= 0:
         return np.zeros(0, dtype=np.uint8)

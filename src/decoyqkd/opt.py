@@ -32,6 +32,7 @@ from .core import (
     ChannelModel,
     DecoyScheme,
     InputError,
+    check_integer,
 )
 from .keyrate import SessionAnalysis
 from .sim import evaluate_scheme, reference_scheme
@@ -110,13 +111,12 @@ def optimize_scheme(
     Raises
     ------
     InputError
-        Naming ``scheme`` when ``initial_scheme`` is not a 3-level
-        scheme.  Naming ``extinction_db`` when no candidate on the search
-        grid is a valid scheme, which happens when ``extinction_db`` is
-        too small to put the vacuum level below the decoy level.  Naming
-        ``pulses`` when every valid candidate would send no pulse at some
-        level.  A candidate that does so is skipped like a degenerate
-        one: its yield could not be bounded.
+        Naming ``stages`` or ``points_per_stage`` when not an integer >= 1 or >= 3,
+        ``scheme`` when ``initial_scheme`` is not a 3-level scheme, ``extinction_db``
+        when no candidate on the search grid is a valid scheme (``extinction_db`` is
+        too small to put the vacuum level below the decoy level), and ``pulses`` when
+        every valid candidate would send no pulse at some level.  A candidate that
+        does so is skipped like a degenerate one: its yield could not be bounded.
 
     Notes
     -----
@@ -124,10 +124,8 @@ def optimize_scheme(
     so the reported scheme never sacrifices the conservative variant
     for nothing.
     """
-    if stages < 1:
-        raise InputError("stages", f"need at least one stage, got {stages}")
-    if points_per_stage < 3:
-        raise InputError("points_per_stage", f"need at least 3 points, got {points_per_stage}")
+    stages = check_integer(stages, "stages", 1)
+    points_per_stage = check_integer(points_per_stage, "points_per_stage", 3)
     start = initial_scheme if initial_scheme is not None else reference_scheme()
     if start.n_levels != 3:
         raise InputError("scheme", f"the optimizer searches 3-level schemes only, "
@@ -255,7 +253,7 @@ def range_curve(
 
     ``distances_km`` must be non-empty, >= 0 and strictly increasing;
     an ``InputError`` naming ``distances`` says which it is not.  ``stages``
-    must be >= 1 with or without ``optimize``.
+    must be an integer >= 1 with or without ``optimize``.
     """
     distances = [float(d) for d in distances_km]
     if not distances:
@@ -264,8 +262,7 @@ def range_curve(
         raise InputError("distances", "distance grid must be strictly increasing")
     if not all(d >= 0 for d in distances):
         raise InputError("distances", f"distances must be >= 0 km, got {distances}")
-    if stages < 1:
-        raise InputError("stages", f"need at least one stage, got {stages}")
+    stages = check_integer(stages, "stages", 1)
     fixed = scheme if scheme is not None else reference_scheme()
 
     points: list[CurvePoint] = []

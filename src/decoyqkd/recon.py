@@ -51,7 +51,6 @@ budget with the measured factors, and hashing.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -60,7 +59,8 @@ from itertools import chain, repeat, starmap
 import numpy as np
 
 from .core import (BASES, DEFAULT_DESKEW_DEPTH, DEFAULT_PA_EPSILON, ConfidenceConfig,
-                   DecoyScheme, InputError, SessionTally, ValidationError, validate_tally)
+                   DecoyScheme, InputError, SessionTally, ValidationError, check_integer,
+                   check_json_type, validate_tally)
 from .extract import _as_bits, measure_f_ds, peres_extract, privacy_amplify
 from .keyrate import SessionAnalysis, compose_session
 from .stats import binary_entropy
@@ -366,9 +366,9 @@ def cascade_reconcile(
     ------
     ValidationError
         On length mismatch or keys shorter than 64 bits; naming
-        ``estimated_qber`` when it is not a real number (a bool or a
-        string) or lies outside (0, 0.25]; naming ``rng_seed`` when it is
-        negative, a bool or not an integer (such as 1.5 or "3").
+        ``estimated_qber`` when it is not a finite real number (a bool, a
+        string, NaN) or lies outside (0, 0.25]; naming ``rng_seed`` when
+        it is negative, a bool or not an integer (such as 1.5 or "3").
     """
     alice = _as_bits(alice_key, "alice_key")
     corrected = bytearray(_as_bits(bob_key, "bob_key").tobytes())  # flipped in place
@@ -378,12 +378,9 @@ def cascade_reconcile(
     n = alice.size
     if n < _MIN_BITS:
         raise ValidationError(f"keys must be at least {_MIN_BITS} bits long")
-    if isinstance(estimated_qber, bool) or not isinstance(estimated_qber, numbers.Real):
-        raise ValidationError(f"estimated_qber must be a real number, got {estimated_qber!r}")
-    if not 0.0 < estimated_qber <= _MAX_QBER:
+    if not 0.0 < check_json_type(estimated_qber, float, "estimated_qber") <= _MAX_QBER:
         raise ValidationError(f"estimated_qber must lie in (0, {_MAX_QBER}]")
-    if (isinstance(rng_seed, bool) or not isinstance(rng_seed, numbers.Integral)
-            or rng_seed < 0):
+    if check_json_type(rng_seed, int, "rng_seed") < 0:
         raise ValidationError(f"rng_seed must be a non-negative integer, got {rng_seed!r}")
 
     rng = np.random.default_rng(rng_seed)
@@ -515,18 +512,16 @@ def distill_session(
     tally, so every basis's corrections must equal the tally's
     signal-level errors.
 
-    Raises ``InputError`` naming ``depth`` (below 1) or ``seed``
-    (negative) before any basis is reconciled, ``keys`` (lengths unequal,
-    unlike the tally's sifted signal count or below 64 bits; an error
-    count unlike the tally's) or ``tally`` (signal QBER above 0.25).
+    Raises ``InputError`` naming ``depth`` (not an integer >= 1) or ``seed``
+    (not an integer >= 0) before any basis is reconciled, ``keys`` (lengths
+    unequal, unlike the tally's sifted signal count or below 64 bits; an
+    error count unlike the tally's) or ``tally`` (signal QBER above 0.25).
     """
     validate_tally(tally, scheme)
     if variant not in ("tight", "worst"):
         raise ValidationError(f"variant must be 'tight' or 'worst', got {variant!r}")
-    if depth < 1:
-        raise InputError("depth", f"depth must be >= 1, got {depth}")
-    if seed < 0:
-        raise InputError("seed", f"seed must be >= 0, got {seed}")
+    depth = check_integer(depth, "depth", 1)
+    seed = check_integer(seed, "seed")
     signal = tally.levels[scheme.signal_index]
     bases: dict[str, dict] = {}
     for basis in BASES:

@@ -51,6 +51,7 @@ from .core import (
     LevelCounts,
     SessionTally,
     ValidationError,
+    check_integer,
 )
 from .keyrate import SessionAnalysis, compose_session
 
@@ -206,8 +207,7 @@ def expected_tally(
     The result carries ``reconstructed=True`` since no individual
     session ever produced these counts.
     """
-    if pulses < 0:
-        raise InputError("pulses", f"pulses must be >= 0, got {pulses}")
+    pulses = check_integer(pulses, "pulses")
     if not 0.0 <= sift_ratio <= 1.0:
         raise InputError("sift_ratio", f"sift_ratio must lie in [0, 1], got {sift_ratio}")
     if not 0.0 <= zero_fraction <= 1.0:
@@ -361,19 +361,17 @@ def simulate_session(
     those of one sequential stream, so the tally and the keys depend on
     ``seed`` only, not on the number of cores.
 
-    Deterministic in ``seed``, which must be >= 0.  ``pulses = 0`` is
-    allowed and yields an all-zero tally (and empty keys).
+    Deterministic in ``seed``; ``pulses`` and ``seed`` are integers >= 0
+    (else ``InputError``), and ``pulses = 0`` yields an all-zero tally and no keys.
 
     Returns
     -------
     (SessionTally, RawKeys)
     """
-    if pulses < 0:
-        raise InputError("pulses", f"pulses must be >= 0, got {pulses}")
+    pulses = check_integer(pulses, "pulses")
     if not 0.0 <= zero_bias <= 1.0:
         raise InputError("zero_bias", f"zero_bias must lie in [0, 1], got {zero_bias}")
-    if seed < 0:
-        raise InputError("seed", f"seed must be >= 0, got {seed}")
+    seed = check_integer(seed, "seed")
 
     stats = expected_statistics(model, scheme)
     rng = np.random.default_rng(seed)
@@ -508,15 +506,12 @@ def calibrate_to_reference(
     if len(detections) != scheme.n_levels:
         raise InputError("detections", f"need one detection total per scheme level "
                          f"({scheme.n_levels}), got {len(detections)}")
-    if min(detections) <= 0:
-        raise InputError("detections", f"detection totals must be > 0, got {list(detections)}")
-    if sifted_total <= 0:
-        raise InputError("sifted", f"sifted total must be > 0, got {sifted_total}")
+    detections = [check_integer(d, "detections", 1) for d in detections]
+    sifted_total = check_integer(sifted_total, "sifted", 1)
     if sifted_total > sum(detections):
         raise InputError("sifted", f"sifted total {sifted_total} exceeds the detection "
                          f"total {sum(detections)}")
-    if min(key_targets) <= 0:
-        raise InputError("targets", f"key targets must be > 0, got {list(key_targets)}")
+    key_targets = [check_integer(t, "targets", 1) for t in key_targets]
     if not duration_h > 0:
         raise InputError("duration_h", f"duration_h must be > 0, got {duration_h}")
 
@@ -545,6 +540,8 @@ def calibrate_to_reference(
     # exact signal-level match by construction
     pulses_f *= targets[signal] / _modeled_detections(fitted, scheme, pulses_f)[signal]
     pulses = int(round(pulses_f))
+    if any(round(pulses * p) < 1 for p in scheme.send_probs):
+        raise InputError("detections", f"{detections} fit {pulses} pulses, too few for every level")
     sift_ratio = sifted_total / float(targets.sum())
 
     # --- stage 2: intrinsic error rate from the two key totals
@@ -611,7 +608,7 @@ def calibrate_to_reference(
             "detections_model": [float(m) for m in modeled],
             "sifted_target": int(sifted_total),
             "sifted_model": int(sifted_model),
-            "key_targets": list(key_targets),
+            "key_targets": key_targets,
             "key_totals_model": [analysis.total_tight, analysis.total_worst],
             "fit_objective": final_obj,
             "converged": converged,

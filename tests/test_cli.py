@@ -85,7 +85,7 @@ BAD_SETTINGS = [
     ("curve", [], {"distances": "abc"},
      "--distances: expected MIN:MAX:STEP or a comma list, got 'abc'"),
     ("curve", ["--distances", "100:102:2", "--optimize"], {"stages": 0},
-     "--stages: need at least one stage, got 0"),
+     "--stages: stages must be >= 1, got 0"),
     ("optimize", [], {"distance_km": -5.0}, "--distance-km: fiber_length_km must be >= 0"),
     ("analyze", [], {"tally": "nope.json"}, "--tally: file not found: nope.json"),
     ("analyze", ["--tally", "{tally}"], {"scheme": "nope.json"},
@@ -98,7 +98,7 @@ BAD_SETTINGS = [
     ("distill", ["--tally", "{tally}", "--keys", "{keys}", "--seed", "5"], {"depth": 0},
      "--depth: depth must be >= 1, got 0"),
     ("simulate", ["--pulses", "1000"], {"seed": -1}, "--seed: seed must be >= 0, got -1"),
-    ("calibrate", [], {"sifted": 0}, "--sifted: sifted total must be > 0, got 0"),
+    ("calibrate", [], {"sifted": 0}, "--sifted: sifted must be >= 1, got 0"),
 ]
 
 
@@ -862,7 +862,7 @@ class TestConfigFile:
         ("simulate", ["--seed", "1", "--pulses", "100000"], {"duty_cycle": 7.0},
          "--duty-cycle must lie in (0, 1]"),
         ("curve", ["--distances", "100:102:2"], {"stages": -1},
-         "--stages: need at least one stage, got -1"),
+         "--stages: stages must be >= 1, got -1"),
     ], ids=["duty_cycle-with-pulses", "stages-without-optimize"])
     def test_setting_is_checked_where_it_has_no_effect(
         self, workspace, tmp_path, command, argv, bad, message
@@ -1094,6 +1094,13 @@ class TestCalibrate:
         assert tally["kind"] == "session_tally"
         assert sum(level["detected"]["X"] + level["detected"]["Z"]
                    for level in tally["levels"]) > 80000
+
+    def test_totals_that_fit_too_few_pulses_name_detections(self):
+        rc, out, err = run_cli(["calibrate", "--detections", "1", "2", "3", "--sifted", "3",
+                                "--targets", "1", "1"])
+        assert (rc, out) == (1, "")
+        assert err == ("decoyqkd calibrate: error: --detections: [1, 2, 3] fit 0 pulses, "
+                       "too few for every level\n")
 
 
 
@@ -1382,16 +1389,22 @@ class TestUsage:
 
     def test_input_error_names_are_flags(self):
         # main reports an InputError under settings.name(its input name), so
-        # a name outside _FLAGS would end in a KeyError traceback.
-        names = set()
+        # a name outside _FLAGS would end in a KeyError traceback.  The name
+        # is InputError's first argument and check_integer's second.
+        position = {"InputError": 0, "check_integer": 1}
+        names = {function: set() for function in position}
         for path in Path(decoyqkd.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                        and node.func.id == "InputError" and node.args
-                        and isinstance(node.args[0], ast.Constant)):
-                    names.add((path.name, node.args[0].value))
-        assert {("recon.py", "keys"), ("core.py", "tally"), ("sim.py", "seed")} <= names
-        assert sorted((module, name) for module, name in names if name not in cli._FLAGS) == []
+                        and node.func.id in position
+                        and len(node.args) > position[node.func.id]
+                        and isinstance(node.args[position[node.func.id]], ast.Constant)):
+                    names[node.func.id].add(
+                        (path.name, node.args[position[node.func.id]].value))
+        assert {("recon.py", "keys"), ("core.py", "tally")} <= names["InputError"]
+        assert ("sim.py", "seed") in names["check_integer"]
+        every = names["InputError"] | names["check_integer"]
+        assert sorted((module, name) for module, name in every if name not in cli._FLAGS) == []
 
     def test_no_function_body_spells_a_flag(self):
         # Messages take a setting's name from _Settings.name, which knows

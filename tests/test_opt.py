@@ -262,7 +262,7 @@ class TestRangeCurve:
     @pytest.mark.parametrize("optimize", [False, True])
     @pytest.mark.parametrize("stages", [0, -1])
     def test_stages_below_one_named_with_or_without_optimize(self, optimize, stages):
-        with pytest.raises(InputError, match=f"^need at least one stage, got {stages}$") as exc:
+        with pytest.raises(InputError, match=f"^stages must be >= 1, got {stages}$") as exc:
             range_curve(reference_model(), PULSES, [140.0], optimize=optimize, stages=stages)
         assert exc.value.input_name == "stages"
 
