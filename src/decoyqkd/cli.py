@@ -289,8 +289,10 @@ class _Settings(dict):
     from_config: frozenset[str] = frozenset()
 
     def name(self, key: str) -> str:
-        """How a message names setting ``key``: ``--config: <field>`` if its
-        value came from the config file, else its flag."""
+        """How a message names setting ``key`` (or ``epsilon``, the library's name
+        for ``confidence``): ``--config: <field>`` if its value came from the
+        config file, else its flag."""
+        key = "confidence" if key == "epsilon" else key
         if key in self.from_config:
             return f"{_FLAGS['config'].flag}: {key}"
         return _FLAGS[key].flag
@@ -380,17 +382,9 @@ def _load_tally(settings: _Settings) -> SessionTally:
     return tally
 
 
-def _epsilon(settings: _Settings, key: str) -> float:
-    """A failure probability setting, checked to lie in (0, 0.5)."""
-    value = settings[key]
-    if not 0.0 < value < 0.5:
-        raise ValidationError(f"{settings.name(key)} must lie in (0, 0.5), got {value}")
-    return value
-
-
 def _confidence(settings: _Settings) -> ConfidenceConfig:
     return ConfidenceConfig(
-        epsilon=_epsilon(settings, "confidence"),
+        epsilon=settings["confidence"],
         photon_cutoff=settings["photon_cutoff"],
         pin_vacuum_errors=settings["vacuum_pinning"],
     )
@@ -550,8 +544,7 @@ def _cmd_analyze(settings: _Settings) -> tuple[int, str]:
     scheme = _read(settings, "scheme")
     config = _confidence(settings)
 
-    budget = {key: settings[key] for key in ("f_ec", "f_ds")}
-    budget["pa_epsilon"] = _epsilon(settings, "pa_epsilon")
+    budget = {key: settings[key] for key in ("f_ec", "f_ds", "pa_epsilon")}
     analysis = compose_session(tally, scheme, config, **budget)
 
     text = dumps({**_report("analysis_report", settings), "analysis": analysis.to_json()}) + "\n"
@@ -578,7 +571,6 @@ def _cmd_distill(settings: _Settings) -> tuple[int, str]:
     tally = _load_tally(settings)
     scheme = _read(settings, "scheme")
     config = _confidence(settings)
-    pa_epsilon = _epsilon(settings, "pa_epsilon")
     seed = _require(settings, "seed")
     keys: dict[str, dict[str, np.ndarray]] = {"alice": {}, "bob": {}}
     digests = settings.inputs["key_files_sha256"] = {}
@@ -588,7 +580,7 @@ def _cmd_distill(settings: _Settings) -> tuple[int, str]:
 
     result = distill_session(
         tally, scheme, keys["alice"], keys["bob"], config, seed=seed,
-        depth=settings["depth"], variant=settings["variant"], pa_epsilon=pa_epsilon,
+        **{key: settings[key] for key in ("depth", "variant", "pa_epsilon")},
     )
     if settings["key_out"] is not None and result.analysis is not None:  # None: aborted, no key
         settings.outputs.append(("key_out", settings["key_out"], result.final_key_bytes()))

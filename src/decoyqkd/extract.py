@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import DEFAULT_DESKEW_DEPTH, ValidationError, check_integer, check_json_type
+from .core import DEFAULT_DESKEW_DEPTH, ValidationError, check_integer, check_json_type, check_real
 from .stats import binary_entropy
 
 __all__ = [
@@ -177,8 +177,7 @@ def measure_f_ds(result: DeskewResult, zero_fraction: float) -> float:
     Returns ``math.inf`` (undefined overhead) when the run produced no
     output bits.
     """
-    if not 0.0 < zero_fraction < 1.0:
-        raise ValidationError("zero_fraction must lie strictly between 0 and 1")
+    zero_fraction = check_real(zero_fraction, "zero_fraction", "(0, 1)")
     if result.output_bits.size == 0:
         return math.inf
     rate = result.output_bits.size / result.input_length

@@ -30,8 +30,8 @@ from .core import (
     DEFAULT_PA_EPSILON,
     ConfidenceConfig,
     DecoyScheme,
-    InputError,
     SessionTally,
+    check_real,
     conjugate_basis,
 )
 from .decoy import SinglePhotonBounds, single_photon_bounds
@@ -52,9 +52,7 @@ def _clamp_error(rate: float, name: str) -> float:
     A NaN rate is rejected: clamping it would read it as 0, the least
     conservative rate there is.
     """
-    if math.isnan(rate):
-        raise ValueError(f"{name} must not be NaN")
-    return min(0.5, max(0.0, rate))
+    return min(0.5, max(0.0, check_real(rate, name, "[-inf, inf]")))
 
 
 # Relative weight, 2**-60, below which the terms left out of the
@@ -86,16 +84,11 @@ def privacy_amplification_factor(n1: int, b1: float, epsilon: float) -> float:
     O(t); for large n1, r is about b1 / (1-b1), so w is 11 at b1 = 0.016,
     79 at b1 = 0.37, and grows without bound only as b1 -> 1/2.
 
-    ``n1`` may be passed as a float (bounds are real-valued); it is floored,
-    which can only increase the factor and is therefore conservative.
+    ``n1`` lies in [1, inf) and may be fractional (bounds are real-valued);
+    it is floored, which can only increase the factor and is conservative.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError("epsilon must lie in (0, 0.5)")
-    if not math.isfinite(n1):
-        raise ValueError(f"n1 must be finite (got {n1})")
-    n1 = int(math.floor(n1))
-    if n1 < 1:
-        raise ValueError("n1 must be >= 1")
+    epsilon = check_real(epsilon, "epsilon", "(0, 0.5)")
+    n1 = math.floor(check_real(n1, "n1", "[1, inf)"))
     b1 = _clamp_error(b1, "b1")
     if b1 == 0.0:
         return 1.0
@@ -153,17 +146,15 @@ def secret_length(
     single-photon yield coefficient, ``b1_upper`` the conjugate-basis
     single-photon error bound, ``bit_error_rate`` the observed error
     fraction of the keyed bits, ``zero_fraction`` the bit bias, and the
-    three ``f_*`` factors the measured stage efficiencies (all >= 1).
+    three ``f_*`` factors the measured stage efficiencies, in [1, inf].
     ``y1_eff``, ``mu`` and ``zero_fraction`` must be finite.
     """
     if n_sifted < 0:
         raise ValueError("n_sifted must be >= 0")
-    for name, v in (("y1_eff", y1_eff), ("mu", mu), ("zero_fraction", zero_fraction)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite (got {v})")
-    for name, f in (("f_ec", f_ec), ("f_pa", f_pa), ("f_ds", f_ds)):
-        if not f >= 1.0:
-            raise ValueError(f"{name} must be >= 1 (got {f})")
+    y1_eff, mu, zero_fraction = (check_real(v, name) for name, v in (
+        ("y1_eff", y1_eff), ("mu", mu), ("zero_fraction", zero_fraction)))
+    f_ec, f_pa, f_ds = (check_real(f, name, "[1, inf]") for name, f in (
+        ("f_ec", f_ec), ("f_pa", f_pa), ("f_ds", f_ds)))
     b1_upper = _clamp_error(b1_upper, "b1_upper")
     bit_error_rate = _clamp_error(bit_error_rate, "bit_error_rate")
     if n_sifted == 0:
@@ -258,15 +249,13 @@ def compose_session(
     pattern), deliberately separate from ``config.epsilon`` which prices
     the adversarial soundness bounds: an uncovered pattern costs a failed
     session, not a compromised key, so it is priced like an abort
-    probability rather than a security failure.  It is checked first,
-    whether or not the session earns a key, and so are ``f_ec`` and
-    ``f_ds``, which must be at least 1.
+    probability rather than a security failure.  It must lie in (0, 0.5),
+    and ``f_ec`` and ``f_ds`` in [1, inf] (an infinite factor leaves no key);
+    all three are checked first, whether or not the session earns a key.
     """
-    if not 0.0 < pa_epsilon < 0.5:
-        raise ValueError(f"pa_epsilon must lie in (0, 0.5) (got {pa_epsilon})")
-    for name, f in (("f_ec", f_ec), ("f_ds", f_ds)):
-        if not f >= 1.0:
-            raise InputError(name, f"{name} must be >= 1 (got {f})")
+    pa_epsilon = check_real(pa_epsilon, "pa_epsilon", "(0, 0.5)")
+    f_ec = check_real(f_ec, "f_ec", "[1, inf]")
+    f_ds = check_real(f_ds, "f_ds", "[1, inf]")
     bounds = single_photon_bounds(tally, scheme, config)
 
     mu = scheme.signal_mu

@@ -33,6 +33,7 @@ from .core import (
     DecoyScheme,
     InputError,
     check_integer,
+    check_real,
 )
 from .keyrate import SessionAnalysis
 from .sim import evaluate_scheme, reference_scheme
@@ -112,11 +113,12 @@ def optimize_scheme(
     ------
     InputError
         Naming ``stages`` or ``points_per_stage`` when not an integer >= 1 or >= 3,
-        ``scheme`` when ``initial_scheme`` is not a 3-level scheme, ``extinction_db``
-        when no candidate on the search grid is a valid scheme (``extinction_db`` is
-        too small to put the vacuum level below the decoy level), and ``pulses`` when
-        every valid candidate would send no pulse at some level.  A candidate that
-        does so is skipped like a degenerate one: its yield could not be bounded.
+        ``extinction_db`` when not a real number in [0, inf) or when no candidate
+        on the search grid is a valid scheme (it is too small to put the vacuum
+        level below the decoy level), ``scheme`` when ``initial_scheme`` is not a
+        3-level scheme, and ``pulses`` when every valid candidate would send no
+        pulse at some level.  A candidate that does so is skipped like a
+        degenerate one: its yield could not be bounded.
 
     Notes
     -----
@@ -126,6 +128,7 @@ def optimize_scheme(
     """
     stages = check_integer(stages, "stages", 1)
     points_per_stage = check_integer(points_per_stage, "points_per_stage", 3)
+    extinction_db = check_real(extinction_db, "extinction_db", "[0, inf)")
     start = initial_scheme if initial_scheme is not None else reference_scheme()
     if start.n_levels != 3:
         raise InputError("scheme", f"the optimizer searches 3-level schemes only, "
@@ -251,17 +254,15 @@ def range_curve(
     ``scheme`` (if given) seeds the first distance.  ``evaluation`` is
     passed to every :func:`evaluate_scheme` call, as in :func:`optimize_scheme`.
 
-    ``distances_km`` must be non-empty, >= 0 and strictly increasing;
-    an ``InputError`` naming ``distances`` says which it is not.  ``stages``
-    must be an integer >= 1 with or without ``optimize``.
+    ``distances_km`` must be non-empty, strictly increasing and of reals in
+    [0, inf); an ``InputError`` naming ``distances`` says which it is not.
+    ``stages`` must be an integer >= 1 with or without ``optimize``.
     """
-    distances = [float(d) for d in distances_km]
+    distances = [check_real(d, "distances", "[0, inf)") for d in distances_km]
     if not distances:
         raise InputError("distances", "distance grid must be non-empty")
     if any(b <= a for a, b in zip(distances, distances[1:])):
         raise InputError("distances", "distance grid must be strictly increasing")
-    if not all(d >= 0 for d in distances):
-        raise InputError("distances", f"distances must be >= 0 km, got {distances}")
     stages = check_integer(stages, "stages", 1)
     fixed = scheme if scheme is not None else reference_scheme()
 

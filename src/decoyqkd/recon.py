@@ -60,7 +60,7 @@ import numpy as np
 
 from .core import (BASES, DEFAULT_DESKEW_DEPTH, DEFAULT_PA_EPSILON, ConfidenceConfig,
                    DecoyScheme, InputError, SessionTally, ValidationError, check_integer,
-                   check_json_type, validate_tally)
+                   check_json_type, check_real, validate_tally)
 from .extract import _as_bits, measure_f_ds, peres_extract, privacy_amplify
 from .keyrate import SessionAnalysis, compose_session
 from .stats import binary_entropy
@@ -364,12 +364,14 @@ def cascade_reconcile(
 
     Raises
     ------
+    InputError
+        Naming ``estimated_qber``, before the keys are read, when it is not a
+        real number in (0, 0.25] (a bool, a string, NaN).
     ValidationError
-        On length mismatch or keys shorter than 64 bits; naming
-        ``estimated_qber`` when it is not a finite real number (a bool, a
-        string, NaN) or lies outside (0, 0.25]; naming ``rng_seed`` when
-        it is negative, a bool or not an integer (such as 1.5 or "3").
+        On length mismatch or keys shorter than 64 bits, or when ``rng_seed``
+        is negative, a bool or not an integer (such as 1.5 or "3").
     """
+    estimated_qber = check_real(estimated_qber, "estimated_qber", f"(0, {_MAX_QBER}]")
     alice = _as_bits(alice_key, "alice_key")
     corrected = bytearray(_as_bits(bob_key, "bob_key").tobytes())  # flipped in place
     bob = np.frombuffer(corrected, dtype=np.uint8)
@@ -378,8 +380,6 @@ def cascade_reconcile(
     n = alice.size
     if n < _MIN_BITS:
         raise ValidationError(f"keys must be at least {_MIN_BITS} bits long")
-    if not 0.0 < check_json_type(estimated_qber, float, "estimated_qber") <= _MAX_QBER:
-        raise ValidationError(f"estimated_qber must lie in (0, {_MAX_QBER}]")
     if check_json_type(rng_seed, int, "rng_seed") < 0:
         raise ValidationError(f"rng_seed must be a non-negative integer, got {rng_seed!r}")
 
@@ -512,16 +512,18 @@ def distill_session(
     tally, so every basis's corrections must equal the tally's
     signal-level errors.
 
-    Raises ``InputError`` naming ``depth`` (not an integer >= 1) or ``seed``
-    (not an integer >= 0) before any basis is reconciled, ``keys`` (lengths
-    unequal, unlike the tally's sifted signal count or below 64 bits; an
-    error count unlike the tally's) or ``tally`` (signal QBER above 0.25).
+    Raises ``InputError`` naming ``depth`` (not an integer >= 1), ``seed``
+    (not an integer >= 0) or ``pa_epsilon`` (not a real number in (0, 0.5))
+    before any basis is reconciled, ``keys`` (lengths unequal, unlike the
+    tally's sifted signal count or below 64 bits; an error count unlike the
+    tally's) or ``tally`` (signal QBER above 0.25).
     """
     validate_tally(tally, scheme)
     if variant not in ("tight", "worst"):
         raise ValidationError(f"variant must be 'tight' or 'worst', got {variant!r}")
     depth = check_integer(depth, "depth", 1)
     seed = check_integer(seed, "seed")
+    pa_epsilon = check_real(pa_epsilon, "pa_epsilon", "(0, 0.5)")
     signal = tally.levels[scheme.signal_index]
     bases: dict[str, dict] = {}
     for basis in BASES:

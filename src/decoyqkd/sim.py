@@ -52,6 +52,7 @@ from .core import (
     SessionTally,
     ValidationError,
     check_integer,
+    check_real,
 )
 from .keyrate import SessionAnalysis, compose_session
 
@@ -208,10 +209,8 @@ def expected_tally(
     session ever produced these counts.
     """
     pulses = check_integer(pulses, "pulses")
-    if not 0.0 <= sift_ratio <= 1.0:
-        raise InputError("sift_ratio", f"sift_ratio must lie in [0, 1], got {sift_ratio}")
-    if not 0.0 <= zero_fraction <= 1.0:
-        raise InputError("zero_fraction", f"zero_fraction must lie in [0, 1], got {zero_fraction}")
+    sift_ratio = check_real(sift_ratio, "sift_ratio", "[0, 1]")
+    zero_fraction = check_real(zero_fraction, "zero_fraction", "[0, 1]")
     stats = expected_statistics(model, scheme)
     levels = []
     for mu, p, q, e in zip(scheme.mus, scheme.send_probs, stats.yields, stats.error_rates):
@@ -369,8 +368,7 @@ def simulate_session(
     (SessionTally, RawKeys)
     """
     pulses = check_integer(pulses, "pulses")
-    if not 0.0 <= zero_bias <= 1.0:
-        raise InputError("zero_bias", f"zero_bias must lie in [0, 1], got {zero_bias}")
+    zero_bias = check_real(zero_bias, "zero_bias", "[0, 1]")
     seed = check_integer(seed, "seed")
 
     stats = expected_statistics(model, scheme)
@@ -511,9 +509,12 @@ def calibrate_to_reference(
     if sifted_total > sum(detections):
         raise InputError("sifted", f"sifted total {sifted_total} exceeds the detection "
                          f"total {sum(detections)}")
+    if len(key_targets) != 2:
+        raise InputError("targets", f"need the tight and the worst-case key total, "
+                         f"got {len(key_targets)} targets")
     key_targets = [check_integer(t, "targets", 1) for t in key_targets]
-    if not duration_h > 0:
-        raise InputError("duration_h", f"duration_h must be > 0, got {duration_h}")
+    duration_h = check_real(duration_h, "duration_h", "(0, inf)")
+    zero_fraction = check_real(zero_fraction, "zero_fraction", "[0, 1]")
 
     targets = np.asarray(detections, dtype=float)
     eta = expected_statistics(base, scheme).eta

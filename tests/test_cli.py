@@ -65,12 +65,13 @@ CURVE_HEADER = (
 #: given as flags).  ``{tally}``, ``{keys}`` and ``{tmp}`` stand for paths.
 BAD_SETTINGS = [
     ("analyze", ["--tally", "{tally}"], {"confidence": 0.9},
-     "--confidence must lie in (0, 0.5), got 0.9"),
+     "--confidence: epsilon must lie in (0, 0.5), got 0.9"),
     ("analyze", ["--tally", "{tally}"], {"pa_epsilon": 0.7},
-     "--pa-epsilon must lie in (0, 0.5), got 0.7"),
+     "--pa-epsilon: pa_epsilon must lie in (0, 0.5), got 0.7"),
     ("analyze", ["--tally", "{tally}"], {"photon_cutoff": 0},
      "--photon-cutoff: photon_cutoff must be >= 1, got 0"),
-    ("analyze", ["--tally", "{tally}"], {"f_ec": 0.5}, "--f-ec: f_ec must be >= 1 (got 0.5)"),
+    ("analyze", ["--tally", "{tally}"], {"f_ec": 0.5},
+     "--f-ec: f_ec must lie in [1, inf], got 0.5"),
     ("curve", ["--distances", "100:110:5"], {"pulses": 3},
      "--pulses 3 gives 3 pulses, too few to send one at every level"),
     ("simulate", ["--seed", "1"], {"pulses": 10**20},
@@ -86,7 +87,8 @@ BAD_SETTINGS = [
      "--distances: expected MIN:MAX:STEP or a comma list, got 'abc'"),
     ("curve", ["--distances", "100:102:2", "--optimize"], {"stages": 0},
      "--stages: stages must be >= 1, got 0"),
-    ("optimize", [], {"distance_km": -5.0}, "--distance-km: fiber_length_km must be >= 0"),
+    ("optimize", [], {"distance_km": -5.0},
+     "--distance-km: fiber_length_km must lie in [0, inf), got -5.0"),
     ("analyze", [], {"tally": "nope.json"}, "--tally: file not found: nope.json"),
     ("analyze", ["--tally", "{tally}"], {"scheme": "nope.json"},
      "--scheme: file not found: nope.json"),
@@ -303,7 +305,7 @@ class TestAnalyze:
             ("--scheme", lambda d: d["levels"][1].update(mu=0.9),
              "decoy_scheme: mean photon numbers must be strictly increasing"),
             ("--model", lambda d: d.update(fiber_length_km=-1),
-             "channel_model: fiber_length_km must be >= 0"),
+             "channel_model: fiber_length_km must lie in [0, inf), got -1.0"),
         ],
         ids=["errors above sifted", "detections above sent", "too many zeros",
              "probabilities", "unordered mus", "negative length"],
@@ -341,16 +343,17 @@ class TestAnalyze:
         assert rc == 0
         starved = tmp_path / "starved.json"
         starved.write_text(out)
+        name = {"--pa-epsilon": "pa_epsilon", "--confidence": "epsilon"}[flag]
         for tally in (workspace / "tally.json", starved):
             rc, out, err = run_cli(["analyze", "--tally", str(tally), flag, value])
             assert (rc, out) == (1, ""), tally
-            assert f"analyze: error: {flag} must lie in (0, 0.5), got {float(value)}" in err
+            assert f"analyze: error: {flag}: {name} must lie in (0, 0.5), got {float(value)}" in err
         rc, out, err = run_cli(
             ["distill", "--tally", str(workspace / "tally.json"),
              "--keys", str(workspace / "run"), "--seed", "5", flag, value]
         )
         assert (rc, out) == (1, "")
-        assert f"distill: error: {flag} must lie in (0, 0.5), got {float(value)}" in err
+        assert f"distill: error: {flag}: {name} must lie in (0, 0.5), got {float(value)}" in err
 
     @pytest.mark.parametrize("flag, value", [("--f-ec", "0.5"), ("--f-ds", "0.2")])
     def test_subunity_efficiency_factor_names_flag(self, workspace, tmp_path, flag, value):
@@ -365,7 +368,7 @@ class TestAnalyze:
         for tally in (workspace / "tally.json", empty):
             rc, out, err = run_cli(["analyze", "--tally", str(tally), flag, value])
             assert (rc, out) == (1, ""), tally
-            assert f"analyze: error: {flag}: {name} must be >= 1 (got {float(value)})" in err
+            assert f"analyze: error: {flag}: {name} must lie in [1, inf], got {float(value)}" in err
 
     def test_missing_tally_file(self):
         rc, out, err = run_cli(["analyze", "--tally", "nope.json"])

@@ -1,6 +1,10 @@
-"""The package namespace: each public name is declared once, in its module."""
+"""The package namespace: each public name is declared once, in its module, and
+the README's library examples run."""
 
 from __future__ import annotations
+
+import re
+from pathlib import Path
 
 import decoyqkd
 
@@ -22,3 +26,15 @@ def test_each_public_name_is_declared_once_in_its_module():
     exec("from decoyqkd import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(expected)
+
+
+def test_readme_python_blocks_run(capsys):
+    # The README's library examples run in order, in one namespace, and print
+    # what their comments and the surrounding text promise.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out == "1207 1207\n5342\n887\n"

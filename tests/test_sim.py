@@ -383,7 +383,7 @@ class TestCalibration:
             raise AssertionError("stage 1 ran")
 
         monkeypatch.setattr("scipy.optimize.least_squares", no_fit)
-        with pytest.raises(InputError, match="duration_h must be > 0") as info:
+        with pytest.raises(InputError, match=r"duration_h must lie in \(0, inf\)") as info:
             calibrate_to_reference(duration_h=duration_h)
         assert info.value.input_name == "duration_h"
 
