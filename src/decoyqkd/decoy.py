@@ -40,6 +40,7 @@ from .stats import binomial_interval, poisson_tail, poisson_weights
 __all__ = [
     "ConstraintSystem",
     "YieldSolution",
+    "EvaluationState",
     "SinglePhotonBounds",
     "yield_bounds",
     "error_bounds",
@@ -94,8 +95,38 @@ class YieldSolution:
     yields: tuple[float, ...] | None  # the minimizing vertex, for diagnostics
 
 
+class EvaluationState:
+    """Pure results of one design-tool call, memoized by value.
+
+    :func:`~decoyqkd.opt.optimize_scheme`, :func:`~decoyqkd.opt.range_curve`
+    and :func:`~decoyqkd.sim.calibrate_to_reference` each create one for the
+    call and pass it to every :func:`~decoyqkd.sim.evaluate_scheme`, so
+    nothing outlives the call.  ``analyses`` holds each composed session (see
+    :func:`~decoyqkd.keyrate.compose_session`), ``yields`` the y1 floor of
+    each yield system, and ``intervals`` each binomial interval by (k, n, ε).
+    """
+
+    def __init__(self) -> None:
+        self.analyses, self.yields, self.intervals = {}, {}, {}
+
+    def recall(self, table: str, key: tuple, compute, *args):
+        """``compute(*args)``, computed once per ``key`` of the named table."""
+        memo = getattr(self, table)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = compute(*args)
+        return value
+
+
+def _interval(state: EvaluationState | None, k: int, n: int, epsilon: float):
+    if state is None:
+        return binomial_interval(k, n, epsilon)
+    return state.recall("intervals", (k, n, epsilon), binomial_interval, k, n, epsilon)
+
+
 def yield_bounds(
-    tally: SessionTally, scheme: DecoyScheme, config: ConfidenceConfig
+    tally: SessionTally, scheme: DecoyScheme, config: ConfidenceConfig,
+    state: EvaluationState | None = None,
 ) -> ConstraintSystem:
     """Exact-binomial detection-rate intervals for every intensity level.
 
@@ -104,10 +135,8 @@ def yield_bounds(
     :func:`~decoyqkd.core.validate_tally`).
     """
     cutoff = config.photon_cutoff
-    rates = [
-        binomial_interval(lv.detected_total(), lv.sent, config.epsilon)
-        for lv in tally.levels
-    ]
+    rates = [_interval(state, lv.detected_total(), lv.sent, config.epsilon)
+             for lv in tally.levels]
     return ConstraintSystem(
         mus=scheme.mus,
         lows=tuple(lo for lo, _ in rates),
@@ -123,6 +152,7 @@ def error_bounds(
     tally: SessionTally,
     basis: str,
     config: ConfidenceConfig,
+    state: EvaluationState | None = None,
 ) -> ConstraintSystem:
     """Per-level bounds on the error-weighted yield in one basis.
 
@@ -142,7 +172,7 @@ def error_bounds(
     for lv, lo, hi in zip(tally.levels, ysys.lows, ysys.highs, strict=True):
         sifted = lv.sifted[basis]
         if sifted > 0:
-            r_lo, r_hi = binomial_interval(lv.errors[basis], sifted, config.epsilon)
+            r_lo, r_hi = _interval(state, lv.errors[basis], sifted, config.epsilon)
         else:
             r_lo, r_hi = 0.0, 1.0  # no data: error fraction unconstrained
         lows.append(r_lo * lo)
@@ -320,6 +350,7 @@ def single_photon_bounds(
     tally: SessionTally,
     scheme: DecoyScheme,
     config: ConfidenceConfig,
+    state: EvaluationState | None = None,
 ) -> SinglePhotonBounds:
     """Run the complete decoy analysis: y1 floor plus both b1 variants per basis.
 
@@ -338,14 +369,16 @@ def single_photon_bounds(
     (errors, sifted) counts, so when Z's equal X's, Z reuses X's system
     and tight bound: an expected tally takes two LPs (the y1 floor and
     one b1), a sampled one three.  ``bounds_consumed`` still counts both
-    bases, two observations whose intervals happen to coincide.
+    bases, two observations whose intervals happen to coincide.  A ``state``
+    memoizes the intervals and the y1 floor (:class:`EvaluationState`).
 
     Raises an ``InputError`` naming ``tally`` when the tally does not
     line up with the scheme (see :func:`~decoyqkd.core.validate_tally`).
     """
     validate_tally(tally, scheme)
-    ysys = yield_bounds(tally, scheme, config)
-    ysol = solve_y1_lower(ysys)
+    ysys = yield_bounds(tally, scheme, config, state)
+    ysol = (solve_y1_lower(ysys) if state is None
+            else state.recall("yields", ysys, solve_y1_lower, ysys))
 
     n1 = {}
     worst = {}
@@ -364,7 +397,7 @@ def single_photon_bounds(
         if ysol.feasible and ysol.y1_lower > 0.0:
             counts = tuple((lv.errors[basis], lv.sifted[basis]) for lv in tally.levels)
             if counts not in tight_by_counts:
-                esys = error_bounds(ysys, tally, basis, config)
+                esys = error_bounds(ysys, tally, basis, config, state)
                 tight_by_counts[counts] = b1_tight(
                     ysys, esys, ysol.y1_lower, pin_vacuum=config.pin_vacuum_errors
                 )

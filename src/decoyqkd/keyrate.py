@@ -31,10 +31,12 @@ from .core import (
     ConfidenceConfig,
     DecoyScheme,
     SessionTally,
+    ValidationError,
+    check_json_type,
     check_real,
     conjugate_basis,
 )
-from .decoy import SinglePhotonBounds, single_photon_bounds
+from .decoy import EvaluationState, SinglePhotonBounds, single_photon_bounds
 from .stats import binary_entropy
 
 __all__ = [
@@ -147,10 +149,11 @@ def secret_length(
     single-photon error bound, ``bit_error_rate`` the observed error
     fraction of the keyed bits, ``zero_fraction`` the bit bias, and the
     three ``f_*`` factors the measured stage efficiencies, in [1, inf].
-    ``y1_eff``, ``mu`` and ``zero_fraction`` must be finite.
+    ``y1_eff``, ``mu`` and ``zero_fraction`` must be finite.  ``n_sifted``
+    must be a non-negative integer (Python or numpy), else ``ValidationError``.
     """
-    if n_sifted < 0:
-        raise ValueError("n_sifted must be >= 0")
+    if check_json_type(n_sifted, int, "n_sifted") < 0:
+        raise ValidationError(f"n_sifted must be a non-negative integer, got {n_sifted!r}")
     y1_eff, mu, zero_fraction = (check_real(v, name) for name, v in (
         ("y1_eff", y1_eff), ("mu", mu), ("zero_fraction", zero_fraction)))
     f_ec, f_pa, f_ds = (check_real(f, name, "[1, inf]") for name, f in (
@@ -229,6 +232,7 @@ def compose_session(
     f_ec: float = DEFAULT_F_EC,
     f_ds: float = DEFAULT_F_DS,
     pa_epsilon: float = DEFAULT_PA_EPSILON,
+    state: EvaluationState | None = None,
 ) -> SessionAnalysis:
     """Run the decoy analysis and budget the key for both bases.
 
@@ -252,11 +256,22 @@ def compose_session(
     probability rather than a security failure.  It must lie in (0, 0.5),
     and ``f_ec`` and ``f_ds`` in [1, inf] (an infinite factor leaves no key);
     all three are checked first, whether or not the session earns a key.
+    A ``state`` (:class:`~decoyqkd.decoy.EvaluationState`) keeps the analysis
+    under every count of the tally, the scheme, config, and the three factors.
     """
     pa_epsilon = check_real(pa_epsilon, "pa_epsilon", "(0, 0.5)")
     f_ec = check_real(f_ec, "f_ec", "[1, inf]")
     f_ds = check_real(f_ds, "f_ds", "[1, inf]")
-    bounds = single_photon_bounds(tally, scheme, config)
+    if state is None:
+        return _compose(tally, scheme, config, f_ec, f_ds, pa_epsilon, None)
+    key = (*((lv.sent, *lv.detected.items(), *lv.sifted.items(), *lv.errors.items())
+             for lv in tally.levels), *tally.zeros.items(), scheme, config, f_ec, f_ds, pa_epsilon)
+    return state.recall("analyses", key, _compose,
+                        tally, scheme, config, f_ec, f_ds, pa_epsilon, state)
+
+
+def _compose(tally, scheme, config, f_ec, f_ds, pa_epsilon, state) -> SessionAnalysis:
+    bounds = single_photon_bounds(tally, scheme, config, state)
 
     mu = scheme.signal_mu
     signal = tally.levels[scheme.signal_index]

@@ -35,6 +35,7 @@ from .core import (
     check_integer,
     check_real,
 )
+from .decoy import EvaluationState
 from .keyrate import SessionAnalysis
 from .sim import evaluate_scheme, reference_scheme
 
@@ -124,7 +125,8 @@ def optimize_scheme(
     -----
     Ties in the tight total break toward the larger worst-case total,
     so the reported scheme never sacrifices the conservative variant
-    for nothing.
+    for nothing.  The evaluations share one ``EvaluationState``, made for
+    this call, so a bound or analysis met twice is computed once.
     """
     stages = check_integer(stages, "stages", 1)
     points_per_stage = check_integer(points_per_stage, "points_per_stage", 3)
@@ -141,14 +143,11 @@ def optimize_scheme(
         "p0": (0.02, 0.6),
         "p1": (0.02, 0.7),
     }
-    current = {
-        "mu1": min(max(start.mus[1], bounds["mu1"][0]), bounds["mu1"][1]),
-        "mu2": min(max(start.mus[2], bounds["mu2"][0]), bounds["mu2"][1]),
-        "p0": min(max(start.send_probs[0], bounds["p0"][0]), bounds["p0"][1]),
-        "p1": min(max(start.send_probs[1], bounds["p1"][0]), bounds["p1"][1]),
-    }
+    begin = dict(zip(("mu1", "mu2", "p0", "p1"), (*start.mus[1:], *start.send_probs[:2])))
+    current = {name: min(max(begin[name], lo), hi) for name, (lo, hi) in bounds.items()}
 
     cache: dict[tuple, SessionAnalysis] = {}  # in evaluation order
+    state = EvaluationState()
 
     def objective(c: dict) -> tuple[int, int]:
         scheme = _clipped_scheme(c["mu1"], c["mu2"], c["p0"], c["p1"], extinction_db)
@@ -156,7 +155,7 @@ def optimize_scheme(
             return (-1, -1)  # degenerate, or a level would send no pulse
         key = (scheme.mus, scheme.send_probs)
         if key not in cache:
-            cache[key] = evaluate_scheme(model, scheme, pulses, **evaluation)
+            cache[key] = evaluate_scheme(model, scheme, pulses, state=state, **evaluation)
         return (cache[key].total_tight, cache[key].total_worst)
 
     best_value = objective(current)
@@ -252,7 +251,8 @@ def range_curve(
     ``optimize=True`` a fresh coordinate-descent search runs per
     distance, warm-started from the previous distance's optimum, and
     ``scheme`` (if given) seeds the first distance.  ``evaluation`` is
-    passed to every :func:`evaluate_scheme` call, as in :func:`optimize_scheme`.
+    passed to every :func:`evaluate_scheme` call, as in :func:`optimize_scheme`,
+    with one ``EvaluationState`` for the fixed-scheme grid, made for this call.
 
     ``distances_km`` must be non-empty, strictly increasing and of reals in
     [0, inf); an ``InputError`` naming ``distances`` says which it is not.
@@ -265,6 +265,7 @@ def range_curve(
         raise InputError("distances", "distance grid must be strictly increasing")
     stages = check_integer(stages, "stages", 1)
     fixed = scheme if scheme is not None else reference_scheme()
+    state = EvaluationState()
 
     points: list[CurvePoint] = []
     range_tight: float | None = None
@@ -279,7 +280,7 @@ def range_curve(
             warm = result.scheme
         else:
             use = fixed
-            analysis = evaluate_scheme(m, use, pulses, **evaluation)
+            analysis = evaluate_scheme(m, use, pulses, state=state, **evaluation)
         points.append(CurvePoint(distance_km=d, scheme=use, analysis=analysis))
         if analysis.total_tight > 0:
             range_tight = d

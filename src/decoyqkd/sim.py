@@ -54,6 +54,7 @@ from .core import (
     check_integer,
     check_real,
 )
+from .decoy import EvaluationState
 from .keyrate import SessionAnalysis, compose_session
 
 __all__ = [
@@ -244,12 +245,16 @@ def evaluate_scheme(
     f_ds: float = DEFAULT_F_DS,
     sift_ratio: float = REFERENCE_SIFT_RATIO,
     zero_fraction: float = REFERENCE_ZERO_FRACTION,
+    state: EvaluationState | None = None,
 ) -> SessionAnalysis:
-    """Analysis of the expected (deterministic) session for one scheme."""
+    """Analysis of the expected (deterministic) session for one scheme.
+
+    A design tool passes its call's ``state`` (:class:`~decoyqkd.decoy.EvaluationState`).
+    """
     tally = expected_tally(
         model, scheme, pulses, sift_ratio=sift_ratio, zero_fraction=zero_fraction
     )
-    return compose_session(tally, scheme, config, f_ec=f_ec, f_ds=f_ds)
+    return compose_session(tally, scheme, config, f_ec=f_ec, f_ds=f_ds, state=state)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +493,8 @@ def calibrate_to_reference(
     published one to rounding.  Key totals come from :func:`evaluate_scheme`
     with that ratio, ``zero_fraction`` and ``**evaluation`` (``config``,
     ``f_ec``, ``f_ds``); a ``sift_ratio`` among them raises ``TypeError``.
+    They share one ``EvaluationState``, so the y1 floor that stage 2 leaves
+    fixed is solved once, and a repeated expected tally is composed once.
 
     Returns
     -------
@@ -546,6 +553,8 @@ def calibrate_to_reference(
     sift_ratio = sifted_total / float(targets.sum())
 
     # --- stage 2: intrinsic error rate from the two key totals
+    state = EvaluationState()
+
     def score(analysis: SessionAnalysis) -> float:
         tight, worst = analysis.total_tight, analysis.total_worst
         if tight <= 0 or worst <= 0:
@@ -558,7 +567,7 @@ def calibrate_to_reference(
     def objective(e_int: float) -> float:
         m = replace(fitted, intrinsic_error_rate=e_int)
         return score(evaluate_scheme(m, scheme, pulses, sift_ratio=sift_ratio,
-                                     zero_fraction=zero_fraction, **evaluation))
+                                     zero_fraction=zero_fraction, state=state, **evaluation))
 
     grid = np.geomspace(5e-4, 0.02, 9)
     scores = [objective(e) for e in grid]
@@ -581,7 +590,7 @@ def calibrate_to_reference(
     e_int = float((a + b) / 2.0)
     final_model = replace(fitted, intrinsic_error_rate=e_int)
     analysis = evaluate_scheme(final_model, scheme, pulses, sift_ratio=sift_ratio,
-                               zero_fraction=zero_fraction, **evaluation)
+                               zero_fraction=zero_fraction, state=state, **evaluation)
     final_obj = score(analysis)
     tally = expected_tally(
         final_model, scheme, pulses, sift_ratio=sift_ratio, zero_fraction=zero_fraction

@@ -1106,6 +1106,27 @@ class TestCalibrate:
                        "too few for every level\n")
 
 
+DESIGN_FLAGS = ["--f-ec", "1.07", "--f-ds", "1.05", "--confidence", "1e-7",
+                "--photon-cutoff", "10"]
+
+
+class TestFrozenDesignOutputs:
+    # SHA-256 of each design command's stdout with the design benchmark's flags.
+    # A change that moves a certified bound on purpose re-freezes these.
+    @pytest.mark.parametrize("argv, digest", [
+        (["optimize", "--distance-km", "150", "--duration-h", "560"],
+         "f8a81040faf4a8868cd45495281110feb13eb6dc6abfefab5df72ab199b11e92"),
+        (["curve", "--distances", "100:170:2", "--duration-h", "5.6"],
+         "5c2cfbdfbd2df0338677a33288e92d8987fff9a9831192af7b9d463b02312200"),
+        (["calibrate", "--duration-h", "5.6"],
+         "1ee58c058d9410ffd028c41ff669e968e7f40a92f6b4a4ee71380e187d6af41b"),
+    ], ids=["optimize", "curve", "calibrate"])
+    def test_stdout_digest(self, argv, digest):
+        rc, out, _ = run_cli([*argv, *DESIGN_FLAGS])
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 
 class TestOutputFiles:
     ARGV = {
@@ -1390,11 +1411,23 @@ class TestUsage:
         assert proc.returncode == 0
         assert "distill" in proc.stdout
 
+    # Library names outside _FLAGS, each with what keeps its InputError from main.
+    NAMES_MAIN_NEVER_SEES = {
+        ("core.py", "epsilon"): "_Settings.name maps it to --confidence",
+        ("core.py", "mus"): "_read re-raises a scheme document's error as scheme",
+        ("core.py", "send_probs"): "_read re-raises a scheme document's error as scheme",
+        ("keyrate.py", "epsilon"): "compose_session checks pa_epsilon before the factor",
+        ("keyrate.py", "n1"): "compose_session calls the factor only when n1 >= 1",
+        ("recon.py", "estimated_qber"): "distill_session blames a QBER above 0.25 on tally "
+                                        "and floors the estimate at 0.5 / n",
+    }
+
     def test_input_error_names_are_flags(self):
         # main reports an InputError under settings.name(its input name), so
         # a name outside _FLAGS would end in a KeyError traceback.  The name
-        # is InputError's first argument and check_integer's second.
-        position = {"InputError": 0, "check_integer": 1}
+        # is InputError's first argument and check_integer's and check_real's
+        # second; a name no flag holds must be one main never sees.
+        position = {"InputError": 0, "check_integer": 1, "check_real": 1}
         names = {function: set() for function in position}
         for path in Path(decoyqkd.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -1406,8 +1439,10 @@ class TestUsage:
                         (path.name, node.args[position[node.func.id]].value))
         assert {("recon.py", "keys"), ("core.py", "tally")} <= names["InputError"]
         assert ("sim.py", "seed") in names["check_integer"]
-        every = names["InputError"] | names["check_integer"]
-        assert sorted((module, name) for module, name in every if name not in cli._FLAGS) == []
+        assert ("keyrate.py", "f_ec") in names["check_real"]
+        every = names["InputError"] | names["check_integer"] | names["check_real"]
+        outside = {(module, name) for module, name in every if name not in cli._FLAGS}
+        assert sorted(outside) == sorted(self.NAMES_MAIN_NEVER_SEES)
 
     def test_no_function_body_spells_a_flag(self):
         # Messages take a setting's name from _Settings.name, which knows

@@ -125,6 +125,16 @@ class TestSecretLength:
         with pytest.raises(ValueError):
             secret_length(-1, 1.0, 0.5, 0.01, 0.01, 0.5, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("n_sifted", [-1, True, np.bool_(True), 1.5, "3", math.nan, math.inf],
+                             ids=["negative", "bool", "np.bool_", "fraction", "string", "nan", "inf"])
+    def test_sifted_count_is_a_non_negative_integer(self, n_sifted):
+        with pytest.raises(ValidationError, match="n_sifted"):
+            secret_length(n_sifted, 1.0, 0.5, 0.01, 0.01, 0.5, 1.0, 1.0, 1.0)
+
+    def test_numpy_sifted_count_runs(self):
+        args = (1.0, 0.5, 0.01, 0.01, 0.5, 1.0, 1.0, 1.0)
+        assert secret_length(np.int64(100000), *args) == secret_length(100000, *args)
+
     @pytest.mark.parametrize("position", [6, 7, 8])
     def test_rejects_subunity_efficiency_factors(self, position):
         name = ("f_ec", "f_pa", "f_ds")[position - 6]
