@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import numbers
+import os
 import typing
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -70,6 +71,16 @@ class InputError(ValidationError):
     def __init__(self, input_name: str, message: str) -> None:
         super().__init__(message)
         self.input_name = input_name
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, or the machine's count
+    where the platform has no affinity.  ``sim`` and ``recon`` start helper
+    threads by it."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def conjugate_basis(basis: str) -> str:

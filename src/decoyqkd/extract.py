@@ -34,9 +34,11 @@ __all__ = [
 ]
 
 def _as_bits(bits, name: str) -> np.ndarray:
-    """Coerce a 0/1 string or one-dimensional array to uint8 0/1 values.
+    """Return a 0/1 string or one-dimensional array of 0/1 values as uint8.
 
-    A uint8 array comes back as is, not copied.
+    The array may be bool, integer or real; any other value or dtype (such
+    as 0.5, NaN or the string ``"1"``) raises ``ValidationError`` naming
+    ``name``.  A uint8 array comes back as is, not copied.
     """
     if isinstance(bits, str):
         try:
@@ -47,10 +49,15 @@ def _as_bits(bits, name: str) -> np.ndarray:
         arr = np.asarray(bits)
         if arr.ndim != 1:
             raise ValidationError(f"{name}: expected a one-dimensional bit sequence")
-        arr = arr.astype(np.uint8, copy=False)
-    if arr.size and int(arr.max(initial=0)) > 1:
+        if arr.dtype.kind not in "biuf":
+            raise ValidationError(f"{name}: expected bool, integer or real bits, got {arr.dtype}")
+    if arr.dtype == np.uint8:
+        valid = arr.max(initial=0) <= 1
+    else:
+        valid = ((arr == 0) | (arr == 1)).all()
+    if not valid:
         raise ValidationError(f"{name}: bit values must be 0 or 1")
-    return arr
+    return arr.astype(np.uint8, copy=False)
 
 
 @dataclass(frozen=True)
@@ -244,9 +251,15 @@ def privacy_amplify(key, target_length: int, seed: int) -> np.ndarray:
 
     s = np.random.default_rng(seed).integers(0, 2, n + target_length - 1, dtype=np.uint8)
     size = _fft_length(s.size)
-    spectrum = np.fft.rfft(s, size) * np.fft.rfft(arr, size)
-    window = np.fft.irfft(spectrum, size)[n - 1 : n - 1 + target_length]
+    # The product and the rounding check work in place, and the convolution
+    # is written over the key's spectrum, which the product no longer needs.
+    spectrum, key_spectrum = np.fft.rfft(s, size), np.fft.rfft(arr, size)
+    spectrum *= key_spectrum
+    full = np.fft.irfft(spectrum, size, out=key_spectrum.view(np.float64)[:size])
+    window = full[n - 1 : n - 1 + target_length]
     counts = np.rint(window)
-    if not (np.abs(window - counts) <= 0.25).all():
+    window -= counts
+    if not (np.abs(window, out=window) <= 0.25).all():
         raise ValidationError("Toeplitz hash: FFT rounding error too large; no key emitted")
-    return (counts % 2).astype(np.uint8)
+    counts %= 2
+    return counts.astype(np.uint8)

@@ -43,6 +43,19 @@ by a later pass updates Bob's bits and parities in every record and
 checks each block it changed in the other passes against Alice's
 parity.
 
+The shuffles of passes 2 onward depend only on the seed and the key
+length, so they are drawn ahead.  On two or more usable CPUs one helper
+thread, started with the call, draws them from the call's generator in
+pass order while pass 1 and the later searches run in the calling
+thread (numpy shuffles without holding the GIL); each pass takes its
+shuffle when it starts.  On one CPU, or for a key shorter than
+``_DRAW_AHEAD_BITS``, each pass draws its own.  The draws are the same
+either way, so no output depends on the core count.  The helper draws
+nothing else: numpy work that must win the GIL back from a busy search
+loop waits up to a switch interval per call.  It is joined before the
+call returns, and when pass 1 corrects nothing the shuffles it has not
+begun are cancelled.
+
 :func:`distill_session` runs the whole post-processing of one session
 here, beside the limits it enforces: reconciliation, deskewing, the key
 budget with the measured factors, and hashing.
@@ -52,15 +65,18 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, repeat, starmap
 
 import numpy as np
 
 from .core import (BASES, DEFAULT_DESKEW_DEPTH, DEFAULT_PA_EPSILON, ConfidenceConfig,
-                   DecoyScheme, InputError, SessionTally, ValidationError, check_integer,
-                   check_json_type, check_real, validate_tally)
+                   DecoyScheme, InputError, SessionTally, ValidationError, _usable_cpus,
+                   check_integer, check_json_type, check_real, validate_tally)
 from .extract import _as_bits, measure_f_ds, peres_extract, privacy_amplify
 from .keyrate import SessionAnalysis, compose_session
 from .stats import binary_entropy
@@ -84,6 +100,10 @@ _N_PASSES = 4
 _BLOCK_SIZE_FACTOR = 0.73
 _MAX_QBER = 0.25
 _MIN_BITS = 64
+# Shorter keys draw their shuffles in the calling thread: starting and
+# joining the helper costs about 0.4 ms, more than it saves below about
+# 25,000 bits.
+_DRAW_AHEAD_BITS = 2**15
 
 
 @dataclass(frozen=True)
@@ -331,6 +351,29 @@ class _Pass:
         return start, stop, parity
 
 
+@contextmanager
+def _drawn_ahead(draw: Callable[[], np.ndarray], count: int,
+                 ahead: bool) -> Iterator[Callable[[], np.ndarray]]:
+    """Yield ``take``, which returns the result of the next of ``count`` calls
+    of ``draw``, made in order.
+
+    With ``ahead``, one helper thread starts making the calls at once, so
+    they overlap the caller's work; without, ``take`` makes each call
+    itself.  Either way ``draw`` is called in the same order, so the
+    results are the same.  On exit the calls not yet started are cancelled
+    and the helper is joined.
+    """
+    if not ahead:
+        yield draw
+        return
+    pool = ThreadPoolExecutor(1)
+    try:
+        pending = deque(pool.submit(draw) for _ in range(count))
+        yield lambda: pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cascade_reconcile(
     alice_key,
     bob_key,
@@ -343,7 +386,11 @@ def cascade_reconcile(
     its messages keep block-major order, the result is the one a
     block-by-block search gives.  Passes 2 onward visit the blocks that
     are odd when the pass starts and cascade each flip back into the
-    earlier passes, one block at a time.
+    earlier passes, one block at a time.  Their shuffles are drawn in
+    pass order from ``numpy.random.default_rng(rng_seed)``: ahead, by one
+    helper thread that the call starts and joins, when two or more CPUs
+    are usable and the keys hold at least 32,768 bits, and by each pass
+    as it starts otherwise.  The outputs do not depend on the core count.
 
     Parameters
     ----------
@@ -383,12 +430,9 @@ def cascade_reconcile(
     if check_json_type(rng_seed, int, "rng_seed") < 0:
         raise ValidationError(f"rng_seed must be a non-negative integer, got {rng_seed!r}")
 
-    rng = np.random.default_rng(rng_seed)
     k1 = max(2, int(np.ceil(_BLOCK_SIZE_FACTOR / estimated_qber)))
     records: list[tuple[int, int, int, int]] = []
-    passes = [_Pass(1, None, min(n, k1), alice, corrected, records)]
-    first = passes[0].search_all()
-    corrections = passes[0].odd.size
+    passes: list[_Pass] = []
 
     def fix_block(searched: _Pass, b: int, queue: deque) -> None:
         """Search block b of ``searched`` if it is still odd, flip the bit,
@@ -410,20 +454,27 @@ def cascade_reconcile(
             if other is not searched and other.top(ob) != blocks[ob]:
                 queue.append((other, ob))
 
-    # When no first-pass block disagreed the keys almost surely agree
-    # already, and later passes would only re-confirm parities on record.
-    last = _N_PASSES if corrections else 1
-    queue: deque = deque()
-    for index in range(2, last + 1):
-        current = _Pass(index, rng.permutation(n), min(n, k1 << (index - 1)), alice, corrected,
-                        records)
-        passes.append(current)
-        for b in current.odd.tolist():
-            current.send_blocks(b + 1)
-            queue.append((current, b))
-            while queue:
-                fix_block(*queue.popleft(), queue)
-        current.send_blocks(len(current.alice_blocks))
+    shuffle = partial(np.random.default_rng(rng_seed).permutation, n)
+    ahead = n >= _DRAW_AHEAD_BITS and _usable_cpus() >= 2
+    with _drawn_ahead(shuffle, _N_PASSES - 1, ahead) as next_shuffle:
+        passes.append(_Pass(1, None, min(n, k1), alice, corrected, records))
+        first = passes[0].search_all()
+        corrections = passes[0].odd.size
+
+        # When no first-pass block disagreed the keys almost surely agree
+        # already, and later passes would only re-confirm parities on record.
+        last = _N_PASSES if corrections else 1
+        queue: deque = deque()
+        for index in range(2, last + 1):
+            current = _Pass(index, next_shuffle(), min(n, k1 << (index - 1)), alice, corrected,
+                            records)
+            passes.append(current)
+            for b in current.odd.tolist():
+                current.send_blocks(b + 1)
+                queue.append((current, b))
+                while queue:
+                    fix_block(*queue.popleft(), queue)
+            current.send_blocks(len(current.alice_blocks))
 
     return ReconciliationResult(
         corrected_key=bob,

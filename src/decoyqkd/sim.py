@@ -33,7 +33,6 @@ design tools take them as ``**evaluation`` and pass them through.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -51,6 +50,7 @@ from .core import (
     LevelCounts,
     SessionTally,
     ValidationError,
+    _usable_cpus,
     check_integer,
     check_real,
 )
@@ -281,13 +281,6 @@ _BLOCK = 2**16
 #: Fewer signal draws than this are made in the calling thread alone.
 _PARALLEL_DRAWS = 2**17
 _MAX_WORKERS = 8
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
 
 
 def _signal_draws(

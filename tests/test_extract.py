@@ -16,6 +16,8 @@ from decoyqkd.extract import (
     peres_extract,
     privacy_amplify,
 )
+from decoyqkd import recon
+from decoyqkd.recon import cascade_reconcile
 from decoyqkd.stats import binary_entropy
 
 
@@ -311,3 +313,52 @@ class TestFftLength:
             length = _fft_length(x)
             assert length == smooth[bisect.bisect_left(smooth, x)]
             assert length <= 1 << (x - 1).bit_length()
+
+
+class TestKeyArguments:
+    """Every entry point that takes a key reads it by one rule: bool, integer
+    and real arrays of 0/1 values and 0/1 strings are bits, and anything else
+    raises ``ValidationError`` naming the argument instead of being cast."""
+
+    # (argument name, call with that argument set to the given key of 72 bits)
+    ENTRY_POINTS = [
+        ("alice_key", lambda key: cascade_reconcile(key, np.zeros(72, dtype=np.uint8), 0.03, 1)),
+        ("bob_key", lambda key: cascade_reconcile(np.zeros(72, dtype=np.uint8), key, 0.03, 1)),
+        ("bits", lambda key: peres_extract(key, depth=3)),
+        ("key", lambda key: privacy_amplify(key, 30, seed=1)),
+    ]
+    ENTRY_IDS = [name for name, _ in ENTRY_POINTS]
+    BITS = np.random.default_rng(72).integers(0, 2, 72, dtype=np.uint8)
+
+    @pytest.mark.parametrize("name, call", ENTRY_POINTS, ids=ENTRY_IDS)
+    @pytest.mark.parametrize("key, message", [
+        (np.array([0.5, 1.0, 1.9] * 24), "bit values must be 0 or 1"),
+        (np.full(72, np.nan), "bit values must be 0 or 1"),
+        (np.array(["1", "0"] * 36), "expected bool, integer or real bits"),
+        (["1", "0"] * 36, "expected bool, integer or real bits"),
+        (np.array([0, 256] * 36), "bit values must be 0 or 1"),
+        (np.array([0, -1] * 36), "bit values must be 0 or 1"),
+        (np.ones(72, dtype=complex), "expected bool, integer or real bits"),
+    ], ids=["fraction", "nan", "string array", "string list", "256", "negative", "complex"])
+    def test_rejected(self, name, call, key, message):
+        with pytest.raises(ValidationError, match=f"^{name}: {message}"):
+            call(key)
+
+    @pytest.mark.parametrize("name, call", ENTRY_POINTS, ids=ENTRY_IDS)
+    @pytest.mark.parametrize("convert", [
+        lambda bits: bits.astype(bool),
+        lambda bits: bits.astype(np.int64),
+        lambda bits: bits.astype(np.float64),
+        lambda bits: bits.tolist(),
+        lambda bits: "".join(map(str, bits.tolist())),
+    ], ids=["bool", "int64", "float64", "list", "string"])
+    def test_accepted_as_uint8(self, name, call, convert):
+        def plain(value):
+            """A result as comparable values: arrays and the transcript as lists."""
+            if isinstance(value, np.ndarray):
+                return value.tolist()
+            if hasattr(value, "__dataclass_fields__"):
+                return {field: plain(item) for field, item in vars(value).items()}
+            return list(value) if isinstance(value, recon._Transcript) else value
+
+        assert plain(call(convert(self.BITS))) == plain(call(self.BITS))

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import sys
+import threading
 from collections import deque
 
 import numpy as np
 import pytest
 
 from decoyqkd import recon
-from decoyqkd.core import InputError
+from decoyqkd.core import BASES, InputError
 from decoyqkd.recon import (
     ParityMessage,
     ReconciliationResult,
@@ -414,6 +416,153 @@ class TestMatchesReferenceLoop:
         assert hashlib.sha256(records.tobytes()).hexdigest() == (
             "de3c8b864b25989109a68047801f094cf41662be19e8c471640c457c1ce5817b"
         )
+
+
+class TestShufflesDrawnAhead:
+    """With two usable CPUs a helper thread draws the shuffles of passes 2-4
+    ahead; with one the passes draw them.  Every output is the same, and no
+    thread outlives a call, even one that raises."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Return ``use(count, min_bits)``, which makes ``count`` CPUs usable
+        and keys of ``min_bits`` (by default any key) long enough for the
+        helper, and returns the list of threads started from then on."""
+        start = threading.Thread.start
+
+        def use(count, min_bits=recon._MIN_BITS):
+            started = []
+
+            def counted(thread):
+                started.append(thread)
+                start(thread)
+
+            monkeypatch.setattr(recon, "_usable_cpus", lambda: count)
+            monkeypatch.setattr(recon, "_DRAW_AHEAD_BITS", min_bits)
+            monkeypatch.setattr(threading.Thread, "start", counted)
+            return started
+
+        return use
+
+    @pytest.fixture
+    def fast_switching(self):
+        """Let the interpreter switch threads every microsecond, so that the
+        helper and the passes interleave as finely as they can."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _call(call, *args, **kwargs):
+        """Run ``call`` and check that it leaves as many threads as it found."""
+        threads = threading.active_count()
+        try:
+            return call(*args, **kwargs)
+        finally:
+            assert threading.active_count() == threads
+
+    @pytest.mark.usefixtures("fast_switching")
+    def test_matches_reference_loop(self, cpus):
+        rng = np.random.default_rng(2828)
+        for trial in range(24):
+            n = int(rng.integers(64, 20_000))
+            qber = float(rng.uniform(0.002, 0.1))
+            alice, bob = _keys(2900 + trial, n, qber, 3000 + trial)
+            records, key, corrections, passes = _reference_cascade(alice, bob, qber, trial)
+            for count in (1, 2):
+                started = cpus(count)
+                result = self._call(cascade_reconcile, alice, bob, qber, rng_seed=trial)
+                assert len(started) == (count > 1), (trial, count)
+                assert _records(result) == records
+                assert np.array_equal(result.corrected_key, key)
+                assert (result.corrections, result.passes) == (corrections, passes)
+
+    @pytest.mark.parametrize("flipped", [[], [70_000, 70_001]], ids=["no errors", "even block"])
+    def test_no_first_pass_correction(self, cpus, flipped):
+        # Pass 1 sees no odd block, so the call returns after it and cancels
+        # the shuffles the helper has not started.
+        alice = np.random.default_rng(31).integers(0, 2, 400_000, dtype=np.uint8)
+        bob = alice.copy()
+        bob[flipped] ^= 1
+        records, key, corrections, passes = _reference_cascade(alice, bob, 0.001, 32)
+        for count in (1, 2):
+            started = cpus(count)
+            result = self._call(cascade_reconcile, alice, bob, 0.001, rng_seed=32)
+            assert len(started) == (count > 1)
+            assert (result.passes, result.corrections) == (1, 0) == (passes, corrections)
+            assert result.residual_error_detected is bool(flipped)
+            assert _records(result) == records
+            assert np.array_equal(result.corrected_key, key)
+
+    def test_keyed_session(self, cpus):
+        scheme = reference_scheme()
+        tally, keys = simulate_session(reference_model(25.0), scheme, 20_000_000, 11)
+        results = []
+        for count in (1, 2):
+            started = cpus(count)
+            results.append(self._call(distill_session, tally, scheme, keys.alice, keys.bob,
+                                      seed=5))
+            assert len(started) == (2 if count > 1 else 0)  # one helper per basis
+        one, two = results
+        assert one.to_json() == two.to_json() and one.final_key.size > 0
+
+    def test_distill_raising_after_reconciliation(self, cpus):
+        scheme = reference_scheme()
+        tally, keys = simulate_session(reference_model(25.0), scheme, 20_000_000, 11)
+        bob = dict(keys.bob)
+        agree = np.flatnonzero(keys.alice["X"] == bob["X"])
+        bob["X"] = bob["X"].copy()
+        bob["X"][agree[::97]] ^= 1  # errors the tally does not record
+        for count in (1, 2):
+            started = cpus(count)
+            with pytest.raises(InputError, match="reconciliation corrected") as info:
+                self._call(distill_session, tally, scheme, keys.alice, bob, seed=5)
+            assert info.value.input_name == "keys"
+            assert len(started) == (len(BASES) if count > 1 else 0)
+
+    def test_short_keys_draw_in_the_calling_thread(self, cpus):
+        shortest = recon._DRAW_AHEAD_BITS
+        for n, helpers in ((shortest - 1, 0), (shortest, 1)):
+            alice, bob = _keys(n, n, 0.02, n + 1)
+            cpus(1)
+            alone = self._call(cascade_reconcile, alice, bob, 0.02, rng_seed=n)
+            started = cpus(2, shortest)
+            result = self._call(cascade_reconcile, alice, bob, 0.02, rng_seed=n)
+            assert len(started) == helpers
+            assert _records(result) == _records(alone)
+            assert np.array_equal(result.corrected_key, alone.corrected_key)
+
+    def test_unstarted_draws_are_cancelled(self):
+        # The helper is inside the first of three draws when the block exits:
+        # the other two never start.  The first is let finish shortly after.
+        started, release, calls = threading.Event(), threading.Event(), []
+
+        def draw():
+            calls.append(len(calls))
+            started.set()
+            assert release.wait(10)
+            return calls[-1]
+
+        timer = threading.Timer(0.2, release.set)
+        with recon._drawn_ahead(draw, 3, ahead=True):
+            assert started.wait(10)
+            timer.start()
+        timer.join(10)
+        assert not timer.is_alive()
+        assert calls == [0]
+
+    def test_pass_raising_mid_call(self, cpus, monkeypatch):
+        def failing(self, b):
+            raise RuntimeError("search failed")
+
+        monkeypatch.setattr(recon._Pass, "locate", failing)
+        alice, bob = _keys(41, 50_000, 0.03, 42)
+        for count in (1, 2):
+            started = cpus(count)
+            with pytest.raises(RuntimeError, match="search failed"):
+                self._call(cascade_reconcile, alice, bob, 0.03, rng_seed=43)
+            assert len(started) == (count > 1)
 
 
 class TestTranscriptView:
