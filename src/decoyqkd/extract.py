@@ -251,12 +251,10 @@ def privacy_amplify(key, target_length: int, seed: int) -> np.ndarray:
 
     s = np.random.default_rng(seed).integers(0, 2, n + target_length - 1, dtype=np.uint8)
     size = _fft_length(s.size)
-    # The product and the rounding check work in place, and the convolution
-    # is written over the key's spectrum, which the product no longer needs.
-    spectrum, key_spectrum = np.fft.rfft(s, size), np.fft.rfft(arr, size)
-    spectrum *= key_spectrum
-    full = np.fft.irfft(spectrum, size, out=key_spectrum.view(np.float64)[:size])
-    window = full[n - 1 : n - 1 + target_length]
+    # The product and the rounding check work in place.
+    spectrum = np.fft.rfft(s, size)
+    spectrum *= np.fft.rfft(arr, size)
+    window = np.fft.irfft(spectrum, size)[n - 1 : n - 1 + target_length]
     counts = np.rint(window)
     window -= counts
     if not (np.abs(window, out=window) <= 0.25).all():

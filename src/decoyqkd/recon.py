@@ -48,13 +48,12 @@ length, so they are drawn ahead.  On two or more usable CPUs one helper
 thread, started with the call, draws them from the call's generator in
 pass order while pass 1 and the later searches run in the calling
 thread (numpy shuffles without holding the GIL); each pass takes its
-shuffle when it starts.  On one CPU, or for a key shorter than
-``_DRAW_AHEAD_BITS``, each pass draws its own.  The draws are the same
-either way, so no output depends on the core count.  The helper draws
-nothing else: numpy work that must win the GIL back from a busy search
-loop waits up to a switch interval per call.  It is joined before the
-call returns, and when pass 1 corrects nothing the shuffles it has not
-begun are cancelled.
+shuffle when it starts.  On one CPU each pass draws its own.  The draws
+are the same either way, so no output depends on the core count.  The
+helper draws nothing else: numpy work that must win the GIL back from a
+busy search loop waits up to a switch interval per call.  It is joined
+before the call returns, and when pass 1 corrects nothing the shuffles
+it has not begun are cancelled.
 
 :func:`distill_session` runs the whole post-processing of one session
 here, beside the limits it enforces: reconciliation, deskewing, the key
@@ -100,10 +99,6 @@ _N_PASSES = 4
 _BLOCK_SIZE_FACTOR = 0.73
 _MAX_QBER = 0.25
 _MIN_BITS = 64
-# Shorter keys draw their shuffles in the calling thread: starting and
-# joining the helper costs about 0.4 ms, more than it saves below about
-# 25,000 bits.
-_DRAW_AHEAD_BITS = 2**15
 
 
 @dataclass(frozen=True)
@@ -389,8 +384,8 @@ def cascade_reconcile(
     earlier passes, one block at a time.  Their shuffles are drawn in
     pass order from ``numpy.random.default_rng(rng_seed)``: ahead, by one
     helper thread that the call starts and joins, when two or more CPUs
-    are usable and the keys hold at least 32,768 bits, and by each pass
-    as it starts otherwise.  The outputs do not depend on the core count.
+    are usable, and by each pass as it starts otherwise.  The outputs do
+    not depend on the core count.
 
     Parameters
     ----------
@@ -455,8 +450,7 @@ def cascade_reconcile(
                 queue.append((other, ob))
 
     shuffle = partial(np.random.default_rng(rng_seed).permutation, n)
-    ahead = n >= _DRAW_AHEAD_BITS and _usable_cpus() >= 2
-    with _drawn_ahead(shuffle, _N_PASSES - 1, ahead) as next_shuffle:
+    with _drawn_ahead(shuffle, _N_PASSES - 1, _usable_cpus() >= 2) as next_shuffle:
         passes.append(_Pass(1, None, min(n, k1), alice, corrected, records))
         first = passes[0].search_all()
         corrections = passes[0].odd.size

@@ -425,12 +425,11 @@ class TestShufflesDrawnAhead:
 
     @pytest.fixture
     def cpus(self, monkeypatch):
-        """Return ``use(count, min_bits)``, which makes ``count`` CPUs usable
-        and keys of ``min_bits`` (by default any key) long enough for the
-        helper, and returns the list of threads started from then on."""
+        """Return ``use(count)``, which makes ``count`` CPUs usable and
+        returns the list of threads started from then on."""
         start = threading.Thread.start
 
-        def use(count, min_bits=recon._MIN_BITS):
+        def use(count):
             started = []
 
             def counted(thread):
@@ -438,7 +437,6 @@ class TestShufflesDrawnAhead:
                 start(thread)
 
             monkeypatch.setattr(recon, "_usable_cpus", lambda: count)
-            monkeypatch.setattr(recon, "_DRAW_AHEAD_BITS", min_bits)
             monkeypatch.setattr(threading.Thread, "start", counted)
             return started
 
@@ -520,18 +518,6 @@ class TestShufflesDrawnAhead:
                 self._call(distill_session, tally, scheme, keys.alice, bob, seed=5)
             assert info.value.input_name == "keys"
             assert len(started) == (len(BASES) if count > 1 else 0)
-
-    def test_short_keys_draw_in_the_calling_thread(self, cpus):
-        shortest = recon._DRAW_AHEAD_BITS
-        for n, helpers in ((shortest - 1, 0), (shortest, 1)):
-            alice, bob = _keys(n, n, 0.02, n + 1)
-            cpus(1)
-            alone = self._call(cascade_reconcile, alice, bob, 0.02, rng_seed=n)
-            started = cpus(2, shortest)
-            result = self._call(cascade_reconcile, alice, bob, 0.02, rng_seed=n)
-            assert len(started) == helpers
-            assert _records(result) == _records(alone)
-            assert np.array_equal(result.corrected_key, alone.corrected_key)
 
     def test_unstarted_draws_are_cancelled(self):
         # The helper is inside the first of three draws when the block exits:
