@@ -8,7 +8,13 @@ anti-cycling, and absolute tolerances.  The pivot loop works on hoisted
 views of the tableau and a few whole-array numpy calls per pivot, but
 keeps the floating-point operations, and their order, of the plain
 loop it replaced, so every solution is bit-identical to that loop's
-(``tests/test_simplex.py`` holds it as the oracle).
+(``tests/test_simplex.py`` holds it as the oracle).  From pivot to pivot
+it keeps the basic costs ``cb`` (one entry changes per pivot) and one
+ratio buffer.  It does not zero the basic columns' reduced costs: each
+basic column stays an exact unit vector, so its reduced cost comes out
+exactly 0.  The reduced costs stay one ``cb @ tab[:, :allow_cols]``
+product over the same columns, because OpenBLAS's gemv sums a column in
+an order that depends on the column count (not on the row stride).
 
 Those tolerances assume O(1) coefficients, which the decoy LPs do not have:
 the b1 LP at the reference operating point has weights from 2.6e-33 to 1
@@ -69,8 +75,6 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
     # Orient rows so the right-hand side is nonnegative; rows flipped this
     # way lose their identity slack and get an artificial instead.
     neg = b < 0
-    a = np.where(neg[:, None], -a, a)
-    b = np.where(neg, -b, b)
     # After flipping: original "<=" rows keep slack +1; flipped rows have
     # slack coefficient -1 and need an artificial.
     slack_sign = np.where(neg, -1.0, 1.0)
@@ -80,15 +84,15 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
     # Column layout: [ structural (n) | slacks (m) | artificials (n_art) ]
     width = n + m + n_art
     tab = np.zeros((m, width + 1))
-    tab[:, :n] = a
-    tab[np.arange(m), n + np.arange(m)] = slack_sign
-    tab[art_rows, n + m + np.arange(n_art)] = 1.0
-    tab[:, -1] = b
-
-    basis = n + np.arange(m)  # slacks
-    basis[art_rows] = n + m + np.arange(n_art)
+    np.multiply(a, slack_sign[:, None], out=tab[:, :n])  # exact negation where flipped
+    np.fill_diagonal(tab[:, n : n + m], slack_sign)
+    np.multiply(b, slack_sign, out=tab[:, -1])
+    basis = np.arange(n, n + m)  # slacks
 
     if n_art:
+        artificials = np.arange(n + m, width)
+        tab[art_rows, artificials] = 1.0
+        basis[art_rows] = artificials
         # Phase 1: minimize the sum of artificials.
         cost1 = np.zeros(width)
         cost1[n + m :] = 1.0
@@ -116,13 +120,13 @@ def _run_simplex(tab, basis, cost, allow_cols):
     priced = tab[:, :allow_cols]
     cost_priced = cost[:allow_cols]
     rhs = tab[:, -1]
-    no_ratio = np.full(m, np.inf)
+    cb = cost[basis]
+    ratios = np.empty(m)
     bland = False
     for iteration in range(_MAX_ITER):
         # Reduced costs: r = cost - cost_B . B^-1 A  (tableau is already B^-1 A).
-        cb = cost[basis]
+        # Basic columns are exact unit vectors, so theirs come out exactly 0.
         r = cost_priced - cb @ priced
-        r[basis[basis < allow_cols]] = 0.0  # exact zeros for basic columns
 
         if bland:
             candidates = np.flatnonzero(r < -_TOL)
@@ -135,10 +139,10 @@ def _run_simplex(tab, basis, cost, allow_cols):
                 return float(cb @ rhs)
 
         column = tab[:, col]
-        positive = column > _TOL
-        if not positive.any():
+        if column.max() <= _TOL:
             return None  # unbounded in this direction
-        ratios = np.divide(rhs, column, out=no_ratio.copy(), where=positive)
+        ratios.fill(np.inf)
+        np.divide(rhs, column, out=ratios, where=column > _TOL)
         row = int(ratios.argmin())
         if bland:
             # Bland tie-break: smallest basis index among minimal ratios.
@@ -148,6 +152,7 @@ def _run_simplex(tab, basis, cost, allow_cols):
 
         _pivot(tab, row, col)
         basis[row] = col
+        cb[row] = cost[col]
 
         if iteration == 4 * (tab.shape[1] + m):
             bland = True  # degeneracy suspected; switch to anti-cycling rule
@@ -155,13 +160,13 @@ def _run_simplex(tab, basis, cost, allow_cols):
 
 
 def _pivot(tab, row, col):
+    # The update itself leaves column ``col`` the exact unit vector: p / p
+    # is 1, each other row gets f - f * 1 = +0 and the pivot row 1 - 0.
     pivot_row = tab[row]
     pivot_row /= pivot_row[col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
     tab -= factors[:, None] * pivot_row
-    tab[:, col] = 0.0
-    pivot_row[col] = 1.0
 
 
 def _evict_artificials(tab, basis, n_real):

@@ -210,21 +210,6 @@ def solve_y1_lower(system: ConstraintSystem) -> YieldSolution:
     return YieldSolution(feasible=True, y1_lower=y1, yields=tuple(float(v) for v in res.x))
 
 
-def _joint_rows(ysys, esys) -> tuple[np.ndarray, np.ndarray]:
-    """The joint (y, e) polytope as stacked <= rows over [y | e]."""
-    dim = ysys.cutoff + 1
-    ay, by = _yield_rows(ysys)
-    ae, be = _yield_rows(esys)
-    eye = np.eye(dim)
-    blocks = [
-        (np.hstack([ay, np.zeros_like(ay)]), by),  # yield levels act on y
-        (np.hstack([np.zeros_like(ae), ae]), be),  # error levels act on e
-        (np.hstack([-eye, eye]), np.zeros(dim)),  # e_n <= y_n
-        (np.hstack([eye, np.zeros((dim, dim))]), np.ones(dim)),  # y_n <= 1
-    ]
-    return np.vstack([a for a, _ in blocks]), np.concatenate([b for _, b in blocks])
-
-
 def b1_tight(
     ysys: ConstraintSystem,
     esys: ConstraintSystem,
@@ -255,23 +240,35 @@ def b1_tight(
     if not y1_lower > 0.0:
         # The ratio e1/y1 is unconstrained when y1 may vanish.
         raise ValueError(f"y1_lower must be > 0 (got {y1_lower})")
-    a, b = _joint_rows(ysys, esys)
     dim = ysys.cutoff + 1
-    cc = np.hstack([a, -b[:, None]])  # columns [u | v | s]
-    rhs = -cc[:, 1]  # u1 = 1
-    dropped = [1]
+    ay, by = _yield_rows(ysys)
+    ae, be = _yield_rows(esys)
+    ny, ne = len(by), len(be)
+    pin = int(pin_vacuum)
+    v1 = dim - pin
+    # One array holds the LP, columns [u0 u2 .. | v | s | rhs] (v from v1
+    # with pin_vacuum, else from v0) and rows: the yield levels on y, the
+    # error levels on e, e_n <= y_n, y_n <= 1 and the floor.
+    lp = np.zeros((ny + ne + 2 * dim + 1, 2 * dim - pin + 1))
+    ys, es = lp[:ny], lp[ny : ny + ne]
+    below, box = lp[ny + ne : -dim - 1], lp[-dim - 1 : -1]
+    ys[:, 0], ys[:, 1 : dim - 1], ys[:, -1] = ay[:, 0], ay[:, 2:], -ay[:, 1]
+    es[:, dim - 1 : -2] = ae[:, pin:]
+    ys[:, -2], es[:, -2] = -by, -be
+    below[0, 0], below[1, -1] = -1.0, 1.0  # v_n - u_n <= 0, u1 = 1 moved right
+    np.fill_diagonal(below[2:, 1 : dim - 1], -1.0)
+    np.fill_diagonal(below[pin:, dim - 1 : -2], 1.0)
+    box[0, 0], box[1, -1], box[:, -2] = 1.0, -1.0, -1.0  # u_n - s <= 0
+    np.fill_diagonal(box[2:, 1 : dim - 1], 1.0)
     if pin_vacuum:
         # Zero-photon clicks are uncorrelated with the sender's bit, so
         # exactly half of them land as errors: v0 = u0 / 2.
-        cc[:, 0] += 0.5 * cc[:, dim]
-        dropped.append(dim)
-    cc = np.delete(cc, dropped, axis=1)
-    floor = np.zeros(cc.shape[1])
-    floor[-1] = 1.0  # s <= 1 / y1_lower
-    v1 = dim + 1 - len(dropped)
-    c = np.zeros(cc.shape[1])
+        es[:, 0] = 0.5 * ae[:, 0]
+        below[0, 0] += 0.5
+    lp[-1, -2:] = 1.0, 1.0 / y1_lower  # s <= 1 / y1_lower
+    c = np.zeros(lp.shape[1] - 1)
     c[v1] = -1.0  # maximize v1
-    res = solve_lp(c, np.vstack([cc, floor]), np.append(rhs, 1.0 / y1_lower))
+    res = solve_lp(c, lp[:, :-1], lp[:, -1])
     if not res.ok:
         return None
     return min(1.0, max(0.0, float(res.x[v1]) + _B1_MARGIN))

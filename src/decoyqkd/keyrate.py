@@ -31,8 +31,7 @@ from .core import (
     ConfidenceConfig,
     DecoyScheme,
     SessionTally,
-    ValidationError,
-    check_json_type,
+    check_integer,
     check_real,
     conjugate_basis,
 )
@@ -82,9 +81,14 @@ def privacy_amplification_factor(n1: int, b1: float, epsilon: float) -> float:
     term below 2**-60 times C(n1, t); otherwise w = t+1 and nothing is
     dropped.  The dropped terms are replaced by their geometric bound
     C(n1, t) * r**w / (1-r), so the factor can only rise.  The cost is
-    O(w) log-binomials after an O(log n1) bisection for t, instead of
-    O(t); for large n1, r is about b1 / (1-b1), so w is 11 at b1 = 0.016,
-    79 at b1 = 0.37, and grows without bound only as b1 -> 1/2.
+    O(w) log-binomials, instead of O(t), after a search for t: it starts
+    at the normal quantile n1*b1 - ndtri(epsilon) * sqrt(n1*b1*(1-b1)),
+    clipped to [0, n1], probes by doubling steps until it holds a
+    bracket, then bisects it, taking about 3.5 incomplete-beta
+    evaluations per factor where bisecting [-1, n1] took about 18; the
+    tail does not increase with t, so both find the same t.  For large
+    n1, r is about b1 / (1-b1), so w is 11 at b1 = 0.016, 79 at
+    b1 = 0.37, and grows without bound only as b1 -> 1/2.
 
     ``n1`` lies in [1, inf) and may be fractional (bounds are real-valued);
     it is floored, which can only increase the factor and is conservative.
@@ -97,13 +101,24 @@ def privacy_amplification_factor(n1: int, b1: float, epsilon: float) -> float:
     h = binary_entropy(b1)
 
     # Smallest t with P[X > t] <= eps; the survival function
-    # P[X > t] = I_{b1}(t+1, n1-t) is decreasing in t, so bisect.
+    # P[X > t] = I_{b1}(t+1, n1-t) does not increase with t, so any bracket
+    # with tail(lo) > eps >= tail(hi) bisects to it.
     def tail(t: int) -> float:
         if t >= n1:
             return 0.0
         return float(special.betainc(t + 1.0, n1 - t, b1))
 
-    lo, hi = -1, n1  # tail(lo) > eps guaranteed (P[X > -1] = 1), tail(n1) = 0
+    # The normal quantile of t lies within a few steps of it: probe from
+    # there by doubling steps, narrowing the bracket, until a probe leaves it.
+    guess = n1 * b1 - float(special.ndtri(epsilon)) * math.sqrt(n1 * b1 * (1.0 - b1))
+    lo, hi = -1, n1  # tail(-1) = 1 > eps >= tail(n1) = 0
+    probe, step = min(n1, max(0, math.floor(guess))), 1
+    while lo < probe < hi:
+        if tail(probe) <= epsilon:
+            hi, probe = probe, probe - step
+        else:
+            lo, probe = probe, probe + step
+        step *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if tail(mid) <= epsilon:
@@ -150,10 +165,9 @@ def secret_length(
     fraction of the keyed bits, ``zero_fraction`` the bit bias, and the
     three ``f_*`` factors the measured stage efficiencies, in [1, inf].
     ``y1_eff``, ``mu`` and ``zero_fraction`` must be finite.  ``n_sifted``
-    must be a non-negative integer (Python or numpy), else ``ValidationError``.
+    must be a non-negative integer (Python or numpy), else ``InputError``.
     """
-    if check_json_type(n_sifted, int, "n_sifted") < 0:
-        raise ValidationError(f"n_sifted must be a non-negative integer, got {n_sifted!r}")
+    n_sifted = check_integer(n_sifted, "n_sifted")
     y1_eff, mu, zero_fraction = (check_real(v, name) for name, v in (
         ("y1_eff", y1_eff), ("mu", mu), ("zero_fraction", zero_fraction)))
     f_ec, f_pa, f_ds = (check_real(f, name, "[1, inf]") for name, f in (

@@ -75,7 +75,7 @@ import numpy as np
 
 from .core import (BASES, DEFAULT_DESKEW_DEPTH, DEFAULT_PA_EPSILON, ConfidenceConfig,
                    DecoyScheme, InputError, SessionTally, ValidationError, _usable_cpus,
-                   check_integer, check_json_type, check_real, validate_tally)
+                   check_integer, check_real, validate_tally)
 from .extract import _as_bits, measure_f_ds, peres_extract, privacy_amplify
 from .keyrate import SessionAnalysis, compose_session
 from .stats import binary_entropy
@@ -407,13 +407,14 @@ def cascade_reconcile(
     Raises
     ------
     InputError
-        Naming ``estimated_qber``, before the keys are read, when it is not a
-        real number in (0, 0.25] (a bool, a string, NaN).
+        Before the keys are read: naming ``estimated_qber`` when it is not
+        a real number in (0, 0.25] (a bool, a string, NaN), or ``rng_seed``
+        when it is negative, a bool or not an integer (such as 1.5 or "3").
     ValidationError
-        On length mismatch or keys shorter than 64 bits, or when ``rng_seed``
-        is negative, a bool or not an integer (such as 1.5 or "3").
+        On length mismatch or keys shorter than 64 bits.
     """
     estimated_qber = check_real(estimated_qber, "estimated_qber", f"(0, {_MAX_QBER}]")
+    rng_seed = check_integer(rng_seed, "rng_seed")
     alice = _as_bits(alice_key, "alice_key")
     corrected = bytearray(_as_bits(bob_key, "bob_key").tobytes())  # flipped in place
     bob = np.frombuffer(corrected, dtype=np.uint8)
@@ -422,8 +423,6 @@ def cascade_reconcile(
     n = alice.size
     if n < _MIN_BITS:
         raise ValidationError(f"keys must be at least {_MIN_BITS} bits long")
-    if check_json_type(rng_seed, int, "rng_seed") < 0:
-        raise ValidationError(f"rng_seed must be a non-negative integer, got {rng_seed!r}")
 
     k1 = max(2, int(np.ceil(_BLOCK_SIZE_FACTOR / estimated_qber)))
     records: list[tuple[int, int, int, int]] = []

@@ -1418,6 +1418,8 @@ class TestUsage:
         ("core.py", "send_probs"): "_read re-raises a scheme document's error as scheme",
         ("keyrate.py", "epsilon"): "compose_session checks pa_epsilon before the factor",
         ("keyrate.py", "n1"): "compose_session calls the factor only when n1 >= 1",
+        ("keyrate.py", "n_sifted"): "compose_session passes the tally's validated sifted count",
+        ("recon.py", "rng_seed"): "distill_session derives it from the checked seed",
         ("recon.py", "estimated_qber"): "distill_session blames a QBER above 0.25 on tally "
                                         "and floors the estimate at 0.5 / n",
     }

@@ -12,11 +12,12 @@ import pickle
 import numpy as np
 import pytest
 
-from decoyqkd import extract, opt, recon, sim
+from decoyqkd import extract, keyrate, opt, recon, sim
 from decoyqkd.core import ConfidenceConfig, InputError, check_integer
 from decoyqkd.extract import peres_extract, privacy_amplify
+from decoyqkd.keyrate import secret_length
 from decoyqkd.opt import optimize_scheme, range_curve
-from decoyqkd.recon import distill_session
+from decoyqkd.recon import cascade_reconcile, distill_session
 from decoyqkd.sim import (
     REFERENCE_DETECTIONS,
     REFERENCE_KEY_TARGETS,
@@ -30,6 +31,7 @@ from decoyqkd.sim import (
 
 PULSES = 23_836_243_437  # 5.6 h at the reference clock and duty cycle
 BITS = (np.arange(512) % 3 == 0).astype(np.uint8)
+NOISY = BITS ^ np.isin(np.arange(512), [5, 77, 300]).astype(np.uint8)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +97,13 @@ ENTRIES = {
         "stages", 1, 1,
         lambda v, s: range_curve(reference_model(), PULSES, [140.0], optimize=True, stages=v),
         (opt, "optimize_scheme")),
+    "cascade_reconcile-rng_seed": ("rng_seed", 0, 9,
+                                   lambda v, s: cascade_reconcile(BITS, NOISY, 0.03, v),
+                                   (recon, "_as_bits")),
+    "secret_length-n_sifted": (
+        "n_sifted", 0, 100_000,
+        lambda v, s: secret_length(v, 1.0, 0.5, 0.01, 0.01, 0.5, 1.0, 1.0, 1.0),
+        (keyrate, "binary_entropy")),
     "ConfidenceConfig-photon_cutoff": ("photon_cutoff", 1, 10,
                                        lambda v, s: ConfidenceConfig(photon_cutoff=v), None),
 }

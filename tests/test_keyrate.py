@@ -28,6 +28,45 @@ def _reference_formula(n, y1, mu, b1, ber, z, f_ec, f_pa, f_ds):
     return max(0, math.floor(n * bracket))
 
 
+def _full_range_threshold(n1, b1, epsilon):
+    """Smallest t with P[Binomial(n1, b1) > t] <= epsilon, by bisecting [-1, n1]."""
+    lo, hi = -1, n1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid >= n1 or special.betainc(mid + 1.0, n1 - mid, b1) <= epsilon:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _bisected_factor(n1, b1, epsilon):
+    """:func:`privacy_amplification_factor` as computed with t from
+    :func:`_full_range_threshold`, for holding the bracketed search to it.
+
+    Returns ``(factor, t)``; the window and its sum are the package's.
+    """
+    n1 = int(math.floor(n1))
+    b1 = min(0.5, max(0.0, b1))
+    if b1 == 0.0:
+        return 1.0, 0
+    t = _full_range_threshold(n1, b1, epsilon)
+    r = t / (n1 - t + 1)
+    w = _window(t, r)
+    ks = np.arange(t - w + 1, t + 1, dtype=float)
+    log_binom = (
+        special.gammaln(n1 + 1.0)
+        - special.gammaln(ks + 1.0)
+        - special.gammaln(n1 - ks + 1.0)
+    )
+    peak = float(np.max(log_binom))
+    total = float(np.sum(np.exp(log_binom - peak)))
+    if w <= t:
+        total += math.exp(float(log_binom[-1]) - peak) * r**w / (1.0 - r)
+    log_sum = peak + math.log(total)
+    return max(1.0, log_sum / math.log(2.0) / (n1 * binary_entropy(b1))), t
+
+
 def _full_sum_factor(n1, b1, epsilon):
     """The typical-set factor summed over every k <= t, for cross-checking.
 
@@ -38,14 +77,7 @@ def _full_sum_factor(n1, b1, epsilon):
     b1 = min(0.5, max(0.0, b1))
     if b1 == 0.0:
         return 1.0, 0, 0.0
-    lo, hi = -1, n1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid >= n1 or special.betainc(mid + 1.0, n1 - mid, b1) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
-    t = hi
+    t = _full_range_threshold(n1, b1, epsilon)
     ks = np.arange(0, t + 1, dtype=float)
     log_binom = (
         special.gammaln(n1 + 1.0)
@@ -254,6 +286,60 @@ class TestPrivacyAmplificationFactor:
             "r >= 1": r >= 1.0,
             "terms dropped": w <= t,
         }[branch]
+
+    @staticmethod
+    def _first_guess(n1, b1, eps):
+        """The normal quantile the package starts its search for t from."""
+        n1, b1 = math.floor(n1), min(0.5, b1)
+        guess = n1 * b1 - float(special.ndtri(eps)) * math.sqrt(n1 * b1 * (1.0 - b1))
+        return min(n1, max(0, math.floor(guess)))
+
+    def test_bracketed_search_equals_full_range_bisection(self):
+        # The tail does not increase with t, so the bracket widened from the
+        # normal quantile bisects to the t that bisecting all of [-1, n1]
+        # finds: the factor is the same to the bit.
+        rng = np.random.default_rng(4242)
+        below = exact = 0
+        for _ in range(2000):
+            n1 = float(10.0 ** rng.uniform(0, 12))
+            # b1 near 1/2 at large n1 widens the window past memory
+            b1 = float(10.0 ** rng.uniform(-9, math.log10(0.49 if n1 > 1e6 else 0.6)))
+            eps = float(10.0 ** rng.uniform(-15, math.log10(0.499)))
+            expected, t = _bisected_factor(n1, b1, eps)
+            assert privacy_amplification_factor(n1, b1, eps) == expected, (n1, b1, eps)
+            guess = self._first_guess(n1, b1, eps)
+            below += guess < t
+            exact += guess == t
+        assert below >= 1000 and exact >= 100
+
+    @pytest.mark.parametrize("n1, b1, eps, case", [
+        (37, 0.445, 2e-10, "guess above t"),
+        (200, 0.01, 1e-3, "guess below t"),
+        (1e9, 0.02, 1e-15, "guess below t"),
+        (1e12, 0.3, 1e-7, "guess below t"),
+        (1000, 1e-8, 1e-3, "t = 0"),
+        (3, 0.4, 1e-15, "t = n1"),
+        (1, 0.3, 1e-3, "n1 = 1"),
+        (40, 0.7, 1e-3, "b1 clamped"),
+        (40, 0.5, 1e-9, "b1 clamped"),
+        (1e6, 0.03, 0.4999999, "eps near 1/2"),
+        (1e12, 0.01, 0.49999, "eps near 1/2"),
+        (1e9, 0.02, 1e-15, "eps = 1e-15"),
+    ])
+    def test_bracketed_search_edge_cases(self, n1, b1, eps, case):
+        expected, t = _bisected_factor(n1, b1, eps)
+        assert privacy_amplification_factor(n1, b1, eps) == expected
+        guess = self._first_guess(n1, b1, eps)
+        assert {
+            "guess above t": guess > t,
+            "guess below t": guess < t,
+            "t = 0": t == 0,
+            "t = n1": t == n1,
+            "n1 = 1": n1 == 1 and t == 1,
+            "b1 clamped": b1 >= 0.5,
+            "eps near 1/2": eps > 0.4999,
+            "eps = 1e-15": eps == 1e-15,
+        }[case]
 
     def test_never_below_one(self):
         rng = np.random.default_rng(808)

@@ -18,10 +18,12 @@ from decoyqkd import _simplex
 from decoyqkd._simplex import LPResult, SimplexError, solve_lp
 from decoyqkd.core import ConfidenceConfig
 from decoyqkd.keyrate import compose_session
+from decoyqkd.opt import optimize_scheme, range_curve
 from decoyqkd.sim import reference_model, reference_scheme, simulate_session
 
 _TOL = 1e-11
 _MAX_ITER = 20000
+PULSES = 23_836_243_437  # 5.6 h at the reference clock and duty cycle
 
 
 def _reference_solve_lp(c, a_ub, b_ub) -> LPResult:
@@ -241,6 +243,50 @@ def test_basic_artificial_row_holds_minus_one_in_its_slack(monkeypatch):
     assert basic_artificials >= 100
 
 
+def test_basic_columns_stay_exact_unit_vectors(monkeypatch):
+    # Why the loop needs no zeroing of the basic columns' reduced costs:
+    # the column basic in row i is exactly e_i after every pivot (p / p is
+    # 1, x - x * 1 is 0 and x - f * 0 is x), so cost_B . B^-1 A has
+    # exactly one nonzero term there and its reduced cost comes out 0.
+    rng = np.random.default_rng(29)
+    run, pivot = _simplex._run_simplex, _simplex._pivot
+    state = {}
+    checked = 0
+
+    def check(tab, basis):
+        nonlocal checked
+        cost, allow = state["cost"], state["allow_cols"]
+        assert np.array_equal(tab[:, basis], np.eye(len(basis)))
+        r = cost[:allow] - cost[basis] @ tab[:, :allow]
+        assert np.all(r[basis[basis < allow]] == 0.0)
+        checked += 1
+
+    def recorded_run(tab, basis, cost, allow_cols):
+        state.update(basis=basis, cost=cost, allow_cols=allow_cols)
+        check(tab, basis)
+        return run(tab, basis, cost, allow_cols)
+
+    def checked_pivot(tab, row, col):
+        pivot(tab, row, col)
+        basis = state["basis"].copy()
+        basis[row] = col
+        check(tab, basis)
+
+    monkeypatch.setattr(_simplex, "_run_simplex", recorded_run)
+    monkeypatch.setattr(_simplex, "_pivot", checked_pivot)
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        m = int(rng.integers(1, 9))
+        a = rng.normal(size=(m, n))
+        if rng.random() < 0.3:
+            a = np.round(a)
+        b = rng.uniform(-1.0, 2.0, size=m)
+        a = np.vstack([a, np.eye(n)])
+        b = np.concatenate([b, np.ones(n)])
+        solve_lp(rng.normal(size=n), a, b)
+    assert checked >= 1000
+
+
 def test_random_programs_match_reference():
     rng = np.random.default_rng(13)
     seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
@@ -265,17 +311,22 @@ def test_random_programs_match_reference():
     assert phase_one_optimal >= 20
 
 
-def _compose_lps(monkeypatch, tally, scheme, config):
+def _captured_lps(monkeypatch, run, *args, **kwargs):
+    """Every LP that ``run(*args, **kwargs)`` solves, as (c, a_ub, b_ub) copies."""
     calls = []
 
-    def capturing_solve_lp(*args):
-        calls.append(tuple(np.array(arg, dtype=float) for arg in args))
-        return solve_lp(*args)
+    def capturing_solve_lp(*lp):
+        calls.append(tuple(np.array(arg, dtype=float) for arg in lp))
+        return solve_lp(*lp)
 
     with monkeypatch.context() as patch:
         patch.setattr("decoyqkd.decoy.solve_lp", capturing_solve_lp)
-        compose_session(tally, scheme, config)
+        run(*args, **kwargs)
     return calls
+
+
+def _compose_lps(monkeypatch, tally, scheme, config):
+    return _captured_lps(monkeypatch, compose_session, tally, scheme, config)
 
 
 CONFIGS = {
@@ -298,3 +349,16 @@ def test_session_programs_match_reference(monkeypatch, calibration, config):
     assert len(lps) == 2 + 3 * 4
     for c, a, b in lps:
         assert _assert_bitwise_equal(c, a, b) == "optimal"
+
+
+def test_design_programs_match_reference(monkeypatch):
+    # The design tools solve on expected tallies: one scheme search and a
+    # fixed-scheme distance grid, every LP held to the reference loop.
+    lps = _captured_lps(monkeypatch, optimize_scheme, reference_model(150.0),
+                        100 * PULSES, stages=1)
+    searched = len(lps)
+    lps += _captured_lps(monkeypatch, range_curve, reference_model(), PULSES,
+                         [100.0, 124.0, 148.0, 172.0])
+    assert (searched, len(lps) - searched) == (54, 2 * 4)
+    statuses = [_assert_bitwise_equal(c, a, b) for c, a, b in lps]
+    assert statuses.count("optimal") == len(lps)
