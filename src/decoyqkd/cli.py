@@ -115,6 +115,8 @@ CONFIG_DIR_ENV = "DECOYQKD_CONFIG_DIR"
 
 #: Pulse counts must fit numpy's int64 samplers.
 _MAX_PULSES = 2**63
+#: Most sifted signal bits (both bases) ``simulate --keys-out`` draws, at ~4 bytes each.
+_MAX_KEY_BITS = 2**27
 
 
 class _UsageError(Exception):
@@ -153,7 +155,8 @@ _FLAGS = {
     "scheme": _Flag("--scheme", "FILE", "decoy scheme JSON (default: demonstration scheme)"),
     "model": _Flag("--model", "FILE", "channel model JSON (default: demonstration link)"),
     "keys": _Flag("--keys", "PREFIX", "prefix of the four raw key files from simulate; required"),
-    "keys_out": _Flag("--keys-out", "PREFIX", "write PREFIX.{alice,bob}.{X,Z}.bits raw key files"),
+    "keys_out": _Flag("--keys-out", "PREFIX", "write PREFIX.{alice,bob}.{X,Z}.bits raw key files "
+                                                 "(at most 2**27 sifted signal bits)"),
     "key_out": _Flag("--key-out", "FILE", "also write the final key as raw bytes"),
     "out_model": _Flag("--out-model", "FILE", "write the fitted channel model JSON"),
     "out_tally": _Flag("--out-tally", "FILE", "write the reconstructed tally JSON"),
@@ -465,7 +468,11 @@ _KEY_PADDING = bytes(c for c in range(128) if chr(c).isspace())
 
 def _encode_bits(bits: np.ndarray) -> bytes:
     """A key file's bytes: an ASCII ``0`` or ``1`` per bit, then a newline."""
-    return ((bits != 0).view(np.uint8) + ord("0")).tobytes() + b"\n"
+    text = np.empty(bits.size + 1, dtype=np.uint8)
+    np.not_equal(bits, 0, out=text[:-1].view(bool))
+    text[:-1] += ord("0")
+    text[-1] = ord("\n")
+    return text.tobytes()
 
 
 def _read_bits(path: Path, name: str) -> tuple[np.ndarray, str]:
@@ -522,6 +529,11 @@ def _cmd_simulate(settings: _Settings) -> tuple[int, str]:
     )
 
     if settings["keys_out"] is not None:
+        key_bits = sum(tally.levels[scheme.signal_index].sifted.values())
+        if key_bits > _MAX_KEY_BITS:  # before any key bit is drawn
+            raise InputError("pulses" if settings["pulses"] is not None else "duration_h",
+                             f"{pulses} pulses give {key_bits} sifted signal bits; "
+                             f"{settings.name('keys_out')} writes at most 2**27 = {_MAX_KEY_BITS}")
         for (side, basis), path in _key_paths(settings["keys_out"]).items():
             settings.outputs.append(("keys_out", path, _encode_bits(getattr(keys, side)[basis])))
 

@@ -75,8 +75,8 @@ class InputError(ValidationError):
 
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask, or the machine's count
-    where the platform has no affinity.  ``sim`` and ``recon`` start helper
-    threads by it."""
+    where the platform has no affinity.  ``recon`` starts its helper
+    thread by it."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity

@@ -326,21 +326,26 @@ def b1_worst_case(
     return min(1.0, sum(lv.errors[basis] for lv in tally.levels) / n1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SinglePhotonBounds:
     """Full decoy-analysis output for one session.
 
     ``b1_tight_by_basis[b]`` never exceeds ``b1_worst_by_basis[b]``: both
     are valid upper confidence bounds, so the composition takes their
-    minimum for the tight variant.
+    minimum for the tight variant.  Per-basis values are kept as (X, Z)
+    pairs; each ``*_by_basis`` read builds a dict from them.
     """
 
     feasible: bool
     y1_lower: float
-    n1_lower_by_basis: dict[str, float]
-    b1_worst_by_basis: dict[str, float]
-    b1_tight_by_basis: dict[str, float]
+    n1_lower: tuple[float, float]
+    b1_worst: tuple[float, float]
+    b1_tight: tuple[float, float]
     bounds_consumed: int  # number of one-sided epsilon-bounds used
+
+    n1_lower_by_basis = property(lambda self: dict(zip(BASES, self.n1_lower)))
+    b1_worst_by_basis = property(lambda self: dict(zip(BASES, self.b1_worst)))
+    b1_tight_by_basis = property(lambda self: dict(zip(BASES, self.b1_tight)))
 
 
 def single_photon_bounds(
@@ -404,8 +409,8 @@ def single_photon_bounds(
     return SinglePhotonBounds(
         feasible=ysol.feasible,
         y1_lower=ysol.y1_lower,
-        n1_lower_by_basis=n1,
-        b1_worst_by_basis=worst,
-        b1_tight_by_basis=tight,
+        n1_lower=(n1["X"], n1["Z"]),
+        b1_worst=(worst["X"], worst["Z"]),
+        b1_tight=(tight["X"], tight["Z"]),
         bounds_consumed=consumed,
     )

@@ -59,6 +59,8 @@ def _clamp_error(rate: float, name: str) -> float:
 # Relative weight, 2**-60, below which the terms left out of the
 # typical-set window are covered by the geometric tail bound alone.
 _WINDOW_LOG_PRECISION = 60.0 * math.log(2.0)
+# Most terms the window sums; the tail bound covers any it drops.
+_MAX_WINDOW = 2**16
 
 
 def privacy_amplification_factor(n1: int, b1: float, epsilon: float) -> float:
@@ -77,9 +79,10 @@ def privacy_amplification_factor(n1: int, b1: float, epsilon: float) -> float:
     The sum is evaluated over a window of the w largest-k terms only.  For
     k <= t, C(n1, k-1) / C(n1, k) = k / (n1-k+1) <= r = t / (n1-t+1), so the
     terms shrink at least geometrically below t.  When 0 < r < 1 the window
-    width is w = min(t+1, ceil(60 ln 2 / -ln r)), which puts every dropped
-    term below 2**-60 times C(n1, t); otherwise w = t+1 and nothing is
-    dropped.  The dropped terms are replaced by their geometric bound
+    width is w = min(t+1, ceil(60 ln 2 / -ln r), 2**16), which puts every
+    dropped term below 2**-60 times C(n1, t) unless b1 is within 2e-4 of 1/2;
+    otherwise w = t+1, or past 2**16 the sum is bounded by 2**n1 (factor
+    1/H2(b1)).  Dropped terms are replaced by their geometric bound
     C(n1, t) * r**w / (1-r), so the factor can only rise.  The cost is
     O(w) log-binomials, instead of O(t), after a search for t: it starts
     at the normal quantile n1*b1 - ndtri(epsilon) * sqrt(n1*b1*(1-b1)),
@@ -88,7 +91,7 @@ def privacy_amplification_factor(n1: int, b1: float, epsilon: float) -> float:
     evaluations per factor where bisecting [-1, n1] took about 18; the
     tail does not increase with t, so both find the same t.  For large
     n1, r is about b1 / (1-b1), so w is 11 at b1 = 0.016, 79 at
-    b1 = 0.37, and grows without bound only as b1 -> 1/2.
+    b1 = 0.37, and reaches the 2**16 cap only as b1 -> 1/2.
 
     ``n1`` lies in [1, inf) and may be fractional (bounds are real-valued);
     it is floored, which can only increase the factor and is conservative.
@@ -130,7 +133,9 @@ def privacy_amplification_factor(n1: int, b1: float, epsilon: float) -> float:
     r = t / (n1 - t + 1)
     w = t + 1
     if 0.0 < r < 1.0:
-        w = min(w, math.ceil(_WINDOW_LOG_PRECISION / -math.log(r)))
+        w = min(w, math.ceil(_WINDOW_LOG_PRECISION / -math.log(r)), _MAX_WINDOW)
+    elif w > _MAX_WINDOW:  # r >= 1: sum_{k<=t} C(n1, k) <= 2**n1
+        return 1.0 / h
     ks = np.arange(t - w + 1, t + 1, dtype=float)
     log_binom = (
         special.gammaln(n1 + 1.0)
@@ -212,30 +217,73 @@ class KeyBudget:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionAnalysis:
-    """Decoy bounds plus key budgets for both bases and both b1 variants."""
+    """Decoy bounds plus key budgets for both bases and both b1 variants.
+
+    ``terms`` holds the budget inputs ``bounds`` does not, ``(mu, f_ec, f_ds,
+    f_pa_tight, f_pa_worst)`` and the signal level's sifted bits, error and
+    zero fractions (X, Z each); each read of ``budgets_tight`` or
+    ``budgets_worst`` builds its :class:`KeyBudget`s from them.
+    """
 
     feasible: bool
     bounds: SinglePhotonBounds
-    budgets_tight: dict[str, KeyBudget]
-    budgets_worst: dict[str, KeyBudget]
     total_tight: int
     total_worst: int
+    terms: tuple
+
+    budgets_tight = property(lambda self: _key_budgets(self.bounds, self.terms, "tight"))
+    budgets_worst = property(lambda self: _key_budgets(self.bounds, self.terms, "worst_case"))
 
     def to_json(self) -> dict:
         return {
             "feasible": self.feasible,
             "y1_lower": self.bounds.y1_lower,
-            "n1_lower_by_basis": dict(self.bounds.n1_lower_by_basis),
-            "b1_tight_by_basis": dict(self.bounds.b1_tight_by_basis),
-            "b1_worst_by_basis": dict(self.bounds.b1_worst_by_basis),
+            "n1_lower_by_basis": self.bounds.n1_lower_by_basis,
+            "b1_tight_by_basis": self.bounds.b1_tight_by_basis,
+            "b1_worst_by_basis": self.bounds.b1_worst_by_basis,
             "epsilon_bounds_consumed": self.bounds.bounds_consumed,
             "budgets_tight": {b: kb.to_json() for b, kb in self.budgets_tight.items()},
             "budgets_worst": {b: kb.to_json() for b, kb in self.budgets_worst.items()},
             "total_tight": self.total_tight,
             "total_worst": self.total_worst,
         }
+
+
+def _key_budgets(bounds: SinglePhotonBounds, terms: tuple, variant: str) -> dict[str, KeyBudget]:
+    """One b1 variant's budget per basis, each priced with the conjugate basis's b1."""
+    mu, f_ec, f_ds, f_pa_tight, f_pa_worst, *per_basis = terms
+    tight = variant == "tight"
+    f_pa = f_pa_tight if tight else f_pa_worst
+    b1_by_basis = bounds.b1_tight_by_basis if tight else bounds.b1_worst_by_basis
+    out = {}
+    for i, b in enumerate(BASES):
+        n_sifted, ber, zfrac = per_basis[i], per_basis[2 + i], per_basis[4 + i]
+        b1 = b1_by_basis[conjugate_basis(b)]
+        n1_b = bounds.n1_lower[i]
+        denom = n_sifted * mu * math.exp(-mu)
+        y1_eff = n1_b / denom if denom > 0 else 0.0
+        n_sec = 0
+        if bounds.feasible and n_sifted > 0:
+            n_sec = secret_length(n_sifted, y1_eff, mu, b1, ber, zfrac, f_ec, f_pa, f_ds)
+        out[b] = KeyBudget(
+            basis=b,
+            variant=variant,
+            n_sifted=n_sifted,
+            n1_lower=n1_b,
+            y1_eff=y1_eff,
+            y1_lower_raw=bounds.y1_lower,
+            mu=mu,
+            b1_upper=b1,
+            bit_error_rate=ber,
+            zero_fraction=zfrac,
+            f_ec=f_ec,
+            f_pa=f_pa,
+            f_ds=f_ds,
+            n_secret=n_sec,
+        )
+    return out
 
 
 def compose_session(
@@ -287,64 +335,23 @@ def compose_session(
 def _compose(tally, scheme, config, f_ec, f_ds, pa_epsilon, state) -> SessionAnalysis:
     bounds = single_photon_bounds(tally, scheme, config, state)
 
-    mu = scheme.signal_mu
     signal = tally.levels[scheme.signal_index]
-    n_sifted = signal.sifted
-    ber = {
-        b: (signal.errors[b] / n_sifted[b] if n_sifted[b] else 0.0) for b in BASES
-    }
-    zfrac = {b: tally.zero_fraction(b) for b in BASES}
+    n_sifted = [signal.sifted[b] for b in BASES]
+    ber = [signal.errors[b] / n if n else 0.0 for b, n in zip(BASES, n_sifted)]
+    zfrac = [tally.zero_fraction(b) for b in BASES]
+    n1_pooled = sum(bounds.n1_lower)
 
-    n1_pooled = sum(bounds.n1_lower_by_basis[b] for b in BASES)
-
-    def budgets(variant: str, b1_by_basis: dict[str, float]) -> tuple[dict, int]:
+    def pa_factor(b1_pair: tuple[float, float]) -> float:
         # One pooled typical-set factor; flip bound is the worse conjugate bound.
         if bounds.feasible and n1_pooled >= 1.0:
-            b1_pool = max(_clamp_error(b1_by_basis[b], "b1") for b in BASES)
-            f_pa = privacy_amplification_factor(n1_pooled, b1_pool, pa_epsilon)
-        else:
-            f_pa = 1.0
-        out = {}
-        total = 0
-        for b in BASES:
-            conj = conjugate_basis(b)
-            b1 = b1_by_basis[conj]
-            y1_eff = 0.0
-            n1_b = bounds.n1_lower_by_basis[b]
-            denom = n_sifted[b] * mu * math.exp(-mu)
-            if denom > 0:
-                y1_eff = n1_b / denom
-            n_sec = 0
-            if bounds.feasible and n_sifted[b] > 0:
-                n_sec = secret_length(
-                    n_sifted[b], y1_eff, mu, b1, ber[b], zfrac[b], f_ec, f_pa, f_ds
-                )
-            out[b] = KeyBudget(
-                basis=b,
-                variant=variant,
-                n_sifted=n_sifted[b],
-                n1_lower=n1_b,
-                y1_eff=y1_eff,
-                y1_lower_raw=bounds.y1_lower,
-                mu=mu,
-                b1_upper=b1,
-                bit_error_rate=ber[b],
-                zero_fraction=zfrac[b],
-                f_ec=f_ec,
-                f_pa=f_pa,
-                f_ds=f_ds,
-                n_secret=n_sec,
-            )
-            total += n_sec
-        return out, total
+            b1_pool = max(_clamp_error(b1, "b1") for b1 in b1_pair)
+            return privacy_amplification_factor(n1_pooled, b1_pool, pa_epsilon)
+        return 1.0
 
-    tight_budgets, total_tight = budgets("tight", bounds.b1_tight_by_basis)
-    worst_budgets, total_worst = budgets("worst_case", bounds.b1_worst_by_basis)
-    return SessionAnalysis(
-        feasible=bounds.feasible,
-        bounds=bounds,
-        budgets_tight=tight_budgets,
-        budgets_worst=worst_budgets,
-        total_tight=total_tight,
-        total_worst=total_worst,
+    terms = (scheme.signal_mu, f_ec, f_ds, pa_factor(bounds.b1_tight),
+             pa_factor(bounds.b1_worst), *n_sifted, *ber, *zfrac)
+    total_tight, total_worst = (
+        sum(kb.n_secret for kb in _key_budgets(bounds, terms, variant).values())
+        for variant in ("tight", "worst_case")
     )
+    return SessionAnalysis(bounds.feasible, bounds, total_tight, total_worst, terms)

@@ -33,8 +33,8 @@ design tools take them as ``**evaluation`` and pass them through.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .core import (
     LevelCounts,
     SessionTally,
     ValidationError,
-    _usable_cpus,
     check_integer,
     check_real,
 )
@@ -262,75 +261,68 @@ def evaluate_scheme(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+#: Bits per block of :func:`_exact_bits`'s i.i.d. fill.
+_FILL_BLOCK = 2**16
+
+
+def _exact_bits(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """``n`` bits (uint8), exactly ``k`` of them ones, each such string equally likely.
+
+    Blocks of :data:`_FILL_BLOCK` bits are filled i.i.d. (a 16-bit draw below
+    about ``65536 * k / n``), then a surplus is mended by flipping a uniform
+    subset of the ones (a shortfall, of the zeros): exact by exchangeability
+    at any fill rate.  The subset is split over the blocks by a multivariate
+    hypergeometric draw, so no temporary is longer than a block.
+    """
+    out = np.empty(n, dtype=np.uint8)
+    threshold = min(round(65536 * k / n), 65535) if n else 0
+    starts = range(0, n, _FILL_BLOCK)
+    ones = np.empty(len(starts), dtype=np.int64)
+    for i, lo in enumerate(starts):
+        block = out[lo : lo + _FILL_BLOCK]
+        draws = np.frombuffer(rng.bytes(2 * block.size), dtype="<u2")
+        np.less(draws, threshold, out=block.view(bool))
+        ones[i] = np.count_nonzero(block)
+    surplus = int(ones.sum()) - k
+    if surplus:
+        value = int(surplus > 0)  # the bit value to change
+        if not value:
+            ones = np.minimum(n - np.asarray(starts), _FILL_BLOCK) - ones
+        quotas = rng.multivariate_hypergeometric(ones, abs(surplus))
+        for lo, quota in zip(starts, quotas.tolist()):
+            if quota:
+                block = out[lo : lo + _FILL_BLOCK]
+                block[rng.choice(np.flatnonzero(block == value), quota, replace=False)] ^= 1
+    return out
+
+
 class RawKeys:
-    """Sifted bit strings realized by one simulated session.
+    """Sifted bit strings of one simulated session, drawn on first read.
 
-    ``alice[basis]`` / ``bob[basis]`` hold the key: the paired sifted bits
-    of the signal level, Bob's copy containing the realized channel
-    errors.  Only the signal level has its bits materialized; the decoy
-    levels contribute counts to the tally but no key material.
+    ``alice[basis]`` / ``bob[basis]`` hold the key: the signal level's
+    paired sifted bits (uint8), Bob's with the realized channel errors.
+    The first read draws both from the generator state the tally draw left
+    behind, conditioned on the tally: Alice's bits are a uniform string
+    with the signal level's drawn zero count, and Bob's differ from hers at
+    a uniform set of its drawn error count.  Later reads return the same
+    arrays, and the tally does not depend on whether they are ever read.
     """
 
-    alice: dict[str, np.ndarray]
-    bob: dict[str, np.ndarray]
+    def __init__(self, rng: np.random.Generator, cells: dict[str, tuple[int, int, int]]):
+        self._rng = rng
+        self._cells = cells  # basis -> (sifted bits, Alice's ones, errors)
 
+    @cached_property
+    def _keys(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        alice, bob = {}, {}
+        for b, (n, ones, errors) in self._cells.items():
+            alice[b] = _exact_bits(self._rng, n, ones)
+            bob[b] = _exact_bits(self._rng, n, errors)
+            bob[b] ^= alice[b]
+        return alice, bob
 
-#: Doubles drawn per block: 512 KiB, so a block and its comparison stay in cache.
-_BLOCK = 2**16
-#: Fewer signal draws than this are made in the calling thread alone.
-_PARALLEL_DRAWS = 2**17
-_MAX_WORKERS = 8
-
-
-def _signal_draws(
-    rng: np.random.Generator, sizes: list[int], zero_bias: float, error_rate: float
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Alice's bits and Bob's flip marks of the signal level, one pair per size.
-
-    Bit for bit the arrays ``rng.random(n) >= zero_bias`` and
-    ``rng.random(n) < error_rate`` drawn in turn for each ``n`` in
-    ``sizes``, and ``rng`` is left where those calls would leave it.  The
-    draw positions are split over up to :data:`_MAX_WORKERS` threads, one
-    per usable CPU.  Each thread advances its own copy of the PCG64 state
-    to its first position and fills blocks of :data:`_BLOCK` doubles,
-    which it compares in place into the boolean outputs; both steps
-    release the GIL.  No thread outlives the call.
-    """
-    pairs, segments, start = [], [], 0
-    for n in sizes:
-        bits, flips = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-        pairs.append((bits, flips))
-        segments += [(start, bits, np.greater_equal, zero_bias),
-                     (start + n, flips, np.less, error_rate)]
-        start += 2 * n
-    total = start
-    workers = min(_MAX_WORKERS, _usable_cpus()) if total >= _PARALLEL_DRAWS else 1
-    edges = [total * i // workers for i in range(workers + 1)]
-    state = rng.bit_generator.state
-
-    def fill(lo: int, hi: int) -> None:
-        bit_gen = np.random.PCG64()
-        bit_gen.state = state
-        bit_gen.advance(lo)
-        gen = np.random.Generator(bit_gen)
-        buf = np.empty(min(_BLOCK, hi - lo))
-        for first, out, compare, threshold in segments:
-            for pos in range(max(lo, first), min(hi, first + out.size), _BLOCK):
-                block = buf[: min(_BLOCK, hi - pos, first + out.size - pos)]
-                gen.random(out=block)
-                compare(block, threshold, out=out[pos - first : pos - first + block.size])
-
-    if workers == 1:
-        fill(0, total)
-    else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            rest = [pool.submit(fill, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
-            fill(edges[0], edges[1])
-            for future in rest:
-                future.result()
-    rng.bit_generator.advance(total)
-    return pairs
+    alice = property(lambda self: self._keys[0])
+    bob = property(lambda self: self._keys[1])
 
 
 def simulate_session(
@@ -343,23 +335,16 @@ def simulate_session(
 ) -> tuple[SessionTally, RawKeys]:
     """Sample one session of ``pulses`` clock slots.
 
-    Sampling is batched per (level, basis) cell — multinomial level
-    choice, then binomial detection, basis, and sifting splits — which
-    is distribution-identical to a per-pulse loop.  For the signal level
-    the sifted bits are materialized: Alice's bits are Bernoulli with
-    ``P(0) = zero_bias``, and Bob's copy gets flips at the level's
-    analytic error rate; the realized flip count is what enters the
-    tally, so tally and key material always agree.
-
-    The signal level's uniform draws (bits then flips, X basis then Z)
-    are split over min(8, usable CPUs) threads once there are at least
-    2**17 of them; each thread fills blocks of 2**16 doubles from its
-    own copy of the stream, advanced to its first draw.  The draws are
-    those of one sequential stream, so the tally and the keys depend on
-    ``seed`` only, not on the number of cores.
+    Every count is one draw: the multinomial level choice, then binomial
+    detection, basis and sifting splits, and per (level, basis) cell errors
+    ~ Bin(sifted, e_j) and zeros ~ Bin(sifted, zero_bias).  A tally thus
+    costs O(levels) work whatever ``pulses`` and has the law of a per-pulse
+    loop with Bernoulli bits (``P(0) = zero_bias``) and flips.  The keys
+    (:class:`RawKeys`) are drawn only when read, conditioned on the tally,
+    so the two always agree and the tally does not depend on the read.
 
     Deterministic in ``seed``; ``pulses`` and ``seed`` are integers >= 0
-    (else ``InputError``), and ``pulses = 0`` yields an all-zero tally and no keys.
+    (else ``InputError``), and ``pulses = 0`` yields an all-zero tally and empty keys.
 
     Returns
     -------
@@ -373,35 +358,24 @@ def simulate_session(
     rng = np.random.default_rng(seed)
     sent = rng.multinomial(pulses, scheme.send_probs)
 
-    levels = []
-    zeros = {"X": 0, "Z": 0}
-    alice: dict[str, np.ndarray] = {}
-    bob: dict[str, np.ndarray] = {}
+    levels, zeros, cells = [], {"X": 0, "Z": 0}, {}
     for j in range(scheme.n_levels):
         det_total = int(rng.binomial(sent[j], stats.yields[j]))
         det_x = int(rng.binomial(det_total, 0.5))
         detected = {"X": det_x, "Z": det_total - det_x}
         sifted = {b: int(rng.binomial(detected[b], 0.5)) for b in BASES}
         errors = {}
-        if j == scheme.signal_index:
-            draws = _signal_draws(
-                rng, [sifted[b] for b in BASES], zero_bias, stats.error_rates[j]
-            )
-            for b, (bits, flips) in zip(BASES, draws):
-                alice[b] = bits = bits.view(np.uint8)
-                bob[b] = bits ^ flips.view(np.uint8)
-                errors[b] = int(np.count_nonzero(flips))
-                zeros[b] += sifted[b] - int(np.count_nonzero(bits))
-        else:
-            for b in BASES:
-                errors[b] = int(rng.binomial(sifted[b], stats.error_rates[j]))
-                zeros[b] += int(rng.binomial(sifted[b], zero_bias))
+        for b in BASES:
+            errors[b] = int(rng.binomial(sifted[b], stats.error_rates[j]))
+            level_zeros = int(rng.binomial(sifted[b], zero_bias))
+            zeros[b] += level_zeros
+            if j == scheme.signal_index:
+                cells[b] = (sifted[b], sifted[b] - level_zeros, errors[b])
         levels.append(
             LevelCounts(sent=int(sent[j]), detected=detected, sifted=sifted, errors=errors)
         )
 
-    tally = SessionTally(levels=tuple(levels), zeros=zeros)
-    return tally, RawKeys(alice=alice, bob=bob)
+    return SessionTally(levels=tuple(levels), zeros=zeros), RawKeys(rng, cells)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -44,7 +45,7 @@ from decoyqkd.extract import peres_extract
 from decoyqkd.keyrate import compose_session
 from decoyqkd.opt import optimize_scheme
 from decoyqkd.recon import distill_session
-from decoyqkd.sim import reference_model, reference_scheme, simulate_session
+from decoyqkd.sim import expected_tally, reference_model, reference_scheme, simulate_session
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -242,16 +243,48 @@ class TestSimulate:
         ) in err
 
 
+    HUGE = ["simulate", "--distance-km", "25", "--seed", "1"]
+
+    def test_huge_session_without_keys_is_small(self):
+        # 1e13 pulses: about 3e9 sifted signal bits that are never drawn
+        tracemalloc.start()
+        try:
+            rc, out, err = run_cli(self.HUGE + ["--pulses", "10000000000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert sum(json.loads(out)["levels"][2]["sifted"].values()) > cli._MAX_KEY_BITS
+        assert peak < 2**22
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--pulses", "10000000000000"], "--pulses"),
+        (["--duration-h", "3000"], "--duration-h"),
+    ])
+    def test_huge_session_with_keys_names_the_count(self, tmp_path, argv, flag):
+        tracemalloc.start()
+        try:
+            rc, out, err = run_cli(self.HUGE + argv + ["--keys-out", str(tmp_path / "run")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rc, out) == (1, "")
+        assert re.search(rf"decoyqkd simulate: error: {flag}: \d+ pulses give \d+ sifted signal "
+                         r"bits; --keys-out writes at most 2\*\*27 = 134217728", err)
+        assert os.listdir(tmp_path) == []
+        assert peak < 2**22
+
+
 class TestAnalyze:
     def test_positive_key(self, workspace):
         rc, out, err = run_cli(["analyze", "--tally", str(workspace / "tally.json")])
         assert rc == 0
         report = json.loads(out)
         assert report["kind"] == "analysis_report"
-        assert report["analysis"]["total_tight"] == 1207
-        assert report["analysis"]["total_worst"] == 1207
+        assert report["analysis"]["total_tight"] == 1118
+        assert report["analysis"]["total_worst"] == 1118
         assert report["analysis"]["feasible"] is True
-        assert err.startswith("analyze: key total 1207")
+        assert err.startswith("analyze: key total 1118")
 
     def test_input_digests(self, workspace):
         tally_path = workspace / "tally.json"
@@ -267,7 +300,27 @@ class TestAnalyze:
         payload = (workspace / "tally.json").read_bytes()
         rc, out, _ = run_cli(["analyze", "--tally", "-"], stdin_bytes=payload)
         assert rc == 0
-        assert json.loads(out)["analysis"]["total_tight"] == 1207
+        assert json.loads(out)["analysis"]["total_tight"] == 1118
+
+    @pytest.mark.parametrize("km", [25, 150])
+    @pytest.mark.parametrize("e_int", [0.0, 0.1, 0.3, 0.5])
+    def test_expected_tallies_in_bounded_memory(self, tmp_path, km, e_int):
+        # Pulses rise, so an unbounded typical-set window fails the memory
+        # bound long before it asks for gigabytes (1e13 pulses at e_int 0.3).
+        model = dataclasses.replace(reference_model(km), intrinsic_error_rate=e_int)
+        path = tmp_path / "tally.json"
+        for exponent in range(6, 22):
+            tally = expected_tally(model, reference_scheme(), 10**exponent,
+                                   sift_ratio=0.5, zero_fraction=0.5)
+            path.write_text(dumps(tally))
+            tracemalloc.start()
+            try:
+                rc, _, err = run_cli(["analyze", "--tally", str(path)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc in (0, 2), (exponent, err)
+            assert peak < 2**23, exponent
 
     def test_zero_key_exits_two(self, tmp_path):
         rc, out, _ = run_cli(
@@ -462,17 +515,17 @@ class TestDistill:
         assert rc == 0
         report = json.loads(out)
         assert report["kind"] == "distill_report"
-        assert report["final_key_bits"] == 887
-        assert len(report["final_key_hex"]) == 2 * ((887 + 7) // 8)
+        assert report["final_key_bits"] == 758
+        assert len(report["final_key_hex"]) == 2 * ((758 + 7) // 8)
         assert report["parameters"] == {
             "confidence": 1e-07, "depth": 12, "pa_epsilon": 0.001,
             "photon_cutoff": 10, "seed": 5, "vacuum_pinning": True, "variant": "worst",
         }
         x = report["bases"]["X"]
-        assert x["f_ec_measured"] == pytest.approx(1.103356, abs=1e-6)
-        assert x["deskew"]["f_ds_measured"] == pytest.approx(1.103992, abs=1e-6)
+        assert x["f_ec_measured"] == pytest.approx(1.143206, abs=1e-6)
+        assert x["deskew"]["f_ds_measured"] == pytest.approx(1.112923, abs=1e-6)
         assert x["residual_error_detected"] is False
-        assert "distill: final key 887 bits" in err
+        assert "distill: final key 758 bits" in err
 
     def test_frozen_key(self, workspace, tmp_path):
         # The README session's key and each basis's reconciliation counts,
@@ -484,11 +537,11 @@ class TestDistill:
         )
         assert rc == 0
         assert hashlib.sha256(key.read_bytes()).hexdigest() == (
-            "16fe45c3cae849157f38bb849db0590f998931d720ed47bdb00d46e4b30ada43"
+            "4a0a8a3d55076c55c7c10f22d92a09e8108ab9497ee342026efdb8b39284a766"
         )
         bases = json.loads(out)["bases"]
         assert {b: (e["parity_bits_leaked"], e["corrections"], e["passes"])
-                for b, e in bases.items()} == {"X": (116, 11, 4), "Z": (164, 17, 4)}
+                for b, e in bases.items()} == {"X": (207, 21, 4), "Z": (140, 13, 4)}
 
     def test_reports_measured_factors_at_least_one(self, workspace):
         rc, out, _ = run_cli(
@@ -527,7 +580,7 @@ class TestDistill:
         assert rc1 == rc2 == 0
         assert out1 == out2
         assert first.read_bytes() == second.read_bytes()
-        assert len(first.read_bytes()) == (887 + 7) // 8
+        assert len(first.read_bytes()) == (758 + 7) // 8
 
     def test_length_mismatch_against_tally(self, workspace, tmp_path):
         for side in ("alice", "bob"):
@@ -631,7 +684,7 @@ class TestDistill:
         assert "--keys: basis X holds 0 bits; reconciliation needs at least 64" in err
 
     def test_key_errors_unlike_tally_exit_one(self, tmp_path):
-        # A 100 km, 5.6 h session whose tally records 767/804 errors in X/Z
+        # A 100 km, 5.6 h session whose tally records 791/789 errors in X/Z
         # while Bob's key files carry 12% more flips: the budget, which
         # prices the disclosed parities from the tally, would undercharge.
         rc, out, _ = run_cli(
@@ -657,8 +710,8 @@ class TestDistill:
         )
         assert (rc, out) == (1, "")
         assert (
-            "distill: error: --keys: basis X: reconciliation corrected 859 errors "
-            "but the tally records 767"
+            "distill: error: --keys: basis X: reconciliation corrected 886 errors "
+            "but the tally records 791"
         ) in err
 
     def test_residual_mismatch_emits_no_key(self, workspace, tmp_path, monkeypatch):
@@ -882,8 +935,8 @@ class TestLibraryMatchesCli:
         rc, out, _ = run_cli(["analyze", "--tally", str(workspace / "tally.json")])
         assert rc == 0
         report = json.loads(out)["analysis"]
-        assert (analysis.total_tight, analysis.total_worst) == (1207, 1207)
-        assert (report["total_tight"], report["total_worst"]) == (1207, 1207)
+        assert (analysis.total_tight, analysis.total_worst) == (1118, 1118)
+        assert (report["total_tight"], report["total_worst"]) == (1118, 1118)
 
     def test_readme_snippet_matches_distill(self, workspace):
         tally, keys = simulate_session(
@@ -899,7 +952,7 @@ class TestLibraryMatchesCli:
         for key in ("kind", "inputs", "parameters"):
             del report[key]
         assert json.loads(json.dumps(result.to_json())) == report
-        assert result.final_key.size == 887
+        assert result.final_key.size == 758
 
     def test_optimize_scheme_matches_optimize(self):
         result = optimize_scheme(

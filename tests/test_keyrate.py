@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,6 +342,34 @@ class TestPrivacyAmplificationFactor:
             "eps = 1e-15": eps == 1e-15,
         }[case]
 
+    @pytest.mark.parametrize("n1, b1", [(1e9, 0.4999), (4e10, 0.49998)])
+    def test_window_capped_below_half(self, n1, b1):
+        # r < 1 but the 2**-60 window would pass 2**16 terms: the tail bound
+        # covers the rest, so the factor can only rise, and only a little
+        expected, t = _bisected_factor(n1, b1, 1e-7)
+        r = t / (n1 - t + 1)
+        assert r < 1.0 and _window(t, r) > 2**16
+        tracemalloc.start()
+        try:
+            got = privacy_amplification_factor(n1, b1, 1e-7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert expected <= got == pytest.approx(expected, rel=1e-9)
+        assert peak < 2**22  # a few temporaries of 2**16 doubles
+
+    @pytest.mark.parametrize("n1, b1", [(3e5, 0.5), (1e12, 0.5), (1e12, 0.4999999), (1e13, 0.7)])
+    def test_half_error_prices_every_bit(self, n1, b1):
+        # r >= 1 and t + 1 > 2**16: the sum is bounded by 2**n1, in bounded memory
+        tracemalloc.start()
+        try:
+            got = privacy_amplification_factor(n1, b1, 1e-7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 1.0 / binary_entropy(min(b1, 0.5))
+        assert peak < 2**20
+
     def test_never_below_one(self):
         rng = np.random.default_rng(808)
         for _ in range(60):
@@ -510,6 +539,25 @@ class TestComposeSession:
         assert analysis.total_worst == sum(
             b.n_secret for b in analysis.budgets_worst.values()
         )
+
+    def test_kept_analysis_is_small(self):
+        # A process certifying session after session may keep every analysis:
+        # the budgets are rebuilt on read, so one kept analysis holds about
+        # 1.1 KB (3.1 KB when the four budgets and the per-basis dicts were stored).
+        scheme, config = reference_scheme(), ConfidenceConfig(photon_cutoff=10)
+        tallies = [simulate_session(reference_model(km), scheme, 23_836_243_437, seed)[0]
+                   for seed, km in enumerate((25, 50, 75, 100, 125, 150) * 20)]
+        compose_session(tallies[0], scheme, config)
+        tracemalloc.start()
+        try:
+            kept = [compose_session(tally, scheme, config) for tally in tallies]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held / len(kept) < 1500
+        first = kept[0]
+        assert first.budgets_tight == first.budgets_tight is not first.budgets_tight
+        assert first.bounds.b1_tight_by_basis is not first.bounds.b1_tight_by_basis
 
     def test_serialized_form(self, calibration):
         doc = calibration.analysis.to_json()

@@ -37,4 +37,4 @@ def test_readme_python_blocks_run(capsys):
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
-    assert capsys.readouterr().out == "1207 1207\n5342\n887\n"
+    assert capsys.readouterr().out == "1118 1118\n5342\n758\n"

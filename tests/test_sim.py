@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import binomtest, chisquare
 
 from decoyqkd import sim
 from decoyqkd.core import BASES, InputError, LevelCounts, SessionTally
@@ -238,92 +241,211 @@ class TestSimulateSession:
         assert sound >= 19
 
 
-def _sequential_session(model, scheme, pulses, seed, zero_bias):
-    """``simulate_session`` with the signal level drawn by two ``rng.random(n)``
-    calls per basis in the calling thread: the stream the parallel fill must
-    reproduce draw for draw."""
+def _binomial_cells(model, scheme, pulses, seed, zero_bias):
+    """The tally drawn as one binomial per count, in ``simulate_session``'s
+    order, and each level's zero draws per basis: the stream it must follow."""
     stats = expected_statistics(model, scheme)
     rng = np.random.default_rng(seed)
     sent = rng.multinomial(pulses, scheme.send_probs)
-    levels, zeros, alice, bob = [], {"X": 0, "Z": 0}, {}, {}
-    for j in range(scheme.n_levels):
-        det_total = int(rng.binomial(sent[j], stats.yields[j]))
+    levels, level_zeros = [], []
+    for n, q, e in zip(sent, stats.yields, stats.error_rates):
+        det_total = int(rng.binomial(n, q))
         det_x = int(rng.binomial(det_total, 0.5))
         detected = {"X": det_x, "Z": det_total - det_x}
         sifted = {b: int(rng.binomial(detected[b], 0.5)) for b in BASES}
-        errors = {}
+        errors, zeros = {}, {}
         for b in BASES:
-            n = sifted[b]
-            if j == scheme.signal_index:
-                bits = (rng.random(n) >= zero_bias).astype(np.uint8)
-                flips = rng.random(n) < stats.error_rates[j]
-                alice[b] = bits
-                bob[b] = bits ^ flips.astype(np.uint8)
-                errors[b] = int(np.count_nonzero(flips))
-                zeros[b] += int(np.count_nonzero(bits == 0))
-            else:
-                errors[b] = int(rng.binomial(n, stats.error_rates[j]))
-                zeros[b] += int(rng.binomial(n, zero_bias))
-        levels.append(
-            LevelCounts(sent=int(sent[j]), detected=detected, sifted=sifted, errors=errors)
-        )
-    return SessionTally(levels=tuple(levels), zeros=zeros), alice, bob
+            errors[b] = int(rng.binomial(sifted[b], e))
+            zeros[b] = int(rng.binomial(sifted[b], zero_bias))
+        levels.append(LevelCounts(sent=int(n), detected=detected, sifted=sifted, errors=errors))
+        level_zeros.append(zeros)
+    zeros = {b: sum(z[b] for z in level_zeros) for b in BASES}
+    return SessionTally(levels=tuple(levels), zeros=zeros), level_zeros
+
+
+#: Pulses of the README session size: about 3,000 sifted signal bits per basis at 25 km.
+LAW_PULSES = 20_000_000
+LAW_SEEDS = range(2000)
+LAW_ZERO_BIAS = 0.3
+#: Significance of every exact test of the simulator's law.
+ALPHA = 1e-3
+
+
+def _signal_cells(seeds):
+    """Per seed and basis: the signal level's sifted bits, errors, Alice's zeros,
+    the key differences and the flip positions, at 25 km."""
+    model, scheme = reference_model(25.0), reference_scheme()
+    rows = []
+    for seed in seeds:
+        tally, keys = simulate_session(model, scheme, LAW_PULSES, seed, zero_bias=LAW_ZERO_BIAS)
+        signal = tally.levels[scheme.signal_index]
+        for b in BASES:
+            alice, bob = keys.alice[b], keys.bob[b]
+            rows.append((signal.sifted[b], signal.errors[b], alice.size - int(alice.sum()),
+                         int(np.count_nonzero(alice ^ bob)), np.flatnonzero(alice ^ bob), seed, b))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def signal_cells():
+    return _signal_cells(LAW_SEEDS)
+
+
+def _binomial_pvalues(rows):
+    """Exact two-sided p-values of each basis's summed signal errors and zeros
+    against Bin(summed sifted, e_j) and Bin(summed sifted, zero_bias)."""
+    e = expected_statistics(reference_model(25.0), reference_scheme()).error_rates[-1]
+    out = {}
+    for b in BASES:
+        n = sum(r[0] for r in rows if r[6] == b)
+        errors = sum(r[1] for r in rows if r[6] == b)
+        zeros = sum(r[2] for r in rows if r[6] == b)
+        out[b] = (binomtest(errors, n, e).pvalue, binomtest(zeros, n, LAW_ZERO_BIAS).pvalue)
+    return out
 
 
 class TestSignalStream:
-    """The signal level's parallel block fill draws the sequential stream."""
+    """``simulate_session`` draws the documented stream: one binomial per tally
+    cell, then keys drawn from the tally, which they agree with."""
 
     PULSES = 23_836_243_437
-    # 2 * 65505 and 2 * 65539 signal draws at 25 km, seed 7: just below and
-    # just above sim._PARALLEL_DRAWS, and no multiple of sim._BLOCK
-    NEAR_THRESHOLD = ((214_797_613, False), (214_908_479, True))
 
     @staticmethod
-    def assert_matches_sequential(monkeypatch, km, pulses, seed, zero_bias=0.494):
-        """Compare with 1, 2 and 3 workers; return the reference tally."""
+    def assert_matches_cells(km, pulses, seed, zero_bias=0.494):
         model, scheme = reference_model(km), reference_scheme()
-        ref_tally, ref_alice, ref_bob = _sequential_session(model, scheme, pulses, seed, zero_bias)
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(sim, "_usable_cpus", lambda: workers)
-            threads = threading.active_count()
-            tally, keys = simulate_session(model, scheme, pulses, seed, zero_bias=zero_bias)
-            assert threading.active_count() == threads
-            assert tally == ref_tally
-            for got, want in ((keys.alice, ref_alice), (keys.bob, ref_bob)):
-                for b in BASES:
-                    assert got[b].dtype == np.uint8
-                    assert np.array_equal(got[b], want[b]), (km, pulses, seed, workers, b)
-        return ref_tally
+        tally, keys = simulate_session(model, scheme, pulses, seed, zero_bias=zero_bias)
+        expected, level_zeros = _binomial_cells(model, scheme, pulses, seed, zero_bias)
+        assert tally == expected
+        signal = tally.levels[scheme.signal_index]
+        for b in BASES:
+            alice, bob = keys.alice[b], keys.bob[b]
+            assert alice.dtype == bob.dtype == np.uint8
+            assert alice.size == bob.size == signal.sifted[b]
+            assert alice.size - int(alice.sum()) == level_zeros[scheme.signal_index][b]
+            assert int(np.count_nonzero(alice ^ bob)) == signal.errors[b]
 
     @pytest.mark.parametrize("km", [25, 75, 125, 150])
-    def test_full_sessions(self, monkeypatch, km):
+    def test_full_sessions(self, km):
         for seed in (1, 2, 3):
-            self.assert_matches_sequential(monkeypatch, km, self.PULSES, seed)
+            self.assert_matches_cells(km, self.PULSES, seed)
 
     @pytest.mark.parametrize("zero_bias", [0.0, 0.494, 1.0])
-    def test_zero_bias(self, monkeypatch, zero_bias):
-        self.assert_matches_sequential(monkeypatch, 75, self.PULSES, 4, zero_bias)
+    def test_zero_bias(self, zero_bias):
+        self.assert_matches_cells(75, self.PULSES, 4, zero_bias)
 
-    def test_around_parallel_threshold(self, monkeypatch):
-        for pulses, parallel in self.NEAR_THRESHOLD:
-            tally = self.assert_matches_sequential(monkeypatch, 25, pulses, 7)
-            draws = 2 * sum(tally.levels[-1].sifted.values())
-            assert (draws >= sim._PARALLEL_DRAWS) == parallel
-            assert draws % sim._BLOCK
+    def test_empty_session(self):
+        self.assert_matches_cells(25, 0, 1)
 
-    def test_empty_session(self, monkeypatch):
-        self.assert_matches_sequential(monkeypatch, 25, 0, 1)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_leaves_stream_after_the_draws(self, monkeypatch, workers):
-        monkeypatch.setattr(sim, "_usable_cpus", lambda: workers)
-        sizes = [100_003, 0, 70_001]
-        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-        pairs = sim._signal_draws(rng, sizes, 0.494, 0.03)
-        for n, (bits, flips) in zip(sizes, pairs):
-            assert np.array_equal(bits, ref.random(n) >= 0.494)
-            assert np.array_equal(flips, ref.random(n) < 0.03)
-        assert rng.random(3).tolist() == ref.random(3).tolist()
+class TestCountsFirst:
+    """The law of the counts, and keys drawn from the tally only when read."""
+
+    def test_keys_agree_with_tally_on_every_seed(self, signal_cells):
+        model, scheme = reference_model(25.0), reference_scheme()
+        for sifted, errors, zeros, differences, _, seed, b in signal_cells:
+            assert differences == errors, (seed, b)
+            if b == "X":
+                _, level_zeros = _binomial_cells(model, scheme, LAW_PULSES, seed, LAW_ZERO_BIAS)
+            assert zeros == level_zeros[scheme.signal_index][b], (seed, b)
+
+    def test_signal_cells_follow_their_binomials(self, signal_cells):
+        assert len(signal_cells) == 2 * len(LAW_SEEDS)
+        for b, pvalues in _binomial_pvalues(signal_cells).items():
+            assert min(pvalues) > ALPHA, (b, pvalues)
+
+    def test_planted_error_bias_is_caught(self, monkeypatch):
+        # the same test must reject a signal error rate 5% too high
+        def biased(model, scheme):
+            stats = expected_statistics(model, scheme)
+            rates = list(stats.error_rates)
+            rates[scheme.signal_index] *= 1.05
+            return dataclasses.replace(stats, error_rates=tuple(rates))
+
+        monkeypatch.setattr(sim, "expected_statistics", biased)
+        pvalues = _binomial_pvalues(_signal_cells(LAW_SEEDS))
+        assert all(pvalues[b][0] < ALPHA for b in BASES), pvalues
+
+    def test_flip_positions_are_uniform(self, signal_cells):
+        # 20 bins of equal index range; a bin's expected share is its exact size / n
+        bins = 20
+        observed, expected = np.zeros(bins), np.zeros(bins)
+        for sifted, errors, _, _, positions, _, _ in signal_cells:
+            observed += np.bincount(positions * bins // sifted, minlength=bins)
+            edges = -(-np.arange(bins + 1) * sifted // bins)  # first position of each bin
+            expected += errors * np.diff(edges) / sifted
+        assert chisquare(observed, expected).pvalue > ALPHA
+
+    def test_tally_does_not_depend_on_reading_keys(self):
+        model, scheme = reference_model(25.0), reference_scheme()
+        for seed in range(20):
+            read, keys = simulate_session(model, scheme, 2_000_000, seed)
+            keys.alice
+            unread, _ = simulate_session(model, scheme, 2_000_000, seed)
+            assert read == unread
+
+    def test_keys_are_the_same_on_every_read(self):
+        model, scheme = reference_model(25.0), reference_scheme()
+        _, first = simulate_session(model, scheme, 2_000_000, 9)
+        _, second = simulate_session(model, scheme, 2_000_000, 9)
+        bob = {b: k.copy() for b, k in first.bob.items()}
+        simulate_session(model, scheme, 2_000_000, 10)[1].alice  # another draw between reads
+        assert first.alice is first.alice and first.bob is first.bob
+        for b in BASES:
+            assert np.array_equal(first.bob[b], bob[b])
+            assert np.array_equal(first.alice[b], second.alice[b])
+            assert np.array_equal(first.bob[b], second.bob[b])
+
+    def test_keyless_session_is_small_and_single_threaded(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        tracemalloc.start()
+        try:
+            tally, _ = simulate_session(reference_model(25.0), reference_scheme(),
+                                        23_836_243_437, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(tally.levels[-1].sifted.values()) > 7_000_000
+        assert peak < 2**20
+        assert started == []
+
+
+class TestExactBits:
+    """``sim._exact_bits``: exactly k ones, each arrangement equally likely."""
+
+    @pytest.mark.parametrize("n, k", [
+        (0, 0), (1, 0), (1, 1), (10, 3), (65536, 65536), (65537, 1),
+        (200_003, 0), (200_003, 1), (200_003, 7), (200_003, 100_001), (200_003, 199_999),
+        (200_003, 200_003),
+    ])
+    def test_exact_count(self, n, k):
+        bits = sim._exact_bits(np.random.default_rng(n + k), n, k)
+        assert bits.dtype == np.uint8 and bits.shape == (n,)
+        assert int(np.count_nonzero(bits)) == int(bits.sum()) == k
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_every_arrangement_equally_likely(self, monkeypatch, k):
+        # blocks of 3 bits over n = 7, so the mending spans blocks and a short one
+        monkeypatch.setattr(sim, "_FILL_BLOCK", 3)
+        n, draws = 7, 100 * math.comb(7, k)
+        rng = np.random.default_rng(k)
+        weights = 1 << np.arange(n)
+        counts = np.bincount([int(sim._exact_bits(rng, n, k) @ weights) for _ in range(draws)],
+                             minlength=1 << n)
+        patterns = [p for p in range(1 << n) if p.bit_count() == k]
+        assert counts.sum() == counts[patterns].sum() == draws
+        assert chisquare(counts[patterns]).pvalue > ALPHA
+
+    def test_no_temporary_of_the_key_length(self):
+        n = 1 << 22
+        tracemalloc.start()
+        try:
+            for k in (n // 2, n // 100, 3):
+                sim._exact_bits(np.random.default_rng(k), n, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n + 2**21  # the output, and temporaries of a block
 
 
 class TestCalibration:
