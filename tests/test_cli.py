@@ -1142,7 +1142,7 @@ class TestCalibrate:
         report = json.loads(out)
         assert report["kind"] == "calibration_report"
         assert report["diagnostics"]["converged"] is True
-        assert report["pulses"] == 23836243437
+        assert report["pulses"] == 23836243445
         model = json.loads(model_path.read_text())
         assert model["kind"] == "channel_model"
         assert model["background_rate_hz"] == pytest.approx(586.0, rel=1e-3)
@@ -1158,6 +1158,15 @@ class TestCalibrate:
         assert err == ("decoyqkd calibrate: error: --detections: [1, 2, 3] fit 0 pulses, "
                        "too few for every level\n")
 
+    @pytest.mark.parametrize("detections", [["34100", "5729", "80776"], ["1000000000000"] * 3],
+                             ids=["level 0 above the decoy", "equal totals"])
+    def test_totals_that_fit_noise_in_every_slot_name_detections(self, detections):
+        # Their least-squares fit runs off to a noise probability of 1 or more per pulse.
+        rc, out, err = run_cli(["calibrate", "--detections", *detections])
+        assert (rc, out) == (1, "")
+        assert err.startswith("decoyqkd calibrate: error: --detections: ")
+        assert "Traceback" not in err
+
 
 DESIGN_FLAGS = ["--f-ec", "1.07", "--f-ds", "1.05", "--confidence", "1e-7",
                 "--photon-cutoff", "10"]
@@ -1172,12 +1181,30 @@ class TestFrozenDesignOutputs:
         (["curve", "--distances", "100:170:2", "--duration-h", "5.6"],
          "5c2cfbdfbd2df0338677a33288e92d8987fff9a9831192af7b9d463b02312200"),
         (["calibrate", "--duration-h", "5.6"],
-         "1ee58c058d9410ffd028c41ff669e968e7f40a92f6b4a4ee71380e187d6af41b"),
+         "55670d1d604191c792768733dcc47652a51a086164b9924f5d11dbddde33d1b2"),
     ], ids=["optimize", "curve", "calibrate"])
     def test_stdout_digest(self, argv, digest):
         rc, out, _ = run_cli([*argv, *DESIGN_FLAGS])
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_design_commands_load_no_scipy_optimize(self):
+        # A fresh interpreter, since other test modules import scipy.optimize into this one.
+        code = (
+            "import contextlib, io, sys\n"
+            "from decoyqkd.cli import main\n"
+            "for argv in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        rc = main(argv.split() + " + repr(DESIGN_FLAGS) + ")\n"
+            "    print(argv.split()[0], rc, 'scipy.optimize' in sys.modules)\n"
+        )
+        commands = ["optimize --distance-km 150 --duration-h 560",
+                    "curve --distances 100:170:2 --duration-h 5.6",
+                    "calibrate --duration-h 5.6"]
+        proc = subprocess.run([sys.executable, "-c", code, *commands], capture_output=True,
+                              text=True, timeout=120, env=package_env())
+        assert proc.stdout.splitlines() == ["optimize 0 False", "curve 0 False",
+                                            "calibrate 0 False"], proc.stderr
 
 
 

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 from scipy.stats import binomtest, chisquare
 
 from decoyqkd import sim
@@ -450,7 +452,7 @@ class TestExactBits:
 
 class TestCalibration:
     def test_frozen_operating_point(self, calibration):
-        assert calibration.pulses == 23836243437
+        assert calibration.pulses == 23836243445
         assert calibration.duty_cycle == pytest.approx(0.11823533450892858, rel=1e-9)
         assert calibration.model.background_rate_hz == pytest.approx(586.00045754661, rel=1e-6)
         assert calibration.model.intrinsic_error_rate == pytest.approx(0.005092440316693087,
@@ -493,11 +495,39 @@ class TestCalibration:
         (dict(detections=(0, 5729, 80776)), "detections"),
         (dict(sifted_total=0), "sifted"),
         (dict(key_targets=(0, 10)), "targets"),
+        (dict(detections=(34100, 5729, 80776)), "detections"),
+        (dict(detections=(10**12,) * 3), "detections"),
     ])
     def test_bad_totals_name_their_input(self, totals, name):
         with pytest.raises(InputError) as info:
             calibrate_to_reference(**totals)
         assert info.value.input_name == name
+
+    @pytest.mark.parametrize("scales", itertools.product((0.7, 1.0, 1.4), repeat=3), ids=str)
+    def test_stage_one_reaches_the_least_squares_optimum(self, scales):
+        # scipy's least_squares, started where stage 1 starts, is the oracle.
+        scheme, base = reference_scheme(), reference_model()
+        targets = np.array([round(d * s) for d, s in zip(REFERENCE_DETECTIONS, scales)], float)
+
+        def residuals(x):
+            model = dataclasses.replace(base, background_rate_hz=math.exp(x[1]))
+            modeled = sim._modeled_detections(model, scheme, math.exp(x[0]))
+            return np.log(modeled) - np.log(targets)
+
+        eta, window = expected_statistics(base, scheme).eta, base.timing_window_s
+        dark_c = base.dark_count_rate_hz * window
+        (p0, *_, ps), (mu0, *_, mus) = scheme.send_probs, scheme.mus
+        n0 = targets[-1] / (ps * (dark_c + eta * mus))
+        bg0 = max((targets[0] / (n0 * p0) - eta * mu0 - dark_c) / window, 1e-3)
+        oracle = least_squares(residuals, x0=[math.log(n0), math.log(bg0)])
+        assert (base.dark_count_rate_hz + math.exp(oracle.x[1])) * window < 1.0
+
+        bg = sim._fit_background(targets, base, scheme)
+        assert sim._fit_background(targets, base, scheme) == bg
+        fitted = dataclasses.replace(base, background_rate_hz=bg)
+        log_pulses = np.mean(np.log(targets / sim._modeled_detections(fitted, scheme, 1.0)))
+        cost = 0.5 * float(np.sum(residuals([log_pulses, math.log(bg)]) ** 2))
+        assert cost <= oracle.cost * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("duration_h", [0.0, -1.0])
     def test_duration_must_be_positive_before_any_fit(self, duration_h, monkeypatch):
