@@ -294,11 +294,11 @@ class _Settings(dict):
     def name(self, key: str) -> str:
         """How a message names setting ``key`` (or ``epsilon``, the library's name
         for ``confidence``): ``--config: <field>`` if its value came from the
-        config file, else its flag."""
+        config file, else its flag, or ``key`` if the command has no such setting."""
         key = "confidence" if key == "epsilon" else key
         if key in self.from_config:
             return f"{_FLAGS['config'].flag}: {key}"
-        return _FLAGS[key].flag
+        return _FLAGS[key].flag if key in self or key == "config" else key
 
 
 def _settings(args: argparse.Namespace) -> _Settings:

@@ -1,6 +1,6 @@
 """Value types shared across the key-distillation pipeline.
 
-Everything in here is an immutable record with eager validation: a
+Everything in here is an immutable record that checks its own fields: a
 ``DecoyScheme`` describing the intensity levels Alice transmits, a
 ``SessionTally`` of per-level / per-basis counts accumulated during an
 acquisition run, a ``ChannelModel`` with the optical-link parameters, and a
@@ -11,8 +11,10 @@ command line both read.
 
 All types serialize to plain-dict JSON documents tagged with
 ``format_version`` so that tallies and schemes can be exchanged between the
-simulator, the analyzer and external tooling.  Every reader takes each
-value through :func:`check_json_type` and rejects keys it does not know.
+simulator, the analyzer and external tooling.  Only the constructors check
+fields, by :func:`check_integer`, :func:`check_real` and :func:`check_json_type`
+(storing counts and flags as ``int`` and ``bool``); a reader checks only the
+document's shape and says where in it an error sits.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import json
 import math
 import numbers
 import os
-import typing
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
@@ -183,32 +184,24 @@ def _document(doc, kind: str, keys, required) -> None:
 @contextmanager
 def _at(what: str):
     """Prefix the message of a ``ValidationError`` raised inside with the
-    document path ``what``, keeping its type (and an ``InputError``'s name)."""
+    document path ``what``, keeping its type (and an ``InputError``'s name);
+    an ``InputError`` names its field first, so ``levels[0]`` joins it by ``.``."""
     try:
         yield
     except ValidationError as exc:
-        exc.args = (f"{what}: {exc}",)
+        sep = "." if isinstance(exc, InputError) and what.endswith("]") else ": "
+        exc.args = (f"{what}{sep}{exc}",)
         raise
 
 
 def _read_fields(cls, doc, kind: str):
-    """Build the flat record ``cls`` from a ``kind`` document.
-
-    Every field is read with ``check_json_type`` at its annotated type; a
-    field without a default is required.
-    """
+    """Build the flat record ``cls``, which checks the values, from a ``kind`` document."""
     specs = fields(cls)
     _document(
         doc, kind, [f.name for f in specs], [f.name for f in specs if f.default is MISSING]
     )
-    types = typing.get_type_hints(cls)
-    values = {
-        f.name: check_json_type(doc[f.name], types[f.name], f"{kind}: {f.name}")
-        for f in specs
-        if f.name in doc
-    }
     with _at(kind):
-        return cls(**values)
+        return cls(**{f.name: doc[f.name] for f in specs if f.name in doc})
 
 
 def _levels(doc: dict, kind: str) -> list:
@@ -301,24 +294,27 @@ class DecoyScheme:
 # ---------------------------------------------------------------------------
 
 
-def _count(value, what: str) -> int:
-    count = check_json_type(value, int, what)
-    if count < 0:
-        raise ValidationError(f"{what}: counts must be >= 0, got {count}")
-    return count
-
-
-def _basis_counts(value, what: str) -> tuple[dict[str, int], bool]:
-    """Read a per-basis count object, or a bare total split 50/50.
-
-    Returns (counts, reconstructed) where ``reconstructed`` is True when the
-    input was a bare total.
-    """
+def _basis_counts(value, what: str) -> tuple[dict, bool]:
+    """A per-basis count object, whose counts the record checks, or a bare
+    total, checked and split 50/50; and whether it was a bare total."""
     if isinstance(value, dict):
         _object(value, what, BASES)
-        return {b: _count(value[b], f"{what}.{b}") for b in BASES}, False
-    total = _count(value, what)
+        return value, False
+    total = check_integer(value, what)
     return {"X": total - total // 2, "Z": total // 2}, True
+
+
+def _check_counts(record, name: str) -> None:
+    """Store field ``name`` of ``record``, counts by basis, each as read by
+    :func:`check_integer` as ``<name>.<basis>``; plain ints >= 0 stay as they are."""
+    group = getattr(record, name)
+    try:
+        x, z = group["X"], group["Z"]
+    except KeyError as exc:
+        raise ValidationError(f"{name}: missing basis {exc.args[0]!r}") from None
+    if not (type(x) is type(z) is int and x >= 0 and z >= 0):
+        counts = {b: check_integer(group[b], f"{name}.{b}") for b in BASES}
+        object.__setattr__(record, name, counts)
 
 
 @dataclass(frozen=True)
@@ -331,14 +327,10 @@ class LevelCounts:
     errors: dict[str, int]
 
     def __post_init__(self) -> None:
-        if self.sent < 0:
-            raise ValidationError("sent count must be >= 0")
-        for group in (self.detected, self.sifted, self.errors):
-            for b in BASES:
-                if b not in group:
-                    raise ValidationError(f"missing basis {b!r} in level counts")
-                if group[b] < 0:
-                    raise ValidationError("counts must be >= 0")
+        if type(self.sent) is not int or self.sent < 0:  # a plain int >= 0 is its own value
+            object.__setattr__(self, "sent", check_integer(self.sent, "sent"))
+        for name in ("detected", "sifted", "errors"):
+            _check_counts(self, name)
         for b in BASES:
             if not self.errors[b] <= self.sifted[b] <= self.detected[b]:
                 raise ValidationError(
@@ -346,7 +338,7 @@ class LevelCounts:
                     f"errors ({self.errors[b]}) <= sifted ({self.sifted[b]}) "
                     f"<= detected ({self.detected[b]})"
                 )
-        if sum(self.detected[b] for b in BASES) > self.sent:
+        if self.detected["X"] + self.detected["Z"] > self.sent:
             raise ValidationError("total detections exceed pulses sent at this level")
 
     def detected_total(self) -> int:
@@ -374,13 +366,13 @@ class SessionTally:
         if not self.levels:
             raise ValidationError("tally must contain at least one level")
         object.__setattr__(self, "levels", tuple(self.levels))
+        _check_counts(self, "zeros")
         for b in BASES:
-            if b not in self.zeros:
-                raise ValidationError(f"zeros: missing basis {b!r}")
-            if not 0 <= self.zeros[b] <= self.sifted_total(b):
+            if not self.zeros[b] <= self.sifted_total(b):
                 raise ValidationError(
                     f"zeros in basis {b} must lie in [0, total sifted bits]"
                 )
+        check_json_type(self.reconstructed, bool, "reconstructed")  # a bool is its own value
 
     def sifted_total(self, basis: str) -> int:
         return sum(lv.sifted[basis] for lv in self.levels)
@@ -406,29 +398,28 @@ class SessionTally:
     def from_json(cls, doc: dict) -> "SessionTally":
         kind = "session_tally"
         _document(doc, kind, ("levels", "zeros", "reconstructed"), required=("levels",))
-        reconstructed = check_json_type(
-            doc.get("reconstructed", False), bool, f"{kind}: reconstructed"
-        )
-        levels = []
+        levels, split = [], False
         for j, raw in enumerate(_levels(doc, kind)):
             what = f"{kind}: levels[{j}]"
             _object(raw, what, ("sent", "detected", "sifted", "errors"))
             counts = {}
             for name in ("detected", "sifted", "errors"):
                 counts[name], was_split = _basis_counts(raw[name], f"{what}.{name}")
-                reconstructed = reconstructed or was_split
-            sent = _count(raw["sent"], f"{what}.sent")
+                split = split or was_split
             with _at(what):
-                levels.append(LevelCounts(sent=sent, **counts))
+                levels.append(LevelCounts(sent=raw["sent"], **counts))
         if "zeros" in doc:
             zeros, was_split = _basis_counts(doc["zeros"], f"{kind}: zeros")
-            reconstructed = reconstructed or was_split
+            split = split or was_split
         else:
             # No bit-bias information: assume an unbiased source.
             zeros = {b: sum(lv.sifted[b] for lv in levels) // 2 for b in BASES}
-            reconstructed = True
+            split = True
+        # A split tally is reconstructed; a mistyped flag is left for the record.
+        flag = doc.get("reconstructed", False)
         with _at(kind):
-            return cls(levels=tuple(levels), zeros=zeros, reconstructed=reconstructed)
+            return cls(levels=tuple(levels), zeros=zeros,
+                       reconstructed=True if split and flag is False else flag)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +507,7 @@ class ConfidenceConfig:
         object.__setattr__(self, "epsilon", check_real(self.epsilon, "epsilon", "(0, 0.5)"))
         cutoff = check_integer(self.photon_cutoff, "photon_cutoff", 1)
         object.__setattr__(self, "photon_cutoff", cutoff)
+        check_json_type(self.pin_vacuum_errors, bool, "pin_vacuum_errors")
 
     def to_json(self) -> dict:
         return {"format_version": FORMAT_VERSION, "kind": "confidence_config", **asdict(self)}

@@ -517,9 +517,9 @@ def calibrate_to_reference(
       (:func:`_fit_background`).  Calibration loads nothing of scipy
       beyond ``scipy.special``: a fresh ``decoyqkd calibrate`` process
       takes 0.51 s and 58 MB of peak RSS, against 0.68 s and 81 MB with
-      ``scipy.optimize.least_squares`` (2-core x86-64 VM).  A fit whose
-      noise probability per pulse reaches 1 raises ``InputError`` naming
-      ``detections``;
+      ``scipy.optimize.least_squares`` (2-core x86-64 VM).  A fit with no
+      finite background rate or pulse count, or a noise probability per
+      pulse of 1 or more, raises ``InputError`` naming ``detections``;
     * the intrinsic error rate, fitted by minimizing the squared
       log-ratio between the analysis pipeline's two key totals and
       ``key_targets`` (golden-section refine over [5e-4, 0.02]).
@@ -559,11 +559,17 @@ def calibrate_to_reference(
 
     targets = np.asarray(detections, dtype=float)
     # --- stage 1: pulse count and background rate from detection totals
-    bg_rate = _fit_background(targets, base, scheme)
-    fitted = replace(base, background_rate_hz=bg_rate)
-    # the pulse count that matches the signal-level detections exactly
-    signal = scheme.signal_index
-    pulses = int(round(targets[signal] / _modeled_detections(fitted, scheme, 1.0)[signal]))
+    with np.errstate(over="ignore", invalid="ignore"):  # totals near the float range fit inf
+        bg_rate = _fit_background(targets, base, scheme)
+        if not math.isfinite(bg_rate):
+            raise InputError("detections", f"{detections} fit no finite background rate")
+        fitted = replace(base, background_rate_hz=bg_rate)
+        # the pulse count that matches the signal-level detections exactly
+        signal = scheme.signal_index
+        pulses = targets[signal] / _modeled_detections(fitted, scheme, 1.0)[signal]
+    if not math.isfinite(pulses):
+        raise InputError("detections", f"{detections} fit no finite pulse count")
+    pulses = int(round(pulses))
     if any(round(pulses * p) < 1 for p in scheme.send_probs):
         raise InputError("detections", f"{detections} fit {pulses} pulses, too few for every level")
     noise = expected_statistics(fitted, scheme).noise_prob

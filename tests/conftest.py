@@ -64,12 +64,12 @@ MALFORMED_DOCUMENTS = {
     "negative detected.X": (
         "session_tally",
         lambda d: d["levels"][0]["detected"].update(X=-1),
-        "levels[0].detected.X: counts must be >= 0, got -1",
+        "levels[0].detected.X must be >= 0, got -1",
     ),
     "negative zeros.Z": (
         "session_tally",
         lambda d: d["zeros"].update(Z=-1),
-        "zeros.Z: counts must be >= 0, got -1",
+        "zeros.Z must be >= 0, got -1",
     ),
 }
 

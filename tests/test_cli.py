@@ -1151,6 +1151,28 @@ class TestCalibrate:
         assert sum(level["detected"]["X"] + level["detected"]["Z"]
                    for level in tally["levels"]) > 80000
 
+    @pytest.mark.parametrize("detections, what", [
+        ([10**305, 1, 1], "background rate"), ([1, 1, 10**305], "pulse count"),
+    ], ids=["level 0", "signal level"])
+    def test_totals_near_the_float_range_name_detections(self, detections, what):
+        # Stage 1 overflows: its start on level 0, its pulse count on the signal level.
+        rc, out, err = run_cli(["calibrate", "--detections", *map(str, detections),
+                                "--sifted", "1", "--targets", "1", "1"])
+        assert (rc, out) == (1, "")
+        assert err.startswith("decoyqkd calibrate: error: --detections: ")
+        assert err.endswith(f" fit no finite {what}\n")
+
+    def test_input_error_the_command_has_no_setting_for_is_named_bare(self, monkeypatch):
+        # ChannelModel names its fields through a variable, out of the AST audit's sight.
+        def unfittable(**_):
+            dataclasses.replace(reference_model(), background_rate_hz=math.inf)
+
+        monkeypatch.setattr(cli, "calibrate_to_reference", unfittable)
+        rc, out, err = run_cli(["calibrate"])
+        assert (rc, out) == (1, "")
+        assert err == ("decoyqkd calibrate: error: background_rate_hz: background_rate_hz "
+                       "must lie in [0, inf), got inf\n")
+
     def test_totals_that_fit_too_few_pulses_name_detections(self):
         rc, out, err = run_cli(["calibrate", "--detections", "1", "2", "3", "--sifted", "3",
                                 "--targets", "1", "1"])
@@ -1495,6 +1517,7 @@ class TestUsage:
     NAMES_MAIN_NEVER_SEES = {
         ("core.py", "epsilon"): "_Settings.name maps it to --confidence",
         ("core.py", "mus"): "_read re-raises a scheme document's error as scheme",
+        ("core.py", "sent"): "_read re-raises a tally document's error as tally",
         ("core.py", "send_probs"): "_read re-raises a scheme document's error as scheme",
         ("keyrate.py", "epsilon"): "compose_session checks pa_epsilon before the factor",
         ("keyrate.py", "n1"): "compose_session calls the factor only when n1 >= 1",

@@ -20,10 +20,12 @@ from decoyqkd import (
     LevelCounts,
     SessionTally,
     ValidationError,
+    compose_session,
     conjugate_basis,
     dumps,
     reference_model,
     reference_scheme,
+    simulate_session,
     validate_tally,
 )
 
@@ -472,6 +474,61 @@ def test_malformed_document_rejected(case):
     edit(doc)
     with pytest.raises(ValidationError, match=re.escape(field)):
         type(value).from_json(doc)
+
+
+def _tally_from_values(doc):
+    """The tally a session_tally document holds, built through the library."""
+    levels = tuple(LevelCounts(**level) for level in doc["levels"])
+    return SessionTally(levels=levels, zeros=doc["zeros"], reconstructed=doc["reconstructed"])
+
+
+@pytest.mark.parametrize("case", ["float sent", "negative detected.X", "negative zeros.Z",
+                                  "reconstructed no", "null zeros.X"])
+def test_library_rejects_what_the_reader_rejects(case):
+    _, edit, field = MALFORMED_DOCUMENTS[case]
+    doc = SessionTally(levels=(make_level(),), zeros={"X": 10, "Z": 10}).to_json()
+    edit(doc)
+    with pytest.raises(ValidationError) as library:
+        _tally_from_values(doc)
+    with pytest.raises(ValidationError, match=re.escape(field)) as reader:
+        SessionTally.from_json(doc)
+    # the reader's message is the record's, behind where the field sits
+    assert str(reader.value).endswith(f"{library.value}")
+    assert len(str(reader.value)) > len(str(library.value))
+
+
+@pytest.mark.parametrize("value", ["yes", 0, None])
+def test_pin_vacuum_errors_must_be_a_bool(value):
+    with pytest.raises(ValidationError, match="^pin_vacuum_errors: expected true or false"):
+        ConfidenceConfig(pin_vacuum_errors=value)
+
+
+@pytest.mark.parametrize("edit, name", [
+    (lambda t: replace(t, levels=(replace(t.levels[0], sent=t.levels[0].sent + 0.5),
+                                  *t.levels[1:])), "sent"),
+    (lambda t: replace(t, levels=(t.levels[0], replace(t.levels[1], errors={
+        **t.levels[1].errors, "X": True}), *t.levels[2:])), "errors.X"),
+    (lambda t: replace(t, reconstructed="no"), "reconstructed"),
+], ids=["sent + 0.5", "errors.X True", "reconstructed no"])
+def test_library_built_tally_is_refused_before_any_work(edit, name):
+    tally, _ = simulate_session(reference_model(25.0), reference_scheme(), 20_000_000, seed=11)
+    assert compose_session(tally, reference_scheme(), ConfidenceConfig()).total_tight == 1118
+    with pytest.raises(ValidationError, match=f"^{re.escape(name)}: expected"):
+        compose_session(edit(tally), reference_scheme(), ConfidenceConfig())
+
+
+def test_numpy_counts_are_stored_as_int():
+    level = LevelCounts(
+        sent=np.int64(1000),
+        detected={"X": np.int64(60), "Z": np.uint32(40)},
+        sifted={"X": np.int32(30), "Z": 20},
+        errors={"X": np.int64(3), "Z": np.int8(2)},
+    )
+    tally = SessionTally(levels=(level,), zeros={"X": np.int64(15), "Z": np.uint64(10)})
+    counts = [level.sent, *tally.zeros.values()]
+    counts += [v for group in (level.detected, level.sifted, level.errors) for v in group.values()]
+    assert {type(v) for v in counts} == {int}
+    assert SessionTally.from_json(json.loads(dumps(tally))) == tally
 
 
 def test_constructor_errors_carry_the_document_path():

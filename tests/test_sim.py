@@ -534,7 +534,7 @@ class TestCalibration:
         def no_fit(*args, **kwargs):
             raise AssertionError("stage 1 ran")
 
-        monkeypatch.setattr("scipy.optimize.least_squares", no_fit)
+        monkeypatch.setattr("decoyqkd.sim._fit_background", no_fit)
         with pytest.raises(InputError, match=r"duration_h must lie in \(0, inf\)") as info:
             calibrate_to_reference(duration_h=duration_h)
         assert info.value.input_name == "duration_h"
