@@ -117,6 +117,8 @@ CONFIG_DIR_ENV = "DECOYQKD_CONFIG_DIR"
 _MAX_PULSES = 2**63
 #: Most sifted signal bits (both bases) ``simulate --keys-out`` draws, at ~4 bytes each.
 _MAX_KEY_BITS = 2**27
+#: Most points of a ``--distances MIN:MAX:STEP`` grid: about 10 s of fixed-scheme curve.
+_MAX_DISTANCES = 10_000
 
 
 class _UsageError(Exception):
@@ -435,23 +437,27 @@ def _resolve_pulses(
 
 
 def _parse_distances(spec: str) -> list[float]:
-    """Parse ``min:max:step`` or a comma-separated list of km values."""
+    """Parse ``min:max:step`` (at most ``_MAX_DISTANCES`` points) or a
+    comma-separated list of km values."""
     try:
         if ":" in spec:
             lo_s, hi_s, step_s = spec.split(":")
             lo, hi, step = float(lo_s), float(hi_s), float(step_s)
             if step <= 0 or hi < lo or not all(map(math.isfinite, (lo, hi, step))):
                 raise ValueError
-            n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-            values = [lo + i * step for i in range(n)]
+            steps = (hi - lo) / step + 1e-9
         else:
             values = [float(tok) for tok in spec.split(",") if tok.strip()]
             if not values or not all(map(math.isfinite, values)):
                 raise ValueError
+            return values
     except ValueError:
         raise InputError("distances",
                          f"expected MIN:MAX:STEP or a comma list, got {spec!r}") from None
-    return values
+    if not steps < _MAX_DISTANCES:  # also an infinite count, before any list is built
+        raise InputError("distances", f"{spec!r} gives {steps + 1:.6g} points; "
+                         f"a grid holds at most {_MAX_DISTANCES}")
+    return [lo + i * step for i in range(int(steps) + 1)]
 
 
 def _key_paths(prefix: str) -> dict[tuple[str, str], Path]:

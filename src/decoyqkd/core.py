@@ -24,6 +24,7 @@ import json
 import math
 import numbers
 import os
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
@@ -305,14 +306,14 @@ def _basis_counts(value, what: str) -> tuple[dict, bool]:
 
 
 def _check_counts(record, name: str) -> None:
-    """Store field ``name`` of ``record``, counts by basis, each as read by
-    :func:`check_integer` as ``<name>.<basis>``; plain ints >= 0 stay as they are."""
+    """Store field ``name`` of ``record``, a mapping whose keys are exactly
+    ``BASES``, as a dict of counts each read by :func:`check_integer` as
+    ``<name>.<basis>``; a dict of plain ints >= 0 stays as it is."""
     group = getattr(record, name)
-    try:
-        x, z = group["X"], group["Z"]
-    except KeyError as exc:
-        raise ValidationError(f"{name}: missing basis {exc.args[0]!r}") from None
-    if not (type(x) is type(z) is int and x >= 0 and z >= 0):
+    if not isinstance(group, (dict, Mapping)) or group.keys() != set(BASES):
+        raise ValidationError(f"{name}: expected counts by basis {list(BASES)}, got {group!r}")
+    x, z = group["X"], group["Z"]
+    if not (type(group) is dict and type(x) is type(z) is int and x >= 0 and z >= 0):
         counts = {b: check_integer(group[b], f"{name}.{b}") for b in BASES}
         object.__setattr__(record, name, counts)
 

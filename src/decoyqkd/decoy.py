@@ -98,8 +98,8 @@ class YieldSolution:
 class EvaluationState:
     """Pure results of one design-tool call, memoized by value.
 
-    :func:`~decoyqkd.opt.optimize_scheme`, :func:`~decoyqkd.opt.range_curve`
-    and :func:`~decoyqkd.sim.calibrate_to_reference` each create one for the
+    :func:`~decoyqkd.opt.optimize_scheme` and
+    :func:`~decoyqkd.sim.calibrate_to_reference` each create one for the
     call and pass it to every :func:`~decoyqkd.sim.evaluate_scheme`, so
     nothing outlives the call.  ``analyses`` holds each composed session (see
     :func:`~decoyqkd.keyrate.compose_session`), ``yields`` the y1 floor of

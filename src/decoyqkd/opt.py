@@ -251,8 +251,7 @@ def range_curve(
     ``optimize=True`` a fresh coordinate-descent search runs per
     distance, warm-started from the previous distance's optimum, and
     ``scheme`` (if given) seeds the first distance.  ``evaluation`` is
-    passed to every :func:`evaluate_scheme` call, as in :func:`optimize_scheme`,
-    with one ``EvaluationState`` for the fixed-scheme grid, made for this call.
+    passed to every :func:`evaluate_scheme` call, as in :func:`optimize_scheme`.
 
     ``distances_km`` must be non-empty, strictly increasing and of reals in
     [0, inf); an ``InputError`` naming ``distances`` says which it is not.
@@ -265,7 +264,6 @@ def range_curve(
         raise InputError("distances", "distance grid must be strictly increasing")
     stages = check_integer(stages, "stages", 1)
     fixed = scheme if scheme is not None else reference_scheme()
-    state = EvaluationState()
 
     points: list[CurvePoint] = []
     range_tight: float | None = None
@@ -280,7 +278,7 @@ def range_curve(
             warm = result.scheme
         else:
             use = fixed
-            analysis = evaluate_scheme(m, use, pulses, state=state, **evaluation)
+            analysis = evaluate_scheme(m, use, pulses, **evaluation)
         points.append(CurvePoint(distance_km=d, scheme=use, analysis=analysis))
         if analysis.total_tight > 0:
             range_tight = d

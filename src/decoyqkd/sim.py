@@ -514,12 +514,10 @@ def calibrate_to_reference(
       signal-level detections match exactly.  The best log pulse count
       for a given background rate is a mean, so the fit is one variable,
       the log background rate, solved in-package by Gauss–Newton
-      (:func:`_fit_background`).  Calibration loads nothing of scipy
-      beyond ``scipy.special``: a fresh ``decoyqkd calibrate`` process
-      takes 0.51 s and 58 MB of peak RSS, against 0.68 s and 81 MB with
-      ``scipy.optimize.least_squares`` (2-core x86-64 VM).  A fit with no
-      finite background rate or pulse count, or a noise probability per
-      pulse of 1 or more, raises ``InputError`` naming ``detections``;
+      (:func:`_fit_background`), so calibration loads nothing of scipy
+      beyond ``scipy.special``.  A fit with no finite background rate or
+      pulse count, or a noise probability per pulse of 1 or more, raises
+      ``InputError`` naming ``detections``;
     * the intrinsic error rate, fitted by minimizing the squared
       log-ratio between the analysis pipeline's two key totals and
       ``key_targets`` (golden-section refine over [5e-4, 0.02]).

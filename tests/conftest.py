@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from decoyqkd import calibrate_to_reference
+import ledger
 from decoyqkd.decoy import ConstraintSystem
 from decoyqkd.stats import poisson_tail, poisson_weights
 
@@ -74,10 +74,39 @@ MALFORMED_DOCUMENTS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# The ledger's producers that more than one test reads, each run once
+# ---------------------------------------------------------------------------
+
+
 @pytest.fixture(scope="session")
 def calibration():
-    """The fitted demonstration-link operating point (computed once)."""
-    return calibrate_to_reference()
+    """The fitted demonstration-link operating point."""
+    return ledger.calibration()
+
+
+@pytest.fixture(scope="session")
+def readme_session(tmp_path_factory):
+    """The README session, run by the CLI (see ``ledger.readme_session``)."""
+    return ledger.readme_session(tmp_path_factory.mktemp("readme"))
+
+
+@pytest.fixture(scope="session")
+def reference_point():
+    """The reference scheme on the reference link, 5.6 h."""
+    return ledger.reference_point()
+
+
+@pytest.fixture(scope="session")
+def optimum():
+    """The three-stage optimum on the reference link, 5.6 h."""
+    return ledger.optimum(stages=3)
+
+
+@pytest.fixture(scope="session")
+def fixed_curve():
+    """The reference scheme along ``ledger.CURVE_GRID``."""
+    return ledger.fixed_curve()
 
 
 # ---------------------------------------------------------------------------

@@ -18,23 +18,26 @@ import json
 import math
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import decoyqkd
+import ledger
 from conftest import MALFORMED_DOCUMENTS
 from decoyqkd import cli, recon
 from decoyqkd.cli import main
 from decoyqkd.core import (
     BASES,
     DEFAULT_DESKEW_DEPTH,
+    DEFAULT_PA_EPSILON,
     DEFAULT_ZERO_BIAS,
     ConfidenceConfig,
     DecoyScheme,
@@ -43,14 +46,13 @@ from decoyqkd.core import (
 )
 from decoyqkd.extract import peres_extract
 from decoyqkd.keyrate import compose_session
-from decoyqkd.opt import optimize_scheme
 from decoyqkd.recon import distill_session
 from decoyqkd.sim import expected_tally, reference_model, reference_scheme, simulate_session
+from ledger import DESIGN_COMMANDS, DESIGN_FLAGS, FROZEN, PULSES, SIM_ARGS, run_cli
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 COMMANDS = ("simulate", "analyze", "distill", "optimize", "curve", "calibrate")
-SIM_ARGS = ["simulate", "--distance-km", "25", "--pulses", "20000000", "--seed", "11"]
 #: (command, settings name, flag) of every float flag.
 FLOAT_FLAGS = [
     (name, key, cli._FLAGS[key].flag)
@@ -105,22 +107,6 @@ BAD_SETTINGS = [
 ]
 
 
-def run_cli(argv, stdin_bytes=None):
-    """Invoke ``main`` with captured stdout/stderr; return (rc, out, err)."""
-    out, err = io.StringIO(), io.StringIO()
-    old_stdin = sys.stdin
-    if stdin_bytes is not None:
-        class _Stdin:
-            buffer = io.BytesIO(stdin_bytes)
-        sys.stdin = _Stdin()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            rc = main(argv)
-    finally:
-        sys.stdin = old_stdin
-    return rc, out.getvalue(), err.getvalue()
-
-
 def stderr_report(err, command):
     """The one ``COMMAND: report {...}`` line of a command's stderr, parsed."""
     prefix = f"{command}: report "
@@ -170,15 +156,10 @@ def declared_scripts(pyproject_text):
     return scripts
 
 
-@pytest.fixture(scope="module")
-def workspace(tmp_path_factory):
-    """One simulated session on disk: tally.json plus four key files."""
-    root = tmp_path_factory.mktemp("cli")
-    rc, out, err = run_cli(SIM_ARGS + ["--keys-out", str(root / "run")])
-    assert rc == 0
-    tally_path = root / "tally.json"
-    tally_path.write_text(out)
-    return root
+@pytest.fixture
+def workspace(readme_session):
+    """The README session on disk: tally.json plus four key files ``run.*``."""
+    return readme_session.root
 
 
 class TestSimulate:
@@ -276,15 +257,15 @@ class TestSimulate:
 
 
 class TestAnalyze:
-    def test_positive_key(self, workspace):
-        rc, out, err = run_cli(["analyze", "--tally", str(workspace / "tally.json")])
+    def test_positive_key(self, readme_session):
+        rc, out, err = readme_session.analyze
         assert rc == 0
         report = json.loads(out)
         assert report["kind"] == "analysis_report"
-        assert report["analysis"]["total_tight"] == 1118
-        assert report["analysis"]["total_worst"] == 1118
+        assert report["analysis"]["total_tight"] == FROZEN["readme.total_tight"]
+        assert report["analysis"]["total_worst"] == FROZEN["readme.total_worst"]
         assert report["analysis"]["feasible"] is True
-        assert err.startswith("analyze: key total 1118")
+        assert err.startswith(f"analyze: key total {FROZEN['readme.total_tight']}")
 
     def test_input_digests(self, workspace):
         tally_path = workspace / "tally.json"
@@ -300,7 +281,7 @@ class TestAnalyze:
         payload = (workspace / "tally.json").read_bytes()
         rc, out, _ = run_cli(["analyze", "--tally", "-"], stdin_bytes=payload)
         assert rc == 0
-        assert json.loads(out)["analysis"]["total_tight"] == 1118
+        assert json.loads(out)["analysis"]["total_tight"] == FROZEN["readme.total_tight"]
 
     @pytest.mark.parametrize("km", [25, 150])
     @pytest.mark.parametrize("e_int", [0.0, 0.1, 0.3, 0.5])
@@ -507,41 +488,35 @@ class TestAnalyze:
 
 
 class TestDistill:
-    def test_full_pipeline(self, workspace):
-        rc, out, err = run_cli(
-            ["distill", "--tally", str(workspace / "tally.json"),
-             "--keys", str(workspace / "run"), "--seed", "5"]
-        )
+    def test_full_pipeline(self, readme_session):
+        rc, out, err = readme_session.distill
         assert rc == 0
         report = json.loads(out)
         assert report["kind"] == "distill_report"
-        assert report["final_key_bits"] == 758
-        assert len(report["final_key_hex"]) == 2 * ((758 + 7) // 8)
+        bits = FROZEN["readme.final_key_bits"]
+        assert report["final_key_bits"] == bits
+        assert len(report["final_key_hex"]) == 2 * ((bits + 7) // 8)
         assert report["parameters"] == {
-            "confidence": 1e-07, "depth": 12, "pa_epsilon": 0.001,
+            "confidence": 1e-07, "depth": 12, "pa_epsilon": DEFAULT_PA_EPSILON,
             "photon_cutoff": 10, "seed": 5, "vacuum_pinning": True, "variant": "worst",
         }
         x = report["bases"]["X"]
-        assert x["f_ec_measured"] == pytest.approx(1.143206, abs=1e-6)
-        assert x["deskew"]["f_ds_measured"] == pytest.approx(1.112923, abs=1e-6)
+        assert x["f_ec_measured"] == pytest.approx(FROZEN["readme.X.f_ec_measured"], abs=1e-6)
+        assert x["deskew"]["f_ds_measured"] == pytest.approx(FROZEN["readme.X.f_ds_measured"],
+                                                             abs=1e-6)
         assert x["residual_error_detected"] is False
-        assert "distill: final key 758 bits" in err
+        assert f"distill: final key {bits} bits" in err
 
-    def test_frozen_key(self, workspace, tmp_path):
+    def test_frozen_key(self, readme_session):
         # The README session's key and each basis's reconciliation counts,
         # as the block-by-block CASCADE loop gave them.
-        key = tmp_path / "K"
-        rc, out, _ = run_cli(
-            ["distill", "--tally", str(workspace / "tally.json"),
-             "--keys", str(workspace / "run"), "--seed", "5", "--key-out", str(key)]
-        )
+        rc, out, _ = readme_session.distill
         assert rc == 0
-        assert hashlib.sha256(key.read_bytes()).hexdigest() == (
-            "4a0a8a3d55076c55c7c10f22d92a09e8108ab9497ee342026efdb8b39284a766"
-        )
+        assert readme_session.key_sha256 == FROZEN["readme.key_sha256"]
+        fields = ("parity_bits_leaked", "corrections", "passes")
         bases = json.loads(out)["bases"]
-        assert {b: (e["parity_bits_leaked"], e["corrections"], e["passes"])
-                for b, e in bases.items()} == {"X": (207, 21, 4), "Z": (140, 13, 4)}
+        assert {b: tuple(e[f] for f in fields) for b, e in bases.items()} == {
+            b: tuple(FROZEN[f"readme.{b}.{f}"] for f in fields) for b in BASES}
 
     def test_reports_measured_factors_at_least_one(self, workspace):
         rc, out, _ = run_cli(
@@ -580,7 +555,7 @@ class TestDistill:
         assert rc1 == rc2 == 0
         assert out1 == out2
         assert first.read_bytes() == second.read_bytes()
-        assert len(first.read_bytes()) == (758 + 7) // 8
+        assert len(first.read_bytes()) == (FROZEN["readme.final_key_bits"] + 7) // 8
 
     def test_length_mismatch_against_tally(self, workspace, tmp_path):
         for side in ("alice", "bob"):
@@ -927,62 +902,57 @@ class TestConfigFile:
 
 
 class TestLibraryMatchesCli:
-    def test_readme_snippet_matches_analyze(self, workspace):
+    def test_readme_snippet_matches_analyze(self, readme_session):
         tally, _ = simulate_session(
             reference_model(25.0), reference_scheme(), 20_000_000, seed=11
         )
         analysis = compose_session(tally, reference_scheme(), ConfidenceConfig())
-        rc, out, _ = run_cli(["analyze", "--tally", str(workspace / "tally.json")])
+        rc, out, _ = readme_session.analyze
         assert rc == 0
         report = json.loads(out)["analysis"]
-        assert (analysis.total_tight, analysis.total_worst) == (1118, 1118)
-        assert (report["total_tight"], report["total_worst"]) == (1118, 1118)
+        frozen = (FROZEN["readme.total_tight"], FROZEN["readme.total_worst"])
+        assert (analysis.total_tight, analysis.total_worst) == frozen
+        assert (report["total_tight"], report["total_worst"]) == frozen
 
-    def test_readme_snippet_matches_distill(self, workspace):
+    def test_readme_snippet_matches_distill(self, readme_session):
         tally, keys = simulate_session(
             reference_model(25.0), reference_scheme(), 20_000_000, seed=11
         )
         result = distill_session(tally, reference_scheme(), keys.alice, keys.bob, seed=5)
-        rc, out, _ = run_cli(
-            ["distill", "--tally", str(workspace / "tally.json"),
-             "--keys", str(workspace / "run"), "--seed", "5"]
-        )
+        rc, out, _ = readme_session.distill
         assert rc == 0
         report = json.loads(out)
         for key in ("kind", "inputs", "parameters"):
             del report[key]
         assert json.loads(json.dumps(result.to_json())) == report
-        assert result.final_key.size == 758
+        assert result.final_key.size == FROZEN["readme.final_key_bits"]
 
     def test_optimize_scheme_matches_optimize(self):
-        result = optimize_scheme(
-            reference_model(120.0), 23836243437, stages=1, points_per_stage=3
-        )
+        result = ledger.optimum_at_120km()
         rc, out, _ = run_cli(
-            ["optimize", "--distance-km", "120", "--pulses", "23836243437",
+            ["optimize", "--distance-km", "120", "--pulses", str(PULSES),
              "--stages", "1", "--points-per-stage", "3"]
         )
         assert rc == 0
         report = json.loads(out)
-        assert (result.analysis.total_tight, result.analysis.total_worst) == (19062, 18760)
-        assert (report["n_secret_tight"], report["n_secret_worst"]) == (19062, 18760)
+        frozen = (FROZEN["optimize.120km.total_tight"], FROZEN["optimize.120km.total_worst"])
+        assert (result.analysis.total_tight, result.analysis.total_worst) == frozen
+        assert (report["n_secret_tight"], report["n_secret_worst"]) == frozen
         assert report["scheme"] == result.scheme.to_json()
 
 
 class TestOptimize:
     def test_trace_report(self):
-        rc, out, err = run_cli(
-            ["optimize", "--pulses", "1000000000", "--distance-km", "120",
-             "--stages", "1", "--trace"]
-        )
+        rc, out, err = ledger.optimize_cli_at_120km()
         assert rc == 0
         report = json.loads(out)
         assert report["kind"] == "optimize_report"
         assert report["feasible"] is True
-        assert report["evaluations"] == 27
-        assert len(report["trace"]) == 27
-        assert report["n_secret_tight"] == 60
-        assert "optimize: 27 evaluations" in err
+        evaluations = FROZEN["optimize_cli.1e9.evaluations"]
+        assert report["evaluations"] == evaluations
+        assert len(report["trace"]) == evaluations
+        assert report["n_secret_tight"] == FROZEN["optimize_cli.1e9.total_tight"]
+        assert f"optimize: {evaluations} evaluations" in err
 
     def test_trace_omitted_by_default(self):
         rc, out, _ = run_cli(
@@ -1053,20 +1023,19 @@ class TestOptimize:
 
 class TestCurve:
     def test_csv_output(self):
-        rc, out, err = run_cli(
-            ["curve", "--distances", "140,146,152", "--pulses", "23836243437"]
-        )
+        rc, out, err = ledger.curve_cli()
         assert rc == 0
         lines = out.strip().splitlines()
         assert lines[0] == CURVE_HEADER
         assert len(lines) == 4
         first = lines[1].split(",")
         assert first[0] == "140"
-        assert int(first[1]) == 2816
-        assert int(first[2]) == 1974
+        assert int(first[1]) == FROZEN["curve.140km.total_tight"]
+        assert int(first[2]) == FROZEN["curve.140km.total_worst"]
         last = lines[3].split(",")
         assert int(last[1]) == 0
-        assert "range 146.0 km (tight) / 140.0 km (worst-case)" in err
+        assert (f"range {FROZEN['curve_cli.range_tight_km']} km (tight) / "
+                f"{FROZEN['curve_cli.range_worst_km']} km (worst-case)") in err
 
     def test_settings_recorded_on_stderr(self):
         rc, out, err = run_cli(
@@ -1105,6 +1074,22 @@ class TestCurve:
         assert out == ""
         assert f"--distances: expected MIN:MAX:STEP or a comma list, got {spec!r}" in err
 
+    @pytest.mark.parametrize("spec, count", [("0:1e308:1e-308", "inf"),
+                                             ("100:1e300:1", "1e+300"),
+                                             ("0:10000:1", "10001")])
+    def test_too_many_distances_name_flag(self, spec, count):
+        # In a child under a 1.5 GB address-space limit: a grid built before it
+        # is counted would exhaust memory rather than fail this test.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, resource.RLIM_INFINITY))
+
+        proc = subprocess.run([sys.executable, "-m", "decoyqkd", "curve", f"--distances={spec}"],
+                              capture_output=True, text=True, timeout=120, env=package_env(),
+                              preexec_fn=limit)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"decoyqkd curve: error: --distances: {spec!r} gives {count} "
+                               f"points; a grid holds at most {cli._MAX_DISTANCES}\n")
+
     @pytest.mark.parametrize("spec", ["150,140", "100,100"])
     def test_unordered_distances_name_flag(self, spec):
         rc, out, err = run_cli(["curve", f"--distances={spec}"])
@@ -1142,10 +1127,11 @@ class TestCalibrate:
         report = json.loads(out)
         assert report["kind"] == "calibration_report"
         assert report["diagnostics"]["converged"] is True
-        assert report["pulses"] == 23836243445
+        assert report["pulses"] == FROZEN["calibrate.pulses"]
         model = json.loads(model_path.read_text())
         assert model["kind"] == "channel_model"
-        assert model["background_rate_hz"] == pytest.approx(586.0, rel=1e-3)
+        assert model["background_rate_hz"] == pytest.approx(FROZEN["calibrate.background_rate_hz"],
+                                                            rel=1e-3)
         tally = json.loads(tally_path.read_text())
         assert tally["kind"] == "session_tally"
         assert sum(level["detected"]["X"] + level["detected"]["Z"]
@@ -1190,25 +1176,14 @@ class TestCalibrate:
         assert "Traceback" not in err
 
 
-DESIGN_FLAGS = ["--f-ec", "1.07", "--f-ds", "1.05", "--confidence", "1e-7",
-                "--photon-cutoff", "10"]
-
-
 class TestFrozenDesignOutputs:
     # SHA-256 of each design command's stdout with the design benchmark's flags.
     # A change that moves a certified bound on purpose re-freezes these.
-    @pytest.mark.parametrize("argv, digest", [
-        (["optimize", "--distance-km", "150", "--duration-h", "560"],
-         "f8a81040faf4a8868cd45495281110feb13eb6dc6abfefab5df72ab199b11e92"),
-        (["curve", "--distances", "100:170:2", "--duration-h", "5.6"],
-         "5c2cfbdfbd2df0338677a33288e92d8987fff9a9831192af7b9d463b02312200"),
-        (["calibrate", "--duration-h", "5.6"],
-         "55670d1d604191c792768733dcc47652a51a086164b9924f5d11dbddde33d1b2"),
-    ], ids=["optimize", "curve", "calibrate"])
-    def test_stdout_digest(self, argv, digest):
-        rc, out, _ = run_cli([*argv, *DESIGN_FLAGS])
+    @pytest.mark.parametrize("name", list(DESIGN_COMMANDS))
+    def test_stdout_digest(self, name):
+        rc, out, _ = ledger.design_run(name)
         assert rc == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert hashlib.sha256(out.encode()).hexdigest() == FROZEN[f"design.{name}.sha256"]
 
     def test_design_commands_load_no_scipy_optimize(self):
         # A fresh interpreter, since other test modules import scipy.optimize into this one.
@@ -1220,9 +1195,7 @@ class TestFrozenDesignOutputs:
             "        rc = main(argv.split() + " + repr(DESIGN_FLAGS) + ")\n"
             "    print(argv.split()[0], rc, 'scipy.optimize' in sys.modules)\n"
         )
-        commands = ["optimize --distance-km 150 --duration-h 560",
-                    "curve --distances 100:170:2 --duration-h 5.6",
-                    "calibrate --duration-h 5.6"]
+        commands = [" ".join(argv) for argv in DESIGN_COMMANDS.values()]
         proc = subprocess.run([sys.executable, "-c", code, *commands], capture_output=True,
                               text=True, timeout=120, env=package_env())
         assert proc.stdout.splitlines() == ["optimize 0 False", "curve 0 False",

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import MALFORMED_DOCUMENTS
+from ledger import FROZEN
 
 from decoyqkd import (
     ChannelModel,
@@ -512,7 +513,8 @@ def test_pin_vacuum_errors_must_be_a_bool(value):
 ], ids=["sent + 0.5", "errors.X True", "reconstructed no"])
 def test_library_built_tally_is_refused_before_any_work(edit, name):
     tally, _ = simulate_session(reference_model(25.0), reference_scheme(), 20_000_000, seed=11)
-    assert compose_session(tally, reference_scheme(), ConfidenceConfig()).total_tight == 1118
+    analysis = compose_session(tally, reference_scheme(), ConfidenceConfig())
+    assert analysis.total_tight == FROZEN["readme.total_tight"]
     with pytest.raises(ValidationError, match=f"^{re.escape(name)}: expected"):
         compose_session(edit(tally), reference_scheme(), ConfidenceConfig())
 
@@ -529,6 +531,21 @@ def test_numpy_counts_are_stored_as_int():
     counts += [v for group in (level.detected, level.sifted, level.errors) for v in group.values()]
     assert {type(v) for v in counts} == {int}
     assert SessionTally.from_json(json.loads(dumps(tally))) == tally
+
+
+@pytest.mark.parametrize("group", [
+    {"X": 5, "Z": 5, "Y": 7}, {"X": 5}, [1, 2], None,
+], ids=["extra basis", "missing basis", "list", "None"])
+@pytest.mark.parametrize("field_name", ["detected", "sifted", "errors", "zeros"])
+def test_count_groups_hold_exactly_the_bases(field_name, group):
+    level = dict(sent=100, detected={"X": 10, "Z": 10}, sifted={"X": 5, "Z": 5},
+                 errors={"X": 1, "Z": 1})
+    message = f"^{field_name}: expected counts by basis \\['X', 'Z'\\], got "
+    with pytest.raises(ValidationError, match=message):
+        if field_name == "zeros":
+            SessionTally(levels=(LevelCounts(**level),), zeros=group)
+        else:
+            LevelCounts(**{**level, field_name: group})
 
 
 def test_constructor_errors_carry_the_document_path():

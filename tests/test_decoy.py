@@ -31,6 +31,7 @@ from decoyqkd.decoy import (
     yield_bounds,
 )
 from decoyqkd.stats import binomial_interval, poisson_tail, poisson_weights
+from ledger import FROZEN
 
 
 def _toy_system(cutoff=4, lows=(0.0, 0.0, 0.0), highs=(1.0, 1.0, 1.0)):
@@ -173,7 +174,7 @@ class TestYieldFloor:
         assert all(lo <= hi for lo, hi in zip(ysys.lows, ysys.highs))
         sol = solve_y1_lower(ysys)
         assert sol.feasible
-        assert sol.y1_lower == pytest.approx(6.5525371213977716e-06, rel=1e-9)
+        assert sol.y1_lower == pytest.approx(FROZEN["calibrate.y1_lower"], rel=1e-9)
         assert len(sol.yields) == ysys.cutoff + 1
         assert all(0.0 <= y <= 1.0 for y in sol.yields)
         # the reported minimizer must attain the reported objective
@@ -315,7 +316,7 @@ class TestTightErrorBound:
         for basis in ("X", "Z"):
             esys = error_bounds(ysys, calibration.tally, basis, cfg)
             value = b1_tight(ysys, esys, sol.y1_lower)
-            assert value == pytest.approx(0.03764734305124105, rel=1e-9)
+            assert value == pytest.approx(FROZEN["calibrate.b1_tight"], rel=1e-9)
 
     def test_matches_fractional_program(self, calibration):
         cfg = ConfidenceConfig()
@@ -455,7 +456,7 @@ class TestWorstCaseErrorBound:
         ysys = yield_bounds(calibration.tally, calibration.scheme, cfg)
         sol = solve_y1_lower(ysys)
         value = b1_worst_case(calibration.tally, calibration.scheme, sol.y1_lower, "X")
-        assert value == pytest.approx(0.04853227272123375, rel=1e-9)
+        assert value == pytest.approx(FROZEN["calibrate.b1_worst"], rel=1e-9)
 
     def test_recomputable_from_tally(self, calibration):
         # worst case charges every observed error to single photons
@@ -479,7 +480,7 @@ class TestCombinedBounds:
         cfg = ConfidenceConfig()
         bounds = single_photon_bounds(calibration.tally, calibration.scheme, cfg)
         assert bounds.feasible
-        assert bounds.y1_lower == pytest.approx(6.5525371213977716e-06, rel=1e-9)
+        assert bounds.y1_lower == pytest.approx(FROZEN["calibrate.y1_lower"], rel=1e-9)
         # population scoped to the keyed signal level
         signal = (calibration.scheme.signal_index,)
         for basis in ("X", "Z"):

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from scipy import special
 
-from decoyqkd.core import ConfidenceConfig, DecoyScheme, InputError, ValidationError
+from decoyqkd.core import (
+    DEFAULT_PA_EPSILON,
+    ConfidenceConfig,
+    DecoyScheme,
+    InputError,
+    ValidationError,
+)
 from decoyqkd.keyrate import (
     compose_session,
     privacy_amplification_factor,
@@ -17,6 +23,7 @@ from decoyqkd.keyrate import (
 )
 from decoyqkd.sim import expected_tally, reference_model, reference_scheme, simulate_session
 from decoyqkd.stats import binary_entropy
+from ledger import FROZEN
 
 
 def _reference_formula(n, y1, mu, b1, ber, z, f_ec, f_pa, f_ds):
@@ -437,20 +444,20 @@ class TestComposeSession:
             f_ds=1.05,
         )
         assert analysis.feasible
-        assert analysis.total_tight == 5342
-        assert analysis.total_worst == 4526
+        assert analysis.total_tight == FROZEN["calibrate.total_tight"]
+        assert analysis.total_worst == FROZEN["calibrate.total_worst"]
         assert analysis.total_tight > analysis.total_worst
         # recomposition reproduces what the calibration stored
         assert analysis.to_json() == calibration.analysis.to_json()
 
         bounds = analysis.bounds
-        assert bounds.y1_lower == pytest.approx(6.5525371213977716e-06, rel=1e-9)
+        assert bounds.y1_lower == pytest.approx(FROZEN["calibrate.y1_lower"], rel=1e-9)
         for basis in ("X", "Z"):
             assert bounds.b1_tight_by_basis[basis] == pytest.approx(
-                0.03764734305124105, rel=1e-9
+                FROZEN["calibrate.b1_tight"], rel=1e-9
             )
             assert bounds.b1_worst_by_basis[basis] == pytest.approx(
-                0.04853227272123375, rel=1e-9
+                FROZEN["calibrate.b1_worst"], rel=1e-9
             )
             assert bounds.b1_tight_by_basis[basis] <= bounds.b1_worst_by_basis[basis]
 
@@ -524,12 +531,12 @@ class TestComposeSession:
         tight = analysis.budgets_tight
         n1_pooled = sum(b.n1_lower for b in tight.values())
         b1_pool = max(b.b1_upper for b in tight.values())
-        expected = privacy_amplification_factor(n1_pooled, b1_pool, 1e-3)
+        expected = privacy_amplification_factor(n1_pooled, b1_pool, DEFAULT_PA_EPSILON)
         for budget in tight.values():
             assert budget.f_pa == expected
-        assert expected == pytest.approx(1.090856027551472, rel=1e-12)
+        assert expected == pytest.approx(FROZEN["calibrate.f_pa_tight"], rel=1e-12)
         for budget in analysis.budgets_worst.values():
-            assert budget.f_pa == pytest.approx(1.0779019859084855, rel=1e-12)
+            assert budget.f_pa == pytest.approx(FROZEN["calibrate.f_pa_worst"], rel=1e-12)
 
     def test_totals_add_up(self, calibration):
         analysis = calibration.analysis
@@ -562,8 +569,8 @@ class TestComposeSession:
     def test_serialized_form(self, calibration):
         doc = calibration.analysis.to_json()
         assert doc["feasible"] is True
-        assert doc["total_tight"] == 5342
-        assert doc["total_worst"] == 4526
+        assert doc["total_tight"] == FROZEN["calibrate.total_tight"]
+        assert doc["total_worst"] == FROZEN["calibrate.total_worst"]
         assert set(doc["budgets_tight"]) == {"X", "Z"}
         budget_doc = doc["budgets_tight"]["X"]
         for key in (

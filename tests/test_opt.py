@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import pytest
 
+import ledger
 from decoyqkd.core import ConfidenceConfig, DecoyScheme, InputError, ValidationError
 from decoyqkd.keyrate import compose_session
 from decoyqkd.opt import (
@@ -23,16 +24,11 @@ from decoyqkd.sim import (
     reference_model,
     reference_scheme,
 )
-
-PULSES = 23836243437  # 5.6 h at the reference clock and duty cycle
+from ledger import DESIGN, FROZEN, PULSES
 
 
 def _evaluate(model, scheme, pulses, **kwargs):
-    kwargs.setdefault("f_ec", 1.07)
-    kwargs.setdefault("f_ds", 1.05)
-    kwargs.setdefault("sift_ratio", REFERENCE_SIFT_RATIO)
-    kwargs.setdefault("zero_fraction", 0.494)
-    return evaluate_scheme(model, scheme, pulses, **kwargs)
+    return evaluate_scheme(model, scheme, pulses, **{**DESIGN, **kwargs})
 
 
 class TestEvaluateScheme:
@@ -48,11 +44,10 @@ class TestEvaluateScheme:
         )
         assert direct.to_json() == composed.to_json()
 
-    def test_reference_point_totals(self):
-        analysis = _evaluate(reference_model(), reference_scheme(), PULSES)
-        assert analysis.total_tight == 5364
-        assert analysis.total_worst == 4548
-        assert analysis.total_tight > analysis.total_worst
+    def test_reference_point_totals(self, reference_point):
+        assert reference_point.total_tight == FROZEN["evaluate.total_tight"]
+        assert reference_point.total_worst == FROZEN["evaluate.total_worst"]
+        assert reference_point.total_tight > reference_point.total_worst
 
     def test_no_pulses_cannot_be_bounded(self):
         # an empty session has no decoy statistics to invert
@@ -60,70 +55,48 @@ class TestEvaluateScheme:
             _evaluate(reference_model(), reference_scheme(), 0)
 
 
-@pytest.fixture(scope="module")
-def result():
-    return optimize_scheme(
-        reference_model(),
-        PULSES,
-        f_ec=1.07,
-        f_ds=1.05,
-        sift_ratio=REFERENCE_SIFT_RATIO,
-        zero_fraction=0.494,
-    )
-
-
 class TestOptimizeScheme:
-    def test_frozen_optimum(self, result):
-        assert result.analysis.total_tight == 5502
-        assert result.analysis.total_worst == 4734
-        assert len(result.trace) == 79
-        mus, probs = result.scheme.mus, result.scheme.send_probs
-        assert mus[0] == pytest.approx(0.002678, abs=2e-4)
-        assert mus[1] == pytest.approx(0.13, abs=0.02)
-        assert mus[2] == pytest.approx(0.5996, abs=0.01)
-        assert probs[2] == pytest.approx(0.7647, abs=0.02)
+    def test_frozen_optimum(self, optimum):
+        assert optimum.analysis.total_tight == FROZEN["optimize.total_tight"]
+        assert optimum.analysis.total_worst == FROZEN["optimize.total_worst"]
+        assert len(optimum.trace) == FROZEN["optimize.evaluations"]
+        mus, probs = optimum.scheme.mus, optimum.scheme.send_probs
+        assert mus[0] == pytest.approx(FROZEN["optimize.mu0"], abs=2e-4)
+        assert mus[1] == pytest.approx(FROZEN["optimize.mu1"], abs=0.02)
+        assert mus[2] == pytest.approx(FROZEN["optimize.mu2"], abs=0.01)
+        assert probs[2] == pytest.approx(FROZEN["optimize.p2"], abs=0.02)
 
-    def test_beats_fixed_scheme(self, result):
-        fixed = _evaluate(reference_model(), reference_scheme(), PULSES)
-        assert result.analysis.total_tight >= fixed.total_tight
-        assert result.analysis.total_worst >= fixed.total_worst
+    def test_beats_fixed_scheme(self, optimum, reference_point):
+        assert optimum.analysis.total_tight >= reference_point.total_tight
+        assert optimum.analysis.total_worst >= reference_point.total_worst
 
-    def test_result_is_reproducible_from_scheme(self, result):
-        replay = _evaluate(reference_model(), result.scheme, PULSES)
-        assert replay.total_tight == result.analysis.total_tight
-        assert replay.total_worst == result.analysis.total_worst
-        assert replay.to_json() == result.analysis.to_json()
+    def test_result_is_reproducible_from_scheme(self, optimum):
+        replay = _evaluate(reference_model(), optimum.scheme, PULSES)
+        assert replay.total_tight == optimum.analysis.total_tight
+        assert replay.total_worst == optimum.analysis.total_worst
+        assert replay.to_json() == optimum.analysis.to_json()
 
-    def test_vacuum_level_respects_extinction_floor(self, result):
+    def test_vacuum_level_respects_extinction_floor(self, optimum):
         # The dimmest level cannot be darker than the signal leaking
         # through the stated extinction ratio.
-        floor = result.scheme.mus[2] * 10.0 ** (-23.5 / 10.0)
-        assert result.scheme.mus[0] >= floor * (1.0 - 1e-12)
+        floor = optimum.scheme.mus[2] * 10.0 ** (-23.5 / 10.0)
+        assert optimum.scheme.mus[0] >= floor * (1.0 - 1e-12)
 
-    def test_trace_covers_every_evaluation(self, result):
+    def test_trace_covers_every_evaluation(self, optimum):
         # one entry per distinct scheme evaluated
-        assert len({tuple(entry.values()) for entry in result.trace}) == len(result.trace)
-        first = result.trace[0]
+        assert len({tuple(entry.values()) for entry in optimum.trace}) == len(optimum.trace)
+        first = optimum.trace[0]
         # the scan starts from the incumbent scheme
         assert first["mu1"] == pytest.approx(0.13)
         assert first["mu2"] == pytest.approx(0.57)
-        best = max(entry["n_secret_tight"] for entry in result.trace)
-        assert best == result.analysis.total_tight
+        best = max(entry["n_secret_tight"] for entry in optimum.trace)
+        assert best == optimum.analysis.total_tight
 
-    def test_single_stage_is_coarser_but_sound(self):
-        quick = optimize_scheme(
-            reference_model(),
-            PULSES,
-            stages=1,
-            f_ec=1.07,
-            f_ds=1.05,
-            sift_ratio=REFERENCE_SIFT_RATIO,
-            zero_fraction=0.494,
-        )
-        assert len(quick.trace) == 27
-        assert quick.analysis.total_tight == 5414
-        fixed = _evaluate(reference_model(), reference_scheme(), PULSES)
-        assert quick.analysis.total_tight >= fixed.total_tight
+    def test_single_stage_is_coarser_but_sound(self, reference_point):
+        quick = ledger.optimum(stages=1)
+        assert len(quick.trace) == FROZEN["optimize.stages_1.evaluations"]
+        assert quick.analysis.total_tight == FROZEN["optimize.stages_1.total_tight"]
+        assert quick.analysis.total_tight >= reference_point.total_tight
 
     def test_skips_candidates_that_leave_a_level_without_pulses(self):
         quick = optimize_scheme(reference_model(), 25, stages=1)
@@ -162,45 +135,28 @@ class TestOptimizeScheme:
         assert info.value.input_name == "extinction_db"
 
 
-@pytest.fixture(scope="module")
-def curve():
-    return range_curve(
-        reference_model(),
-        PULSES,
-        [140.0, 143.0, 146.0, 149.0],
-        f_ec=1.07,
-        f_ds=1.05,
-        sift_ratio=REFERENCE_SIFT_RATIO,
-        zero_fraction=0.494,
-    )
-
-
 class TestRangeCurve:
-    def test_frozen_fixed_scheme_points(self, curve):
+    def test_frozen_fixed_scheme_points(self, fixed_curve):
         got = [(p.distance_km, p.analysis.total_tight, p.analysis.total_worst)
-               for p in curve.points]
-        assert got == [
-            (140.0, 2816, 1974),
-            (143.0, 1622, 764),
-            (146.0, 636, 0),
-            (149.0, 0, 0),
-        ]
+               for p in fixed_curve.points]
+        assert got == [(d, FROZEN[f"curve.{d:g}km.total_tight"],
+                        FROZEN[f"curve.{d:g}km.total_worst"]) for d in ledger.CURVE_GRID]
 
-    def test_range_endpoints(self, curve):
-        assert curve.range_tight_km == 146.0
-        assert curve.range_worst_km == 143.0
-        assert curve.range_tight_km >= curve.range_worst_km
+    def test_range_endpoints(self, fixed_curve):
+        assert fixed_curve.range_tight_km == FROZEN["curve.range_tight_km"]
+        assert fixed_curve.range_worst_km == FROZEN["curve.range_worst_km"]
+        assert fixed_curve.range_tight_km >= fixed_curve.range_worst_km
 
-    def test_yield_monotone_along_curve(self, curve):
-        tights = [p.analysis.total_tight for p in curve.points]
-        worsts = [p.analysis.total_worst for p in curve.points]
+    def test_yield_monotone_along_curve(self, fixed_curve):
+        tights = [p.analysis.total_tight for p in fixed_curve.points]
+        worsts = [p.analysis.total_worst for p in fixed_curve.points]
         assert tights == sorted(tights, reverse=True)
         assert worsts == sorted(worsts, reverse=True)
-        for point in curve.points:
+        for point in fixed_curve.points:
             assert point.analysis.total_tight >= point.analysis.total_worst
 
-    def test_points_carry_bound_diagnostics(self, curve):
-        for point in curve.points:
+    def test_points_carry_bound_diagnostics(self, fixed_curve):
+        for point in fixed_curve.points:
             bounds = point.analysis.bounds
             assert bounds.y1_lower > 0.0
             b1_tight = max(bounds.b1_tight_by_basis.values())
@@ -208,16 +164,16 @@ class TestRangeCurve:
             assert 0.0 < b1_tight <= b1_worst <= 1.0
             assert point.scheme == reference_scheme()
 
-    def test_csv_round_trip(self, curve):
-        text = curve_csv(curve)
+    def test_csv_round_trip(self, fixed_curve):
+        text = curve_csv(fixed_curve)
         rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == len(curve.points)
+        assert len(rows) == len(fixed_curve.points)
         header = text.splitlines()[0]
         assert header == (
             "distance_km,n_secret_tight,n_secret_worst,"
             "y1_lower,b1_tight,b1_worst,mu0,mu1,mu2,p0,p1,p2"
         )
-        for row, point in zip(rows, curve.points):
+        for row, point in zip(rows, fixed_curve.points):
             assert float(row["distance_km"]) == point.distance_km
             assert int(row["n_secret_tight"]) == point.analysis.total_tight
             assert int(row["n_secret_worst"]) == point.analysis.total_worst
@@ -226,15 +182,9 @@ class TestRangeCurve:
             assert float(row["mu2"]) == pytest.approx(point.scheme.mus[2], rel=1e-5)
 
     def test_optimized_point_dominates_fixed(self):
-        kwargs = dict(
-            f_ec=1.07,
-            f_ds=1.05,
-            sift_ratio=REFERENCE_SIFT_RATIO,
-            zero_fraction=0.494,
-        )
-        fixed = range_curve(reference_model(), PULSES, [146.0], **kwargs)
+        fixed = range_curve(reference_model(), PULSES, [146.0], **DESIGN)
         tuned = range_curve(
-            reference_model(), PULSES, [146.0], optimize=True, stages=2, **kwargs
+            reference_model(), PULSES, [146.0], optimize=True, stages=2, **DESIGN
         )
         assert tuned.points[0].analysis.total_tight >= fixed.points[0].analysis.total_tight
 

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import decoyqkd
+from ledger import FROZEN
 
 #: The library modules whose public names the package re-exports, in import order.
 MODULES = ("core", "stats", "decoy", "keyrate", "recon", "extract", "sim", "opt")
@@ -37,4 +38,7 @@ def test_readme_python_blocks_run(capsys):
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
-    assert capsys.readouterr().out == "1118 1118\n5342\n758\n"
+    assert capsys.readouterr().out == (
+        f"{FROZEN['readme.total_tight']} {FROZEN['readme.total_worst']}\n"
+        f"{FROZEN['calibrate.total_tight']}\n{FROZEN['readme.final_key_bits']}\n"
+    )

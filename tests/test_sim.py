@@ -31,6 +31,7 @@ from decoyqkd.sim import (
     reference_scheme,
     simulate_session,
 )
+from ledger import FROZEN
 
 
 def test_reference_constants():
@@ -452,11 +453,12 @@ class TestExactBits:
 
 class TestCalibration:
     def test_frozen_operating_point(self, calibration):
-        assert calibration.pulses == 23836243445
-        assert calibration.duty_cycle == pytest.approx(0.11823533450892858, rel=1e-9)
-        assert calibration.model.background_rate_hz == pytest.approx(586.00045754661, rel=1e-6)
-        assert calibration.model.intrinsic_error_rate == pytest.approx(0.005092440316693087,
-                                                                       rel=1e-6)
+        assert calibration.pulses == FROZEN["calibrate.pulses"]
+        assert calibration.duty_cycle == pytest.approx(FROZEN["calibrate.duty_cycle"], rel=1e-9)
+        assert calibration.model.background_rate_hz == pytest.approx(
+            FROZEN["calibrate.background_rate_hz"], rel=1e-6)
+        assert calibration.model.intrinsic_error_rate == pytest.approx(
+            FROZEN["calibrate.intrinsic_error_rate"], rel=1e-6)
         assert calibration.sift_ratio == REFERENCE_SIFT_RATIO
         assert calibration.zero_fraction == REFERENCE_ZERO_FRACTION
 
@@ -472,9 +474,10 @@ class TestCalibration:
         assert abs(sifted / REFERENCE_SIFTED_TOTAL - 1.0) < 0.001
 
     def test_key_totals(self, calibration):
-        assert calibration.analysis.total_tight == 5342
-        assert calibration.analysis.total_worst == 4526
-        assert calibration.diagnostics["key_totals_model"] == [5342, 4526]
+        totals = [FROZEN["calibrate.total_tight"], FROZEN["calibrate.total_worst"]]
+        assert calibration.analysis.total_tight == totals[0]
+        assert calibration.analysis.total_worst == totals[1]
+        assert calibration.diagnostics["key_totals_model"] == totals
 
     def test_diagnostics_shape(self, calibration):
         assert calibration.diagnostics["converged"] is True
