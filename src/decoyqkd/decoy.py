@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,11 @@ class ConstraintSystem:
     basis with the wrong bit value, normalized like a yield (per sent
     pulse, per matched-basis detection scale), so the two kinds of system
     share the y_n variables.
+
+    ``rows`` holds the levels as stacked ``<=`` rows (A, b), built on first
+    read and shared by every LP over the system: the yield system's serve
+    the y1 floor and each basis's b1 bound.  Equality and hashing use the
+    fields alone.
     """
 
     mus: tuple[float, ...]
@@ -86,6 +92,17 @@ class ConstraintSystem:
         for lo, hi in zip(self.lows, self.highs):
             if lo > hi:
                 raise ValueError("lower bound exceeds upper bound")
+
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two-sided level constraints as stacked <= rows (A, b), read-only."""
+        w = np.asarray(self.weights, dtype=float)
+        hi = np.asarray(self.highs, dtype=float)
+        lo = np.asarray(self.lows, dtype=float) - np.asarray(self.tails, dtype=float)
+        a = np.vstack([w, -w])
+        b = np.concatenate([hi, -lo])
+        a.flags.writeable = b.flags.writeable = False
+        return a, b
 
 
 @dataclass(frozen=True)
@@ -180,16 +197,6 @@ def error_bounds(
     return replace(ysys, lows=tuple(lows), highs=tuple(highs), basis=basis)
 
 
-def _yield_rows(system: ConstraintSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Two-sided level constraints as stacked <= rows (A, b)."""
-    w = np.asarray(system.weights, dtype=float)
-    hi = np.asarray(system.highs, dtype=float)
-    lo = np.asarray(system.lows, dtype=float) - np.asarray(system.tails, dtype=float)
-    a = np.vstack([w, -w])
-    b = np.concatenate([hi, -lo])
-    return a, b
-
-
 def solve_y1_lower(system: ConstraintSystem) -> YieldSolution:
     """Minimize the single-photon yield over the truncated constraint polytope.
 
@@ -198,7 +205,7 @@ def solve_y1_lower(system: ConstraintSystem) -> YieldSolution:
     corrupted tallies); callers must treat that as "no key".
     """
     dim = system.cutoff + 1
-    a, b = _yield_rows(system)
+    a, b = system.rows
     a = np.vstack([a, np.eye(dim)])  # y_n <= 1
     b = np.concatenate([b, np.ones(dim)])
     c = np.zeros(dim)
@@ -228,7 +235,7 @@ def b1_tight(
     the u0 column at weight one half.  The floor y1 >= y1_lower becomes
     the one row s <= 1/y1_lower, so the floor must be positive.  The
     optimum is rounded up by ``_B1_MARGIN`` and clamped to [0, 1]; the
-    result is None when the LP is infeasible.
+    result is None when the LP is infeasible or its optimum is not finite.
 
     With ``pin_vacuum`` the zero-photon error rate is fixed at one half
     (see :class:`~decoyqkd.core.ConfidenceConfig`); this is what lets the
@@ -241,8 +248,8 @@ def b1_tight(
         # The ratio e1/y1 is unconstrained when y1 may vanish.
         raise ValueError(f"y1_lower must be > 0 (got {y1_lower})")
     dim = ysys.cutoff + 1
-    ay, by = _yield_rows(ysys)
-    ae, be = _yield_rows(esys)
+    ay, by = ysys.rows
+    ae, be = esys.rows
     ny, ne = len(by), len(be)
     pin = int(pin_vacuum)
     v1 = dim - pin
@@ -271,7 +278,11 @@ def b1_tight(
     res = solve_lp(c, lp[:, :-1], lp[:, -1])
     if not res.ok:
         return None
-    return min(1.0, max(0.0, float(res.x[v1]) + _B1_MARGIN))
+    b1 = float(res.x[v1]) + _B1_MARGIN
+    # A clamp would read a NaN optimum as 0, the least conservative bound.
+    if not math.isfinite(b1):
+        return None
+    return min(1.0, max(0.0, b1))
 
 
 def single_photon_sifted_weight(

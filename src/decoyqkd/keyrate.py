@@ -13,12 +13,19 @@ floored at zero.  ``y1_eff`` is normalized per sifted bit, i.e.
 bits that originated from single-photon pulses; the raw per-pulse yield
 bound from the decoy analysis is converted by :func:`compose_session`.
 ``b1`` always comes from the conjugate basis.
+
+Arguments are checked where they enter: by the public functions here and
+by the record constructors of :mod:`~decoyqkd.core`.  Internal callers
+pass checked terms and do not check them again: :func:`compose_session`
+prices each basis with ``_key_length``, the core :func:`secret_length`
+runs after its checks, once for the totals and once more for each read of
+a session's budgets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special
@@ -33,7 +40,6 @@ from .core import (
     SessionTally,
     check_integer,
     check_real,
-    conjugate_basis,
 )
 from .decoy import EvaluationState, SinglePhotonBounds, single_photon_bounds
 from .stats import binary_entropy
@@ -179,8 +185,20 @@ def secret_length(
         ("f_ec", f_ec), ("f_pa", f_pa), ("f_ds", f_ds)))
     b1_upper = _clamp_error(b1_upper, "b1_upper")
     bit_error_rate = _clamp_error(bit_error_rate, "bit_error_rate")
-    if n_sifted == 0:
+    return _key_length(n_sifted, y1_eff, mu, b1_upper, bit_error_rate, zero_fraction,
+                       f_ec, f_pa, f_ds)
+
+
+def _key_length(n_sifted, y1_eff, mu, b1_upper, bit_error_rate, zero_fraction,
+                f_ec, f_pa, f_ds) -> int:
+    """:func:`secret_length` on checked terms, without checking them again.
+
+    Error rates are clamped to [0, 1/2] here; a NaN rate gives no key.
+    """
+    if n_sifted == 0 or math.isnan(b1_upper) or math.isnan(bit_error_rate):
         return 0
+    b1_upper = min(0.5, max(0.0, b1_upper))
+    bit_error_rate = min(0.5, max(0.0, bit_error_rate))
     single_photon_term = (
         y1_eff * mu * math.exp(-mu) * (1.0 - f_pa * binary_entropy(b1_upper))
     )
@@ -214,7 +232,10 @@ class KeyBudget:
     n_secret: int
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in _BUDGET_FIELDS}
+
+
+_BUDGET_FIELDS = tuple(f.name for f in fields(KeyBudget))
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,22 +272,34 @@ class SessionAnalysis:
         }
 
 
-def _key_budgets(bounds: SinglePhotonBounds, terms: tuple, variant: str) -> dict[str, KeyBudget]:
-    """One b1 variant's budget per basis, each priced with the conjugate basis's b1."""
+def _priced(bounds: SinglePhotonBounds, terms: tuple, tight: bool):
+    """One b1 variant's key-length terms and key length per basis, in BASES order.
+
+    Yields ``(n_sifted, n1_lower, y1_eff, b1_upper, bit_error_rate,
+    zero_fraction, f_pa, n_secret)``; each basis is priced with the
+    conjugate basis's b1.
+    """
     mu, f_ec, f_ds, f_pa_tight, f_pa_worst, *per_basis = terms
-    tight = variant == "tight"
     f_pa = f_pa_tight if tight else f_pa_worst
-    b1_by_basis = bounds.b1_tight_by_basis if tight else bounds.b1_worst_by_basis
-    out = {}
-    for i, b in enumerate(BASES):
+    b1_pair = bounds.b1_tight if tight else bounds.b1_worst
+    for i in range(len(BASES)):
         n_sifted, ber, zfrac = per_basis[i], per_basis[2 + i], per_basis[4 + i]
-        b1 = b1_by_basis[conjugate_basis(b)]
+        b1 = b1_pair[1 - i]
         n1_b = bounds.n1_lower[i]
         denom = n_sifted * mu * math.exp(-mu)
         y1_eff = n1_b / denom if denom > 0 else 0.0
         n_sec = 0
-        if bounds.feasible and n_sifted > 0:
-            n_sec = secret_length(n_sifted, y1_eff, mu, b1, ber, zfrac, f_ec, f_pa, f_ds)
+        if bounds.feasible:
+            n_sec = _key_length(n_sifted, y1_eff, mu, b1, ber, zfrac, f_ec, f_pa, f_ds)
+        yield n_sifted, n1_b, y1_eff, b1, ber, zfrac, f_pa, n_sec
+
+
+def _key_budgets(bounds: SinglePhotonBounds, terms: tuple, variant: str) -> dict[str, KeyBudget]:
+    """One b1 variant's :class:`KeyBudget` per basis (see :func:`_priced`)."""
+    mu, f_ec, f_ds = terms[:3]
+    priced = _priced(bounds, terms, variant == "tight")
+    out = {}
+    for b, (n_sifted, n1_b, y1_eff, b1, ber, zfrac, f_pa, n_sec) in zip(BASES, priced):
         out[b] = KeyBudget(
             basis=b,
             variant=variant,
@@ -344,14 +377,12 @@ def _compose(tally, scheme, config, f_ec, f_ds, pa_epsilon, state) -> SessionAna
     def pa_factor(b1_pair: tuple[float, float]) -> float:
         # One pooled typical-set factor; flip bound is the worse conjugate bound.
         if bounds.feasible and n1_pooled >= 1.0:
-            b1_pool = max(_clamp_error(b1, "b1") for b1 in b1_pair)
-            return privacy_amplification_factor(n1_pooled, b1_pool, pa_epsilon)
+            return privacy_amplification_factor(n1_pooled, max(b1_pair), pa_epsilon)
         return 1.0
 
     terms = (scheme.signal_mu, f_ec, f_ds, pa_factor(bounds.b1_tight),
              pa_factor(bounds.b1_worst), *n_sifted, *ber, *zfrac)
     total_tight, total_worst = (
-        sum(kb.n_secret for kb in _key_budgets(bounds, terms, variant).values())
-        for variant in ("tight", "worst_case")
+        sum(n_secret for *_, n_secret in _priced(bounds, terms, tight)) for tight in (True, False)
     )
     return SessionAnalysis(bounds.feasible, bounds, total_tight, total_worst, terms)

@@ -439,6 +439,31 @@ class TestTightErrorBound:
         with pytest.raises(ValueError, match="y1_lower must be > 0"):
             b1_tight(ysys, esys, 0.0)
 
+    @pytest.mark.parametrize("optimum", [math.nan, math.inf, -math.inf])
+    def test_non_finite_optimum_fails_closed(self, monkeypatch, optimum):
+        # An "optimal" b1 LP whose optimum is not finite gives no bound, so the
+        # session keeps the worst-case b1: a clamp would read NaN as b1 = 0.
+        tally, scheme = _sampled_session()
+        cfg = ConfidenceConfig()
+        honest = single_photon_bounds(tally, scheme, cfg)
+        assert honest.b1_tight != honest.b1_worst
+
+        def planted(c, a_ub, b_ub):
+            res = solve_lp(c, a_ub, b_ub)
+            if min(c) < 0:  # the b1 LP maximizes v1; the y1 LP minimizes y1
+                return dataclasses.replace(res, x=np.full_like(res.x, optimum), objective=optimum)
+            return res
+
+        monkeypatch.setattr("decoyqkd.decoy.solve_lp", planted)
+        ysys = yield_bounds(tally, scheme, cfg)
+        y1 = solve_y1_lower(ysys).y1_lower
+        assert y1 == honest.y1_lower
+        assert b1_tight(ysys, error_bounds(ysys, tally, "X", cfg), y1) is None
+        bounds = single_photon_bounds(tally, scheme, cfg)
+        assert bounds.b1_tight == bounds.b1_worst == honest.b1_worst
+        analysis = compose_session(tally, scheme, cfg)
+        assert analysis.total_tight == analysis.total_worst
+
     def test_grows_as_confidence_tightens(self, calibration):
         values = []
         for eps in (1e-3, 1e-5, 1e-7, 1e-9):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -9,14 +11,17 @@ import numpy as np
 import pytest
 from scipy import special
 
+from decoyqkd import keyrate
 from decoyqkd.core import (
     DEFAULT_PA_EPSILON,
     ConfidenceConfig,
     DecoyScheme,
     InputError,
+    SessionTally,
     ValidationError,
 )
 from decoyqkd.keyrate import (
+    KeyBudget,
     compose_session,
     privacy_amplification_factor,
     secret_length,
@@ -237,6 +242,56 @@ class TestSecretLength:
             less_biased = list(base)
             less_biased[5] = base[5] + 0.5 * (0.5 - base[5])
             assert secret_length(*less_biased) >= here
+
+
+def _random_valid_secret_length_args(rng):
+    """Arguments ``secret_length`` accepts: about half of them plausible budgets,
+    the rest with rates past 1/2 or below 0, empty bases and infinite factors."""
+    if rng.random() < 0.5:
+        return [
+            int(rng.integers(1, 10**6)),
+            float(rng.uniform(0.5, 3.0)),
+            float(rng.uniform(0.2, 0.9)),
+            float(rng.uniform(0.0, 0.15)),
+            float(rng.uniform(0.0, 0.08)),
+            float(rng.uniform(0.4, 0.5)),
+            *(1.0 + float(rng.uniform(0, 0.3)) for _ in range(3)),
+        ]
+    rates = (-math.inf, -0.1, 0.0, 0.5, 0.7, 1.0, 3.0, math.inf)
+    return [
+        0 if rng.random() < 0.2 else int(rng.integers(1, 10**9)),
+        float(rng.uniform(0.0, 4.0)),
+        float(rng.uniform(0.01, 2.0)),
+        *(float(rng.choice(rates)) if rng.random() < 0.5 else float(rng.uniform(-0.2, 1.2))
+          for _ in range(2)),
+        float(rng.choice((0.0, 1.0))) if rng.random() < 0.1 else float(rng.uniform(0.0, 1.0)),
+        *(math.inf if rng.random() < 0.15 else 1.0 + float(rng.exponential(0.3))
+          for _ in range(3)),
+    ]
+
+
+class TestKeyLengthCore:
+    """``keyrate._key_length``: the key-length formula on terms checked by its callers."""
+
+    def test_equals_public_secret_length_on_random_valid_arguments(self):
+        rng = np.random.default_rng(20261020)
+        lengths = []
+        for _ in range(1500):
+            args = _random_valid_secret_length_args(rng)
+            lengths.append(secret_length(*args))
+            assert keyrate._key_length(*args) == lengths[-1], args
+        # Both outcomes are well represented, so the comparison is not all zeros.
+        assert sum(n > 0 for n in lengths) > 200
+        assert sum(n == 0 for n in lengths) > 300
+
+    @pytest.mark.parametrize("position", [3, 4], ids=["b1_upper", "bit_error_rate"])
+    def test_nan_rate_gives_no_key(self, position):
+        args = [100000, 0.9, 0.48, 0.04, 0.018, 0.494, 1.07, 1.09, 1.05]
+        assert keyrate._key_length(*args) > 0
+        args[position] = math.nan
+        assert keyrate._key_length(*args) == 0
+        args[0] = 0
+        assert keyrate._key_length(*args) == 0
 
 
 class TestPrivacyAmplificationFactor:
@@ -546,6 +601,35 @@ class TestComposeSession:
         assert analysis.total_worst == sum(
             b.n_secret for b in analysis.budgets_worst.values()
         )
+
+    def test_totals_are_the_budget_sums_on_simulated_sessions(self):
+        scheme, config = reference_scheme(), ConfidenceConfig(photon_cutoff=10)
+        keyed = 0
+        for seed, km in enumerate(np.linspace(25.0, 150.0, 60)):
+            tally, _ = simulate_session(reference_model(float(km)), scheme, 23_836_243_437,
+                                        700 + seed)
+            analysis = compose_session(tally, scheme, config, f_ec=1.07, f_ds=1.05)
+            assert analysis.total_tight == sum(
+                b.n_secret for b in analysis.budgets_tight.values())
+            assert analysis.total_worst == sum(
+                b.n_secret for b in analysis.budgets_worst.values())
+            keyed += analysis.total_worst > 0
+        assert keyed >= 30
+
+    def test_budget_reports_are_flat_copies(self, calibration, readme_session):
+        # The README session's analysis, re-composed from its tally with the
+        # CLI's defaults, is the one ``analyze`` printed.
+        tally = SessionTally.from_json(
+            json.loads((readme_session.root / "tally.json").read_text()))
+        readme = compose_session(tally, reference_scheme())
+        printed = json.loads(readme_session.analyze[1])["analysis"]
+        assert json.loads(json.dumps(readme.to_json())) == printed
+        names = [f.name for f in dataclasses.fields(KeyBudget)]
+        for analysis in (readme, calibration.analysis):
+            for budget in (*analysis.budgets_tight.values(), *analysis.budgets_worst.values()):
+                doc = budget.to_json()
+                assert doc == dataclasses.asdict(budget)
+                assert list(doc) == names
 
     def test_kept_analysis_is_small(self):
         # A process certifying session after session may keep every analysis:
