@@ -37,7 +37,7 @@ total, failed reconciliation, or a calibration that did not converge).  ``distil
 exits 1 when reconciliation corrects another number of errors than the
 tally records, and on a residual mismatch exits 2 before any key bit is
 printed or written.  A command writes all of its output files or none,
-and no output may name an input or another output.
+none when it exits 2, and no output may name an input or another output.
 
 Every flag is declared once, in ``_FLAGS``, with its type, default and
 help; each subcommand in ``_COMMANDS`` lists the flags it takes.  The
@@ -85,7 +85,9 @@ from .core import (
     DEFAULT_PA_EPSILON,
     DEFAULT_POINTS_PER_STAGE,
     DEFAULT_STAGES,
+    DEFAULT_VARIANT,
     DEFAULT_ZERO_BIAS,
+    VARIANTS,
     ChannelModel,
     ConfidenceConfig,
     DecoyScheme,
@@ -194,7 +196,7 @@ _FLAGS = {
     # distillation
     "depth": _Flag("--depth", "D", "deskewing iteration depth", int, DEFAULT_DESKEW_DEPTH),
     "variant": _Flag("--variant", None, "which error-bound variant sizes the final key",
-                     str, "worst", choices=("tight", "worst")),
+                     str, DEFAULT_VARIANT, choices=VARIANTS),
     # scheme search and sweeps
     "extinction_db": _Flag("--extinction-db", "DB", "vacuum-level extinction below the signal",
                            float, DEFAULT_EXTINCTION_DB),
@@ -482,8 +484,6 @@ def _encode_bits(bits: np.ndarray) -> bytes:
 
 
 def _read_bits(path: Path, name: str) -> tuple[np.ndarray, str]:
-    if not path.exists():
-        raise ValidationError(f"{name}: key file not found: {path}")
     raw = path.read_bytes()
     bits = np.frombuffer(raw.strip(_KEY_PADDING), dtype=np.uint8) - ord("0")
     if bits.size and bits.max() > 1:  # any other byte wraps past 1
@@ -592,15 +592,17 @@ def _cmd_distill(settings: _Settings) -> tuple[int, str]:
     seed = _require(settings, "seed")
     keys: dict[str, dict[str, np.ndarray]] = {"alice": {}, "bob": {}}
     digests = settings.inputs["key_files_sha256"] = {}
+    name = settings.name("keys")
     for (side, basis), path in _key_paths(_require(settings, "keys")).items():
-        keys[side][basis], digests[path.name] = _read_bits(path, settings.name("keys"))
-        settings.read[os.path.realpath(path)] = settings.name("keys")
+        path = _resolve(str(path), name)
+        keys[side][basis], digests[path.name] = _read_bits(path, name)
+        settings.read[os.path.realpath(path)] = name
 
     result = distill_session(
         tally, scheme, keys["alice"], keys["bob"], config, seed=seed,
         **{key: settings[key] for key in ("depth", "variant", "pa_epsilon")},
     )
-    if settings["key_out"] is not None and result.analysis is not None:  # None: aborted, no key
+    if settings["key_out"] is not None:
         settings.outputs.append(("key_out", settings["key_out"], result.final_key_bytes()))
     text = dumps({**_report("distill_report", settings), **result.to_json()}) + "\n"
     if result.residual:
@@ -886,6 +888,8 @@ def main(argv=None) -> int:
     try:
         settings = _settings(args)
         status, text = args.handler(settings)
+        if status:  # no key: stdout reports why, and no file is written
+            settings.outputs.clear()
         _write_all(settings)
     except (ValidationError, ValueError, OSError) as exc:
         message = str(exc)

@@ -46,10 +46,11 @@ __all__ = [
     "DEFAULT_POINTS_PER_STAGE",
     "DEFAULT_DESKEW_DEPTH",
     "DEFAULT_ZERO_BIAS",
+    "VARIANTS",
+    "DEFAULT_VARIANT",
     "check_integer",
     "check_json_type",
     "check_real",
-    "conjugate_basis",
     "dumps",
     "validate_tally",
 ]
@@ -83,15 +84,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         return os.cpu_count() or 1
-
-
-def conjugate_basis(basis: str) -> str:
-    """Return the other measurement basis ("X" <-> "Z")."""
-    if basis == "X":
-        return "Z"
-    if basis == "Z":
-        return "X"
-    raise ValidationError(f"unknown basis {basis!r}; expected 'X' or 'Z'")
 
 
 _JSON_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
@@ -535,6 +527,10 @@ DEFAULT_POINTS_PER_STAGE = 7
 DEFAULT_DESKEW_DEPTH = 12
 #: Probability that a prepared key bit is 0 in a simulated session.
 DEFAULT_ZERO_BIAS = 0.5
+#: The b1 bounds, tight or worst-case, whose budget may size a distilled key.
+VARIANTS = ("tight", "worst")
+#: The one that does unless another is chosen.
+DEFAULT_VARIANT = "worst"
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .core import (
     DEFAULT_PA_EPSILON,
     ConfidenceConfig,
     DecoyScheme,
+    InputError,
     SessionTally,
     check_integer,
     check_real,
@@ -51,15 +52,6 @@ __all__ = [
     "SessionAnalysis",
     "compose_session",
 ]
-
-
-def _clamp_error(rate: float, name: str) -> float:
-    """Error rates above 1/2 carry no more extractable-information penalty.
-
-    A NaN rate is rejected: clamping it would read it as 0, the least
-    conservative rate there is.
-    """
-    return min(0.5, max(0.0, check_real(rate, name, "[-inf, inf]")))
 
 
 # Relative weight, 2**-60, below which the terms left out of the
@@ -104,7 +96,8 @@ def privacy_amplification_factor(n1: int, b1: float, epsilon: float) -> float:
     """
     epsilon = check_real(epsilon, "epsilon", "(0, 0.5)")
     n1 = math.floor(check_real(n1, "n1", "[1, inf)"))
-    b1 = _clamp_error(b1, "b1")
+    # Rates past 1/2 cost no more; a NaN rate is refused, not read as 0.
+    b1 = min(0.5, max(0.0, check_real(b1, "b1", "[-inf, inf]")))
     if b1 == 0.0:
         return 1.0
     h = binary_entropy(b1)
@@ -175,16 +168,23 @@ def secret_length(
     single-photon error bound, ``bit_error_rate`` the observed error
     fraction of the keyed bits, ``zero_fraction`` the bit bias, and the
     three ``f_*`` factors the measured stage efficiencies, in [1, inf].
-    ``y1_eff``, ``mu`` and ``zero_fraction`` must be finite.  ``n_sifted``
-    must be a non-negative integer (Python or numpy), else ``InputError``.
+    ``y1_eff`` and ``mu`` lie in [0, inf), ``zero_fraction`` in [0, 1], the
+    error rates anywhere but NaN (past 1/2 they cost no more), ``n_sifted``
+    is an integer >= 0, and ``y1_eff * mu * exp(-mu)`` is at most 1 (no more
+    single-photon bits than sifted bits); else ``InputError`` names the term.
     """
     n_sifted = check_integer(n_sifted, "n_sifted")
-    y1_eff, mu, zero_fraction = (check_real(v, name) for name, v in (
-        ("y1_eff", y1_eff), ("mu", mu), ("zero_fraction", zero_fraction)))
+    y1_eff = check_real(y1_eff, "y1_eff", "[0, inf)")
+    mu = check_real(mu, "mu", "[0, inf)")
+    b1_upper = check_real(b1_upper, "b1_upper", "[-inf, inf]")
+    bit_error_rate = check_real(bit_error_rate, "bit_error_rate", "[-inf, inf]")
+    zero_fraction = check_real(zero_fraction, "zero_fraction", "[0, 1]")
     f_ec, f_pa, f_ds = (check_real(f, name, "[1, inf]") for name, f in (
         ("f_ec", f_ec), ("f_pa", f_pa), ("f_ds", f_ds)))
-    b1_upper = _clamp_error(b1_upper, "b1_upper")
-    bit_error_rate = _clamp_error(bit_error_rate, "bit_error_rate")
+    single_photon_share = y1_eff * (mu * math.exp(-mu))  # mu * exp(-mu) <= 1/e: no overflow
+    if single_photon_share > 1.0:
+        raise InputError("y1_eff", f"y1_eff * mu * exp(-mu) must be <= 1, "
+                         f"got {single_photon_share}")
     return _key_length(n_sifted, y1_eff, mu, b1_upper, bit_error_rate, zero_fraction,
                        f_ec, f_pa, f_ds)
 

@@ -73,9 +73,9 @@ from itertools import chain, repeat, starmap
 
 import numpy as np
 
-from .core import (BASES, DEFAULT_DESKEW_DEPTH, DEFAULT_PA_EPSILON, ConfidenceConfig,
-                   DecoyScheme, InputError, SessionTally, ValidationError, _usable_cpus,
-                   check_integer, check_real, validate_tally)
+from .core import (BASES, DEFAULT_DESKEW_DEPTH, DEFAULT_PA_EPSILON, DEFAULT_VARIANT, VARIANTS,
+                   ConfidenceConfig, DecoyScheme, InputError, SessionTally, ValidationError,
+                   _usable_cpus, check_integer, check_real, validate_tally)
 from .extract import _as_bits, measure_f_ds, peres_extract, privacy_amplify
 from .keyrate import SessionAnalysis, compose_session
 from .stats import binary_entropy
@@ -541,7 +541,7 @@ class DistillResult:
 def distill_session(
     tally: SessionTally, scheme: DecoyScheme, alice: Mapping, bob: Mapping,
     config: ConfidenceConfig = ConfidenceConfig(), *, seed: int,
-    depth: int = DEFAULT_DESKEW_DEPTH, variant: str = "worst",
+    depth: int = DEFAULT_DESKEW_DEPTH, variant: str = DEFAULT_VARIANT,
     pa_epsilon: float = DEFAULT_PA_EPSILON,
 ) -> DistillResult:
     """Reconcile, deskew, budget and hash one session's sifted signal keys.
@@ -556,15 +556,16 @@ def distill_session(
     tally, so every basis's corrections must equal the tally's
     signal-level errors.
 
-    Raises ``InputError`` naming ``depth`` (not an integer >= 1), ``seed``
-    (not an integer >= 0) or ``pa_epsilon`` (not a real number in (0, 0.5))
-    before any basis is reconciled, ``keys`` (lengths unequal, unlike the
-    tally's sifted signal count or below 64 bits; an error count unlike the
-    tally's) or ``tally`` (signal QBER above 0.25).
+    Raises ``InputError`` naming ``variant`` (not in ``VARIANTS``), ``depth``
+    (not an integer >= 1), ``seed`` (not an integer >= 0) or ``pa_epsilon``
+    (not a real number in (0, 0.5)) before any basis is reconciled, ``keys``
+    (lengths unequal, unlike the tally's sifted signal count or below 64
+    bits; an error count unlike the tally's) or ``tally`` (signal QBER
+    above 0.25).
     """
     validate_tally(tally, scheme)
-    if variant not in ("tight", "worst"):
-        raise ValidationError(f"variant must be 'tight' or 'worst', got {variant!r}")
+    if variant not in VARIANTS:
+        raise InputError("variant", f"variant must be one of {list(VARIANTS)}, got {variant!r}")
     depth = check_integer(depth, "depth", 1)
     seed = check_integer(seed, "seed")
     pa_epsilon = check_real(pa_epsilon, "pa_epsilon", "(0, 0.5)")

@@ -49,7 +49,6 @@ from .core import (
     InputError,
     LevelCounts,
     SessionTally,
-    ValidationError,
     check_integer,
     check_real,
 )
@@ -154,9 +153,8 @@ class ExpectedStatistics:
     error_rates: tuple[float, ...]
 
     def photon_yield(self, n: int) -> float:
-        """Detection probability of an n-photon pulse."""
-        if n < 0:
-            raise ValidationError("photon number must be >= 0")
+        """Detection probability of an n-photon pulse (``n`` an integer >= 0)."""
+        n = check_integer(n, "n")
         return 1.0 - (1.0 - self.noise_prob) * (1.0 - self.eta) ** n
 
     def photon_error_rate(self, n: int) -> float:

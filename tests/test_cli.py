@@ -99,7 +99,7 @@ BAD_SETTINGS = [
      "--scheme: {tmp}/scheme.json decoy_scheme: send probabilities sum to 1.1, "
      "expected 1 within 1e-12"),
     ("distill", ["--tally", "{tally}", "--seed", "5"], {"keys": "{tmp}/missing"},
-     "--keys: key file not found: {tmp}/missing.alice.X.bits"),
+     "--keys: file not found: {tmp}/missing.alice.X.bits"),
     ("distill", ["--tally", "{tally}", "--keys", "{keys}", "--seed", "5"], {"depth": 0},
      "--depth: depth must be >= 1, got 0"),
     ("simulate", ["--pulses", "1000"], {"seed": -1}, "--seed: seed must be >= 0, got -1"),
@@ -622,7 +622,7 @@ class TestDistill:
              "--keys", str(tmp_path / "run"), "--seed", "1"]
         )
         assert rc == 1
-        assert "--keys: key file not found:" in err
+        assert "--keys: file not found:" in err
 
     def test_observed_qber_above_limit_names_tally_and_basis(self, workspace, tmp_path):
         doc = json.loads((workspace / "tally.json").read_text())
@@ -803,6 +803,16 @@ class TestConfigFile:
         )
         assert rc == 0
         assert json.loads(out)["parameters"]["f_ec"] == 1.25
+
+    def test_key_files_found_under_config_dir(self, workspace, tmp_path, monkeypatch):
+        # The tally and the four key files sit in the config dir, named relative.
+        absolute = run_cli(["distill", "--tally", str(workspace / "tally.json"),
+                            "--keys", str(workspace / "run"), "--seed", "5"])
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(cli.CONFIG_DIR_ENV, str(workspace))
+        relative = run_cli(["distill", "--tally", "tally.json", "--keys", "run", "--seed", "5"])
+        assert relative == absolute
+        assert relative[0] == 0
 
 
     @pytest.mark.parametrize("command, field, value", [
@@ -1203,6 +1213,86 @@ class TestFrozenDesignOutputs:
 
 
 
+def _level(sent, detected, sifted, errors):
+    """A tally level's JSON, each count split as evenly as it goes over X and Z."""
+    return {name: {"X": n // 2, "Z": n - n // 2}
+            for name, n in (("detected", detected), ("sifted", sifted), ("errors", errors))
+            } | {"sent": sent}
+
+
+def _tally_doc(levels, zeros):
+    return {"format_version": "1", "kind": "session_tally", "levels": levels,
+            "zeros": {"X": zeros // 2, "Z": zeros - zeros // 2}}
+
+
+class TestNoKeyExits:
+    """Valid inputs that earn no key exit 2 with a note on stderr and write no file."""
+
+    @staticmethod
+    def _files(root):
+        return sorted(p.name for p in root.iterdir())
+
+    def test_analyze_infeasible_bounds(self, tmp_path):
+        # The vacuum-like level clicks on 90% of its pulses, the signal level on
+        # 0.001%: no yield vector gives both.
+        levels = [_level(10**6, 900_000, 450_000, 20_000), _level(10**6, 5_000, 2_500, 100),
+                  _level(10**6, 10, 6, 0)]
+        (tmp_path / "tally.json").write_text(json.dumps(_tally_doc(levels, 452_000)))
+        rc, out, err = run_cli(["analyze", "--tally", str(tmp_path / "tally.json")])
+        assert rc == 2
+        assert json.loads(out)["analysis"]["feasible"] is False
+        assert "analyze: decoy bounds infeasible for this tally" in err
+        assert self._files(tmp_path) == ["tally.json"]
+
+    def test_distill_keys_that_deskew_to_no_bits(self, tmp_path):
+        # Two agreeing all-zero keys: Peres extraction finds no unequal pair.
+        levels = [_level(10**6, 1_000, 500, 10), _level(10**6, 2_000, 1_000, 20),
+                  _level(10**6, 256, 128, 0)]
+        (tmp_path / "tally.json").write_text(json.dumps(_tally_doc(levels, 1_628)))
+        for side in ("alice", "bob"):
+            for basis in BASES:
+                (tmp_path / f"run.{side}.{basis}.bits").write_text("0" * 64 + "\n")
+        before = self._files(tmp_path)
+        rc, out, err = run_cli(["distill", "--tally", str(tmp_path / "tally.json"),
+                                "--keys", str(tmp_path / "run"), "--seed", "5",
+                                "--key-out", str(tmp_path / "key.bin")])
+        assert rc == 2
+        report = json.loads(out)
+        assert (report["analysis"], report["final_key_bits"]) == (None, 0)
+        assert "distill: deskew produced no output bits" in err
+        assert self._files(tmp_path) == before
+
+    def test_distill_zero_key_budget(self, tmp_path):
+        # 1e6 pulses leave a few hundred sifted bits, too few to certify a key.
+        prefix = tmp_path / "run"
+        rc, out, _ = run_cli(["simulate", "--distance-km", "25", "--pulses", "1000000",
+                              "--seed", "3", "--keys-out", str(prefix)])
+        assert rc == 0
+        (tmp_path / "tally.json").write_text(out)
+        before = self._files(tmp_path)
+        rc, out, err = run_cli(["distill", "--tally", str(tmp_path / "tally.json"),
+                                "--keys", str(prefix), "--seed", "1",
+                                "--key-out", str(tmp_path / "key.bin")])
+        assert rc == 2
+        report = json.loads(out)
+        assert report["analysis"]["total_worst"] == report["final_key_bits"] == 0
+        assert "distill: zero-key outcome" in err
+        assert self._files(tmp_path) == before
+
+    def test_calibrate_that_does_not_converge(self, tmp_path):
+        # Half an hour cannot hold the pulses the detection totals need: duty > 1.
+        rc, out, err = run_cli(["calibrate", "--duration-h", "0.5",
+                                "--out-model", str(tmp_path / "model.json"),
+                                "--out-tally", str(tmp_path / "tally.json")])
+        assert rc == 2
+        report = json.loads(out)
+        assert report["diagnostics"]["converged"] is False
+        assert report["duty_cycle"] > 1.0
+        assert "calibrate: fit did not converge; inspect the diagnostics block" in err
+        assert "wrote" not in err
+        assert self._files(tmp_path) == []
+
+
 class TestOutputFiles:
     ARGV = {
         "--key-out": ["distill", "--tally", "{tally}", "--keys", "{keys}", "--seed", "5"],
@@ -1484,7 +1574,8 @@ class TestUsage:
             capture_output=True, text=True, timeout=60, env=package_env(),
         )
         assert proc.returncode == 0
-        assert "distill" in proc.stdout
+        # Each command heads a line of its own, indented under COMMAND.
+        assert tuple(re.findall(r"^    (\w+)", proc.stdout, flags=re.M)) == COMMANDS
 
     # Library names outside _FLAGS, each with what keeps its InputError from main.
     NAMES_MAIN_NEVER_SEES = {
@@ -1492,10 +1583,16 @@ class TestUsage:
         ("core.py", "mus"): "_read re-raises a scheme document's error as scheme",
         ("core.py", "sent"): "_read re-raises a tally document's error as tally",
         ("core.py", "send_probs"): "_read re-raises a scheme document's error as scheme",
+        ("keyrate.py", "b1"): "compose_session passes a b1 bound of the decoy analysis",
+        ("keyrate.py", "b1_upper"): "compose_session prices with _key_length, not secret_length",
+        ("keyrate.py", "bit_error_rate"): "compose_session prices with _key_length",
         ("keyrate.py", "epsilon"): "compose_session checks pa_epsilon before the factor",
+        ("keyrate.py", "mu"): "compose_session prices with _key_length",
+        ("keyrate.py", "y1_eff"): "compose_session prices with _key_length",
         ("keyrate.py", "n1"): "compose_session calls the factor only when n1 >= 1",
         ("keyrate.py", "n_sifted"): "compose_session passes the tally's validated sifted count",
         ("recon.py", "rng_seed"): "distill_session derives it from the checked seed",
+        ("sim.py", "n"): "no command asks for the yield of a photon number",
         ("recon.py", "estimated_qber"): "distill_session blames a QBER above 0.25 on tally "
                                         "and floors the estimate at 0.5 / n",
     }

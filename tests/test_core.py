@@ -22,7 +22,6 @@ from decoyqkd import (
     SessionTally,
     ValidationError,
     compose_session,
-    conjugate_basis,
     dumps,
     reference_model,
     reference_scheme,
@@ -39,13 +38,6 @@ def make_level(sent=1000, det=100, sift=50, err=5):
         sifted={"X": sift // 2, "Z": sift - sift // 2},
         errors={"X": err // 2, "Z": err - err // 2},
     )
-
-
-def test_conjugate_basis():
-    assert conjugate_basis("X") == "Z"
-    assert conjugate_basis("Z") == "X"
-    with pytest.raises(ValueError):
-        conjugate_basis("Y")
 
 
 class TestDecoyScheme:

@@ -205,7 +205,31 @@ class TestSecretLength:
     def test_rejects_non_finite_inputs(self, position, name, value):
         args = [10000, 0.9, 0.48, 0.04, 0.018, 0.494, 1.07, 1.09, 1.05]
         args[position] = value
-        with pytest.raises(ValueError, match=rf"{name} must lie in \(-inf, inf\)"):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, "):
+            secret_length(*args)
+
+    @pytest.mark.parametrize("args, name", [
+        # more certified single-photon bits than sifted bits (297,016,028,066 secret bits)
+        ((10**6, 1e6, 0.48, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0), "y1_eff"),
+        # a zero fraction past 1 (a bare ValueError from binary_entropy)
+        ((10000, 0.9, 0.48, 0.04, 0.018, 1.5, 1.07, 1.09, 1.05), "zero_fraction"),
+    ], ids=["y1_eff", "zero_fraction"])
+    def test_terms_no_session_can_give_are_refused_by_name(self, args, name, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("binary_entropy ran")
+
+        monkeypatch.setattr(keyrate, "binary_entropy", no_work)
+        with pytest.raises(InputError) as info:
+            secret_length(*args)
+        assert info.value.input_name == name
+
+    def test_single_photon_share_of_one_is_the_most_accepted(self):
+        # y1_eff * mu * exp(-mu) = 1: every sifted bit came from a single photon.
+        args = [1000, 1.0 / (0.5 * math.exp(-0.5)), 0.5, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0]
+        assert args[1] * (0.5 * math.exp(-0.5)) == 1.0
+        assert secret_length(*args) == 1000
+        args[1] = math.nextafter(args[1], math.inf)
+        with pytest.raises(InputError, match=r"^y1_eff \* mu \* exp\(-mu\) must be <= 1, got "):
             secret_length(*args)
 
     def test_monotone_in_every_budget_term(self):
@@ -250,7 +274,7 @@ def _random_valid_secret_length_args(rng):
     if rng.random() < 0.5:
         return [
             int(rng.integers(1, 10**6)),
-            float(rng.uniform(0.5, 3.0)),
+            float(rng.uniform(0.5, 2.7)),  # below e, so y1_eff * mu * exp(-mu) < 1
             float(rng.uniform(0.2, 0.9)),
             float(rng.uniform(0.0, 0.15)),
             float(rng.uniform(0.0, 0.08)),
@@ -260,7 +284,7 @@ def _random_valid_secret_length_args(rng):
     rates = (-math.inf, -0.1, 0.0, 0.5, 0.7, 1.0, 3.0, math.inf)
     return [
         0 if rng.random() < 0.2 else int(rng.integers(1, 10**9)),
-        float(rng.uniform(0.0, 4.0)),
+        float(rng.uniform(0.0, 2.7)),
         float(rng.uniform(0.01, 2.0)),
         *(float(rng.choice(rates)) if rng.random() < 0.5 else float(rng.uniform(-0.2, 1.2))
           for _ in range(2)),

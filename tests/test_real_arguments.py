@@ -109,8 +109,8 @@ ENTRIES = {
                                  lambda v, s, name=name: secret_length(**{**SECRET, name: v}),
                                  (keyrate, "binary_entropy"))
        for name, interval, outside in [
-           ("y1_eff", "(-inf, inf)", None), ("mu", "(-inf, inf)", None),
-           ("zero_fraction", "(-inf, inf)", None), ("b1_upper", "[-inf, inf]", None),
+           ("y1_eff", "[0, inf)", -1.0), ("mu", "[0, inf)", -1.0),
+           ("zero_fraction", "[0, 1]", 1.5), ("b1_upper", "[-inf, inf]", None),
            ("bit_error_rate", "[-inf, inf]", None), ("f_ec", "[1, inf]", 0.99),
            ("f_pa", "[1, inf]", 0.99), ("f_ds", "[1, inf]", 0.99)]},
     **{f"compose_session-{name}": (name, interval, good, outside,

@@ -309,6 +309,8 @@ class TestValidation:
     @pytest.mark.parametrize("settings, name", [
         (dict(seed=5, depth=0), "depth"),
         (dict(seed=-1), "seed"),
+        (dict(seed=5, variant="best"), "variant"),
+        (dict(seed=5, variant="worst_case"), "variant"),
     ])
     def test_distill_settings_checked_before_reconciling(self, settings, name, monkeypatch):
         def no_reconcile(*args, **kwargs):

@@ -14,7 +14,7 @@ from scipy.optimize import least_squares
 from scipy.stats import binomtest, chisquare
 
 from decoyqkd import sim
-from decoyqkd.core import BASES, InputError, LevelCounts, SessionTally
+from decoyqkd.core import BASES, InputError, LevelCounts, SessionTally, ValidationError
 from decoyqkd.sim import (
     REFERENCE_DETECTIONS,
     REFERENCE_DURATION_H,
@@ -23,7 +23,6 @@ from decoyqkd.sim import (
     REFERENCE_SIFT_RATIO,
     REFERENCE_SIFTED_TOTAL,
     REFERENCE_ZERO_FRACTION,
-    ValidationError,
     calibrate_to_reference,
     expected_statistics,
     expected_tally,
@@ -84,6 +83,15 @@ class TestExpectedStatistics:
         for n in range(6):
             expected = 1.0 - (1.0 - c) * (1.0 - eta) ** n
             assert stats.photon_yield(n) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1.5, True, np.bool_(True), "1", -1],
+                             ids=["fraction", "bool", "np.bool_", "string", "negative"])
+    def test_photon_number_is_a_non_negative_integer(self, n):
+        stats = expected_statistics(reference_model(25.0), reference_scheme())
+        with pytest.raises(InputError) as info:
+            stats.photon_yield(n)
+        assert info.value.input_name == "n"
+        assert stats.photon_yield(np.int64(1)) == stats.photon_yield(1)
 
     def test_photon_error_formula(self):
         model = reference_model(25.0)
