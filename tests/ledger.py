@@ -23,8 +23,15 @@ from types import SimpleNamespace
 
 from decoyqkd import calibrate_to_reference
 from decoyqkd.cli import main
+from decoyqkd.core import ConfidenceConfig
+from decoyqkd.keyrate import compose_session
 from decoyqkd.opt import evaluate_scheme, optimize_scheme, range_curve
-from decoyqkd.sim import REFERENCE_SIFT_RATIO, reference_model, reference_scheme
+from decoyqkd.sim import (
+    REFERENCE_SIFT_RATIO,
+    reference_model,
+    reference_scheme,
+    simulate_session,
+)
 
 PATH = Path(__file__).with_name("frozen.json")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -47,6 +54,14 @@ DESIGN_COMMANDS = {
     "curve": ["curve", "--distances", "100:170:2", "--duration-h", "5.6"],
     "calibrate": ["calibrate", "--duration-h", "5.6"],
 }
+#: The sampled sessions of :func:`certified_sessions`, (distance km, seed,
+#: config): the certify benchmark's four distances and settings at two seeds,
+#: and one session at a coarser cutoff with the vacuum error rate left free.
+_BENCH_CONFIG = ConfidenceConfig(epsilon=1e-7, photon_cutoff=10)
+CERTIFY_SESSIONS = [
+    *((km, seed, _BENCH_CONFIG) for km in (25.0, 75.0, 125.0, 150.0) for seed in (1, 2)),
+    (25.0, 3, ConfidenceConfig(epsilon=1e-7, photon_cutoff=6, pin_vacuum_errors=False)),
+]
 #: README's quotes of ledger values: each pattern's one group is the quoted value.
 README_QUOTES = {
     "readme.total_tight": [r"the\s+same (\d+) bits as `decoyqkd analyze`"],
@@ -86,6 +101,20 @@ def readme_session(root: Path) -> SimpleNamespace:
                          "--seed", "5", "--key-out", str(key)]),
         key_sha256=hashlib.sha256(key.read_bytes()).hexdigest(),
     )
+
+
+def certified_sessions() -> str:
+    """SHA-256 of the ``compose_session`` reports of :data:`CERTIFY_SESSIONS`,
+    each simulated for :data:`PULSES` pulses and dumped as sorted-key JSON, one
+    line per session, with f_EC 1.07, f_DS 1.05 and a typical-set epsilon of
+    1e-3."""
+    digest = hashlib.sha256()
+    scheme = reference_scheme()
+    for km, seed, config in CERTIFY_SESSIONS:
+        tally, _keys = simulate_session(reference_model(km), scheme, PULSES, seed)
+        analysis = compose_session(tally, scheme, config, f_ec=1.07, f_ds=1.05, pa_epsilon=1e-3)
+        digest.update(json.dumps(analysis.to_json(), sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
 
 
 def calibration():

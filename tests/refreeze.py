@@ -82,6 +82,7 @@ def produce(root: Path) -> dict:
     entries = {
         **_readme_entries(ledger.readme_session(root)),
         **_calibration_entries(ledger.calibration()),
+        "certify.sha256": ledger.certified_sessions(),
         "evaluate.total_tight": point.total_tight,
         "evaluate.total_worst": point.total_worst,
         "optimize.total_tight": best.analysis.total_tight,

@@ -28,7 +28,7 @@ from decoyqkd.keyrate import (
 )
 from decoyqkd.sim import expected_tally, reference_model, reference_scheme, simulate_session
 from decoyqkd.stats import binary_entropy
-from ledger import FROZEN
+from ledger import FROZEN, certified_sessions
 
 
 def _reference_formula(n, y1, mu, b1, ber, z, f_ec, f_pa, f_ds):
@@ -639,6 +639,11 @@ class TestComposeSession:
                 b.n_secret for b in analysis.budgets_worst.values())
             keyed += analysis.total_worst > 0
         assert keyed >= 30
+
+    def test_sampled_session_reports_are_frozen(self):
+        # A sampled tally gives each basis its own b1 LP, where the expected
+        # tallies pinned elsewhere share one.
+        assert certified_sessions() == FROZEN["certify.sha256"]
 
     def test_budget_reports_are_flat_copies(self, calibration, readme_session):
         # The README session's analysis, re-composed from its tally with the
