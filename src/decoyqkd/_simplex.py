@@ -16,6 +16,10 @@ exactly 0.  The reduced costs stay one ``cb @ tab[:, :allow_cols]``
 product over the same columns, because OpenBLAS's gemv sums a column in
 an order that depends on the column count (not on the row stride).
 
+The entering column is an unbounded direction when its ratio test finds
+no row: every ratio rhs / column over its entries above the tolerance is
+infinite.  For finite ratios that is "no entry above the tolerance".
+
 Those tolerances assume O(1) coefficients, which the decoy LPs do not have:
 the b1 LP at the reference operating point has weights from 2.6e-33 to 1
 and a cap 1/y1 of about 1.5e5.  At cutoffs 6 and 10 the solver sits up to
@@ -78,14 +82,14 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
     # After flipping: original "<=" rows keep slack +1; flipped rows have
     # slack coefficient -1 and need an artificial.
     slack_sign = np.where(neg, -1.0, 1.0)
-    art_rows = np.where(neg)[0]
-    n_art = len(art_rows)
+    art_rows = np.flatnonzero(neg)
+    n_art = art_rows.size
 
     # Column layout: [ structural (n) | slacks (m) | artificials (n_art) ]
     width = n + m + n_art
     tab = np.zeros((m, width + 1))
     np.multiply(a, slack_sign[:, None], out=tab[:, :n])  # exact negation where flipped
-    np.fill_diagonal(tab[:, n : n + m], slack_sign)
+    tab.reshape(-1)[n :: width + 2] = slack_sign  # the slacks' diagonal, (i, n + i)
     np.multiply(b, slack_sign, out=tab[:, -1])
     basis = np.arange(n, n + m)  # slacks
 
@@ -139,11 +143,11 @@ def _run_simplex(tab, basis, cost, allow_cols):
                 return float(cb @ rhs)
 
         column = tab[:, col]
-        if column.max() <= _TOL:
-            return None  # unbounded in this direction
         ratios.fill(np.inf)
         np.divide(rhs, column, out=ratios, where=column > _TOL)
         row = int(ratios.argmin())
+        if ratios[row] == np.inf:
+            return None  # no row bounds the step: unbounded in this direction
         if bland:
             # Bland tie-break: smallest basis index among minimal ratios.
             best = ratios[row]
@@ -180,12 +184,10 @@ def _evict_artificials(tab, basis, n_real):
     holds 1, thus holds exactly -1 in its slack's column, and the
     ``> 1e-9`` scan stops at that column at the latest.
     """
-    m = tab.shape[0]
-    for i in range(m):
-        if basis[i] >= n_real:
-            pivot_col = next(j for j in range(n_real) if abs(tab[i, j]) > 1e-9)
-            _pivot(tab, i, pivot_col)
-            basis[i] = pivot_col
+    for i in np.flatnonzero(basis >= n_real):  # a pivot in row i moves basis[i] alone
+        pivot_col = int(np.flatnonzero(np.abs(tab[i, :n_real]) > 1e-9)[0])
+        _pivot(tab, i, pivot_col)
+        basis[i] = pivot_col
     # Artificial columns are dead from here on: zero them so they are never
     # priced back in.
     tab[:, n_real:-1] = 0.0

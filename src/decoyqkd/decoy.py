@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -72,8 +72,8 @@ class ConstraintSystem:
 
     ``rows`` holds the levels as stacked ``<=`` rows (A, b), built on first
     read and shared by every LP over the system: the yield system's serve
-    the y1 floor and each basis's b1 bound.  Equality and hashing use the
-    fields alone.
+    the y1 floor and each basis's b1 bound, and A is shared by every system
+    with these weights.  Equality and hashing use the fields alone.
     """
 
     mus: tuple[float, ...]
@@ -96,13 +96,77 @@ class ConstraintSystem:
     @cached_property
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Two-sided level constraints as stacked <= rows (A, b), read-only."""
-        w = np.asarray(self.weights, dtype=float)
         hi = np.asarray(self.highs, dtype=float)
         lo = np.asarray(self.lows, dtype=float) - np.asarray(self.tails, dtype=float)
-        a = np.vstack([w, -w])
-        b = np.concatenate([hi, -lo])
-        a.flags.writeable = b.flags.writeable = False
-        return a, b
+        return _lp_constants(self.weights, self.cutoff).rows, _read_only(np.concatenate([hi, -lo]))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class _LPConstants:
+    """The inputs of every LP over one weight matrix that no tally changes.
+
+    ``rows`` is [w; -w], the A of :attr:`ConstraintSystem.rows`; ``y1`` is
+    the (c, A) of :func:`solve_y1_lower`, A with the y <= 1 rows; and
+    :meth:`b1` gives the (c, array) of :func:`b1_tight`.  Every array is
+    read-only, since every caller in the process shares it.
+    """
+
+    def __init__(self, weights: tuple[tuple[float, ...], ...], cutoff: int) -> None:
+        w, eye = np.asarray(weights, dtype=float), np.eye(cutoff + 1)
+        self.rows = _read_only(np.vstack([w, -w]))
+        self.y1 = _read_only(eye[1]), _read_only(np.vstack([self.rows, eye]))  # min y1, y <= 1
+        self._b1 = {}
+
+    def b1(self, pin_vacuum: bool) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`b1_tight`'s c and LP array, zero where the tally goes: the
+        s column of the level rows and the floor's right-hand side."""
+        pin = int(pin_vacuum)
+        if pin in self._b1:
+            return self._b1[pin]
+        a = self.rows
+        n, dim = a.shape
+        # One array holds the LP, columns [u0 u2 .. | v | s | rhs] (v from v1
+        # with pin_vacuum, else from v0) and rows: the yield levels on y, the
+        # error levels on e, e_n <= y_n, y_n <= 1 and the floor.
+        lp = np.zeros((2 * n + 2 * dim + 1, 2 * dim - pin + 1))
+        ys, es = lp[:n], lp[n : 2 * n]
+        below, box = lp[2 * n : -dim - 1], lp[-dim - 1 : -1]
+        ys[:, 0], ys[:, 1 : dim - 1], ys[:, -1] = a[:, 0], a[:, 2:], -a[:, 1]
+        es[:, dim - 1 : -2] = a[:, pin:]
+        below[0, 0], below[1, -1] = -1.0, 1.0  # v_n - u_n <= 0, u1 = 1 moved right
+        np.fill_diagonal(below[2:, 1 : dim - 1], -1.0)
+        np.fill_diagonal(below[pin:, dim - 1 : -2], 1.0)
+        box[0, 0], box[1, -1], box[:, -2] = 1.0, -1.0, -1.0  # u_n - s <= 0
+        np.fill_diagonal(box[2:, 1 : dim - 1], 1.0)
+        if pin:
+            # Zero-photon clicks are uncorrelated with the sender's bit, so
+            # exactly half of them land as errors: v0 = u0 / 2.
+            es[:, 0] = 0.5 * a[:, 0]
+            below[0, 0] += 0.5
+        lp[-1, -2] = 1.0  # s <= 1 / y1_lower
+        c = np.zeros(lp.shape[1] - 1)
+        c[dim - pin] = -1.0  # maximize v1
+        self._b1[pin] = _read_only(c), _read_only(lp)
+        return self._b1[pin]
+
+
+# Tally-independent LP inputs kept across calls, by value: the Poisson terms
+# of each (mus, cutoff) and the _LPConstants of each weight matrix.
+_CACHED_SCHEMES = 32
+
+
+@lru_cache(maxsize=_CACHED_SCHEMES)
+def _poisson_terms(mus: tuple[float, ...], cutoff: int):
+    """Per-level truncated Poisson weights and tails, as (weights, tails)."""
+    return (tuple(tuple(poisson_weights(mu, cutoff)) for mu in mus),
+            tuple(poisson_tail(mu, cutoff) for mu in mus))
+
+
+_lp_constants = lru_cache(maxsize=_CACHED_SCHEMES)(_LPConstants)
 
 
 @dataclass(frozen=True)
@@ -154,12 +218,13 @@ def yield_bounds(
     cutoff = config.photon_cutoff
     rates = [_interval(state, lv.detected_total(), lv.sent, config.epsilon)
              for lv in tally.levels]
+    weights, tails = _poisson_terms(scheme.mus, cutoff)
     return ConstraintSystem(
         mus=scheme.mus,
         lows=tuple(lo for lo, _ in rates),
         highs=tuple(hi for _, hi in rates),
-        weights=tuple(tuple(poisson_weights(mu, cutoff)) for mu in scheme.mus),
-        tails=tuple(poisson_tail(mu, cutoff) for mu in scheme.mus),
+        weights=weights,
+        tails=tails,
         cutoff=cutoff,
     )
 
@@ -204,13 +269,8 @@ def solve_y1_lower(system: ConstraintSystem) -> YieldSolution:
     satisfies the observed count intervals (possible for adversarial or
     corrupted tallies); callers must treat that as "no key".
     """
-    dim = system.cutoff + 1
-    a, b = system.rows
-    a = np.vstack([a, np.eye(dim)])  # y_n <= 1
-    b = np.concatenate([b, np.ones(dim)])
-    c = np.zeros(dim)
-    c[1] = 1.0
-    res = solve_lp(c, a, b)
+    c, a = _lp_constants(system.weights, system.cutoff).y1
+    res = solve_lp(c, a, np.concatenate([system.rows[1], np.ones(system.cutoff + 1)]))
     if not res.ok:
         return YieldSolution(feasible=False, y1_lower=0.0, yields=None)
     y1 = min(1.0, max(0.0, float(res.x[1])))
@@ -233,52 +293,31 @@ def b1_tight(
     columns rather than written as rows: u1 = 1 moves the u1 column to
     the right-hand side, and with ``pin_vacuum`` the v0 column folds into
     the u0 column at weight one half.  The floor y1 >= y1_lower becomes
-    the one row s <= 1/y1_lower, so the floor must be positive.  The
-    optimum is rounded up by ``_B1_MARGIN`` and clamped to [0, 1]; the
-    result is None when the LP is infeasible or its optimum is not finite.
+    the one row s <= 1/y1_lower, so the floor must be positive.  Only the
+    s column of the level rows and that floor vary with the tally; the rest
+    is built once per weight matrix (:class:`_LPConstants`).  The optimum
+    is rounded up by ``_B1_MARGIN`` and clamped to [0, 1]; the result is
+    None when the LP is infeasible or its optimum is not finite.
 
     With ``pin_vacuum`` the zero-photon error rate is fixed at one half
     (see :class:`~decoyqkd.core.ConfidenceConfig`); this is what lets the
     dominant dark-count error mass be deducted from the single-photon
     error budget instead of being chargeable to it.
     """
-    if ysys.cutoff != esys.cutoff or ysys.mus != esys.mus:
+    if ysys.cutoff != esys.cutoff or ysys.mus != esys.mus or ysys.weights != esys.weights:
         raise ValueError("yield and error systems describe different schemes")
     if not y1_lower > 0.0:
         # The ratio e1/y1 is unconstrained when y1 may vanish.
         raise ValueError(f"y1_lower must be > 0 (got {y1_lower})")
-    dim = ysys.cutoff + 1
-    ay, by = ysys.rows
-    ae, be = esys.rows
-    ny, ne = len(by), len(be)
-    pin = int(pin_vacuum)
-    v1 = dim - pin
-    # One array holds the LP, columns [u0 u2 .. | v | s | rhs] (v from v1
-    # with pin_vacuum, else from v0) and rows: the yield levels on y, the
-    # error levels on e, e_n <= y_n, y_n <= 1 and the floor.
-    lp = np.zeros((ny + ne + 2 * dim + 1, 2 * dim - pin + 1))
-    ys, es = lp[:ny], lp[ny : ny + ne]
-    below, box = lp[ny + ne : -dim - 1], lp[-dim - 1 : -1]
-    ys[:, 0], ys[:, 1 : dim - 1], ys[:, -1] = ay[:, 0], ay[:, 2:], -ay[:, 1]
-    es[:, dim - 1 : -2] = ae[:, pin:]
-    ys[:, -2], es[:, -2] = -by, -be
-    below[0, 0], below[1, -1] = -1.0, 1.0  # v_n - u_n <= 0, u1 = 1 moved right
-    np.fill_diagonal(below[2:, 1 : dim - 1], -1.0)
-    np.fill_diagonal(below[pin:, dim - 1 : -2], 1.0)
-    box[0, 0], box[1, -1], box[:, -2] = 1.0, -1.0, -1.0  # u_n - s <= 0
-    np.fill_diagonal(box[2:, 1 : dim - 1], 1.0)
-    if pin_vacuum:
-        # Zero-photon clicks are uncorrelated with the sender's bit, so
-        # exactly half of them land as errors: v0 = u0 / 2.
-        es[:, 0] = 0.5 * ae[:, 0]
-        below[0, 0] += 0.5
-    lp[-1, -2:] = 1.0, 1.0 / y1_lower  # s <= 1 / y1_lower
-    c = np.zeros(lp.shape[1] - 1)
-    c[v1] = -1.0  # maximize v1
+    (_, by), (_, be) = ysys.rows, esys.rows
+    c, skeleton = _lp_constants(ysys.weights, ysys.cutoff).b1(pin_vacuum)
+    lp = skeleton.copy()
+    lp[: len(by), -2], lp[len(by) : len(by) + len(be), -2] = -by, -be
+    lp[-1, -1] = 1.0 / y1_lower  # s <= 1 / y1_lower
     res = solve_lp(c, lp[:, :-1], lp[:, -1])
     if not res.ok:
         return None
-    b1 = float(res.x[v1]) + _B1_MARGIN
+    b1 = float(res.x[ysys.cutoff + 1 - int(pin_vacuum)]) + _B1_MARGIN  # v1
     # A clamp would read a NaN optimum as 0, the least conservative bound.
     if not math.isfinite(b1):
         return None

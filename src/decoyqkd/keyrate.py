@@ -258,6 +258,10 @@ class SessionAnalysis:
     budgets_worst = property(lambda self: _key_budgets(self.bounds, self.terms, "worst_case"))
 
     def to_json(self) -> dict:
+        def budgets(variant: str) -> dict:  # KeyBudget.to_json, without the KeyBudgets
+            return {b: dict(zip(_BUDGET_FIELDS, values))
+                    for b, values in _budget_fields(self.bounds, self.terms, variant)}
+
         return {
             "feasible": self.feasible,
             "y1_lower": self.bounds.y1_lower,
@@ -265,8 +269,8 @@ class SessionAnalysis:
             "b1_tight_by_basis": self.bounds.b1_tight_by_basis,
             "b1_worst_by_basis": self.bounds.b1_worst_by_basis,
             "epsilon_bounds_consumed": self.bounds.bounds_consumed,
-            "budgets_tight": {b: kb.to_json() for b, kb in self.budgets_tight.items()},
-            "budgets_worst": {b: kb.to_json() for b, kb in self.budgets_worst.items()},
+            "budgets_tight": budgets("tight"),
+            "budgets_worst": budgets("worst_case"),
             "total_tight": self.total_tight,
             "total_worst": self.total_worst,
         }
@@ -294,29 +298,19 @@ def _priced(bounds: SinglePhotonBounds, terms: tuple, tight: bool):
         yield n_sifted, n1_b, y1_eff, b1, ber, zfrac, f_pa, n_sec
 
 
-def _key_budgets(bounds: SinglePhotonBounds, terms: tuple, variant: str) -> dict[str, KeyBudget]:
-    """One b1 variant's :class:`KeyBudget` per basis (see :func:`_priced`)."""
+def _budget_fields(bounds: SinglePhotonBounds, terms: tuple, variant: str):
+    """One b1 variant's :class:`KeyBudget` fields per basis, in field order
+    (see :func:`_priced`): yields ``(basis, fields)``."""
     mu, f_ec, f_ds = terms[:3]
-    priced = _priced(bounds, terms, variant == "tight")
-    out = {}
-    for b, (n_sifted, n1_b, y1_eff, b1, ber, zfrac, f_pa, n_sec) in zip(BASES, priced):
-        out[b] = KeyBudget(
-            basis=b,
-            variant=variant,
-            n_sifted=n_sifted,
-            n1_lower=n1_b,
-            y1_eff=y1_eff,
-            y1_lower_raw=bounds.y1_lower,
-            mu=mu,
-            b1_upper=b1,
-            bit_error_rate=ber,
-            zero_fraction=zfrac,
-            f_ec=f_ec,
-            f_pa=f_pa,
-            f_ds=f_ds,
-            n_secret=n_sec,
-        )
-    return out
+    for b, (n_sifted, n1_b, y1_eff, b1, ber, zfrac, f_pa, n_sec) in zip(
+            BASES, _priced(bounds, terms, variant == "tight")):
+        yield b, (b, variant, n_sifted, n1_b, y1_eff, bounds.y1_lower, mu, b1, ber, zfrac,
+                  f_ec, f_pa, f_ds, n_sec)
+
+
+def _key_budgets(bounds: SinglePhotonBounds, terms: tuple, variant: str) -> dict[str, KeyBudget]:
+    """One b1 variant's :class:`KeyBudget` per basis."""
+    return {b: KeyBudget(*values) for b, values in _budget_fields(bounds, terms, variant)}
 
 
 def compose_session(

@@ -534,7 +534,9 @@ def calibrate_to_reference(
         With ``diagnostics["converged"]`` False (rather than an
         exception) when no parameter setting inside the physical ranges
         reproduces the targets — inspect the diagnostics to see how far
-        off the best fit landed.
+        off the best fit landed: converged needs the detections within 5%,
+        the sifted total within 2% and each key total within 25% of its
+        target, and a duty cycle in (0, 1).
     """
     scheme = reference_scheme()
     base = reference_model()
@@ -624,6 +626,8 @@ def calibrate_to_reference(
         math.isfinite(final_obj)
         and bool(np.all(np.abs(modeled / targets - 1.0) < 0.05))
         and abs(sifted_model / sifted_total - 1.0) < 0.02
+        and all(abs(total / target - 1.0) <= 0.25 for total, target
+                in zip((analysis.total_tight, analysis.total_worst), key_targets))
         and 0.0 < duty < 1.0
     )
     return CalibrationResult(

@@ -1279,6 +1279,17 @@ class TestNoKeyExits:
         assert "distill: zero-key outcome" in err
         assert self._files(tmp_path) == before
 
+    def test_calibrate_far_from_its_key_targets(self, tmp_path):
+        rc, out, err = run_cli(["calibrate", "--targets", "1000000", "1",
+                                "--out-model", str(tmp_path / "m.json")])
+        assert rc == 2
+        report = json.loads(out)
+        assert report["diagnostics"]["converged"] is False
+        assert 0.0 < report["duty_cycle"] < 1.0
+        assert "vs targets [1000000, 1]" in err
+        assert "calibrate: fit did not converge; inspect the diagnostics block" in err
+        assert self._files(tmp_path) == []
+
     def test_calibrate_that_does_not_converge(self, tmp_path):
         # Half an hour cannot hold the pulses the detection totals need: duty > 1.
         rc, out, err = run_cli(["calibrate", "--duration-h", "0.5",

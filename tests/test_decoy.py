@@ -16,6 +16,8 @@ from conftest import (
     grid_y1_resolution,
     random_constraint_systems,
 )
+from decoyqkd import decoy
+from decoyqkd._simplex import LPResult
 from decoyqkd.core import ConfidenceConfig, LevelCounts, SessionTally
 from decoyqkd.keyrate import compose_session
 from decoyqkd.sim import reference_model, reference_scheme, simulate_session
@@ -590,3 +592,140 @@ class TestGridCrossCheck:
                 assert value >= narrow - 1e-9
             assert wide is not None
             assert value <= wide + rho
+
+
+# ---------------------------------------------------------------------------
+# The cached LP constants against a fresh build
+# ---------------------------------------------------------------------------
+
+
+def _fresh_y1_lp(system):
+    """solve_y1_lower's (c, a, b), assembled as before its constants were cached."""
+    dim = system.cutoff + 1
+    w = np.asarray(system.weights, dtype=float)
+    hi = np.asarray(system.highs, dtype=float)
+    lo = np.asarray(system.lows, dtype=float) - np.asarray(system.tails, dtype=float)
+    a = np.vstack([np.vstack([w, -w]), np.eye(dim)])
+    b = np.concatenate([np.concatenate([hi, -lo]), np.ones(dim)])
+    c = np.zeros(dim)
+    c[1] = 1.0
+    return c, a, b
+
+
+def _fresh_b1_lp(ysys, esys, y1_lower, pin_vacuum):
+    """b1_tight's (c, a, b), assembled as before its constants were cached."""
+    def rows(system):
+        w = np.asarray(system.weights, dtype=float)
+        hi = np.asarray(system.highs, dtype=float)
+        lo = np.asarray(system.lows, dtype=float) - np.asarray(system.tails, dtype=float)
+        return np.vstack([w, -w]), np.concatenate([hi, -lo])
+
+    dim = ysys.cutoff + 1
+    (ay, by), (ae, be) = rows(ysys), rows(esys)
+    ny, ne = len(by), len(be)
+    pin = int(pin_vacuum)
+    lp = np.zeros((ny + ne + 2 * dim + 1, 2 * dim - pin + 1))
+    ys, es = lp[:ny], lp[ny : ny + ne]
+    below, box = lp[ny + ne : -dim - 1], lp[-dim - 1 : -1]
+    ys[:, 0], ys[:, 1 : dim - 1], ys[:, -1] = ay[:, 0], ay[:, 2:], -ay[:, 1]
+    es[:, dim - 1 : -2] = ae[:, pin:]
+    ys[:, -2], es[:, -2] = -by, -be
+    below[0, 0], below[1, -1] = -1.0, 1.0
+    np.fill_diagonal(below[2:, 1 : dim - 1], -1.0)
+    np.fill_diagonal(below[pin:, dim - 1 : -2], 1.0)
+    box[0, 0], box[1, -1], box[:, -2] = 1.0, -1.0, -1.0
+    np.fill_diagonal(box[2:, 1 : dim - 1], 1.0)
+    if pin_vacuum:
+        es[:, 0] = 0.5 * ae[:, 0]
+        below[0, 0] += 0.5
+    lp[-1, -2:] = 1.0, 1.0 / y1_lower
+    c = np.zeros(lp.shape[1] - 1)
+    c[dim - pin] = -1.0
+    return c, lp[:, :-1], lp[:, -1]
+
+
+def _hand_built_pair(rng, levels, cutoff):
+    """A yield and an error system on random, non-Poisson weights; some bounds
+    and tails are exactly 0, so the negated right-hand sides hold -0.0."""
+    def bounds():
+        lows = rng.uniform(0.0, 0.5, levels) * (rng.random(levels) < 0.7)
+        return tuple(lows), tuple(lows + rng.uniform(0.0, 0.5, levels))
+
+    weights = rng.uniform(0.0, 1.0, (levels, cutoff + 1)) * 10.0 ** rng.uniform(-30, 0, cutoff + 1)
+    tails = rng.uniform(0.0, 1e-3, levels) * (rng.random(levels) < 0.5)
+    (ylo, yhi), (elo, ehi) = bounds(), bounds()
+    ysys = ConstraintSystem(mus=tuple(np.sort(rng.uniform(0.0, 1.0, levels))), lows=ylo,
+                            highs=yhi, weights=tuple(map(tuple, weights)),
+                            tails=tuple(tails), cutoff=cutoff)
+    return ysys, dataclasses.replace(ysys, lows=elo, highs=ehi, basis="X")
+
+
+def _assert_same_bytes(given, expected):
+    for mine, ref in zip(given, expected, strict=True):
+        mine = np.asarray(mine)
+        assert (mine.dtype, mine.shape) == (ref.dtype, ref.shape)
+        assert mine.tobytes() == ref.tobytes()  # signed zeros too
+
+
+class TestCachedLPConstants:
+    def test_lps_match_a_fresh_build_on_hand_built_systems(self, monkeypatch):
+        calls = []
+
+        def captured(c, a, b):
+            calls.append((c, a, b))
+            return LPResult("infeasible", None, None)
+
+        monkeypatch.setattr(decoy, "solve_lp", captured)
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            levels, cutoff = int(rng.integers(2, 5)), int(rng.integers(2, 11))
+            ysys, esys = _hand_built_pair(rng, levels, cutoff)
+            y1_lower = float(10.0 ** rng.uniform(-8, 0))
+            pin = bool(rng.integers(2))
+            calls.clear()
+            assert not solve_y1_lower(ysys).feasible
+            assert b1_tight(ysys, esys, y1_lower, pin_vacuum=pin) is None
+            y1_lp, b1_lp = calls
+            _assert_same_bytes(y1_lp, _fresh_y1_lp(ysys))
+            _assert_same_bytes(b1_lp, _fresh_b1_lp(ysys, esys, y1_lower, pin))
+
+    def test_cached_arrays_are_read_only(self, calibration):
+        ysys = yield_bounds(calibration.tally, calibration.scheme, ConfidenceConfig())
+        constants = decoy._lp_constants(ysys.weights, ysys.cutoff)
+        arrays = [*ysys.rows, constants.rows, *constants.y1,
+                  *constants.b1(True), *constants.b1(False)]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        assert ysys.rows[0] is constants.rows
+
+    def test_entries_are_keyed_by_the_weights(self, calibration):
+        poisson = yield_bounds(calibration.tally, calibration.scheme, ConfidenceConfig())
+        scaled = dataclasses.replace(
+            poisson, weights=tuple(tuple(0.5 * w for w in row) for row in poisson.weights))
+        assert scaled.mus == poisson.mus
+        first, second = (decoy._lp_constants(s.weights, s.cutoff) for s in (poisson, scaled))
+        assert first is not second
+        copied = tuple(tuple(list(row)) for row in poisson.weights)
+        assert decoy._lp_constants(copied, poisson.cutoff) is first  # equal by value
+        for system in (poisson, scaled):
+            w = np.asarray(system.weights)
+            assert np.array_equal(system.rows[0], np.vstack([w, -w]))
+
+    def test_cache_is_bounded(self):
+        rng = np.random.default_rng(43)
+        for _ in range(3 * decoy._CACHED_SCHEMES):
+            solve_y1_lower(_hand_built_pair(rng, 3, 4)[0])
+        for cache in (decoy._lp_constants, decoy._poisson_terms):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize == decoy._CACHED_SCHEMES
+        assert decoy._lp_constants.cache_info().currsize == decoy._CACHED_SCHEMES
+
+    def test_error_system_on_other_weights_rejected(self, calibration):
+        cfg = ConfidenceConfig()
+        ysys = yield_bounds(calibration.tally, calibration.scheme, cfg)
+        esys = error_bounds(ysys, calibration.tally, "X", cfg)
+        other = dataclasses.replace(esys, weights=tuple(row[::-1] for row in esys.weights))
+        with pytest.raises(ValueError, match="describe different schemes"):
+            b1_tight(ysys, other, solve_y1_lower(ysys).y1_lower)

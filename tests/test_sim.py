@@ -550,6 +550,18 @@ class TestCalibration:
             calibrate_to_reference(duration_h=duration_h)
         assert info.value.input_name == "duration_h"
 
+    def test_key_totals_far_from_their_targets_do_not_converge(self, calibration):
+        # Stage 2 cannot reach a million tight bits with one worst-case bit;
+        # the detection and sifted fits are those that converge.
+        far = calibrate_to_reference(key_targets=(1_000_000, 1))
+        assert far.pulses == calibration.pulses
+        assert far.diagnostics["key_targets"] == [1_000_000, 1]
+        assert far.diagnostics["converged"] is False
+        assert calibration.diagnostics["converged"] is True
+        totals = calibration.diagnostics["key_totals_model"]
+        for total, target in zip(totals, REFERENCE_KEY_TARGETS):
+            assert abs(total / target - 1.0) <= 0.25
+
     def test_sift_ratio_is_the_fitted_one(self):
         # calibration derives the ratio from the totals; a caller's would be ignored
         with pytest.raises(TypeError, match="sift_ratio"):
