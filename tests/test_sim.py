@@ -551,8 +551,8 @@ class TestCalibration:
         assert info.value.input_name == "duration_h"
 
     def test_key_totals_far_from_their_targets_do_not_converge(self, calibration):
-        # Stage 2 cannot reach a million tight bits with one worst-case bit;
-        # the detection and sifted fits are those that converge.
+        # Stage 1 fits the same detections; no intrinsic error rate gives a
+        # million tight bits beside one worst-case bit.
         far = calibrate_to_reference(key_targets=(1_000_000, 1))
         assert far.pulses == calibration.pulses
         assert far.diagnostics["key_targets"] == [1_000_000, 1]
