@@ -23,7 +23,10 @@ error-fraction interval.  From them it extracts:
   basis to the single-photon bits.
 
 All confidence intervals are exact binomial bounds; each one-sided bound
-individually holds except with probability epsilon.
+individually holds except with probability epsilon.  Both LP optima are read
+one way (:func:`_lp_optimum`), which fails closed: an LP that is not optimal,
+or whose optimum is not finite, certifies y1 = 0 and leaves b1 at its
+worst-case bound.
 """
 
 from __future__ import annotations
@@ -169,6 +172,19 @@ def _poisson_terms(mus: tuple[float, ...], cutoff: int):
 _lp_constants = lru_cache(maxsize=_CACHED_SCHEMES)(_LPConstants)
 
 
+def _lp_optimum(res, coordinate: int, margin: float = 0.0) -> float | None:
+    """The one read of an LP optimum: ``x[coordinate] + margin`` clamped to [0, 1].
+
+    None when the LP is not optimal or the value is not finite, so each
+    caller falls back to its vacuous bound (y1 = 0, the worst-case b1): a
+    clamp alone would read NaN as 0 and +inf as 1.
+    """
+    if not res.ok:
+        return None
+    value = float(res.x[coordinate]) + margin
+    return min(1.0, max(0.0, value)) if math.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class YieldSolution:
     feasible: bool
@@ -267,14 +283,15 @@ def solve_y1_lower(system: ConstraintSystem) -> YieldSolution:
 
     Returns an infeasible result when no yield vector in [0, 1]^(cutoff+1)
     satisfies the observed count intervals (possible for adversarial or
-    corrupted tallies); callers must treat that as "no key".
+    corrupted tallies); callers must treat that as "no key".  The optimum is
+    read by :func:`_lp_optimum`, so a non-finite one gives y1 = 0.
     """
     c, a = _lp_constants(system.weights, system.cutoff).y1
     res = solve_lp(c, a, np.concatenate([system.rows[1], np.ones(system.cutoff + 1)]))
     if not res.ok:
         return YieldSolution(feasible=False, y1_lower=0.0, yields=None)
-    y1 = min(1.0, max(0.0, float(res.x[1])))
-    return YieldSolution(feasible=True, y1_lower=y1, yields=tuple(float(v) for v in res.x))
+    return YieldSolution(feasible=True, y1_lower=_lp_optimum(res, 1) or 0.0,
+                         yields=tuple(float(v) for v in res.x))
 
 
 def b1_tight(
@@ -296,8 +313,8 @@ def b1_tight(
     the one row s <= 1/y1_lower, so the floor must be positive.  Only the
     s column of the level rows and that floor vary with the tally; the rest
     is built once per weight matrix (:class:`_LPConstants`).  The optimum
-    is rounded up by ``_B1_MARGIN`` and clamped to [0, 1]; the result is
-    None when the LP is infeasible or its optimum is not finite.
+    is rounded up by ``_B1_MARGIN`` and read by :func:`_lp_optimum`, so the
+    result is None when the LP is infeasible or its optimum is not finite.
 
     With ``pin_vacuum`` the zero-photon error rate is fixed at one half
     (see :class:`~decoyqkd.core.ConfidenceConfig`); this is what lets the
@@ -315,13 +332,7 @@ def b1_tight(
     lp[: len(by), -2], lp[len(by) : len(by) + len(be), -2] = -by, -be
     lp[-1, -1] = 1.0 / y1_lower  # s <= 1 / y1_lower
     res = solve_lp(c, lp[:, :-1], lp[:, -1])
-    if not res.ok:
-        return None
-    b1 = float(res.x[ysys.cutoff + 1 - int(pin_vacuum)]) + _B1_MARGIN  # v1
-    # A clamp would read a NaN optimum as 0, the least conservative bound.
-    if not math.isfinite(b1):
-        return None
-    return min(1.0, max(0.0, b1))
+    return _lp_optimum(res, ysys.cutoff + 1 - int(pin_vacuum), _B1_MARGIN)  # v1
 
 
 def single_photon_sifted_weight(

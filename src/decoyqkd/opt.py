@@ -113,7 +113,8 @@ def optimize_scheme(
     Raises
     ------
     InputError
-        Naming ``stages`` or ``points_per_stage`` when not an integer >= 1 or >= 3,
+        Naming ``pulses`` when not an integer >= 0, ``stages`` or
+        ``points_per_stage`` when not an integer >= 1 or >= 3,
         ``extinction_db`` when not a real number in [0, inf) or when no candidate
         on the search grid is a valid scheme (it is too small to put the vacuum
         level below the decoy level), ``scheme`` when ``initial_scheme`` is not a
@@ -128,6 +129,7 @@ def optimize_scheme(
     for nothing.  The evaluations share one ``EvaluationState``, made for
     this call, so a bound or analysis met twice is computed once.
     """
+    pulses = check_integer(pulses, "pulses")
     stages = check_integer(stages, "stages", 1)
     points_per_stage = check_integer(points_per_stage, "points_per_stage", 3)
     extinction_db = check_real(extinction_db, "extinction_db", "[0, inf)")
@@ -255,13 +257,16 @@ def range_curve(
 
     ``distances_km`` must be non-empty, strictly increasing and of reals in
     [0, inf); an ``InputError`` naming ``distances`` says which it is not.
-    ``stages`` must be an integer >= 1 with or without ``optimize``.
+    ``pulses`` must be an integer >= 0, ``extinction_db`` a real in [0, inf)
+    and ``stages`` an integer >= 1, with or without ``optimize``.
     """
     distances = [check_real(d, "distances", "[0, inf)") for d in distances_km]
     if not distances:
         raise InputError("distances", "distance grid must be non-empty")
     if any(b <= a for a, b in zip(distances, distances[1:])):
         raise InputError("distances", "distance grid must be strictly increasing")
+    pulses = check_integer(pulses, "pulses")
+    extinction_db = check_real(extinction_db, "extinction_db", "[0, inf)")
     stages = check_integer(stages, "stages", 1)
     fixed = scheme if scheme is not None else reference_scheme()
 

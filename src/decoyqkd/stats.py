@@ -4,7 +4,9 @@ The confidence machinery deliberately avoids Gaussian approximations: every
 observed count is converted to one-sided bounds on its underlying rate with
 the exact binomial (Clopper-Pearson) construction, evaluated through the
 regularized incomplete beta function so that sessions with ~1e11 trials are
-handled without forming any factorial directly.
+handled without forming any factorial directly.  Both sides take one path
+past their closed forms (k = 0, k = n): the beta quantile, kept when its
+forward tail checks out, else bisection of the forward function.
 """
 
 from __future__ import annotations
@@ -40,6 +42,27 @@ def _bisect_to(a: float, b: float, lo: float, hi: float, target: float) -> float
     return 0.5 * (lo + hi)
 
 
+def _quantile(a: float, b: float, mass: float, lo: float, hi: float,
+              tail, epsilon: float) -> float:
+    """Invert x -> betainc(a, b, x) to ``mass`` on the side's bracket [lo, hi].
+
+    The one inversion behind both bounds.  The side supplies its bracket
+    and its tail: the probability it bounds by epsilon, as a function of
+    betainc.  The quantile routine loses its footing in the extreme-n,
+    tiny-rate corner (it can land above the observed rate), and next to
+    k = n (it can round to 1.0, see :func:`binomial_upper`).  The forward
+    function stays accurate, so the quantile is kept only inside the
+    bracket and with its tail within [0.2, 5] epsilon; otherwise the
+    bracket is bisected.
+    """
+    x = float(special.betaincinv(a, b, mass))
+    if not (lo <= x <= hi) or not (
+        0.2 * epsilon <= tail(float(special.betainc(a, b, x))) <= 5.0 * epsilon
+    ):
+        x = _bisect_to(a, b, lo, hi, mass)
+    return x
+
+
 def binomial_lower(k: float, n: float, epsilon: float) -> float:
     """Largest rate p such that P[Binomial(n, p) >= k] <= epsilon.
 
@@ -57,19 +80,9 @@ def binomial_lower(k: float, n: float, epsilon: float) -> float:
     if k >= n:
         # P[X >= n] = p^n  =>  p = epsilon ** (1/n)
         return float(epsilon) ** (1.0 / n)
-    # P[X >= k] = I_p(k, n - k + 1), increasing in p.
-    a, b = k, n - k + 1.0
-    x = float(special.betaincinv(a, b, epsilon))
-    # The quantile routine loses its footing in the extreme-n, tiny-rate
-    # corner (it can land above the observed rate), and in the upper
-    # bound's k ~ n corner (see there).  The forward function stays
-    # accurate, so verify the tail mass and re-invert by bisection below
-    # the observed rate when the check fails.
-    if not (0.0 <= x <= k / n) or not (
-        0.2 * epsilon <= float(special.betainc(a, b, x)) <= 5.0 * epsilon
-    ):
-        x = _bisect_to(a, b, 0.0, k / n, epsilon)
-    return x
+    # P[X >= k] = I_p(k, n - k + 1), increasing in p: the tail is I itself,
+    # and the bound lies below the observed rate.
+    return _quantile(k, n - k + 1.0, epsilon, 0.0, k / n, lambda f: f, epsilon)
 
 
 def binomial_upper(k: float, n: float, epsilon: float) -> float:
@@ -77,6 +90,11 @@ def binomial_upper(k: float, n: float, epsilon: float) -> float:
 
     With probability at least 1 - epsilon, p_true <= the returned value.
     For k >= n the bound is 1.
+
+    When k is so close to n that the bound lies within one ulp of 1
+    (k = 999.5 of 1000 at epsilon 1e-7), the quantile rounds to 1.0, where
+    the tail is 0 and the check fails, and the bisection settles on 1.0,
+    the smallest double with a tail of at most epsilon.
     """
     _check_count_args(k, n, epsilon)
     if k >= n:
@@ -85,19 +103,9 @@ def binomial_upper(k: float, n: float, epsilon: float) -> float:
         # P[X <= 0] = (1-p)^n  =>  p = 1 - epsilon ** (1/n), formed by
         # expm1: the plain difference cancels at large n and rounds inward.
         return -math.expm1(math.log(epsilon) / n)
-    # P[X <= k] = 1 - I_p(k + 1, n - k), so invert I at 1 - epsilon.
-    a, b = k + 1.0, n - k
-    x = float(special.betaincinv(a, b, 1.0 - epsilon))
-    # Same safeguard as the lower bound, on the other side of the mean.
-    # It also fires when k is so close to n that the bound lies within one
-    # ulp of 1 (k = 999.5 of 1000 at epsilon 1e-7): the quantile rounds to
-    # 1.0, where the tail is 0 and the check fails, and the bisection
-    # settles on 1.0, the smallest double with a tail of at most epsilon.
-    if not (k / n <= x <= 1.0) or not (
-        0.2 * epsilon <= 1.0 - float(special.betainc(a, b, x)) <= 5.0 * epsilon
-    ):
-        x = _bisect_to(a, b, k / n, 1.0, 1.0 - epsilon)
-    return x
+    # P[X <= k] = 1 - I_p(k + 1, n - k), so invert I at 1 - epsilon: the
+    # tail is 1 - I, and the bound lies above the observed rate.
+    return _quantile(k + 1.0, n - k, 1.0 - epsilon, k / n, 1.0, lambda f: 1.0 - f, epsilon)
 
 
 def binomial_interval(k: float, n: float, epsilon: float) -> tuple[float, float]:
@@ -130,16 +138,20 @@ def binary_entropy(p: float) -> float:
     return -(p * math.log2(p) + q * math.log2(q))
 
 
+def _check_poisson_args(mu: float, cutoff: int) -> None:
+    if mu < 0:
+        raise ValueError("mu must be >= 0")
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
+
+
 def poisson_weights(mu: float, cutoff: int) -> list[float]:
     """Poisson probabilities e^-mu * mu^n / n! for n = 0 .. cutoff.
 
     Computed by the stable multiplicative recurrence; mean photon numbers
     in this pipeline are O(1) so no log-space handling is needed.
     """
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
+    _check_poisson_args(mu, cutoff)
     weights = [math.exp(-mu)]
     for n in range(1, cutoff + 1):
         weights.append(weights[-1] * mu / n)
@@ -153,10 +165,7 @@ def poisson_tail(mu: float, cutoff: int) -> float:
     slack; using gammainc keeps it accurate even when it is ~1e-12 and a
     1 - sum() evaluation would cancel.
     """
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
+    _check_poisson_args(mu, cutoff)
     if mu == 0.0:
         return 0.0
     # P[N >= c+1] = P[Gamma(c+1, 1) <= mu]

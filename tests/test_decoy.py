@@ -212,6 +212,30 @@ class TestYieldFloor:
         assert sol.y1_lower == 0.0
         assert sol.yields is None
 
+    @pytest.mark.parametrize("optimum", [math.nan, math.inf, -math.inf])
+    def test_non_finite_optimum_fails_closed(self, monkeypatch, optimum):
+        # An "optimal" y1 LP whose optimum is not finite certifies y1 = 0, so
+        # the session earns no key: a clamp would read +inf as y1 = 1.
+        tally, scheme = _sampled_session()
+        cfg = ConfidenceConfig()
+        honest = compose_session(tally, scheme, cfg)
+        assert honest.total_worst > 0
+
+        def planted(c, a_ub, b_ub):
+            res = solve_lp(c, a_ub, b_ub)
+            if min(c) >= 0:  # the y1 LP minimizes y1; the b1 LP maximizes v1
+                return dataclasses.replace(res, x=np.full_like(res.x, optimum), objective=optimum)
+            return res
+
+        monkeypatch.setattr("decoyqkd.decoy.solve_lp", planted)
+        sol = solve_y1_lower(yield_bounds(tally, scheme, cfg))
+        assert sol.feasible and sol.y1_lower == 0.0
+        bounds = single_photon_bounds(tally, scheme, cfg)
+        assert bounds.y1_lower == 0.0 and bounds.n1_lower == (0.0, 0.0)
+        assert bounds.b1_tight == bounds.b1_worst == (1.0, 1.0)
+        analysis = compose_session(tally, scheme, cfg)
+        assert (analysis.total_tight, analysis.total_worst) == (0, 0)
+
     def test_floor_shrinks_with_confidence(self, calibration):
         floors = []
         for eps in (1e-3, 1e-5, 1e-7, 1e-9):

@@ -83,6 +83,10 @@ ENTRIES = {
                             (extract, "_peres_breadth_first")),
     "privacy_amplify-seed": ("seed", 0, 7, lambda v, s: privacy_amplify(BITS, 40, seed=v),
                              (extract, "_fft_length")),
+    "optimize_scheme-pulses": (
+        "pulses", 0, PULSES,
+        lambda v, s: optimize_scheme(reference_model(140.0), v, stages=1, points_per_stage=3),
+        (opt, "evaluate_scheme")),
     "optimize_scheme-stages": (
         "stages", 1, 1,
         lambda v, s: optimize_scheme(reference_model(140.0), PULSES, stages=v,
@@ -96,6 +100,10 @@ ENTRIES = {
     "range_curve-stages": (
         "stages", 1, 1,
         lambda v, s: range_curve(reference_model(), PULSES, [140.0], optimize=True, stages=v),
+        (opt, "optimize_scheme")),
+    "range_curve-pulses": (
+        "pulses", 0, PULSES,
+        lambda v, s: range_curve(reference_model(), v, [140.0], optimize=True, stages=1),
         (opt, "optimize_scheme")),
     "cascade_reconcile-rng_seed": ("rng_seed", 0, 9,
                                    lambda v, s: cascade_reconcile(BITS, NOISY, 0.03, v),

@@ -145,6 +145,10 @@ ENTRIES = {
         lambda v, s: range_curve(reference_model(), PULSES, [140.0], optimize=True,
                                  extinction_db=v, stages=1),
         (opt, "evaluate_scheme")),
+    "range_curve-extinction_db-fixed": (
+        "extinction_db", "[0, inf)", 23.5, -1.0,
+        lambda v, s: range_curve(reference_model(), PULSES, [140.0], extinction_db=v),
+        (opt, "evaluate_scheme")),
     "cascade_reconcile-estimated_qber": (
         "estimated_qber", "(0, 0.25]", 0.03, 0.3,
         lambda v, s: cascade_reconcile(BITS, NOISY, v, 7), (recon, "_as_bits")),

@@ -7,9 +7,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from decoyqkd import stats
 from decoyqkd.stats import (
+    _bisect_to,
     binary_entropy,
     binomial_interval,
     binomial_lower,
@@ -70,6 +72,88 @@ def test_upper_bound_next_to_n_rounds_to_one(monkeypatch, k, n):
             return 1 - mpmath.betainc(k + 1, n - k, 0, p, regularized=True)
         assert tail(1) <= eps
         assert tail(math.nextafter(1.0, 0.0)) > eps
+
+
+# The two per-side inversions that ``stats._quantile`` replaced, kept verbatim
+# (less their docstrings) as the reference: the shared path must give every
+# bound bit for bit.
+def _reference_lower(k, n, epsilon):
+    stats._check_count_args(k, n, epsilon)
+    if k <= 0.0:
+        return 0.0
+    if k >= n:
+        # P[X >= n] = p^n  =>  p = epsilon ** (1/n)
+        return float(epsilon) ** (1.0 / n)
+    # P[X >= k] = I_p(k, n - k + 1), increasing in p.
+    a, b = k, n - k + 1.0
+    x = float(special.betaincinv(a, b, epsilon))
+    # The quantile routine loses its footing in the extreme-n, tiny-rate
+    # corner (it can land above the observed rate), and in the upper
+    # bound's k ~ n corner (see there).  The forward function stays
+    # accurate, so verify the tail mass and re-invert by bisection below
+    # the observed rate when the check fails.
+    if not (0.0 <= x <= k / n) or not (
+        0.2 * epsilon <= float(special.betainc(a, b, x)) <= 5.0 * epsilon
+    ):
+        x = _bisect_to(a, b, 0.0, k / n, epsilon)
+    return x
+
+
+def _reference_upper(k, n, epsilon):
+    stats._check_count_args(k, n, epsilon)
+    if k >= n:
+        return 1.0
+    if k <= 0.0:
+        # P[X <= 0] = (1-p)^n  =>  p = 1 - epsilon ** (1/n), formed by
+        # expm1: the plain difference cancels at large n and rounds inward.
+        return -math.expm1(math.log(epsilon) / n)
+    # P[X <= k] = 1 - I_p(k + 1, n - k), so invert I at 1 - epsilon.
+    a, b = k + 1.0, n - k
+    x = float(special.betaincinv(a, b, 1.0 - epsilon))
+    # Same safeguard as the lower bound, on the other side of the mean.
+    # It also fires when k is so close to n that the bound lies within one
+    # ulp of 1 (k = 999.5 of 1000 at epsilon 1e-7): the quantile rounds to
+    # 1.0, where the tail is 0 and the check fails, and the bisection
+    # settles on 1.0, the smallest double with a tail of at most epsilon.
+    if not (k / n <= x <= 1.0) or not (
+        0.2 * epsilon <= 1.0 - float(special.betainc(a, b, x)) <= 5.0 * epsilon
+    ):
+        x = _bisect_to(a, b, k / n, 1.0, 1.0 - epsilon)
+    return x
+
+
+def _reference_cases():
+    """The two ulp-of-1 corners, then seeded random (k, n, epsilon) with n
+    log-uniform in [1, 3e11], epsilon in [1e-12, 0.05] and k at 0, 1, n - 1,
+    n - 1/2, n, a random integer and a random real."""
+    cases = [(999.5, 1000, 1e-7), (23_999_999_999, 24e9, 1e-7)]
+    rng = np.random.default_rng(4003)
+    while len(cases) < 4002:
+        n = int(round(10.0 ** rng.uniform(0.0, math.log10(3e11))))
+        eps = float(10.0 ** rng.uniform(-12.0, math.log10(0.05)))
+        ks = (0, 1, n - 1, n - 0.5, n, int(rng.integers(0, n + 1)), float(rng.uniform(0, n)))
+        cases += [(k, n, eps) for k in ks]
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+def _assert_bit_identical(cases):
+    for k, n, eps in cases:
+        assert binomial_lower(k, n, eps).hex() == _reference_lower(k, n, eps).hex(), (k, n, eps)
+        assert binomial_upper(k, n, eps).hex() == _reference_upper(k, n, eps).hex(), (k, n, eps)
+
+
+def test_one_quantile_path_matches_the_two_it_replaced():
+    assert len(REFERENCE_CASES) >= 4000
+    _assert_bit_identical(REFERENCE_CASES)
+
+
+def test_one_bisection_path_matches_the_two_it_replaced(monkeypatch):
+    # A NaN quantile fails every check, so both sides bisect.
+    monkeypatch.setattr(stats.special, "betaincinv", lambda *args: math.nan)
+    _assert_bit_identical(REFERENCE_CASES[:2] + REFERENCE_CASES[2::20])
 
 
 def test_interval_is_lower_upper_pair():
