@@ -38,6 +38,7 @@ __all__ = [
     "LevelCounts",
     "ChannelModel",
     "ConfidenceConfig",
+    "MAX_PHOTON_CUTOFF",
     "DEFAULT_F_EC",
     "DEFAULT_F_DS",
     "DEFAULT_PA_EPSILON",
@@ -474,6 +475,12 @@ class ChannelModel:
 # ConfidenceConfig
 # ---------------------------------------------------------------------------
 
+#: Largest ``ConfidenceConfig.photon_cutoff``.  The LP constants grow as the
+#: cutoff squared, and past it a column adds cost but no constraint: each
+#: Poisson weight of a photon number above 192 is exactly 0.0 in floating
+#: point at every mean photon number up to 1.5, the optimizer's largest.
+MAX_PHOTON_CUTOFF = 200
+
 
 @dataclass(frozen=True)
 class ConfidenceConfig:
@@ -483,6 +490,7 @@ class ConfidenceConfig:
     one-sided bound (not a total budget); ``photon_cutoff`` is the largest
     photon number given an explicit yield variable in the constraint
     systems, higher terms being absorbed into a rigorous tail allowance.
+    It lies in [1, ``MAX_PHOTON_CUTOFF``]; else ``InputError`` names it.
 
     ``pin_vacuum_errors`` adds the physical identity e_0 = y_0 / 2 to the
     error-rate system: a click on a pulse whose zero-photon component
@@ -499,6 +507,9 @@ class ConfidenceConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", check_real(self.epsilon, "epsilon", "(0, 0.5)"))
         cutoff = check_integer(self.photon_cutoff, "photon_cutoff", 1)
+        if cutoff > MAX_PHOTON_CUTOFF:
+            raise InputError("photon_cutoff", f"photon_cutoff must be <= {MAX_PHOTON_CUTOFF}, "
+                             f"got {cutoff}")
         object.__setattr__(self, "photon_cutoff", cutoff)
         check_json_type(self.pin_vacuum_errors, bool, "pin_vacuum_errors")
 

@@ -291,7 +291,7 @@ def solve_y1_lower(system: ConstraintSystem) -> YieldSolution:
     if not res.ok:
         return YieldSolution(feasible=False, y1_lower=0.0, yields=None)
     return YieldSolution(feasible=True, y1_lower=_lp_optimum(res, 1) or 0.0,
-                         yields=tuple(float(v) for v in res.x))
+                         yields=tuple(res.x.tolist()))
 
 
 def b1_tight(

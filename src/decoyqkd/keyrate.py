@@ -18,14 +18,17 @@ Arguments are checked where they enter: by the public functions here and
 by the record constructors of :mod:`~decoyqkd.core`.  Internal callers
 pass checked terms and do not check them again: :func:`compose_session`
 prices each basis with ``_key_length``, the core :func:`secret_length`
-runs after its checks, once for the totals and once more for each read of
-a session's budgets.
+runs after its checks, once per basis and b1 variant.  A
+:class:`SessionAnalysis` keeps those four key lengths with the terms they
+were priced from, so a read of its budgets, totals or report prices
+nothing again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 from scipy import special
@@ -35,6 +38,7 @@ from .core import (
     DEFAULT_F_DS,
     DEFAULT_F_EC,
     DEFAULT_PA_EPSILON,
+    VARIANTS,
     ConfidenceConfig,
     DecoyScheme,
     InputError,
@@ -172,6 +176,8 @@ def secret_length(
     error rates anywhere but NaN (past 1/2 they cost no more), ``n_sifted``
     is an integer >= 0, and ``y1_eff * mu * exp(-mu)`` is at most 1 (no more
     single-photon bits than sifted bits); else ``InputError`` names the term.
+    :func:`compose_session` prices each of a session's four budgets once
+    with the same formula, and its :class:`SessionAnalysis` keeps the result.
     """
     n_sifted = check_integer(n_sifted, "n_sifted")
     y1_eff = check_real(y1_eff, "y1_eff", "[0, inf)")
@@ -242,25 +248,53 @@ _BUDGET_FIELDS = tuple(f.name for f in fields(KeyBudget))
 class SessionAnalysis:
     """Decoy bounds plus key budgets for both bases and both b1 variants.
 
-    ``terms`` holds the budget inputs ``bounds`` does not, ``(mu, f_ec, f_ds,
-    f_pa_tight, f_pa_worst)`` and the signal level's sifted bits, error and
-    zero fractions (X, Z each); each read of ``budgets_tight`` or
-    ``budgets_worst`` builds its :class:`KeyBudget`s from them.
+    Keeps, by name, the budget terms ``bounds`` does not hold: the signal
+    ``mu``, ``f_ec``, ``f_ds``, ``f_pa`` per variant (in ``VARIANTS``), and
+    per basis (suffix ``_X`` or ``_Z``) the signal level's sifted bits, error
+    and zero fractions and each variant's key length, which
+    :func:`compose_session` prices once.  Per-basis terms are slots of their
+    own rather than (X, Z) pairs, which keeps a kept analysis small.
+    :meth:`_fields` is the one read of a budget: ``budgets_tight``,
+    ``budgets_worst`` and :meth:`to_json` build theirs with it on each read.
     """
 
-    feasible: bool
     bounds: SinglePhotonBounds
-    total_tight: int
-    total_worst: int
-    terms: tuple
+    mu: float
+    f_ec: float
+    f_ds: float
+    f_pa_tight: float
+    f_pa_worst: float
+    n_sifted_X: int
+    n_sifted_Z: int
+    bit_error_rate_X: float
+    bit_error_rate_Z: float
+    zero_fraction_X: float
+    zero_fraction_Z: float
+    n_secret_tight_X: int
+    n_secret_tight_Z: int
+    n_secret_worst_X: int
+    n_secret_worst_Z: int
 
-    budgets_tight = property(lambda self: _key_budgets(self.bounds, self.terms, "tight"))
-    budgets_worst = property(lambda self: _key_budgets(self.bounds, self.terms, "worst_case"))
+    feasible = property(lambda self: self.bounds.feasible)
+    total_tight = property(lambda self: self.n_secret_tight_X + self.n_secret_tight_Z)
+    total_worst = property(lambda self: self.n_secret_worst_X + self.n_secret_worst_Z)
+    budgets_tight = property(lambda self: {b: KeyBudget(*self._fields(b, "tight")) for b in BASES})
+    budgets_worst = property(lambda self: {b: KeyBudget(*self._fields(b, "worst")) for b in BASES})
+
+    def _fields(self, basis: str, variant: str) -> tuple:
+        """The :class:`KeyBudget` fields of ``basis`` under b1 ``variant``, in
+        field order; a basis is priced with the conjugate basis's b1."""
+        i, bounds, mu = BASES.index(basis), self.bounds, self.mu
+        n_sifted, ber, zfrac, f_pa, n_secret = _STORED[basis, variant](self)
+        n1 = bounds.n1_lower[i]
+        b1 = (bounds.b1_tight if variant == "tight" else bounds.b1_worst)[1 - i]
+        return (basis, "tight" if variant == "tight" else "worst_case", n_sifted, n1,
+                _y1_eff(n1, n_sifted, mu), bounds.y1_lower, mu, b1, ber, zfrac,
+                self.f_ec, f_pa, self.f_ds, n_secret)
 
     def to_json(self) -> dict:
         def budgets(variant: str) -> dict:  # KeyBudget.to_json, without the KeyBudgets
-            return {b: dict(zip(_BUDGET_FIELDS, values))
-                    for b, values in _budget_fields(self.bounds, self.terms, variant)}
+            return {b: dict(zip(_BUDGET_FIELDS, self._fields(b, variant))) for b in BASES}
 
         return {
             "feasible": self.feasible,
@@ -270,47 +304,22 @@ class SessionAnalysis:
             "b1_worst_by_basis": self.bounds.b1_worst_by_basis,
             "epsilon_bounds_consumed": self.bounds.bounds_consumed,
             "budgets_tight": budgets("tight"),
-            "budgets_worst": budgets("worst_case"),
+            "budgets_worst": budgets("worst"),
             "total_tight": self.total_tight,
             "total_worst": self.total_worst,
         }
 
 
-def _priced(bounds: SinglePhotonBounds, terms: tuple, tight: bool):
-    """One b1 variant's key-length terms and key length per basis, in BASES order.
-
-    Yields ``(n_sifted, n1_lower, y1_eff, b1_upper, bit_error_rate,
-    zero_fraction, f_pa, n_secret)``; each basis is priced with the
-    conjugate basis's b1.
-    """
-    mu, f_ec, f_ds, f_pa_tight, f_pa_worst, *per_basis = terms
-    f_pa = f_pa_tight if tight else f_pa_worst
-    b1_pair = bounds.b1_tight if tight else bounds.b1_worst
-    for i in range(len(BASES)):
-        n_sifted, ber, zfrac = per_basis[i], per_basis[2 + i], per_basis[4 + i]
-        b1 = b1_pair[1 - i]
-        n1_b = bounds.n1_lower[i]
-        denom = n_sifted * mu * math.exp(-mu)
-        y1_eff = n1_b / denom if denom > 0 else 0.0
-        n_sec = 0
-        if bounds.feasible:
-            n_sec = _key_length(n_sifted, y1_eff, mu, b1, ber, zfrac, f_ec, f_pa, f_ds)
-        yield n_sifted, n1_b, y1_eff, b1, ber, zfrac, f_pa, n_sec
+# The terms one basis's budget keeps under one b1 variant, by slot name.
+_STORED = {(b, v): attrgetter(f"n_sifted_{b}", f"bit_error_rate_{b}", f"zero_fraction_{b}",
+                              f"f_pa_{v}", f"n_secret_{v}_{b}")
+           for b in BASES for v in VARIANTS}
 
 
-def _budget_fields(bounds: SinglePhotonBounds, terms: tuple, variant: str):
-    """One b1 variant's :class:`KeyBudget` fields per basis, in field order
-    (see :func:`_priced`): yields ``(basis, fields)``."""
-    mu, f_ec, f_ds = terms[:3]
-    for b, (n_sifted, n1_b, y1_eff, b1, ber, zfrac, f_pa, n_sec) in zip(
-            BASES, _priced(bounds, terms, variant == "tight")):
-        yield b, (b, variant, n_sifted, n1_b, y1_eff, bounds.y1_lower, mu, b1, ber, zfrac,
-                  f_ec, f_pa, f_ds, n_sec)
-
-
-def _key_budgets(bounds: SinglePhotonBounds, terms: tuple, variant: str) -> dict[str, KeyBudget]:
-    """One b1 variant's :class:`KeyBudget` per basis."""
-    return {b: KeyBudget(*values) for b, values in _budget_fields(bounds, terms, variant)}
+def _y1_eff(n1: float, n_sifted: int, mu: float) -> float:
+    """The per-sifted-bit single-photon yield coefficient of ``n1`` single-photon bits."""
+    denom = n_sifted * mu * math.exp(-mu)
+    return n1 / denom if denom > 0 else 0.0
 
 
 def compose_session(
@@ -362,7 +371,7 @@ def compose_session(
 def _compose(tally, scheme, config, f_ec, f_ds, pa_epsilon, state) -> SessionAnalysis:
     bounds = single_photon_bounds(tally, scheme, config, state)
 
-    signal = tally.levels[scheme.signal_index]
+    mu, signal = scheme.signal_mu, tally.levels[scheme.signal_index]
     n_sifted = [signal.sifted[b] for b in BASES]
     ber = [signal.errors[b] / n if n else 0.0 for b, n in zip(BASES, n_sifted)]
     zfrac = [tally.zero_fraction(b) for b in BASES]
@@ -374,9 +383,11 @@ def _compose(tally, scheme, config, f_ec, f_ds, pa_epsilon, state) -> SessionAna
             return privacy_amplification_factor(n1_pooled, max(b1_pair), pa_epsilon)
         return 1.0
 
-    terms = (scheme.signal_mu, f_ec, f_ds, pa_factor(bounds.b1_tight),
-             pa_factor(bounds.b1_worst), *n_sifted, *ber, *zfrac)
-    total_tight, total_worst = (
-        sum(n_secret for *_, n_secret in _priced(bounds, terms, tight)) for tight in (True, False)
-    )
-    return SessionAnalysis(bounds.feasible, bounds, total_tight, total_worst, terms)
+    f_pa = (pa_factor(bounds.b1_tight), pa_factor(bounds.b1_worst))
+    # Each budget's one pricing, in field order: tight X, Z, then worst X, Z.
+    # A basis is priced with the conjugate basis's b1, hence the reversed pair.
+    n_secret = [_key_length(n, _y1_eff(n1, n, mu), mu, b1, e, z, f_ec, f, f_ds)
+                if bounds.feasible else 0
+                for f, b1_pair in zip(f_pa, (bounds.b1_tight, bounds.b1_worst))
+                for n, n1, b1, e, z in zip(n_sifted, bounds.n1_lower, b1_pair[::-1], ber, zfrac)]
+    return SessionAnalysis(bounds, mu, f_ec, f_ds, *f_pa, *n_sifted, *ber, *zfrac, *n_secret)

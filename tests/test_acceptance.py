@@ -45,6 +45,8 @@ from decoyqkd.stats import binary_entropy, binomial_interval
 
 KEY_TOTAL_TIGHT_TARGET = 6127
 KEY_TOTAL_WORST_TARGET = 3990
+#: Criterion 4's time bound for its 500 sessions, in seconds.
+SOUNDNESS_SECONDS = 300.0
 
 
 def _line(num, ok, detail):
@@ -168,10 +170,10 @@ def test_criterion_4_statistical_soundness():
             sound += 1
     elapsed = time.monotonic() - t0
 
-    ok = sound >= 495 and elapsed < 300.0
+    ok = sound >= 495 and elapsed < SOUNDNESS_SECONDS
     _line(4, ok, f"{sound}/500 sessions sound (need ≥495), {elapsed:.1f} s")
     assert sound >= 495
-    assert elapsed < 300.0
+    assert elapsed < SOUNDNESS_SECONDS
 
 
 def test_criterion_5_oracle_equivalence():

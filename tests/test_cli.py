@@ -39,6 +39,7 @@ from decoyqkd.core import (
     DEFAULT_DESKEW_DEPTH,
     DEFAULT_PA_EPSILON,
     DEFAULT_ZERO_BIAS,
+    MAX_PHOTON_CUTOFF,
     ConfidenceConfig,
     DecoyScheme,
     ValidationError,
@@ -909,6 +910,16 @@ class TestConfigFile:
         self, workspace, tmp_path, command, argv, bad, message
     ):
         self.check_named_by_source(workspace, tmp_path, command, argv, bad, message)
+
+    def test_photon_cutoff_is_capped(self, workspace, tmp_path):
+        for cutoff in (MAX_PHOTON_CUTOFF + 1, 20_000):
+            self.check_named_by_source(
+                workspace, tmp_path, "analyze", ["--tally", "{tally}"], {"photon_cutoff": cutoff},
+                f"--photon-cutoff: photon_cutoff must be <= {MAX_PHOTON_CUTOFF}, got {cutoff}")
+        rc, out, _ = run_cli(["analyze", "--tally", str(workspace / "tally.json"),
+                              "--photon-cutoff", str(MAX_PHOTON_CUTOFF)])
+        assert rc == 0
+        assert json.loads(out)["parameters"]["photon_cutoff"] == MAX_PHOTON_CUTOFF
 
 
 class TestLibraryMatchesCli:

@@ -14,6 +14,7 @@ from conftest import MALFORMED_DOCUMENTS
 from ledger import FROZEN
 
 from decoyqkd import (
+    MAX_PHOTON_CUTOFF,
     ChannelModel,
     ConfidenceConfig,
     DecoyScheme,
@@ -23,6 +24,7 @@ from decoyqkd import (
     ValidationError,
     compose_session,
     dumps,
+    poisson_weights,
     reference_model,
     reference_scheme,
     simulate_session,
@@ -277,6 +279,26 @@ class TestConfidenceConfig:
             ConfidenceConfig(photon_cutoff=0)
         with pytest.raises(ValueError):
             ConfidenceConfig(photon_cutoff=math.nan)
+
+    def test_cutoff_maximum(self):
+        assert ConfidenceConfig(photon_cutoff=MAX_PHOTON_CUTOFF).photon_cutoff == MAX_PHOTON_CUTOFF
+        # A cutoff of 20000 would build a 2.98 GiB identity matrix: any value
+        # past the cap is refused first, from a document as from a call.
+        for cutoff in (MAX_PHOTON_CUTOFF + 1, 20_000, 2**63):
+            message = f"photon_cutoff must be <= {MAX_PHOTON_CUTOFF}, got {cutoff}"
+            for build in (lambda: ConfidenceConfig(photon_cutoff=cutoff),
+                          lambda: ConfidenceConfig.from_json({"format_version": "1",
+                                                              "photon_cutoff": cutoff})):
+                with pytest.raises(InputError, match=message) as info:
+                    build()
+                assert info.value.input_name == "photon_cutoff"
+
+    def test_cutoff_maximum_keeps_every_nonzero_poisson_weight(self):
+        # The cap loses no constraint: past it every weight is exactly 0.0 at
+        # each mean photon number the optimizer may choose (at most 1.5).
+        for mu in np.linspace(1e-6, 1.5, 301):
+            weights = poisson_weights(float(mu), 2 * MAX_PHOTON_CUTOFF)
+            assert not any(weights[MAX_PHOTON_CUTOFF + 1:])
 
     def test_from_json_defaults_are_the_field_defaults(self):
         assert ConfidenceConfig.from_json({"format_version": "1"}) == ConfidenceConfig()
